@@ -34,6 +34,7 @@ from .errors import (
     DegenerateTriangle,
     Divergent,
     NoSuchTriangle,
+    NonFiniteIntegrand,
     OutOfDomain,
     SphtriError,
     ToleranceNotMet,
@@ -61,7 +62,10 @@ from .montecarlo import (
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    carlson_rf_rd,
     ellip_E,
+    ellip_E_inc,
+    ellip_F,
     ellip_K,
     integrate,
 )

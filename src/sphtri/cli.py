@@ -29,6 +29,7 @@ from .distributions import (
     perimeter_density,
     tabulate,
 )
+from .errors import SphtriError
 from .identities import (
     bisector_decompose,
     bisector_relation_residual,
@@ -300,7 +301,7 @@ def _suite_mc(n: int, seed: int, lines: list[str]) -> bool:
     pxs, pvals = perimeter_cdf_grid()
     pxs, pvals = np.asarray(pxs), np.asarray(pvals)
     d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
-    ok &= _check("KS primal perimeter vs integrated density", d, ks_bound, lines)
+    ok &= _check("KS primal perimeter vs single-integral CDF", d, ks_bound, lines)
     kinds = [
         (ConditionalKind.AREA_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "sigma"),
         (ConditionalKind.PERIMETER_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "tau"),
@@ -366,7 +367,7 @@ def run(argv: list[str] | None = None) -> int:
     except _Usage as e:
         print(f"sphtri: error: {e}", file=sys.stderr)
         return 1
-    except (ValueError,) as e:
+    except (ValueError, SphtriError) as e:
         print(f"sphtri: error: {e}", file=sys.stderr)
         return 1
 

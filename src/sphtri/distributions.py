@@ -29,7 +29,8 @@ import numpy as np
 
 from .coords import angle_jacobian, side_jacobian
 from .identities import bisector_threshold
-from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
+from .errors import ToleranceNotMet
+from .quadrature import QuadratureSpec, carlson_rf_rd, ellip_E, ellip_K, integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,7 +257,8 @@ def perimeter_density(tau: float, tol: float = 1e-12) -> float:
     numerator and an inverse-square-root zero of the radicand at the
     right endpoint t = tau/2 (the radicand cos^2(t/2) - cos^2((tau-t)/2)
     equals sin(tau/2 - t) sin(tau/2), which the substitution removes).
-    Diverges logarithmically as tau approaches 2*pi.
+    Diverges like c/sqrt(2*pi - tau) as tau approaches 2*pi, with
+    c ~ 0.1211663 (so 1 - CDF ~ 2c sqrt(2*pi - tau)).
     """
     if not 0.0 < tau < TWO_PI:
         raise ValueError("tau must lie strictly inside (0, 2*pi)")
@@ -273,20 +275,80 @@ def perimeter_density(tau: float, tol: float = 1e-12) -> float:
     return res.value / (4.0 * math.pi)
 
 
+def _perimeter_cdf_integrand(x, t):
+    """Integrand of the perimeter CDF over t in [0, x/2]; broadcasts x against t.
+
+    Swapping the order of integration in the CDF of perimeter_density
+    leaves an inner integral in closed form:
+
+        F(x) = (1/2pi) Integral_0^{x/2} sin t {E(k) [K(k') - F(theta1, k')]
+               - K(k) [(K(k') - E(k')) - (F(theta1, k') - E(theta1, k'))]} dt
+
+    with moduli k = sin(t/2), k' = cos(t/2) and
+    sin(theta1) = cos((x-t)/2) / cos(t/2). Every elliptic integral is
+    written through Carlson's forms, whose arguments then take product
+    forms free of cancellation: cos^2(theta1) = sin(x/2 - t) sin(x/2) / k'^2
+    and 1 - k'^2 sin^2(theta1) = sin^2((x-t)/2). The bracket vanishes like
+    sqrt(x/2 - t) at the right endpoint.
+    """
+    k2 = np.sin(0.5 * t) ** 2
+    kp = np.cos(0.5 * t)
+    kp2 = kp * kp
+    s = np.cos(0.5 * (x - t)) / kp
+    c2 = np.sin(0.5 * x - t) * np.sin(0.5 * x) / kp2
+    d2 = np.sin(0.5 * (x - t)) ** 2
+    zero = np.zeros_like(c2)
+    # One duplication for the three argument pairs: modulus k (complete),
+    # modulus k' (complete) and modulus k' at amplitude theta1.
+    rf, rd = carlson_rf_rd(np.stack([zero, zero, c2]), np.stack([kp2 + zero, k2 + zero, d2]), 1.0)
+    K_k = rf[0]
+    E_k = rf[0] - (k2 / 3.0) * rd[0]
+    k_minus_f = rf[1] - s * rf[2]  # K(k') - F(theta1, k')
+    second = (kp2 / 3.0) * (rd[1] - s ** 3 * rd[2])  # (K - E)(k') - (F - E)(theta1, k')
+    return np.sin(t) * (E_k * k_minus_f - K_k * second) / TWO_PI
+
+
 def perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
-    """P{perimeter <= tau}, by quadrature of the perimeter density."""
+    """P{perimeter <= tau}, as one integral over incomplete elliptic integrals.
+
+    See _perimeter_cdf_integrand; the right endpoint t = tau/2 carries a
+    square-root zero and is flagged singular.
+    """
     if not 0.0 <= tau <= TWO_PI:
         raise ValueError("tau must lie in [0, 2*pi]")
     if tau <= 0.0:
         return 0.0
     if tau >= TWO_PI:
         return 1.0
-
-    def density(t):
-        return np.array([perimeter_density(float(x), tol=tol / 100) for x in np.atleast_1d(t)])
-
-    res = integrate(density, 0.0, tau, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_right=True)
+    res = integrate(lambda t: _perimeter_cdf_integrand(tau, t), 0.0, tau / 2, spec)
     return min(1.0, max(0.0, res.value))
+
+
+# Gauss-Legendre orders of the batched grid: the higher one gives the
+# values, and its gap to the lower one is checked against the tolerance.
+_GRID_ORDERS = (32, 48)
+# Integrand elements per batch, which bounds the grid's working memory.
+_GRID_BATCH = 2048
+
+
+def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1].
+
+    Newton's method on P_n from the asymptotic node guesses; numpy's own
+    rule lives in numpy.polynomial, whose import costs about 1 MB.
+    """
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)  # P_n'(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
 @lru_cache(maxsize=4)
@@ -295,27 +357,34 @@ def perimeter_cdf_grid(steps: int = 256, tol: float = 1e-8) -> tuple[tuple[float
 
     The grid is refined geometrically toward 2*pi, where the density
     diverges and a uniform grid would make interpolation overshoot. The
-    result is cached; interpolate with np.interp for bulk evaluation
-    (million-sample KS tests and the like).
+    nodes share perimeter_cdf's integral, taken with t = x/2 (1 - v^2),
+    which maps v in [0, 1] onto t in [0, x/2] and smooths the square-root
+    end; one fixed Gauss-Legendre rule in v then serves every node at
+    once. Raises ToleranceNotMet when two rule orders differ by more than
+    tol at any node. The result is cached; interpolate with np.interp for
+    bulk evaluation (million-sample KS tests and the like).
     """
     xs = np.concatenate([
         np.linspace(0.0, TWO_PI - 0.1, max(steps - 25, 8)),
         TWO_PI - 0.1 * 0.5 ** np.arange(1, 25),
         [TWO_PI],
     ])
-
-    def density(t):
-        return np.array(
-            [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9), tol=tol / 10)
-             for v in np.atleast_1d(t)]
-        )
-
-    vals = [0.0]
-    for i in range(1, len(xs)):
-        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol,
-                              singular_right=(i == len(xs) - 1))
-        vals.append(vals[-1] + integrate(density, float(xs[i - 1]), float(xs[i]), spec).value)
-    vals = np.clip(np.array(vals), 0.0, 1.0)
+    (v_lo, w_lo), (v_hi, w_hi) = (_legendre_01(n) for n in _GRID_ORDERS)
+    v = np.concatenate([v_lo, v_hi])
+    inner = xs[1:-1]
+    vals = np.empty(inner.size)
+    gap = 0.0
+    rows = _GRID_BATCH // v.size
+    for start in range(0, inner.size, rows):
+        x = inner[start:start + rows, None]
+        # F(x) = Integral_0^1 x v f(x, x/2 (1 - v^2)) dv
+        y = _perimeter_cdf_integrand(x, 0.5 * x * (1.0 - v * v)) * (x * v)
+        coarse, fine = y[:, :v_lo.size] @ w_lo, y[:, v_lo.size:] @ w_hi
+        vals[start:start + rows] = fine
+        gap = max(gap, float(np.max(np.abs(fine - coarse))))
+    if not gap <= tol:
+        raise ToleranceNotMet(f"grid rules of orders {_GRID_ORDERS} differ by {gap:.3e}")
+    vals = np.concatenate([[0.0], np.clip(vals, 0.0, 1.0), [1.0]])
     return tuple(float(x) for x in xs), tuple(float(v) for v in vals)
 
 
@@ -612,6 +681,8 @@ def _cond_area_given_side(x: float, kappa: float) -> float:
 
 
 def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
+    if kappa == 0.0:  # the kappa -> 0 limit
+        return x / TWO_PI
     with np.errstate(divide="ignore", over="ignore"):
         omega = 1.0 / (math.tan(kappa / 2) * math.sin(x / 2))
     w = float(np.hypot(1.0, omega))
@@ -626,6 +697,8 @@ def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
         return 0.0
     lo = x / 2 - kappa
     base = math.pi * (1.0 - math.cos(lo))
+    if kappa == 0.0:  # the kappa -> 0 limit; the rho-band [lo, x/2] is empty
+        return base / TWO_PI
     sk = math.sin(kappa)
     A = math.sin(x - kappa) / sk
     B = (math.cos(x - kappa) - math.cos(kappa)) / sk

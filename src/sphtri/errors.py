@@ -25,8 +25,12 @@ class Divergent(SphtriError):
     """The requested quantity diverges (e.g. K at modulus 1)."""
 
 
+class NonFiniteIntegrand(SphtriError):
+    """A quadrature panel summed to NaN or infinity."""
+
+
 class ToleranceNotMet(SphtriError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """A quadrature could not confirm its result to the requested tolerance.
 
     The best available estimate is attached as ``result``.
     """

@@ -1,7 +1,11 @@
-"""Complete elliptic integrals and adaptive 1-D quadrature.
+"""Elliptic integrals and adaptive 1-D quadrature.
 
-K and E are evaluated by the arithmetic-geometric-mean iteration, which
-converges quadratically and reaches machine precision in under ten steps.
+The complete integrals K and E are evaluated by the arithmetic-geometric-
+mean iteration, which converges quadratically and reaches machine
+precision in under ten steps. The incomplete integrals F(phi, k) and
+E(phi, k) come from Carlson's symmetric forms R_F and R_D, evaluated by
+the duplication algorithm (Carlson, Numer. Algorithms 10:13-26, 1995;
+DLMF 19.36(i)), which works elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 endpoint (t = a + u^2 or t = b - u^2) becomes a bounded smooth integrand,
@@ -17,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Divergent, ToleranceNotMet
+from .errors import Divergent, NonFiniteIntegrand, ToleranceNotMet
 
 # Kronrod-15 nodes on [-1, 1] (positive half) and the matching Kronrod and
 # embedded Gauss-7 weights.
@@ -67,7 +71,7 @@ class QuadratureSpec:
     singular_right: bool = False
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
@@ -86,6 +90,8 @@ def _kronrod_panel(f, a, b):
     x = 0.5 * (a + b) + h * _NODES
     y = np.asarray(f(x), dtype=float)
     k = h * float(np.dot(_WEIGHTS_K, y))
+    if not math.isfinite(k):
+        raise NonFiniteIntegrand(f"integrand sums to {k} on [{a!r}, {b!r}]")
     g = h * float(np.dot(_WEIGHTS_G, y))
     diff = abs(k - g)
     # QUADPACK-style sharpening: for smooth panels |K-G| grossly
@@ -146,10 +152,13 @@ def integrate(
     singularity, removed exactly by the u^2 substitution before adaptive
     refinement; the integrand is never evaluated at the endpoints
     themselves. Raises ToleranceNotMet (with the best estimate attached)
-    when the subdivision budget runs out.
+    when the subdivision budget runs out, NonFiniteIntegrand when a panel
+    sums to NaN or infinity, and ValueError for non-finite bounds.
     """
     if spec is None:
         spec = QuadratureSpec()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if not vectorized:
@@ -257,3 +266,85 @@ def ellip_E(zeta):
     out = (np.pi / (2.0 * a)) * (1.0 - csum)
     out = np.where(one, 1.0, out)
     return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# Carlson symmetric forms and the incomplete integrals (modulus convention).
+
+_CARLSON_TOL = 1e-16  # relative truncation error of the duplication series
+_CARLSON_MAX_ITER = 60  # each step shrinks the spread of x, y, z fourfold
+
+
+def carlson_rf_rd(x, y, z):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z) by one shared duplication.
+
+    Both forms duplicate the same (x, y, z) sequence, so one loop serves
+    the pair; R_D adds the running sum of its z-terms. Broadcasts over
+    arrays. Requires x, y >= 0 and z > 0 with x + y > 0.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0) and np.all(z > 0.0) and np.all(x + y > 0.0)):
+        raise ValueError("need x, y >= 0, z > 0 and x + y > 0")
+    a_f = (x + y + z) / 3.0
+    a_d = (x + y + 3.0 * z) / 5.0
+    fx, fy, dx, dy = a_f - x, a_f - y, a_d - x, a_d - y  # A_0 - x_0 and A_0 - y_0
+    # Iterate until 4^-m Q < A_m; the series error is then below _CARLSON_TOL.
+    q_f = (3.0 * _CARLSON_TOL) ** (-1 / 6) * np.maximum(np.maximum(abs(fx), abs(fy)), abs(a_f - z))
+    q_d = (0.25 * _CARLSON_TOL) ** (-1 / 6) * np.maximum(np.maximum(abs(dx), abs(dy)), abs(a_d - z))
+    tail = np.zeros_like(a_f)
+    p = 1.0  # 4^-m
+    for _ in range(_CARLSON_MAX_ITER):
+        if np.all(p * q_f < a_f) and np.all(p * q_d < a_d):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail += p / (sz * (z + lam))
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        a_f, a_d = 0.25 * (a_f + lam), 0.25 * (a_d + lam)
+        p *= 0.25
+    X, Y = p * fx / a_f, p * fy / a_f
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    X, Y = p * dx / a_d, p * dy / a_d
+    Z = -(X + Y) / 3.0
+    xy, z2 = X * Y, Z * Z
+    e2, e3 = xy - 6.0 * z2, (3.0 * xy - 8.0 * z2) * Z
+    e4, e5 = 3.0 * (xy - z2) * z2, xy * z2 * Z
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    rd = p * series / (a_d * np.sqrt(a_d)) + 3.0 * tail
+    if rf.ndim == 0:
+        return float(rf), float(rd)
+    return rf, rd
+
+
+def _incomplete(phi, zeta):
+    """sin(phi), R_F and R_D at the Legendre arguments of (phi, zeta)."""
+    phi = np.asarray(phi, dtype=float)
+    z = np.asarray(zeta, dtype=float)
+    if np.any(np.abs(phi) > 0.5 * np.pi) or np.any(z < 0.0) or np.any(z >= 1.0):
+        raise ValueError("need |phi| <= pi/2 and modulus in [0, 1)")
+    s, c = np.sin(phi), np.cos(phi)
+    # 1 - k^2 sin^2 phi, without the cancellation near k = 1, phi = pi/2
+    delta2 = c * c + (1.0 - z) * (1.0 + z) * s * s
+    rf, rd = carlson_rf_rd(c * c, delta2, 1.0)
+    return s, z * z, rf, rd
+
+
+def ellip_F(phi, zeta):
+    """Incomplete elliptic integral of the first kind, F(phi, k) = sin(phi) R_F.
+
+    Modulus convention, as ellip_K; |phi| <= pi/2 and k in [0, 1).
+    """
+    s, _, rf, _ = _incomplete(phi, zeta)
+    return s * rf
+
+
+def ellip_E_inc(phi, zeta):
+    """Incomplete elliptic integral of the second kind, E(phi, k).
+
+    E = sin(phi) R_F - (k^2/3) sin^3(phi) R_D, with the arguments of ellip_F.
+    """
+    s, k2, rf, rd = _incomplete(phi, zeta)
+    return s * rf - (k2 / 3.0) * s ** 3 * rd

@@ -90,3 +90,23 @@ def test_verify_elliptic_suite(capsys):
 
 def test_verify_reductions_suite(capsys):
     assert run(["verify", "--suite", "reductions"]) == 0
+
+
+def test_conditional_at_zero_kappa(capsys):
+    assert run(["conditional", "--kind", "perimeter_given_side", "--kappa", "0",
+                "--at", "2"]) == 0
+    v = float(capsys.readouterr().out)
+    assert abs(v - (1.0 - math.cos(1.0)) / 2.0) < 1e-15
+
+
+def test_library_error_exits_1(capsys, monkeypatch):
+    import sphtri.cli as cli
+    from sphtri.errors import ToleranceNotMet
+
+    def failing(*args, **kwargs):
+        raise ToleranceNotMet("subdivision budget exhausted")
+
+    monkeypatch.setattr(cli, "conditional_cdf", failing)
+    assert run(["conditional", "--kind", "perimeter_given_side", "--kappa", "1",
+                "--at", "2"]) == 1
+    assert "subdivision budget exhausted" in capsys.readouterr().err

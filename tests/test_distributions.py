@@ -17,10 +17,12 @@ from sphtri.distributions import (
     elliptic_reduction_gap,
     kernel_params,
     perimeter_cdf,
+    perimeter_cdf_grid,
     perimeter_density,
     radicand_perimeter,
     tabulate,
 )
+from sphtri.errors import ToleranceNotMet
 from sphtri.quadrature import QuadratureSpec, integrate
 
 PI = math.pi
@@ -158,6 +160,77 @@ class TestPerimeterDensity:
         assert 0.0 < v < 1.0
 
 
+def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
+    """The perimeter CDF as quadrature of perimeter_density, itself a quadrature.
+
+    The library's route before the single-integral form; kept as an
+    independent oracle for it.
+    """
+    def density(t):
+        return np.array([perimeter_density(float(x), tol=tol / 100) for x in np.atleast_1d(t)])
+
+    return integrate(density, 0.0, tau, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
+
+
+CDF_CHECK_XS = (0.5, 2.0, PI, 4.5, 6.0, 6.28, TWO_PI - 1e-3)
+
+
+class TestPerimeterCdf:
+    @pytest.mark.parametrize("x", CDF_CHECK_XS)
+    def test_matches_nested_density_integral(self, x):
+        assert abs(perimeter_cdf(x) - nested_perimeter_cdf(x)) < 1e-9
+
+    def test_one_integral_without_the_density(self, monkeypatch):
+        import sphtri.distributions as dist
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("perimeter_density called")
+
+        monkeypatch.setattr(dist, "integrate", counting)
+        monkeypatch.setattr(dist, "perimeter_density", forbidden)
+        dist.perimeter_cdf(TWO_PI - 1e-3)
+        assert calls == [(0.0, (TWO_PI - 1e-3) / 2)]
+
+    def test_tail_constant_matches_density(self):
+        # density ~ c / sqrt(2 pi - tau) and 1 - F ~ 2 c sqrt(2 pi - tau)
+        d = 1e-6
+        from_cdf = (1.0 - perimeter_cdf(TWO_PI - d, tol=1e-12)) / (2.0 * math.sqrt(d))
+        from_density = math.sqrt(d) * perimeter_density(TWO_PI - d)
+        assert abs(from_cdf - from_density) < 1e-5 * from_density
+        assert abs(from_density - 0.1211663) < 1e-6
+
+
+class TestPerimeterCdfGrid:
+    @pytest.mark.parametrize("steps", [256, 600])
+    def test_nodes_match_perimeter_cdf(self, steps):
+        xs, vals = perimeter_cdf_grid(steps)
+        assert xs[0] == 0.0 and xs[-1] == TWO_PI
+        assert vals[0] == 0.0 and vals[-1] == 1.0
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        worst = max(abs(v - perimeter_cdf(x)) for x, v in zip(xs, vals))
+        assert worst < 1e-9
+
+    def test_no_quadrature_per_node(self, monkeypatch):
+        import sphtri.distributions as dist
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(dist, "integrate", forbidden)
+        xs, vals = dist.perimeter_cdf_grid.__wrapped__(64)
+        assert len(xs) == len(vals) == 64
+
+    def test_unmet_tolerance_raises(self):
+        with pytest.raises(ToleranceNotMet):
+            perimeter_cdf_grid.__wrapped__(64, tol=1e-16)
+
+
 class TestDoubleIntegrals:
     def test_perimeter_primal_at_pi(self):
         v = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, PI, tol=1e-9)
@@ -262,6 +335,17 @@ GRID_K = np.linspace(0.4, PI - 0.4, 5)
 
 
 class TestConditionalCdf:
+    @pytest.mark.parametrize("x", [0.3, 2.0, PI, 5.0, 6.2])
+    def test_perimeter_routes_at_zero_kappa(self, x):
+        side_limit = (1.0 - math.cos(x / 2)) / 2.0
+        angle_limit = x / TWO_PI
+        assert abs(conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, 0.0) - side_limit) < 1e-15
+        assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_ANGLE, x, 0.0) == angle_limit
+        near_side = conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, 1e-9)
+        near_angle = conditional_cdf(ConditionalKind.PERIMETER_GIVEN_ANGLE, x, 1e-9)
+        assert abs(near_side - side_limit) < 3e-10
+        assert abs(near_angle - angle_limit) < 3e-10
+
     def test_perimeter_given_side_zero_below_double_side(self):
         assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, 1.0, 0.9) == 0.0
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphtri.errors import Divergent, ToleranceNotMet
+from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    carlson_rf_rd,
     ellip_E,
+    ellip_E_inc,
+    ellip_F,
     ellip_K,
     integrate,
 )
@@ -140,9 +143,26 @@ class TestIntegrate:
         assert isinstance(info.value.result, QuadratureResult)
         assert abs(info.value.result.value - (1.0 - math.e / 3)) < 0.01
 
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NonFiniteIntegrand):
+            integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
+        assert issubclass(NonFiniteIntegrand, SphtriError)
+
+    def test_infinite_integrand_raises(self):
+        with pytest.raises(NonFiniteIntegrand):
+            integrate(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                      (0.0, math.nan)])
+    def test_non_finite_bounds(self, a, b):
+        with pytest.raises(ValueError):
+            integrate(np.sin, a, b)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
+        with pytest.raises(ValueError):
+            QuadratureSpec(rel_tol=math.nan)
         with pytest.raises(ValueError):
             QuadratureSpec(max_depth=0)
 
@@ -156,3 +176,68 @@ def test_linearity(alpha, beta):
     combined = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, spec).value
     separate = alpha * integrate(f, 0.0, 2.0, spec).value + beta * integrate(g, 0.0, 2.0, spec).value
     assert abs(combined - separate) < 1e-10 * (1 + abs(alpha) + abs(beta))
+
+
+class TestCarlson:
+    def test_complete_integrals_match_agm(self):
+        z = np.linspace(0.0, 0.999, 2001)
+        kp2 = (1.0 - z) * (1.0 + z)
+        rf, rd = carlson_rf_rd(0.0, kp2, 1.0)
+        K, E = ellip_K(z), ellip_E(z)
+        assert np.max(np.abs(rf - K) / K) < 1e-13
+        assert np.max(np.abs(rf - z * z / 3.0 * rd - E)) < 1e-13
+        assert np.max(np.abs(ellip_F(PI / 2, z) - K) / K) < 1e-13
+        assert np.max(np.abs(ellip_E_inc(PI / 2, z) - E)) < 1e-13
+
+    def test_lemniscatic_values(self):
+        # R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi)); R_D(0, 2, 1) = 3 Gamma(3/4)^2 / sqrt(2 pi)
+        rf, _ = carlson_rf_rd(0.0, 1.0, 2.0)
+        _, rd = carlson_rf_rd(0.0, 2.0, 1.0)
+        assert abs(rf - math.gamma(0.25) ** 2 / (4.0 * math.sqrt(2.0 * PI))) < 1e-15
+        assert abs(rd - 3.0 * math.gamma(0.75) ** 2 / math.sqrt(2.0 * PI)) < 1e-14
+
+    def test_scalar_and_array(self):
+        rf, rd = carlson_rf_rd(0.5, 1.0, 2.0)
+        assert isinstance(rf, float) and isinstance(rd, float)
+        arr, _ = carlson_rf_rd(np.array([0.5, 0.5]), 1.0, 2.0)
+        assert arr.shape == (2,) and arr[0] == rf
+
+    def test_incomplete_odd_and_zero(self):
+        assert ellip_F(0.0, 0.7) == 0.0
+        assert ellip_E_inc(0.0, 0.7) == 0.0
+        assert ellip_F(-0.9, 0.7) == -ellip_F(0.9, 0.7)
+        assert abs(ellip_F(1.0, 0.0) - 1.0) < 1e-15
+        assert abs(ellip_E_inc(1.0, 0.0) - 1.0) < 1e-15
+
+    def test_incomplete_vs_defining_integrals(self):
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+        for phi, z in ((0.4, 0.2), (1.2, 0.8), (1.5, 0.97)):
+            f = integrate(lambda t: 1.0 / np.sqrt(1 - z * z * np.sin(t) ** 2), 0.0, phi, spec)
+            e = integrate(lambda t: np.sqrt(1 - z * z * np.sin(t) ** 2), 0.0, phi, spec)
+            assert abs(ellip_F(phi, z) - f.value) < 1e-13
+            assert abs(ellip_E_inc(phi, z) - e.value) < 1e-13
+
+    def test_incomplete_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20)
+        phi = rng.uniform(-PI / 2, PI / 2, 400)
+        z = rng.uniform(0.0, 1.0, 400)
+        F, E = ellip_F(phi, z), ellip_E_inc(phi, z)
+        for p, k, f, e in zip(phi, z, F, E):
+            m = float(k) ** 2
+            ref_f = float(mpmath.ellipf(float(p), m))
+            ref_e = float(mpmath.ellipe(float(p), m))
+            assert abs(f - ref_f) <= 1e-13 * max(1.0, abs(ref_f))
+            assert abs(e - ref_e) <= 1e-13 * max(1.0, abs(ref_e))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            carlson_rf_rd(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            carlson_rf_rd(-1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            carlson_rf_rd(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            ellip_F(2.0, 0.5)
+        with pytest.raises(ValueError):
+            ellip_E_inc(1.0, 1.0)
