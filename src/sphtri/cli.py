@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--from", dest="lo", type=float)
         sp.add_argument("--to", dest="hi", type=float)
         sp.add_argument("--steps", type=int)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--tol", type=float,
+                        help="quadrature tolerance (default: the library's; "
+                             "closed forms ignore it)")
         sp.add_argument("--degrees", action="store_true",
                         help="interpret angle inputs as degrees")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
@@ -92,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "reductions", "duality", "mc-vs-analytic", "all"])
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
     return p
 
 
@@ -129,26 +130,33 @@ class _Usage(Exception):
     pass
 
 
+def _tol_kwargs(args) -> dict:
+    """``tol`` for the library call when --tol was given, else nothing."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _cmd_density(args) -> int:
     at = _angle_in(args.at, args.degrees)
+    tol = _tol_kwargs(args)
     if at is not None:
-        value = area_density(at) if args.kind == "area" else perimeter_density(at)
+        value = area_density(at) if args.kind == "area" else perimeter_density(at, **tol)
         print(f"{value:.17g}")
         return 0
     kind = CurveKind.AREA_PDF if args.kind == "area" else CurveKind.PERIMETER_PDF
-    curve = tabulate(kind, _grid(args))
+    curve = tabulate(kind, _grid(args), **tol)
     _emit(curve.to_csv_string(), args.out)
     return 0
 
 
 def _cmd_cdf(args) -> int:
     at = _angle_in(args.at, args.degrees)
+    tol = _tol_kwargs(args)
     if at is not None:
-        value = area_cdf(at) if args.kind == "area" else perimeter_cdf(at)
+        value = area_cdf(at, **tol) if args.kind == "area" else perimeter_cdf(at, **tol)
         print(f"{value:.17g}")
         return 0
     kind = CurveKind.AREA_CDF if args.kind == "area" else CurveKind.PERIMETER_CDF
-    curve = tabulate(kind, _grid(args))
+    curve = tabulate(kind, _grid(args), **tol)
     _emit(curve.to_csv_string(), args.out)
     return 0
 
@@ -157,11 +165,12 @@ def _cmd_conditional(args) -> int:
     ckind = ConditionalKind(args.kind)
     kappa = _angle_in(args.kappa, args.degrees)
     at = _angle_in(args.at, args.degrees)
+    tol = _tol_kwargs(args)
     if at is not None:
-        print(f"{conditional_cdf(ckind, at, kappa, tol=args.tol):.17g}")
+        print(f"{conditional_cdf(ckind, at, kappa, **tol):.17g}")
         return 0
     curve = tabulate(CurveKind.CONDITIONAL, _grid(args),
-                     conditional_kind=ckind, kappa=kappa, tol=args.tol)
+                     conditional_kind=ckind, kappa=kappa, **tol)
     _emit(curve.to_csv_string(), args.out)
     return 0
 

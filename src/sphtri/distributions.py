@@ -873,20 +873,25 @@ def conditional_cdf(
 
 
 def tabulate(kind: CurveKind, xs: Sequence[float], **kwargs) -> DensityCurve:
-    """Evaluate a density/CDF on a grid; conditional curves need kind+kappa."""
+    """Evaluate a density/CDF on a grid; conditional curves need kind+kappa.
+
+    An optional ``tol`` is passed to every quadrature-based evaluation
+    (the closed-form area density takes none); without it each function
+    uses its own default.
+    """
     xs = [float(x) for x in xs]
+    tol = {"tol": kwargs["tol"]} if "tol" in kwargs else {}
     if kind is CurveKind.AREA_PDF:
         vals = [area_density(x) for x in xs]
     elif kind is CurveKind.AREA_CDF:
-        vals = [area_cdf(x) for x in xs]
+        vals = [area_cdf(x, **tol) for x in xs]
     elif kind is CurveKind.PERIMETER_PDF:
         cap = TWO_PI - 1e-6  # the density diverges at 2*pi; never sample it
-        vals = [perimeter_density(min(max(x, 1e-12), cap)) for x in xs]
+        vals = [perimeter_density(min(max(x, 1e-12), cap), **tol) for x in xs]
     elif kind is CurveKind.PERIMETER_CDF:
-        vals = [perimeter_cdf(x) for x in xs]
+        vals = [perimeter_cdf(x, **tol) for x in xs]
     else:
         ckind = kwargs["conditional_kind"]
         kappa = kwargs["kappa"]
-        tol = kwargs.get("tol", 1e-9)
-        vals = [conditional_cdf(ckind, x, kappa, tol) for x in xs]
+        vals = [conditional_cdf(ckind, x, kappa, **tol) for x in xs]
     return DensityCurve(tuple(xs), tuple(vals), kind)

@@ -99,17 +99,18 @@ def _dual_triangle_elements(rho, theta, kappa):
     upper hemisphere) of the great circle through A at angle kappa to the
     equator with the one through B at angle theta.
     """
-    n = len(rho)
     sr, cr = np.sin(rho), np.cos(rho)
     st, ct = np.sin(theta), np.cos(theta)
-    A = np.zeros((n, 3))
-    A[:, 0] = 1.0
-    B = np.stack([cr, sr, np.zeros(n)], axis=1)
-    V = np.tile([0.0, -math.sin(kappa), math.cos(kappa)], (n, 1))
-    W = np.stack([sr * st, -cr * st, -ct], axis=1)
-    C = np.cross(V, W)
-    C /= np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-300)
-    return sphere.triangle_elements(A, B, C)
+    A = np.array([1.0, 0.0, 0.0])
+    B = np.zeros((3, len(rho)))
+    B[0], B[1] = cr, sr
+    # C = V x W, where V = (0, -sin kappa, cos kappa) and
+    # W = (sr st, -cr st, -ct) are the poles of the two great circles.
+    sk, ck = math.sin(kappa), math.cos(kappa)
+    wx = sr * st
+    C = np.stack([sk * ct + ck * (cr * st), ck * wx, sk * wx])
+    C /= np.maximum(np.sqrt(np.sum(C * C, axis=0)), 1e-300)
+    return sphere.triangle_elements(A, B.T, C.T)
 
 
 def sample_batch(
@@ -141,9 +142,8 @@ def sample_batch(
         A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
         a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
     elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
-        A = np.zeros((n, 3))
-        A[:, 0] = 1.0
-        B = np.tile([math.cos(kappa), math.sin(kappa), 0.0], (n, 1))
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
         C = sphere.sample_uniform_points(rng, n)
         a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
         coord_u, coord_v = al, b  # (theta, rho) of the fixed-side system

@@ -1,6 +1,10 @@
 import math
 
+import numpy as np
+import pytest
+
 from sphtri.cli import run
+from sphtri.distributions import CurveKind, perimeter_cdf, tabulate
 
 PI = math.pi
 
@@ -43,6 +47,35 @@ def test_degrees_flag(capsys):
 def test_cdf_at(capsys):
     assert run(["cdf", "--kind", "area", "--at", str(2 * PI)]) == 0
     assert float(capsys.readouterr().out) == 1.0
+
+
+def test_cdf_default_tolerance(capsys, tmp_path):
+    # Without --tol the library's own default applies, on both paths.
+    assert run(["cdf", "--kind", "perimeter", "--at", "3"]) == 0
+    assert capsys.readouterr().out == f"{perimeter_cdf(3.0):.17g}\n"
+    out = tmp_path / "p.csv"
+    assert run(["cdf", "--kind", "perimeter", "--from", "1", "--to", "3",
+                "--steps", "3", "--out", str(out)]) == 0
+    expected = tabulate(CurveKind.PERIMETER_CDF, np.linspace(1.0, 3.0, 3))
+    assert out.read_text() == expected.to_csv_string()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--kind", "perimeter", "--at", "3"],
+    ["cdf", "--kind", "area", "--at", "3"],
+    ["cdf", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
+    ["density", "--kind", "perimeter", "--at", "3"],
+    ["density", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
+    ["conditional", "--kind", "perimeter_given_side", "--kappa", "1", "--at", "2"],
+])
+def test_tol_is_passed_on(argv, capsys):
+    # A NaN tolerance reaches QuadratureSpec, which rejects it.
+    assert run(argv + ["--tol", "nan"]) == 1
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_verify_takes_no_tol(capsys):
+    assert run(["verify", "--suite", "elliptic", "--tol", "1e-3"]) == 1
 
 
 def test_conditional_at(capsys):

@@ -25,10 +25,39 @@ PI = math.pi
 OCTANT = (UnitVec3(1, 0, 0), UnitVec3(0, 1, 0), UnitVec3(0, 0, 1))
 
 
-def random_metrics(n, seed=2024):
+def reference_triangle_elements(A, B, C):
+    """The cross-product kernel that preceded the column kernel.
+
+    Sides from arc_length, and each angle as the angle between the two
+    edge normals at its vertex, every normal built with np.cross.
+    """
+    A, B, C = (np.asarray(V, dtype=float) for V in (A, B, C))
+
+    def angle_between(p, q):
+        s = np.linalg.norm(np.cross(p, q), axis=-1)
+        return np.arctan2(s, np.einsum("...i,...i->...", p, q))
+
+    alpha = angle_between(np.cross(A, B), np.cross(A, C))
+    beta = angle_between(np.cross(B, A), np.cross(B, C))
+    gamma = angle_between(np.cross(C, A), np.cross(C, B))
+    return arc_length(B, C), arc_length(A, C), arc_length(A, B), alpha, beta, gamma
+
+
+def reference_dual_vertices(Ap, Bp, Cp):
+    """Dual vertices from np.cross, normalized by np.linalg.norm."""
+    out = []
+    for w in (np.cross(Bp, Cp), np.cross(Ap, Cp), np.cross(Ap, Bp)):
+        out.append(w / np.linalg.norm(w, axis=-1, keepdims=True))
+    return tuple(out)
+
+
+def random_vertices(n, seed):
     pts = sample_uniform_points(RngStream(seed), 3 * n).reshape(n, 3, 3)
-    a, b, c, al, be, ga = triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
-    return a, b, c, al, be, ga
+    return pts[:, 0], pts[:, 1], pts[:, 2]
+
+
+def random_metrics(n, seed=2024):
+    return triangle_elements(*random_vertices(n, seed))
 
 
 def as_metrics(a, b, c, al, be, ga, i) -> TriangleMetrics:
@@ -78,6 +107,65 @@ class TestSampling:
         frac = np.mean(pts[:, 2] > 0)
         assert abs(frac - 0.5) < 0.002
 
+    def test_draws_and_normalization_pinned(self):
+        # Same generator calls in the same order, and the same division.
+        n = 1000
+        v = RngStream(9, 4).generator.standard_normal((n, 3))
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert sample_uniform_points(RngStream(9, 4), n).tobytes() == expected.tobytes()
+
+
+class TestKernel:
+    def test_matches_reference_kernel(self):
+        A, B, C = random_vertices(10**5, seed=31)
+        new = triangle_elements(A, B, C)
+        ref = reference_triangle_elements(A, B, C)
+        for x, y in zip(new, ref):
+            assert np.max(np.abs(x - y)) < 1e-13
+
+    def test_near_collinear_matches_reference(self):
+        # Every side within ~1e-7 of 0 or pi: C next to A, B next to -A,
+        # turned by random rotations so the coordinates carry rounding.
+        # |det| is ~1e-15 here; A . (B x C) taken directly was off by 0.05.
+        rng = np.random.default_rng(7)
+        n = 1000
+        e1, e2 = rng.uniform(1e-8, 1e-7, n), rng.uniform(1e-8, 1e-7, n)
+        phi = rng.uniform(0.1, PI - 0.1, n)
+        A = np.tile([1.0, 0.0, 0.0], (n, 1))
+        C = np.stack([np.cos(e1), np.sin(e1), np.zeros(n)], axis=-1)
+        B = -np.stack([np.cos(e2), np.sin(e2) * np.cos(phi), np.sin(e2) * np.sin(phi)], axis=-1)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+        A, B, C = (np.einsum("nij,nj->ni", Q, V) for V in (A, B, C))
+        new = triangle_elements(A, B, C)
+        ref = reference_triangle_elements(A, B, C)
+        for x, y in zip(new[3:], ref[3:]):
+            assert np.max(np.abs(x - y)) < 1e-7
+        # The angle at A, up to the rounding of the rotated vertices.
+        assert np.max(np.abs(new[3] - (PI - phi))) < 1e-7
+
+    def test_fixed_vertices_broadcast(self):
+        n = 1000
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.array([math.cos(1.1), math.sin(1.1), 0.0])
+        C = sample_uniform_points(RngStream(4), n)
+        fixed = triangle_elements(A, B, C)
+        tiled = triangle_elements(np.tile(A, (n, 1)), np.tile(B, (n, 1)), C)
+        for x, y in zip(fixed, tiled):
+            assert x.shape == (n,) and x.flags.writeable
+            assert np.array_equal(x, y)
+        assert np.all(fixed[2] == fixed[2][0])  # the fixed side c
+
+    def test_scalar_vertices(self):
+        out = triangle_elements(*(v.as_array() for v in OCTANT))
+        assert all(np.shape(x) == () for x in out)
+        assert np.allclose(out, PI / 2, atol=1e-15)
+
+    def test_dual_vertices_match_reference(self):
+        poles = random_vertices(10**5, seed=32)
+        for x, y in zip(dual_vertices(*poles), reference_dual_vertices(*poles)):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) < 1e-15
+
 
 class TestMetrics:
     def test_octant(self):
@@ -101,6 +189,17 @@ class TestMetrics:
         a, b, c, al, be, ga = random_metrics(10**4)
         sigma = al + be + ga - PI
         assert np.max(np.abs(sigma - lhuilier_excess(a, b, c))) < 1e-10
+
+    def test_girard_vs_van_oosterom_strackee(self):
+        # tan(sigma/2) = |A.(B x C)| / (1 + A.B + B.C + C.A) (Van Oosterom
+        # and Strackee 1983): vertices only, independent of the angles.
+        A, B, C = random_vertices(10**5, seed=33)
+        dot = lambda u, v: np.einsum("ij,ij->i", u, v)
+        sigma_vos = 2.0 * np.arctan2(
+            np.abs(dot(A, np.cross(B, C))), 1.0 + dot(A, B) + dot(B, C) + dot(C, A)
+        )
+        _, _, _, al, be, ga = triangle_elements(A, B, C)
+        assert np.max(np.abs(al + be + ga - PI - sigma_vos)) < 1e-11
 
     def test_law_of_sines(self):
         # Cleared form: the quotient form amplifies noise when the common
