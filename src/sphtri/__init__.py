@@ -7,8 +7,6 @@ from .coords import (
     embed,
     embedding_point,
     jacobian_fd_check,
-    rotation_tilt,
-    rotation_x,
 )
 from .distributions import (
     ConditionalKind,

@@ -55,27 +55,6 @@ class CoordTriple:
         return all(0.0 < t < math.pi for t in (self.u, self.v, self.kappa))
 
 
-def rotation_x(theta: float) -> np.ndarray:
-    """Rotation about the x-axis carrying (0,1,0) toward (0,0,1)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_tilt(rho: float, theta: float) -> np.ndarray:
-    """Rotation by theta about the equatorial axis (cos rho, sin rho, 0).
-
-    Keeps (cos rho, sin rho, 0) fixed and carries (sin rho, -cos rho, 0)
-    toward (0, 0, 1).
-    """
-    cr, sr = math.cos(rho), math.sin(rho)
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([
-        [cr * cr + sr * sr * ct, cr * sr * (1.0 - ct), -sr * st],
-        [cr * sr * (1.0 - ct), sr * sr + cr * cr * ct, cr * st],
-        [sr * st, -cr * st, ct],
-    ])
-
-
 def _primal_point(theta, rho):
     return np.array([
         math.cos(rho), math.sin(rho) * math.cos(theta), math.sin(rho) * math.sin(theta)

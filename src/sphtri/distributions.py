@@ -28,11 +28,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coords import angle_jacobian, side_jacobian
-from .identities import bisector_threshold
-from .errors import ToleranceNotMet
+from .identities import SolvedFormKind, bisector_threshold, solved_forms
+from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import QuadratureSpec, carlson_rf_rd, ellip_E, ellip_K, integrate
 
 TWO_PI = 2.0 * math.pi
+COORDS_KAPPA_EDGE = 1e-2  # the 2-D Jacobian routes need kappa this far from 0 and pi
 
 
 class DensityKind(enum.Enum):
@@ -783,41 +784,27 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
 
 
 def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
-    """The two-angle / two-side routes, by nested Jacobian-weighted quadrature."""
+    """The two-angle / two-side routes, by nested Jacobian-weighted quadrature.
+
+    Nearer kappa = 0 or pi the Jacobian's peak narrows like kappa (or
+    pi - kappa): there the quadrature ran for seconds or returned wrong values.
+    """
+    if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
+        raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
+                          f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
     if perimeter:
         if kappa >= x / 2:
             return 0.0
-        scale = math.sin(x / 2) / math.sin(x / 2 - kappa)
-
-        def limit(u):  # boundary psi = f(phi)
-            y = math.tan(u / 2) * scale
-            y2 = y * y
-            c = 1.0 - 2.0 / (y2 + 1.0) if math.isfinite(y2) else 1.0
-            return math.acos(max(-1.0, min(1.0, c)))
-
-        jac = angle_jacobian
+        form, jac = SolvedFormKind.ANGLE_PSI, angle_jacobian  # boundary psi = f(phi)
     else:
-        if kappa < x / 2:
-            return 1.0
-        if kappa == x / 2:
-            return 1.0  # boundary of the admissible wedge; f == pi there
-        scale = math.sin(x / 2) / math.sin(kappa - x / 2)
-
-        def limit(u):  # boundary eta = f(xi)
-            t = math.tan(u / 2)
-            if abs(t) < 1e-300:
-                return math.pi
-            w = scale / t
-            w2 = w * w
-            c = 2.0 / (w2 + 1.0) - 1.0 if math.isfinite(w2) else -1.0
-            return math.acos(max(-1.0, min(1.0, c)))
-
-        jac = side_jacobian
+        if kappa <= x / 2:
+            return 1.0  # at kappa == x/2, the edge of the admissible wedge, f == pi
+        form, jac = SolvedFormKind.SIDE_ETA, side_jacobian  # boundary eta = f(xi)
 
     inner_spec = QuadratureSpec(abs_tol=tol / 10.0, rel_tol=tol / 10.0)
 
     def inner(u: float) -> float:
-        hi = limit(u)
+        hi = math.acos(max(-1.0, min(1.0, solved_forms(form, u, x, kappa))))
         if hi <= 0.0:
             return 0.0
         return integrate(lambda v: jac(u, v, kappa), 0.0, hi, inner_spec).value
@@ -838,7 +825,8 @@ def conditional_cdf(
     the side c; PERIMETER_GIVEN_ANGLE / PERIMETER_BISECTOR /
     AREA_SIDE_COORDS / AREA_GIVEN_ANGLE on the angle alpha;
     PERIMETER_GIVEN_SIDE on c. Routes sharing a conditioning variable
-    agree; that redundancy is asserted by the test suite.
+    agree; that redundancy is asserted by the test suite. The two 2-D routes
+    raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
     """
     if not 0.0 <= x <= TWO_PI:
         raise ValueError("x must lie in [0, 2*pi]")

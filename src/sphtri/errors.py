@@ -18,7 +18,7 @@ class NoSuchTriangle(SphtriError):
 
 
 class OutOfDomain(SphtriError):
-    """A solved trigonometric form evaluated outside its valid range."""
+    """An input lies outside the range where a formula or route is confirmed."""
 
 
 class Divergent(SphtriError):

@@ -6,13 +6,18 @@ instead of blowing up through catastrophic cancellation. A residual is
 |LHS - RHS| of the cleared form: ~1e-15 for a consistent triangle, large
 for inconsistent metrics (which is the point - they double as consistency
 detectors).
+
+The residuals and cevian decompositions also take a ``TriangleMetrics`` of
+equal-shape arrays, one element per triangle, and return arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import DegenerateTriangle, OutOfDomain
 from .sphere import TriangleMetrics
@@ -42,17 +47,11 @@ class IdentityResiduals:
     eriksson_perimeter: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.area_halfangle,
-            self.perimeter_cosine,
-            self.perimeter_halfangle,
-            self.area_cosine,
-            self.eriksson_area,
-            self.eriksson_perimeter,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def max(self) -> float:
-        return max(self.as_tuple())
+        """Largest residual over the six identities and every triangle."""
+        return float(max(np.max(r) for r in self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -74,36 +73,36 @@ class SolvedFormKind(enum.Enum):
 
 
 def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
-    """Residuals of all six identities for one triangle."""
+    """Residuals of all six identities for one triangle or a batch of them."""
     a, b, c = m.a, m.b, m.c
     al, be, ga = m.alpha, m.beta, m.gamma
     sig, tau = m.sigma, m.tau
 
     r1 = abs(
-        math.sin(al - sig / 2) * math.sin(b / 2) * math.sin(c / 2)
-        - math.cos(b / 2) * math.cos(c / 2) * math.sin(sig / 2)
+        np.sin(al - sig / 2) * np.sin(b / 2) * np.sin(c / 2)
+        - np.cos(b / 2) * np.cos(c / 2) * np.sin(sig / 2)
     )
     r2 = abs(
-        math.sin(b) * math.sin(c) * math.cos(al)
-        - math.sin(tau - c) * math.sin(b)
-        - (math.cos(tau - c) - math.cos(c)) * math.cos(b)
+        np.sin(b) * np.sin(c) * np.cos(al)
+        - np.sin(tau - c) * np.sin(b)
+        - (np.cos(tau - c) - np.cos(c)) * np.cos(b)
     )
     r3 = abs(
-        math.sin(tau / 2 - c) * math.cos(al / 2) * math.cos(be / 2)
-        - math.sin(al / 2) * math.sin(be / 2) * math.sin(tau / 2)
+        np.sin(tau / 2 - c) * np.cos(al / 2) * np.cos(be / 2)
+        - np.sin(al / 2) * np.sin(be / 2) * np.sin(tau / 2)
     )
     r4 = abs(
-        -math.sin(al) * math.sin(be) * math.cos(c)
-        - math.sin(sig - al) * math.sin(be)
-        - (math.cos(sig - al) - math.cos(al)) * math.cos(be)
+        -np.sin(al) * np.sin(be) * np.cos(c)
+        - np.sin(sig - al) * np.sin(be)
+        - (np.cos(sig - al) - np.cos(al)) * np.cos(be)
     )
     r5 = abs(
-        math.sin(sig / 2) * (1 + math.cos(a) + math.cos(b) + math.cos(c))
-        - math.cos(sig / 2) * math.sin(a) * math.sin(b) * math.sin(ga)
+        np.sin(sig / 2) * (1 + np.cos(a) + np.cos(b) + np.cos(c))
+        - np.cos(sig / 2) * np.sin(a) * np.sin(b) * np.sin(ga)
     )
     r6 = abs(
-        math.sin(tau / 2) * (math.cos(al) + math.cos(be) + math.cos(ga) - 1)
-        - math.cos(tau / 2) * math.sin(al) * math.sin(be) * math.sin(c)
+        np.sin(tau / 2) * (np.cos(al) + np.cos(be) + np.cos(ga) - 1)
+        - np.cos(tau / 2) * np.sin(al) * np.sin(be) * np.sin(c)
     )
     return IdentityResiduals(r1, r2, r3, r4, r5, r6)
 
@@ -122,22 +121,23 @@ def median_decompose(m: TriangleMetrics) -> CevianDecomposition:
 
     and they tie to the excess by
     tan(sigma/2) = sin(c/2) sin(rho) sin(theta) / (cos(c/2) + cos(rho)).
+    Raises DegenerateTriangle if any triangle of a batch is degenerate.
     """
-    if m.c >= math.pi - 1e-12 or m.c <= 1e-12:
+    if np.any((m.c >= math.pi - 1e-12) | (m.c <= 1e-12)):
         raise DegenerateTriangle("midpoint of side c undefined")
-    cos_rho = _clamp((math.cos(m.a) + math.cos(m.b)) / (2.0 * math.cos(m.c / 2)))
-    rho = math.acos(cos_rho)
-    sin_rho = math.sin(rho)
-    if sin_rho < 1e-12:
+    cos_rho = np.clip((np.cos(m.a) + np.cos(m.b)) / (2.0 * np.cos(m.c / 2)), -1.0, 1.0)
+    rho = np.arccos(cos_rho)
+    sin_rho = np.sin(rho)
+    if np.any(sin_rho < 1e-12):
         raise DegenerateTriangle("median degenerate (rho at 0 or pi)")
-    cos_theta = (math.cos(m.a) - math.cos(m.b)) / (2.0 * math.sin(m.c / 2) * sin_rho)
+    cos_theta = (np.cos(m.a) - np.cos(m.b)) / (2.0 * np.sin(m.c / 2) * sin_rho)
     # sin(theta) from the excess relation, for quadrant-safe recovery.
     sin_theta = (
-        math.tan(m.sigma / 2)
-        * (math.cos(m.c / 2) + cos_rho)
-        / (math.sin(m.c / 2) * sin_rho)
+        np.tan(m.sigma / 2)
+        * (np.cos(m.c / 2) + cos_rho)
+        / (np.sin(m.c / 2) * sin_rho)
     )
-    theta = math.atan2(sin_theta, cos_theta)
+    theta = np.arctan2(sin_theta, cos_theta)
     return CevianDecomposition(rho, theta)
 
 
@@ -153,17 +153,31 @@ def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
     tan(tau/2) = -cos(alpha/2) sin(rho) sin(theta) / (sin(alpha/2) + cos(rho) sin(theta)),
     with threshold cos(rho_thres) = -(cos(tau/2) + sin(alpha/2))
                                     / (1 + cos(tau/2) sin(alpha/2)).
+    Raises DegenerateTriangle if any triangle of a batch is degenerate.
     """
-    if m.alpha <= 1e-12 or m.alpha >= math.pi - 1e-12:
+    if np.any((m.alpha <= 1e-12) | (m.alpha >= math.pi - 1e-12)):
         raise DegenerateTriangle("bisector of a degenerate angle")
-    theta = math.acos(_clamp((math.cos(m.beta) - math.cos(m.gamma)) / (2.0 * math.cos(m.alpha / 2))))
-    sin_theta = math.sin(theta)
-    if sin_theta < 1e-12:
-        raise DegenerateTriangle("bisector degenerate (theta at 0 or pi)")
-    rho = math.acos(_clamp(
-        -(math.cos(m.beta) + math.cos(m.gamma)) / (2.0 * math.sin(m.alpha / 2) * sin_theta)
+    theta = np.arccos(np.clip(
+        (np.cos(m.beta) - np.cos(m.gamma)) / (2.0 * np.cos(m.alpha / 2)), -1.0, 1.0
     ))
-    return CevianDecomposition(rho, theta, bisector_threshold(m.tau, m.alpha))
+    sin_theta = np.sin(theta)
+    if np.any(sin_theta < 1e-12):
+        raise DegenerateTriangle("bisector degenerate (theta at 0 or pi)")
+    rho = np.arccos(np.clip(
+        -(np.cos(m.beta) + np.cos(m.gamma)) / (2.0 * np.sin(m.alpha / 2) * sin_theta),
+        -1.0, 1.0,
+    ))
+    num, den = _threshold_quotient(m.tau, m.alpha, np)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_thres = np.where(den > 0.0, np.arccos(np.clip(num / den, -1.0, 1.0)), math.pi)
+    return CevianDecomposition(rho, theta, rho_thres[()])  # [()]: 0-d array to scalar
+
+
+def _threshold_quotient(tau, alpha, xp):
+    # (e - d, e + d - d e) of bisector_threshold, for xp = math or np.
+    d = 2.0 * xp.cos(tau / 4) ** 2
+    e = xp.cos(alpha / 2) ** 2 / (1.0 + xp.sin(alpha / 2))
+    return e - d, e + d - d * e
 
 
 def bisector_threshold(tau: float, alpha: float) -> float:
@@ -172,30 +186,28 @@ def bisector_threshold(tau: float, alpha: float) -> float:
     cos(rho_thres) = -(cos(tau/2) + sin(alpha/2)) / (1 + cos(tau/2) sin(alpha/2)),
     evaluated through d = 1 + cos(tau/2) and e = 1 - sin(alpha/2) so that the
     near-degenerate corner (tau near 2 pi, alpha near pi) keeps full precision:
-    the quotient becomes (e - d) / (e + d - d e).
+    the quotient becomes (e - d) / (e + d - d e). Scalar only: on floats numpy
+    costs about ten times what math does, which would show in the bisector route.
     """
-    d = 2.0 * math.cos(tau / 4) ** 2
-    sa = math.sin(alpha / 2)
-    e = math.cos(alpha / 2) ** 2 / (1.0 + sa)
-    den = e + d - d * e
+    num, den = _threshold_quotient(tau, alpha, math)
     if den <= 0.0:
         return math.pi
-    return math.acos(_clamp((e - d) / den))
+    return math.acos(_clamp(num / den))
 
 
 def median_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:
     """Cleared-form residual of the median/excess relation."""
     return abs(
-        math.sin(m.sigma / 2) * (math.cos(m.c / 2) + math.cos(dec.rho))
-        - math.cos(m.sigma / 2) * math.sin(m.c / 2) * math.sin(dec.rho) * math.sin(dec.theta)
+        np.sin(m.sigma / 2) * (np.cos(m.c / 2) + np.cos(dec.rho))
+        - np.cos(m.sigma / 2) * np.sin(m.c / 2) * np.sin(dec.rho) * np.sin(dec.theta)
     )
 
 
 def bisector_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:
     """Cleared-form residual of the bisector/perimeter relation."""
     return abs(
-        math.sin(m.tau / 2) * (math.sin(m.alpha / 2) + math.cos(dec.rho) * math.sin(dec.theta))
-        + math.cos(m.tau / 2) * math.cos(m.alpha / 2) * math.sin(dec.rho) * math.sin(dec.theta)
+        np.sin(m.tau / 2) * (np.sin(m.alpha / 2) + np.cos(dec.rho) * np.sin(dec.theta))
+        + np.cos(m.tau / 2) * np.cos(m.alpha / 2) * np.sin(dec.rho) * np.sin(dec.theta)
     )
 
 

@@ -1,0 +1,186 @@
+"""Verification checks, grouped in named suites.
+
+Each suite returns a list of ``Check``s; a check passes when its value is
+below its bound. ``SUITES`` maps the suite names to functions of
+``(n, seed)``: ``sphtri verify`` runs them, and the acceptance tests take
+the values of the reductions, identities and jacobians suites from here
+and hold them to their own bounds. Suites that draw no samples ignore
+``n`` and ``seed``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .coords import CoordKind, CoordTriple, jacobian_fd_check
+from .distributions import (
+    ConditionalKind,
+    DensityKind,
+    EllipticReduction,
+    area_cdf,
+    conditional_cdf,
+    density_via_double_integral,
+    elliptic_reduction_gap,
+    perimeter_cdf_grid,
+    perimeter_density,
+)
+from .identities import (
+    bisector_decompose,
+    bisector_relation_residual,
+    identity_residuals,
+    median_decompose,
+    median_relation_residual,
+)
+from .montecarlo import BatchKind, EmpiricalCdf, ks_distance, region_coverage, sample_batch
+from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
+from .sphere import RngStream, TriangleMetrics, sample_uniform_points, triangle_elements
+
+TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named value, held to an upper bound."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return self.value < self.bound
+
+
+def identity_checks(n: int, seed: int) -> list[Check]:
+    """Identity and cevian-relation residuals on n random primal triangles."""
+    pts = sample_uniform_points(RngStream(seed), 3 * n).reshape(n, 3, 3)
+    a, b, c, al, be, ga = triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
+    m = TriangleMetrics(a, b, c, al, be, ga, al + be + ga - math.pi, a + b + c)
+    med = median_relation_residual(m, median_decompose(m))
+    bis = bisector_relation_residual(m, bisector_decompose(m))
+    return [
+        Check("identity residuals", identity_residuals(m).max(), 1e-10),
+        Check("median relation", float(np.max(med)), 1e-10),
+        Check("bisector relation", float(np.max(bis)), 1e-10),
+    ]
+
+
+def jacobian_checks() -> list[Check]:
+    """Closed-form area elements against finite differences on 10x10x5 grids."""
+    us = np.linspace(0.15, math.pi - 0.15, 10)
+    ks = np.linspace(0.3, math.pi - 0.3, 5)
+    worst = max(jacobian_fd_check(CoordTriple(kind, float(u), float(v), float(k)), 1e-5)
+                for kind, u, v, k in itertools.product(CoordKind, us, us, ks))
+    return [Check("area-element vs finite difference", worst, 1e-6)]
+
+
+def elliptic_checks() -> list[Check]:
+    """Legendre's relation, and the AGM K and E against their defining integrals."""
+    legendre = 0.0
+    for z in np.linspace(0.02, 0.98, 20):
+        zp = math.sqrt(1.0 - z * z)
+        res = ellip_E(z) * ellip_K(zp) + ellip_E(zp) * ellip_K(z) - ellip_K(z) * ellip_K(zp)
+        legendre = max(legendre, abs(res - math.pi / 2))
+    agm = 0.0
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+    for z in (0.3, 0.7071067811865476, 0.95):
+        r = integrate(lambda t: 1.0 / np.sqrt(1 - z * z * np.sin(t) ** 2), 0, math.pi / 2, spec)
+        agm = max(agm, abs(r.value - ellip_K(z)))
+        r = integrate(lambda t: np.sqrt(1 - z * z * np.sin(t) ** 2), 0, math.pi / 2, spec)
+        agm = max(agm, abs(r.value - ellip_E(z)))
+    return [
+        Check("Legendre relation", legendre, 1e-12),
+        Check("AGM vs defining integrals", agm, 1e-12),
+    ]
+
+
+def _admissible_grid(reduction: EllipticReduction):
+    for x in np.linspace(0.6, TWO_PI - 0.6, 5):
+        half = x / 2
+        for frac in (0.15, 0.3, 0.5, 0.7, 0.85):
+            if reduction is EllipticReduction.PERIMETER_GIVEN_SIDE:
+                kappa = frac * min(half, math.pi)
+                if 0 < kappa < half < math.pi:
+                    yield float(x), float(kappa)
+            else:
+                kappa = half + frac * (math.pi - half)
+                if 0 < half < kappa < math.pi:
+                    yield float(x), float(kappa)
+
+
+def reduction_checks() -> list[Check]:
+    """Each elliptic-integral reduction against its defining integral."""
+    return [
+        Check(f"elliptic reduction [{reduction.value}]",
+              max(elliptic_reduction_gap(reduction, x, kappa)
+                  for x, kappa in _admissible_grid(reduction)),
+              1e-8)
+        for reduction in EllipticReduction
+    ]
+
+
+def duality_checks() -> list[Check]:
+    """The primal perimeter density against the mirrored dual area density."""
+    worst = 0.0
+    for x in np.linspace(0.5, TWO_PI - 0.5, 10):
+        a = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
+        b = density_via_double_integral(DensityKind.AREA_DUAL, float(TWO_PI - x), tol=1e-8)
+        worst = max(worst, abs(a - b))
+    return [
+        Check("perimeter vs mirrored dual area", worst, 1e-7),
+        Check("perimeter density at pi vs 3*sqrt(2)/32",
+              abs(perimeter_density(math.pi) - 3 * math.sqrt(2) / 32), 1e-9),
+    ]
+
+
+def mc_checks(n: int, seed: int) -> list[Check]:
+    """Monte Carlo batches against the analytic and conditional laws."""
+    checks = []
+    batch = sample_batch(BatchKind.PRIMAL, None, max(n, 10**5), RngStream(seed))
+    ks_bound = 0.003 * math.sqrt(10**6 / batch.n)
+    xs = np.linspace(0.0, TWO_PI, 2049)
+    acdf = np.array([area_cdf(float(x)) for x in xs])
+    d = ks_distance(EmpiricalCdf(batch.sigma), lambda s: np.interp(s, xs, acdf))
+    checks.append(Check("KS primal area vs analytic CDF", d, ks_bound))
+    pxs, pvals = map(np.asarray, perimeter_cdf_grid())
+    d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
+    checks.append(Check("KS primal perimeter vs single-integral CDF", d, ks_bound))
+    kinds = [
+        (ConditionalKind.AREA_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "sigma"),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "tau"),
+        (ConditionalKind.PERIMETER_GIVEN_ANGLE, BatchKind.DUAL_GIVEN_ANGLE, "tau"),
+        (ConditionalKind.AREA_GIVEN_ANGLE, BatchKind.DUAL_GIVEN_ANGLE, "sigma"),
+    ]
+    m = 10**5
+    for ckind, bkind, stat in kinds:
+        worst_se = 0.0
+        for kappa in np.linspace(0.5, math.pi - 0.5, 3):
+            cb = sample_batch(bkind, float(kappa), m, RngStream(seed, 7))
+            vals = getattr(cb, stat)
+            for x in np.linspace(0.8, TWO_PI - 0.8, 3):
+                p = conditional_cdf(ckind, float(x), float(kappa))
+                frac = float(np.mean(vals <= x))
+                se = math.sqrt(max(p * (1 - p), 1e-12) / m)
+                worst_se = max(worst_se, abs(frac - p) / (3 * se))
+        checks.append(Check(f"conditional fractions [{ckind.value}] / 3se", worst_se, 1.0))
+    viol = sum(region_coverage(ckind, 1.2, 3.0, 10**5, RngStream(seed, 11))
+               for ckind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_SIDE,
+                             ConditionalKind.PERIMETER_GIVEN_ANGLE, ConditionalKind.AREA_GIVEN_ANGLE,
+                             ConditionalKind.PERIMETER_BISECTOR))
+    checks.append(Check("region coverage violations", float(viol), 1.0))
+    return checks
+
+
+SUITES: dict[str, Callable[[int, int], list[Check]]] = {
+    "identities": identity_checks,
+    "jacobians": lambda n, seed: jacobian_checks(),
+    "elliptic": lambda n, seed: elliptic_checks(),
+    "reductions": lambda n, seed: reduction_checks(),
+    "duality": lambda n, seed: duality_checks(),
+    "mc-vs-analytic": mc_checks,
+}

@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
 Each test prints one `ACCEPT <n> ... PASS/FAIL (<elapsed>)` line; run with
-`pytest tests/test_acceptance.py -v -s` to see the report.
+`pytest tests/test_acceptance.py -v -s` to see the report. Tests 05-07 take
+their values from the suites in `sphtri.verify`, which `sphtri verify` also
+runs; the bounds they are held to are the ones written here.
 """
 
 import math
@@ -9,7 +11,7 @@ import time
 
 import numpy as np
 
-from sphtri.coords import CoordKind, CoordTriple, jacobian_fd_check
+from sphtri import verify
 from sphtri.distributions import (
     ConditionalKind,
     DensityKind,
@@ -17,15 +19,7 @@ from sphtri.distributions import (
     area_density,
     conditional_cdf,
     density_via_double_integral,
-    elliptic_reduction_gap,
     perimeter_density,
-)
-from sphtri.identities import (
-    bisector_decompose,
-    bisector_relation_residual,
-    identity_residuals,
-    median_decompose,
-    median_relation_residual,
 )
 from sphtri.montecarlo import (
     BatchKind,
@@ -35,7 +29,7 @@ from sphtri.montecarlo import (
     sample_batch,
 )
 from sphtri.quadrature import QuadratureSpec, integrate
-from sphtri.sphere import RngStream, TriangleMetrics, sample_uniform_points, triangle_elements
+from sphtri.sphere import RngStream
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -100,42 +94,20 @@ def test_04_normalization():
 
 def test_05_elliptic_reductions_on_grids():
     t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
-    for x in np.linspace(0.6, TWO_PI - 0.6, 5):
-        half = float(x) / 2
-        for frac in (0.15, 0.3, 0.5, 0.7, 0.85):
-            k = frac * min(half, PI)
-            if 0 < k < half < PI:
-                worst = max(worst, elliptic_reduction_gap(
-                    EllipticReduction.PERIMETER_GIVEN_SIDE, float(x), float(k)))
-                count += 1
-            k = half + frac * (PI - half)
-            if 0 < half < k < PI:
-                worst = max(worst, elliptic_reduction_gap(
-                    EllipticReduction.AREA_GIVEN_ANGLE, float(x), float(k)))
-                count += 1
+    gaps = {c.name: c.value for c in verify.reduction_checks()}
     dt = time.perf_counter() - t0
+    worst = max(gaps[f"elliptic reduction [{r.value}]"] for r in EllipticReduction)
     _report(5, "elliptic-integral reductions settle numerically", dt,
-            worst < 1e-8 and dt < 60, f"worst gap={worst:.2e} over {count} points")
+            worst < 1e-8 and dt < 60, f"worst gap={worst:.2e} over {len(gaps)} reductions")
 
 
 def test_06_identity_suite():
     t0 = time.perf_counter()
-    n = 10**4
-    pts = sample_uniform_points(RngStream(606), 3 * n).reshape(n, 3, 3)
-    a, b, c, al, be, ga = triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
-    worst = worst_med = worst_bis = 0.0
-    for i in range(n):
-        m = TriangleMetrics(
-            float(a[i]), float(b[i]), float(c[i]),
-            float(al[i]), float(be[i]), float(ga[i]),
-            float(al[i] + be[i] + ga[i] - PI), float(a[i] + b[i] + c[i]),
-        )
-        worst = max(worst, identity_residuals(m).max())
-        worst_med = max(worst_med, median_relation_residual(m, median_decompose(m)))
-        worst_bis = max(worst_bis, bisector_relation_residual(m, bisector_decompose(m)))
+    res = {c.name: c.value for c in verify.identity_checks(10**4, 606)}
     dt = time.perf_counter() - t0
+    worst = res["identity residuals"]
+    worst_med = res["median relation"]
+    worst_bis = res["bisector relation"]
     ok = worst < 1e-10 and worst_med < 1e-10 and worst_bis < 1e-10 and dt < 10
     _report(6, "identities and cevian relations on 10^4 triangles", dt, ok,
             f"identities={worst:.2e} median={worst_med:.2e} bisector={worst_bis:.2e}")
@@ -143,16 +115,9 @@ def test_06_identity_suite():
 
 def test_07_jacobian_suite():
     t0 = time.perf_counter()
-    worst = 0.0
-    us = np.linspace(0.15, PI - 0.15, 10)
-    ks = np.linspace(0.3, PI - 0.3, 5)
-    for kind in CoordKind:
-        for u in us:
-            for v in us:
-                for k in ks:
-                    err = jacobian_fd_check(CoordTriple(kind, float(u), float(v), float(k)), 1e-5)
-                    worst = max(worst, err)
+    (check,) = verify.jacobian_checks()
     dt = time.perf_counter() - t0
+    worst = check.value
     _report(7, "area elements vs finite differences on 10x10x5 grids", dt,
             worst < 1e-6 and dt < 30, f"worst rel err={worst:.2e}")
 

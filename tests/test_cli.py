@@ -132,6 +132,21 @@ def test_conditional_at_zero_kappa(capsys):
     assert abs(v - (1.0 - math.cos(1.0)) / 2.0) < 1e-15
 
 
+def test_conditional_outside_2d_route_domain_exits_1(capsys):
+    assert run(["conditional", "--kind", "perimeter_angle_coords", "--kappa", "1e-3",
+                "--at", "2"]) == 1
+    assert "kappa" in capsys.readouterr().err
+
+
+def test_verify_failing_check_exits_2(capsys, monkeypatch):
+    from sphtri import verify
+
+    monkeypatch.setitem(verify.SUITES, "elliptic",
+                        lambda n, seed: [verify.Check("always over", 2.0, 1.0)])
+    assert run(["verify", "--suite", "elliptic"]) == 2
+    assert "FAIL always over: 2.000e+00 (bound 1.0e+00)" in capsys.readouterr().out
+
+
 def test_library_error_exits_1(capsys, monkeypatch):
     import sphtri.cli as cli
     from sphtri.errors import ToleranceNotMet

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sphtri.coords import (
     CoordKind,
@@ -13,8 +11,6 @@ from sphtri.coords import (
     embed,
     embedding_point,
     jacobian_fd_check,
-    rotation_tilt,
-    rotation_x,
 )
 from sphtri.errors import NoSuchTriangle
 
@@ -38,25 +34,6 @@ class TestCoordTriple:
     def test_interior_flag(self):
         assert CoordTriple(CoordKind.DUAL, 0.1, 0.1, 0.1).interior
         assert not CoordTriple(CoordKind.DUAL, 0.0, 0.1, 0.1).interior
-
-
-class TestRotations:
-    def test_tilt_image_on_meridian(self):
-        # With the tilt axis at azimuth pi/2, (1,0,0) sweeps the xz meridian.
-        for theta in (0.3, 1.2, 2.9):
-            img = rotation_tilt(PI / 2, theta) @ np.array([1.0, 0.0, 0.0])
-            assert np.allclose(img, [math.cos(theta), 0.0, math.sin(theta)], atol=1e-14)
-
-    def test_tilt_axis_zero_spins_meridian(self):
-        img = rotation_tilt(0.0, 0.7) @ np.array([0.0, -1.0, 0.0])
-        assert np.allclose(img, [0.0, -math.cos(0.7), math.sin(0.7)], atol=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0, PI), st.floats(0, PI))
-    def test_orthogonal_det_one(self, rho, theta):
-        for M in (rotation_x(theta), rotation_tilt(rho, theta)):
-            assert np.max(np.abs(M @ M.T - np.eye(3))) < 1e-12
-            assert abs(np.linalg.det(M) - 1.0) < 1e-12
 
 
 class TestEmbed:

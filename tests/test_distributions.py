@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sphtri.distributions import (
     radicand_perimeter,
     tabulate,
 )
-from sphtri.errors import ToleranceNotMet
+from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.quadrature import QuadratureSpec, integrate
 
 PI = math.pi
@@ -421,6 +422,31 @@ class TestConditionalCdf:
                 a = conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, float(x), k, tol=1e-8)
                 b = conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, float(x), k, tol=1e-7)
                 assert abs(a - b) < 1e-5
+
+    @pytest.mark.parametrize("kind", [
+        ConditionalKind.PERIMETER_ANGLE_COORDS,
+        ConditionalKind.AREA_SIDE_COORDS,
+    ])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 1e-3, PI - 1e-3, PI])
+    def test_2d_routes_raise_near_kappa_edges(self, kind, kappa):
+        # Unguarded, the nested quadrature takes seconds here (kappa = 1e-3)
+        # or returns values off by up to 0.99 (kappa = 1e-8).
+        for x in (0.5, 3.0, 6.0):
+            t0 = time.perf_counter()
+            with pytest.raises(OutOfDomain):
+                conditional_cdf(kind, x, kappa)
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("kind, sibling", [
+        (ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.PERIMETER_GIVEN_SIDE),
+        (ConditionalKind.AREA_SIDE_COORDS, ConditionalKind.AREA_GIVEN_ANGLE),
+    ])
+    @pytest.mark.parametrize("kappa", [1e-2, PI - 1e-2])
+    def test_2d_routes_agree_at_domain_edges(self, kind, sibling, kappa):
+        for x in np.linspace(0.05, 6.28, 12):
+            a = conditional_cdf(kind, float(x), kappa)
+            b = conditional_cdf(sibling, float(x), kappa)
+            assert abs(a - b) < 1e-8
 
     def test_closed_form_duality(self):
         # Fixed-angle perimeter law is the mirrored fixed-side area law.

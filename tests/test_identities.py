@@ -45,6 +45,11 @@ def metrics_at(elems, i):
     )
 
 
+def batch_metrics(elems):
+    a, b, c, al, be, ga = elems
+    return TriangleMetrics(a, b, c, al, be, ga, al + be + ga - PI, a + b + c)
+
+
 class TestResiduals:
     def test_octant_all_small(self):
         r = identity_residuals(OCTANT)
@@ -52,8 +57,7 @@ class TestResiduals:
 
     def test_random_sweep(self):
         _, elems = random_triangle_batch(10**4)
-        worst = max(identity_residuals(metrics_at(elems, i)).max() for i in range(10**4))
-        assert worst < 1e-10
+        assert identity_residuals(batch_metrics(elems)).max() < 1e-10
 
     def test_detects_inconsistency(self):
         m = replace(OCTANT, sigma=OCTANT.sigma + 1e-3)
@@ -220,3 +224,55 @@ class TestSolvedForms:
             solved_forms(SolvedFormKind.ANGLE_PSI, 1.0, 2.0, 1.0)  # tau/2 == kappa
         with pytest.raises(OutOfDomain):
             solved_forms(SolvedFormKind.SIDE_ETA, 0.0, 1.0, 1.0)  # cot(0) diverges
+
+
+class TestArrayPath:
+    """Batch metrics give the same numbers as one call per triangle."""
+
+    N = 10**3
+
+    def test_matches_scalar_calls(self):
+        _, elems = random_triangle_batch(self.N, seed=77)
+        m = batch_metrics(elems)
+        res = identity_residuals(m)
+        med = median_decompose(m)
+        bis = bisector_decompose(m)
+        med_res = median_relation_residual(m, med)
+        bis_res = bisector_relation_residual(m, bis)
+        worst = 0.0
+        for i in range(self.N):
+            mi = metrics_at(elems, i)
+            ri = identity_residuals(mi)
+            worst = max(worst, ri.max())
+            for got, want in zip(res.as_tuple(), ri.as_tuple()):
+                assert abs(got[i] - want) <= 1e-15
+            di = median_decompose(mi)
+            assert abs(med.rho[i] - di.rho) <= 1e-15
+            assert abs(med.theta[i] - di.theta) <= 1e-15
+            assert abs(med_res[i] - median_relation_residual(mi, di)) <= 1e-15
+            di = bisector_decompose(mi)
+            assert abs(bis.rho[i] - di.rho) <= 1e-15
+            assert abs(bis.theta[i] - di.theta) <= 1e-15
+            assert abs(bis.rho_thres[i] - di.rho_thres) <= 1e-15
+            assert abs(bis_res[i] - bisector_relation_residual(mi, di)) <= 1e-15
+        assert res.max() == worst  # the batch maximum
+
+    def test_threshold_matches_scalar_formula(self):
+        _, elems = random_triangle_batch(self.N, seed=78)
+        m = batch_metrics(elems)
+        thres = bisector_decompose(m).rho_thres
+        for i in range(self.N):
+            assert abs(thres[i] - bisector_threshold(float(m.tau[i]), float(m.alpha[i]))) <= 1e-15
+
+    @pytest.mark.parametrize("field, func", [
+        ("c", median_decompose),
+        ("alpha", bisector_decompose),
+    ])
+    def test_one_degenerate_triangle_raises(self, field, func):
+        _, elems = random_triangle_batch(self.N, seed=79)
+        m = batch_metrics(elems)
+        bad = getattr(m, field).copy()
+        bad[self.N // 2] = 0.0
+        func(m)  # the batch as drawn is fine
+        with pytest.raises(DegenerateTriangle):
+            func(replace(m, **{field: bad}))
