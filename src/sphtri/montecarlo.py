@@ -23,6 +23,12 @@ from .sphere import RngStream
 
 TWO_PI = 2.0 * math.pi
 
+# Rows per block of sample_batch; a block's temporaries (points, column
+# copies, normals) take a few MB. At 10^6 primal triangles on a 2-CPU host,
+# blocks of 2048 to 16384 rows ran within noise of each other; 1024 rows
+# paid more per-call overhead, and 32768 or more were slower and larger.
+BLOCK = 8192
+
 
 class BatchKind(enum.Enum):
     PRIMAL = "primal"
@@ -123,38 +129,57 @@ def sample_batch(
     PRIMAL_GIVEN_SIDE: A = (1,0,0), B at arc kappa on the equator, C
     uniform. DUAL_GIVEN_ANGLE: fixed angle alpha = kappa, (rho, theta)
     drawn from the dual area element (rho uniform, cos theta uniform).
+
+    The batch is computed in blocks of BLOCK rows: each block draws its
+    points from the stream and writes its slice of the outputs. numpy's
+    Generator gives the same values whether n rows are drawn at once or
+    in consecutive pieces, so the samples do not depend on the block
+    size. Peak memory is the outputs (16 bytes per triangle, 32 for the
+    conditional kinds) plus a few MB; DUAL_GIVEN_ANGLE also holds its
+    (rho, theta) draws, 16 bytes per triangle. DUAL raises DegenerateDual
+    if any block holds a parallel pole pair.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if kind in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE):
+    conditional = kind in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE)
+    if conditional:
         if kappa is None or not 0.0 < kappa < math.pi:
             raise ValueError("conditional kinds need kappa in (0, pi)")
     else:
         kappa = None
-    gen = rng.generator
-    coord_u = coord_v = None
 
-    if kind is BatchKind.PRIMAL:
-        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
-        a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
-    elif kind is BatchKind.DUAL:
-        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
-        A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
-        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
-    elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
+    if kind is BatchKind.PRIMAL_GIVEN_SIDE:
         A = np.array([1.0, 0.0, 0.0])
         B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
-        C = sphere.sample_uniform_points(rng, n)
-        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
-        coord_u, coord_v = al, b  # (theta, rho) of the fixed-side system
-    else:
+    elif kind is BatchKind.DUAL_GIVEN_ANGLE:
+        # All of rho, then all of theta, as the stream has always been read.
+        gen = rng.generator
         rho = gen.uniform(0.0, math.pi, n)
         theta = np.arccos(1.0 - 2.0 * gen.uniform(0.0, 1.0, n))  # sin-weighted
-        a, b, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
-        coord_u, coord_v = c, be  # (rho, theta) of the fixed-angle system
 
-    sigma = al + be + ga - math.pi
-    tau = a + b + c
+    sigma, tau = np.empty(n), np.empty(n)
+    coord_u = np.empty(n) if conditional else None
+    coord_v = np.empty(n) if conditional else None
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        m = hi - lo
+        if kind is BatchKind.PRIMAL:
+            pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
+            a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
+        elif kind is BatchKind.DUAL:
+            pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
+            a, b, c, al, be, ga = sphere.triangle_elements(
+                *sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
+            )
+        elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
+            C = sphere.sample_uniform_points(rng, m)
+            a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
+            coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
+        else:
+            a, b, c, al, be, ga = _dual_triangle_elements(rho[lo:hi], theta[lo:hi], kappa)
+            coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
+        sigma[lo:hi] = al + be + ga - math.pi
+        tau[lo:hi] = a + b + c
     return SampleBatch(
         kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id
     )
@@ -163,9 +188,15 @@ def sample_batch(
 def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-norm distance between an empirical CDF and an analytic one."""
     F = np.asarray(analytic(emp.sorted), dtype=float)
-    i = np.arange(1, emp.n + 1)
-    d_plus = np.max(i / emp.n - F)
-    d_minus = np.max(F - (i - 1) / emp.n)
+    d = np.arange(1.0, emp.n + 1)  # i / n - F(x_i)
+    d /= emp.n
+    d -= F
+    d_plus = np.max(d)
+    del d  # so that the second range can reuse its memory
+    d = np.arange(0.0, emp.n)  # F(x_i) - (i - 1) / n
+    d /= emp.n
+    np.subtract(F, d, out=d)
+    d_minus = np.max(d)
     return float(max(d_plus, d_minus))
 
 

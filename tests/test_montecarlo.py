@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sphtri import sphere
 from sphtri.distributions import ConditionalKind, conditional_cdf
+from sphtri.errors import DegenerateDual
 from sphtri.montecarlo import (
+    BLOCK,
     SUMMARY_HEADER,
     BatchKind,
     EmpiricalCdf,
+    SampleBatch,
+    _dual_triangle_elements,
     ks_distance,
     region_coverage,
     sample_batch,
@@ -17,6 +23,62 @@ from sphtri.sphere import RngStream
 
 PI = math.pi
 TWO_PI = 2.0 * PI
+
+KINDS = [
+    (BatchKind.PRIMAL, None),
+    (BatchKind.DUAL, None),
+    (BatchKind.PRIMAL_GIVEN_SIDE, 1.1),
+    (BatchKind.DUAL_GIVEN_ANGLE, 1.1),
+]
+
+
+def reference_sample_batch(kind, kappa, n, rng):
+    """The whole-batch sampler that preceded the blocked one.
+
+    Every point and every kernel temporary spans all n rows.
+    """
+    if kind not in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE):
+        kappa = None
+    gen = rng.generator
+    coord_u = coord_v = None
+    if kind is BatchKind.PRIMAL:
+        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
+        a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
+    elif kind is BatchKind.DUAL:
+        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
+        A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
+        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
+    elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
+        C = sphere.sample_uniform_points(rng, n)
+        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
+        coord_u, coord_v = al, b
+    else:
+        rho = gen.uniform(0.0, math.pi, n)
+        theta = np.arccos(1.0 - 2.0 * gen.uniform(0.0, 1.0, n))
+        a, b, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
+        coord_u, coord_v = c, be
+    sigma = al + be + ga - math.pi
+    tau = a + b + c
+    return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id)
+
+
+def reference_ks_distance(emp, analytic):
+    """The KS distance with a full temporary for every step."""
+    F = np.asarray(analytic(emp.sorted), dtype=float)
+    i = np.arange(1, emp.n + 1)
+    d_plus = np.max(i / emp.n - F)
+    d_minus = np.max(F - (i - 1) / emp.n)
+    return float(max(d_plus, d_minus))
+
+
+def assert_same_samples(got, want):
+    for name in ("sigma", "tau", "coord_u", "coord_v"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.array_equal(x, y), name
 
 
 class TestSampleBatch:
@@ -88,6 +150,50 @@ class TestSampleBatch:
         assert int(fields[2]) == primal_batch_1m.n
 
 
+class TestBlockedSampler:
+    @pytest.mark.parametrize("kind,kappa", KINDS)
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("seed,stream", [(7, 0), (2024, 5)])
+    def test_matches_whole_batch(self, kind, kappa, n, seed, stream):
+        got = sample_batch(kind, kappa, n, RngStream(seed, stream))
+        want = reference_sample_batch(kind, kappa, n, RngStream(seed, stream))
+        assert got.n == n
+        assert_same_samples(got, want)
+
+    def test_million_matches_whole_batch(self, primal_batch_1m):
+        want = reference_sample_batch(BatchKind.PRIMAL, None, 10**6, RngStream(123))
+        assert_same_samples(primal_batch_1m, want)
+
+    @pytest.mark.parametrize("kind,kappa", KINDS)
+    def test_peak_memory_is_outputs_plus_blocks(self, kind, kappa):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            b = sample_batch(kind, kappa, 10**6, RngStream(8))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(x.nbytes for x in (b.sigma, b.tau, b.coord_u, b.coord_v) if x is not None)
+        assert peak <= outputs + 24e6, (kind, peak, outputs)
+
+    def test_degenerate_pole_pair_in_second_block_raises(self, monkeypatch):
+        calls = []
+        draw = sphere.sample_uniform_points
+
+        def draw_with_repeated_pole(rng, n):
+            pts = draw(rng, n)
+            calls.append(n)
+            if len(calls) == 2:
+                pts[1] = pts[0]  # the first triangle of the block: Bp = Ap
+            return pts
+
+        monkeypatch.setattr(sphere, "sample_uniform_points", draw_with_repeated_pole)
+        with pytest.raises(DegenerateDual):
+            sample_batch(BatchKind.DUAL, None, 2 * BLOCK + 5, RngStream(3))
+        assert calls == [3 * BLOCK, 3 * BLOCK]
+
+
 class TestEmpiricalCdf:
     def test_step_values(self):
         e = EmpiricalCdf([1.0, 2.0, 3.0, 4.0])
@@ -99,6 +205,14 @@ class TestEmpiricalCdf:
         data = np.random.default_rng(5).uniform(0, 1, 1000)
         e = EmpiricalCdf(data)
         assert ks_distance(e, e) <= 1.0 / e.n + 1e-12
+
+    def test_ks_matches_full_temporaries(
+        self, primal_batch_1m, dual_batch_1m, area_cdf_interp, perimeter_cdf_interp
+    ):
+        for sample, cdf in ((primal_batch_1m.sigma, area_cdf_interp),
+                            (dual_batch_1m.tau, perimeter_cdf_interp)):
+            e = EmpiricalCdf(sample)
+            assert ks_distance(e, cdf) == reference_ks_distance(e, cdf)
 
 
 class TestKsAgainstAnalytic:
