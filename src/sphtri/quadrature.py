@@ -216,6 +216,11 @@ def _right_substituted(f, a, b):
 # 1/sqrt(1 - z^2 sin^2 t) over [0, pi/2]).
 
 _AGM_MAX_ITER = 24
+# The AGM stops once |a - b| <= _AGM_TOL * a; the next mean then lies
+# within _AGM_TOL^2 / 8 (5e-19) of the limit, relative. (A stop at a == b
+# never came for about a quarter of moduli, whose a and b kept trading the
+# last bit, so every array call ran all _AGM_MAX_ITER steps.)
+_AGM_TOL = 2e-9
 
 
 def ellip_K(zeta):
@@ -232,11 +237,45 @@ def ellip_K(zeta):
     a = np.ones_like(z)
     b = np.sqrt(1.0 - z * z)
     for _ in range(_AGM_MAX_ITER):
-        if np.all(np.abs(a - b) <= 1e-17 * a):
+        if np.all(np.abs(a - b) <= _AGM_TOL * a):
             break
         a, b = 0.5 * (a + b), np.sqrt(a * b)
-    out = np.pi / (2.0 * a)
+    out = np.pi / (a + b)
     return float(out) if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
+
+
+def _agm_KE(k2, kp):
+    """K and E from one AGM pass, given k^2 and the complementary modulus k'.
+
+    Starting the AGM at b = k' directly (not at sqrt(1 - k^2)) keeps K
+    finite and accurate when k is within rounding of 1, where it grows like
+    log(4/k'); k^2 is taken separately so that E - K keeps its accuracy at
+    small k. Works in place where it can, to hold few arrays at once.
+    """
+    a = np.ones_like(kp)
+    b = kp
+    csum = 0.5 * k2  # sum of 2^(n-1) c_n^2 with c_n = (a_n - b_n)/2; the n = 0 term
+    pow2 = 0.125  # 2^(n-1) / 4
+    for _ in range(_AGM_MAX_ITER):
+        d = a - b
+        np.abs(d, out=d)
+        done = np.all(d <= _AGM_TOL * a)
+        pow2 *= 2.0
+        d *= d
+        d *= pow2
+        csum += d
+        if done:
+            break
+        m = a + b
+        m *= 0.5
+        b = a * b
+        np.sqrt(b, out=b)
+        a = m
+    K = a + b
+    np.divide(np.pi, K, out=K)
+    np.subtract(1.0, csum, out=csum)
+    csum *= K
+    return K, csum
 
 
 def ellip_E(zeta):
@@ -250,21 +289,12 @@ def ellip_E(zeta):
     scalar = np.isscalar(zeta) or np.ndim(zeta) == 0
     z = np.atleast_1d(z)
     one = z >= 1.0 - 1e-15  # E(1) = 1; the AGM sum formula degenerates there
-    zs = np.where(one, 0.0, z)
-    a = np.ones_like(zs)
-    b = np.sqrt(1.0 - zs * zs)
-    csum = 0.5 * zs * zs  # 2^(n-1) c_n^2 accumulated, n = 0 term
-    pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
-        pow2 *= 2.0
-        csum = csum + pow2 * c * c
-        if np.all(np.abs(c) <= 1e-17 * a):
-            a = 0.5 * (a + b)
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    out = (np.pi / (2.0 * a)) * (1.0 - csum)
-    out = np.where(one, 1.0, out)
+    z2 = np.where(one, 0.0, z)
+    z2 *= z2
+    kp = 1.0 - z2
+    np.sqrt(kp, out=kp)
+    out = _agm_KE(z2, kp)[1]
+    out[one] = 1.0
     return float(out[0]) if scalar else out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphtri.cli import run
-from sphtri.distributions import CurveKind, perimeter_cdf, tabulate
+from sphtri.distributions import CurveKind, perimeter_cdf, perimeter_density, tabulate
 
 PI = math.pi
 
@@ -72,6 +72,14 @@ def test_tol_is_passed_on(argv, capsys):
     # A NaN tolerance reaches QuadratureSpec, which rejects it.
     assert run(argv + ["--tol", "nan"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_perimeter_density_table_matches_scalar_values(capsys):
+    assert run(["density", "--kind", "perimeter", "--from", "1", "--to", "6.2",
+                "--steps", "3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert all(v == f"{perimeter_density(float(x)):.17g}" for x, v in rows)
 
 
 def test_verify_takes_no_tol(capsys):

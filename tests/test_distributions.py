@@ -24,7 +24,7 @@ from sphtri.distributions import (
     tabulate,
 )
 from sphtri.errors import OutOfDomain, ToleranceNotMet
-from sphtri.quadrature import QuadratureSpec, integrate
+from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -161,6 +161,24 @@ class TestPerimeterDensity:
         assert 0.0 < v < 1.0
 
 
+def adaptive_perimeter_density(tau: float, tol: float = 1e-12) -> float:
+    """The perimeter density by adaptive Gauss-Kronrod, with K and E at k = sin(t/2).
+
+    The library's route before the fixed two-order rule; kept as an
+    independent oracle for it.
+    """
+    s_half = math.sin(tau / 2)
+
+    def integrand(t):
+        z = np.sin(t / 2)
+        num = ellip_E(z) - np.cos((tau - t) / 2) ** 2 * ellip_K(z)
+        rad = np.sin(tau / 2 - t) * s_half
+        return num / np.sqrt(rad) * np.sin(t)
+
+    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_right=True)
+    return integrate(integrand, 0.0, tau / 2, spec).value / (4.0 * math.pi)
+
+
 def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
     """The perimeter CDF as quadrature of perimeter_density, itself a quadrature.
 
@@ -171,6 +189,76 @@ def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
         return np.array([perimeter_density(float(x), tol=tol / 100) for x in np.atleast_1d(t)])
 
     return integrate(density, 0.0, tau, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
+
+
+# (sqrt(2)/4pi) Integral_0^pi [E(k) - k'^2 K(k)] sqrt(sin t) dt with k = sin(t/2),
+# by mpmath at 45 digits: the limit of sqrt(2 pi - tau) f(tau) at 2 pi.
+TAIL_CONSTANT = 0.12116625978620570455
+ORACLE_XS = tuple(np.linspace(0.01, 6.2, 13)) + (6.28, TWO_PI - 1e-3, TWO_PI - 1e-6, TWO_PI - 1e-9)
+
+
+class TestPerimeterDensityRule:
+    @pytest.mark.parametrize("x", ORACLE_XS)
+    def test_matches_adaptive_oracle(self, x):
+        ref = adaptive_perimeter_density(x, tol=1e-14)
+        assert abs(perimeter_density(x) - ref) <= 1e-11 * ref
+
+    def test_array_equals_scalar(self):
+        xs = np.array(ORACLE_XS + (PI, 1e-12))
+        vals = perimeter_density(xs)
+        assert isinstance(perimeter_density(PI), float)
+        assert vals.shape == xs.shape
+        assert all(v == perimeter_density(float(x)) for x, v in zip(xs, vals))
+        grid = perimeter_density(xs[:16].reshape(4, 4))
+        assert grid.shape == (4, 4) and np.array_equal(grid.ravel(), vals[:16])
+        assert perimeter_density(np.array([])).shape == (0,)
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        import sphtri.distributions as dist
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(dist, "integrate", forbidden)
+        dist.perimeter_density(PI)
+        dist.perimeter_density(np.linspace(0.1, 6.2, 50))
+
+    def test_small_tau_asymptote(self):
+        # f(tau) ~ tau^3 / 168, so F(tau) ~ tau^4 / 672.
+        for x, bound in ((1e-4, 1e-8), (1e-3, 1e-7)):
+            assert abs(168.0 * perimeter_density(x) / x ** 3 - 1.0) < bound
+
+    def test_tail_asymptote(self):
+        # sqrt(delta) f(2 pi - delta) -> c. delta is read back from sin(tau/2):
+        # TWO_PI falls 2.4e-16 short of 2 pi, and TWO_PI - 1e-9 is rounded, so
+        # the true distance there is 3.3e-7 relative larger than 1e-9.
+        for d in (1e-9, 1e-8):
+            x = TWO_PI - d
+            delta = 2.0 * math.sin(x / 2)
+            assert abs(math.sqrt(delta) * perimeter_density(x) - TAIL_CONSTANT) < 5e-9
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    def test_invalid_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            perimeter_density(PI, tol=tol)
+
+    def test_unmet_tolerance_names_tau_and_gap(self):
+        with pytest.raises(ToleranceNotMet, match=r"differ by .* at tau = 6\.28\b"):
+            perimeter_density(np.array([1.0, 6.28]), tol=1e-17)
+
+    def test_array_domain(self):
+        for bad in ([1.0, 0.0], [1.0, TWO_PI], [float("nan")]):
+            with pytest.raises(ValueError):
+                perimeter_density(np.array(bad))
+
+    def test_tabulated_table_is_fast(self):
+        # One array call: about 15 ms on a 2-CPU host, against 0.6-8 ms a point
+        # for the adaptive route.
+        xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
+        start = time.perf_counter()
+        curve = tabulate(CurveKind.PERIMETER_PDF, xs)
+        assert time.perf_counter() - start < 0.5
+        assert curve.values[250] == perimeter_density(float(xs[250]))
 
 
 CDF_CHECK_XS = (0.5, 2.0, PI, 4.5, 6.0, 6.28, TWO_PI - 1e-3)
@@ -319,6 +407,16 @@ class TestCroftonKernel:
 
         r = integrate(f, 0.0, PI, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
         assert abs(r.value - crofton_kernel(y)) < 1e-10
+
+    def test_continuous_across_series_window(self):
+        # The series branch covers |y - pi| < 0.7; both branches must meet there.
+        for edge in (PI - 0.7, PI + 0.7):
+            assert abs(crofton_kernel(edge - 1e-13) - crofton_kernel(edge + 1e-13)) < 1e-12
+
+    def test_series_window_matches_area_cdf(self):
+        # (sigma + kernel) / 2pi is the area CDF, here by its own quadrature.
+        for y in np.linspace(PI - 0.75, PI + 0.75, 61):
+            assert abs((y + crofton_kernel(y)) / TWO_PI - area_cdf(y, tol=1e-14)) <= 1e-14
 
     def test_matches_pre_substitution_integral_above_pi(self):
         y = 4.2
