@@ -172,7 +172,6 @@ def _cmd_sample(args) -> int:
         acdf = np.array([area_cdf(float(x)) for x in xs])
         ks_area = ks_distance(EmpiricalCdf(batch.sigma), lambda s: np.interp(s, xs, acdf))
         pxs, pvals = perimeter_cdf_grid()
-        pxs, pvals = np.asarray(pxs), np.asarray(pvals)
         ks_perim = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
     text = montecarlo.summary_csv([batch.summary_row(ks_area, ks_perim)])
     _emit(text, args.out)

@@ -155,7 +155,7 @@ def mc_checks(n: int, seed: int) -> list[Check]:
     acdf = np.array([area_cdf(float(x)) for x in xs])
     d = ks_distance(EmpiricalCdf(batch.sigma), lambda s: np.interp(s, xs, acdf))
     checks.append(Check("KS primal area vs analytic CDF", d, ks_bound))
-    pxs, pvals = map(np.asarray, perimeter_cdf_grid())
+    pxs, pvals = perimeter_cdf_grid()
     d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
     checks.append(Check("KS primal perimeter vs single-integral CDF", d, ks_bound))
     kinds = [

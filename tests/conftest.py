@@ -32,8 +32,6 @@ def area_cdf_interp():
 def perimeter_cdf_interp():
     """Interpolated perimeter CDF (geometrically refined near 2*pi)."""
     xs, vals = perimeter_cdf_grid(steps=600)
-    xs = np.asarray(xs)
-    vals = np.asarray(vals)
     return lambda s: np.interp(s, xs, vals)
 
 

@@ -191,6 +191,18 @@ def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
     return integrate(density, 0.0, tau, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
 
 
+def adaptive_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
+    """The perimeter CDF's single integral by adaptive Gauss-Kronrod in v.
+
+    The library's route before the fixed two-order rule; kept as an
+    independent quadrature of the same integrand.
+    """
+    from sphtri.distributions import _perimeter_cdf_integrand
+
+    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    return integrate(lambda v: _perimeter_cdf_integrand(tau, v), 0.0, 1.0, spec).value
+
+
 # (sqrt(2)/4pi) Integral_0^pi [E(k) - k'^2 K(k)] sqrt(sin t) dt with k = sin(t/2),
 # by mpmath at 45 digits: the limit of sqrt(2 pi - tau) f(tau) at 2 pi.
 TAIL_CONSTANT = 0.12116625978620570455
@@ -269,22 +281,66 @@ class TestPerimeterCdf:
     def test_matches_nested_density_integral(self, x):
         assert abs(perimeter_cdf(x) - nested_perimeter_cdf(x)) < 1e-9
 
-    def test_one_integral_without_the_density(self, monkeypatch):
+    @pytest.mark.parametrize("x", np.concatenate([
+        np.geomspace(1e-6, 1.0, 6), np.linspace(1.5, 6.0, 8),
+        [6.2, 6.28] + [TWO_PI - d for d in (1e-3, 1e-6, 1e-9, 1e-12)],
+    ]))
+    def test_matches_adaptive_oracle(self, x):
+        assert abs(perimeter_cdf(x) - adaptive_perimeter_cdf(x, tol=1e-13)) <= 1e-12
+
+    def test_no_adaptive_quadrature_nor_density(self, monkeypatch):
         import sphtri.distributions as dist
 
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return integrate(*args, **kwargs)
-
         def forbidden(*args, **kwargs):
-            raise AssertionError("perimeter_density called")
+            raise AssertionError("adaptive quadrature or perimeter_density called")
 
-        monkeypatch.setattr(dist, "integrate", counting)
+        monkeypatch.setattr(dist, "integrate", forbidden)
         monkeypatch.setattr(dist, "perimeter_density", forbidden)
         dist.perimeter_cdf(TWO_PI - 1e-3)
-        assert calls == [(0.0, (TWO_PI - 1e-3) / 2)]
+        dist.perimeter_cdf(np.linspace(0.0, TWO_PI, 50))
+
+    def test_array_matches_scalar(self):
+        xs = np.array(CDF_CHECK_XS + (0.0, 1e-3, TWO_PI - 1e-9, TWO_PI))
+        vals = perimeter_cdf(xs)
+        assert isinstance(perimeter_cdf(PI), float)
+        assert vals.shape == xs.shape
+        # Carlson's duplication runs until every element of a batch has
+        # converged, so a value can move by rounding with its neighbours.
+        assert all(abs(v - perimeter_cdf(float(x))) <= 1e-15 for x, v in zip(xs, vals))
+        grid = perimeter_cdf(xs[:10].reshape(2, 5))
+        assert grid.shape == (2, 5) and np.array_equal(grid.ravel(), vals[:10])
+        assert perimeter_cdf(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-160, 1e-100])
+    def test_tiny_tau_is_zero(self, x):
+        # F(tau) <= sin^4(tau/4); below about 1e-155 the integrand underflows.
+        assert perimeter_cdf(x) == 0.0
+        assert np.array_equal(perimeter_cdf(np.array([x, 0.0])), [0.0, 0.0])
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    def test_invalid_tolerance(self, tol):
+        for x in (PI, 0.0, np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match="tolerance"):
+                perimeter_cdf(x, tol=tol)
+
+    def test_unmet_tolerance_names_tau_and_gap(self):
+        # The orders 32 and 48 differ by 4.5e-12 at 6.28.
+        with pytest.raises(ToleranceNotMet, match=r"differ by .* at tau = 6\.28\b"):
+            perimeter_cdf(np.array([1.0, 6.28]), tol=1e-16)
+
+    def test_domain(self):
+        for bad in (-1e-12, TWO_PI + 1e-9, float("nan"), np.array([1.0, 7.0])):
+            with pytest.raises(ValueError):
+                perimeter_cdf(bad)
+
+    def test_tabulated_table_is_fast(self):
+        # One array call: about 47 ms on a 2-CPU host, against 0.35 s for one
+        # adaptive integral a point.
+        xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
+        start = time.perf_counter()
+        curve = tabulate(CurveKind.PERIMETER_CDF, xs)
+        assert time.perf_counter() - start < 0.5
+        assert curve.values == tuple(perimeter_cdf(xs))
 
     def test_tail_constant_matches_density(self):
         # density ~ c / sqrt(2 pi - tau) and 1 - F ~ 2 c sqrt(2 pi - tau)
@@ -298,11 +354,14 @@ class TestPerimeterCdf:
 class TestPerimeterCdfGrid:
     @pytest.mark.parametrize("steps", [256, 600])
     def test_nodes_match_perimeter_cdf(self, steps):
+        # The nodes are perimeter_cdf values by construction, so they are
+        # checked against the adaptive quadrature (worst gap 1.0e-11).
         xs, vals = perimeter_cdf_grid(steps)
         assert xs[0] == 0.0 and xs[-1] == TWO_PI
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        worst = max(abs(v - perimeter_cdf(x)) for x, v in zip(xs, vals))
+        worst = max(abs(v - adaptive_perimeter_cdf(x, tol=1e-12))
+                    for x, v in zip(xs[1:-1], vals[1:-1]))
         assert worst < 1e-9
 
     def test_no_quadrature_per_node(self, monkeypatch):
@@ -312,12 +371,8 @@ class TestPerimeterCdfGrid:
             raise AssertionError("adaptive quadrature called")
 
         monkeypatch.setattr(dist, "integrate", forbidden)
-        xs, vals = dist.perimeter_cdf_grid.__wrapped__(64)
+        xs, vals = dist.perimeter_cdf_grid(64)
         assert len(xs) == len(vals) == 64
-
-    def test_unmet_tolerance_raises(self):
-        with pytest.raises(ToleranceNotMet):
-            perimeter_cdf_grid.__wrapped__(64, tol=1e-16)
 
 
 class TestDoubleIntegrals:
