@@ -137,7 +137,7 @@ def _cmd_cdf(args) -> int:
     at = _angle_in(args.at, args.degrees)
     tol = _tol_kwargs(args)
     if at is not None:
-        value = area_cdf(at, **tol) if args.kind == "area" else perimeter_cdf(at, **tol)
+        value = area_cdf(at) if args.kind == "area" else perimeter_cdf(at, **tol)
         print(f"{value:.17g}")
         return 0
     kind = CurveKind.AREA_CDF if args.kind == "area" else CurveKind.PERIMETER_CDF
@@ -168,9 +168,7 @@ def _cmd_sample(args) -> int:
     ks_area = ks_perim = None
     if kind is BatchKind.PRIMAL:
         # KS columns are only meaningful for the unconditional laws.
-        xs = np.linspace(0.0, TWO_PI, 1025)
-        acdf = np.array([area_cdf(float(x)) for x in xs])
-        ks_area = ks_distance(EmpiricalCdf(batch.sigma), lambda s: np.interp(s, xs, acdf))
+        ks_area = ks_distance(EmpiricalCdf(batch.sigma), area_cdf)
         pxs, pvals = perimeter_cdf_grid()
         ks_perim = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
     text = montecarlo.summary_csv([batch.summary_row(ks_area, ks_perim)])

@@ -119,92 +119,96 @@ class KernelParams:
 
 
 # ---------------------------------------------------------------------------
-# Series-stabilized pieces for the removable 0/0 at sigma = pi.
+# The area law. With sigma = pi + d its closed forms are 0/0 to fourth
+# order at d = 0. Each cancelling remainder is one fixed Taylor polynomial
+# in z = d^2: for |d| <= pi its terms shrink monotonically (by at most
+# pi^2/30 a step) and the 14th is below 4e-20, so no branch is needed and
+# the same arithmetic runs on a float and on an array. Powers are written
+# as products, because numpy's power can round a scalar and an array
+# element differently.
+
+# Coefficients of z^j in C(d) = (cos d - 1 + d^2/2)/d^4,
+# S(d)/d = (sin d - d + d^3/6)/d^5 and sin(d/2)/(d/2).
+_COS_REM = tuple((-1) ** j / math.factorial(2 * j + 4) for j in range(14))
+_SIN_REM = tuple((-1) ** j / math.factorial(2 * j + 5) for j in range(14))
+_SINC_HALF = tuple((-1) ** j / (4 ** j * math.factorial(2 * j + 1)) for j in range(14))
 
 
-def _cos_rem_over_d4(d: float) -> float:
-    """(cos d - 1 + d^2/2) / d^4, exact through the cancellation at d = 0."""
-    if abs(d) < 0.5:
-        total = 0.0
-        term = 1.0 / 24.0
-        k = 2
-        while abs(term) > 1e-20:
-            total += term
-            term *= -d * d / ((2 * k + 1) * (2 * k + 2))
-            k += 1
-        return total
-    return ((math.cos(d) - 1.0) + 0.5 * d * d) / d ** 4
+def _horner(coeffs: tuple[float, ...], z):
+    """Sum of coeffs[j] * z^j; z may be a float or an array."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
-def _sin_rem_over_d4(d: float) -> float:
-    """(sin d - d + d^3/6) / d^4, exact through the cancellation at d = 0."""
-    if abs(d) < 0.5:
-        total = 0.0
-        term = d / 120.0
-        k = 2
-        while abs(term) > 1e-20:
-            total += term
-            term *= -d * d / ((2 * k + 2) * (2 * k + 3))
-            k += 1
-        return total
-    return ((math.sin(d) - d) + d ** 3 / 6.0) / d ** 4
+def _area_argument(value):
+    """value as a float (from a scalar) or a float array, checked to lie in [0, 2*pi].
+
+    A scalar is checked in Python: a numpy ufunc on it costs more than the series.
+    """
+    x = np.asarray(value, dtype=float)
+    if x.ndim == 0:
+        x = float(x)
+        inside = 0.0 <= x <= TWO_PI
+    else:
+        inside = ((x >= 0.0) & (x <= TWO_PI)).all()
+    if not inside:
+        raise ValueError("sigma must lie in [0, 2*pi]")
+    return x
 
 
-def _sinc_half(d: float) -> float:
-    """sin(d/2) / (d/2) with the limit 1 at d = 0."""
-    if d == 0.0:
-        return 1.0
-    return math.sin(d / 2) / (d / 2)
-
-
-def area_density(sigma: float) -> float:
+def area_density(sigma):
     """Closed-form density of the spherical excess at sigma in [0, 2*pi].
 
-    The raw closed form is a 0/0 at sigma = pi (numerator and
-    cos^4(sigma/2) both vanish to fourth order). Writing sigma = pi + d
-    and subtracting the cancelling Taylor pieces of cos and sin exactly
-    leaves
+    sigma may be a float or an array; a float gives a float and an array an
+    array of the same shape, equal bit for bit to the scalar calls. The
+    raw closed form is a 0/0 at sigma = pi (numerator and cos^4(sigma/2)
+    both vanish to fourth order). Writing sigma = pi + d and subtracting
+    the cancelling Taylor pieces of cos and sin exactly leaves
 
         N/d^4 = -1/2 - (d^2 - 2*pi*d - 6) C(d) + 6 (d - pi) S(d)
 
     with C(d) = (cos d - 1 + d^2/2)/d^4 and S(d) = (sin d - d + d^3/6)/d^4,
     so the density N/(16 pi cos^4(sigma/2)) evaluates stably everywhere,
-    including exactly 1/(4 pi) at sigma = pi.
+    including exactly 1/(4 pi) at sigma = pi. It is within 7e-15 relative
+    of 40-digit mpmath on [0.01, 2*pi - 0.01].
     """
-    if not 0.0 <= sigma <= TWO_PI:
-        raise ValueError("sigma must lie in [0, 2*pi]")
-    d = sigma - math.pi
-    n_ratio = (
-        -0.5
-        - (d * d - TWO_PI * d - 6.0) * _cos_rem_over_d4(d)
-        + 6.0 * (d - math.pi) * _sin_rem_over_d4(d)
-    )
-    den_ratio = math.pi * _sinc_half(d) ** 4  # 16 pi sin^4(d/2) / d^4
-    return -n_ratio / den_ratio
+    x = _area_argument(sigma)
+    d = x - math.pi
+    z = d * d
+    s = d * _horner(_SIN_REM, z)
+    n_ratio = -0.5 - (z - TWO_PI * d - 6.0) * _horner(_COS_REM, z) + 6.0 * (d - math.pi) * s
+    q = _horner(_SINC_HALF, z)  # sin(d/2) / (d/2)
+    q2 = q * q
+    v = -n_ratio / (math.pi * (q2 * q2))  # 16 pi sin^4(d/2) / d^4
+    return float(v) if isinstance(x, float) else v
 
 
-def crofton_kernel(y: float) -> float:
-    """Elementary one-integral reduction of the area law.
+def crofton_kernel(y):
+    """Elementary one-integral reduction of the area law, for y in [0, 2*pi].
 
     Equals 4 tan(y/2)/cos^2(y/2) * Integral_{y/2}^{pi/2} (pi - z) cos^2 z dz
-    in closed form; 1 + d/dy of it is 2*pi times the area density. The
-    prefactor pole and the vanishing integral cancel at y = pi, where the
-    value is 2*pi/3; the implementation factors (y - pi)^3 out of both so
-    the whole range evaluates stably.
+    in closed form; 1 + d/dy of it is 2*pi times the area density, and
+    (y + kernel)/(2*pi) is the area CDF. The prefactor pole and the
+    vanishing integral cancel at y = pi, where the value is 2*pi/3; the
+    implementation factors (y - pi)^3 out of both, with the remainders of
+    area_density, so the whole range evaluates stably. y may be a float or
+    an array, as for area_density.
     """
-    if not 0.0 < y < TWO_PI:
-        raise ValueError("y must lie in (0, 2*pi)")
-    d = y - math.pi
+    x = _area_argument(y)
+    d = x - math.pi
+    z = d * d
     # G(y) = closed-form integral; G = A/16 - (pi/8)(d - sin d) with
     # A = 2(1 - cos d) + d^2 - 2 d sin d; both vanish to third order:
-    # A = d^4 (1/3 - 2C - 2dS) and d - sin d = d^3 (1/6 - dS), with C and S
-    # the remainders of area_density.
-    dS = d * _sin_rem_over_d4(d)
-    a_ratio = d * (1.0 / 3.0 - 2.0 * _cos_rem_over_d4(d) - 2.0 * dS)  # A / d^3
-    g_ratio = a_ratio / 16.0 - (math.pi / 8.0) * (1.0 / 6.0 - dS)
+    # A = d^4 (1/3 - 2C - 2dS) and d - sin d = d^3 (1/6 - dS).
+    ds = z * _horner(_SIN_REM, z)
+    a_ratio = d * (1.0 / 3.0 - 2.0 * _horner(_COS_REM, z) - 2.0 * ds)  # A / d^3
+    g_ratio = a_ratio / 16.0 - (math.pi / 8.0) * (1.0 / 6.0 - ds)
     # 4 tan(y/2)/cos^2(y/2) * G = -32 sin(y/2) * (G/d^3) / (sin(d/2)/(d/2))^3
-    q = _sinc_half(d)
-    return -32.0 * math.sin(y / 2) * g_ratio / q ** 3
+    q = _horner(_SINC_HALF, z)
+    v = -32.0 * np.sin(0.5 * x) * g_ratio / (q * q * q)
+    return float(v) if isinstance(x, float) else v
 
 
 def _area_cdf_bracket(x: float, omega: np.ndarray) -> np.ndarray:
@@ -217,23 +221,19 @@ def _area_cdf_bracket(x: float, omega: np.ndarray) -> np.ndarray:
     return (math.pi / 2) / w
 
 
-def area_cdf(sigma: float, tol: float = 1e-12) -> float:
-    """P{area <= sigma} by the single-integral reduction over the fixed side."""
-    if not 0.0 <= sigma <= TWO_PI:
-        raise ValueError("sigma must lie in [0, 2*pi]")
-    if sigma <= 0.0:
-        return 0.0
-    if sigma >= TWO_PI:
-        return 1.0
+def area_cdf(sigma):
+    """P{area <= sigma} in closed form, (sigma + crofton_kernel(sigma)) / (2*pi).
 
-    def integrand(kappa):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            omega = np.tan(kappa / 2) / math.sin(sigma / 2)
-            bracket = _area_cdf_bracket(sigma, omega)
-        return (sigma / 2 + np.nan_to_num(bracket)) * np.sin(kappa)
-
-    res = integrate(integrand, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
-    return min(1.0, max(0.0, res.value / TWO_PI))
+    sigma may be a float or an array, as for area_density. F(0) = 0
+    exactly (the kernel carries a factor sin(sigma/2)) and F(2*pi) = 1.
+    It is within 1e-15 relative of an adaptive integral of area_density
+    from sigma = 1e-8 to 2*pi - 1e-8.
+    """
+    x = _area_argument(sigma)
+    v = (x + crofton_kernel(x)) / TWO_PI
+    if isinstance(x, float):
+        return 1.0 if x >= TWO_PI else min(1.0, max(0.0, v))
+    return np.where(x >= TWO_PI, 1.0, np.clip(v, 0.0, 1.0))
 
 
 def perimeter_density(tau, tol: float = 1e-12):
@@ -919,15 +919,15 @@ def tabulate(kind: CurveKind, xs: Sequence[float], **kwargs) -> DensityCurve:
     """Evaluate a density/CDF on a grid; conditional curves need kind+kappa.
 
     An optional ``tol`` is passed to every quadrature-based evaluation
-    (the closed-form area density takes none); without it each function
+    (the closed-form area curves take none); without it each function
     uses its own default.
     """
     xs = [float(x) for x in xs]
     tol = {"tol": kwargs["tol"]} if "tol" in kwargs else {}
     if kind is CurveKind.AREA_PDF:
-        vals = [area_density(x) for x in xs]
+        vals = area_density(np.array(xs)).tolist()
     elif kind is CurveKind.AREA_CDF:
-        vals = [area_cdf(x, **tol) for x in xs]
+        vals = area_cdf(np.array(xs)).tolist()
     elif kind is CurveKind.PERIMETER_PDF:
         cap = TWO_PI - 1e-6  # the density diverges at 2*pi; never sample it
         vals = perimeter_density(np.clip(xs, 1e-12, cap), **tol).tolist()

@@ -151,9 +151,7 @@ def mc_checks(n: int, seed: int) -> list[Check]:
     checks = []
     batch = sample_batch(BatchKind.PRIMAL, None, max(n, 10**5), RngStream(seed))
     ks_bound = 0.003 * math.sqrt(10**6 / batch.n)
-    xs = np.linspace(0.0, TWO_PI, 2049)
-    acdf = np.array([area_cdf(float(x)) for x in xs])
-    d = ks_distance(EmpiricalCdf(batch.sigma), lambda s: np.interp(s, xs, acdf))
+    d = ks_distance(EmpiricalCdf(batch.sigma), area_cdf)
     checks.append(Check("KS primal area vs analytic CDF", d, ks_bound))
     pxs, pvals = perimeter_cdf_grid()
     d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sphtri.distributions import area_cdf, perimeter_cdf_grid
+from sphtri.distributions import perimeter_cdf_grid
 from sphtri.montecarlo import BatchKind, sample_batch
 from sphtri.sphere import RngStream
-
-TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="session")
@@ -18,14 +16,6 @@ def primal_batch_1m():
 @pytest.fixture(scope="session")
 def dual_batch_1m():
     return sample_batch(BatchKind.DUAL, None, 10**6, RngStream(123, 1))
-
-
-@pytest.fixture(scope="session")
-def area_cdf_interp():
-    """Fast interpolated area CDF for million-sample KS tests."""
-    xs = np.linspace(0.0, TWO_PI, 4097)
-    vals = np.array([area_cdf(float(x)) for x in xs])
-    return lambda s: np.interp(s, xs, vals)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from sphtri.distributions import (
     ConditionalKind,
     DensityKind,
     EllipticReduction,
+    area_cdf,
     area_density,
     conditional_cdf,
     density_via_double_integral,
@@ -75,8 +76,7 @@ def test_03_area_density_at_pi():
 
 def test_04_normalization():
     t0 = time.perf_counter()
-    f = lambda s: np.array([area_density(float(v)) for v in np.atleast_1d(s)])
-    area_total = integrate(f, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)).value
+    area_total = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)).value
 
     g = lambda s: np.array(
         [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9), tol=1e-10)
@@ -123,10 +123,10 @@ def test_07_jacobian_suite():
 
 
 def test_08_monte_carlo_agreement(
-    primal_batch_1m, area_cdf_interp, perimeter_cdf_interp
+    primal_batch_1m, perimeter_cdf_interp
 ):
     t0 = time.perf_counter()
-    d_area = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf_interp)
+    d_area = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf)
     d_perim = ks_distance(EmpiricalCdf(primal_batch_1m.tau), perimeter_cdf_interp)
     ok = d_area < 0.003 and d_perim < 0.003
 
@@ -204,7 +204,7 @@ def test_09_cross_formula_redundancy():
 def test_10_sign_regression():
     t0 = time.perf_counter()
     xs = np.linspace(0.0, TWO_PI, 200)
-    vals = np.array([area_density(float(x)) for x in xs])
+    vals = area_density(xs)
     dt = time.perf_counter() - t0
     _report(10, "area density nonnegative on 200-point grid", dt,
             bool(np.all(vals >= 0.0)), f"min={vals.min():.3e}")

@@ -62,7 +62,6 @@ def test_cdf_default_tolerance(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["cdf", "--kind", "perimeter", "--at", "3"],
-    ["cdf", "--kind", "area", "--at", "3"],
     ["cdf", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
     ["density", "--kind", "perimeter", "--at", "3"],
     ["density", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
@@ -72,6 +71,14 @@ def test_tol_is_passed_on(argv, capsys):
     # A NaN tolerance reaches QuadratureSpec, which rejects it.
     assert run(argv + ["--tol", "nan"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cdf", "density"])
+def test_area_closed_forms_ignore_tol(command, capsys):
+    assert run([command, "--kind", "area", "--at", "3"]) == 0
+    plain = capsys.readouterr().out
+    assert run([command, "--kind", "area", "--at", "3", "--tol", "nan"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_perimeter_density_table_matches_scalar_values(capsys):

@@ -53,15 +53,14 @@ class TestAreaDensity:
 
     def test_nonnegative_grid(self):
         xs = np.linspace(0.0, TWO_PI, 200)
-        assert all(area_density(float(x)) >= 0.0 for x in xs)
+        assert np.all(area_density(xs) >= 0.0)
 
     def test_normalizes(self):
-        f = lambda s: np.array([area_density(float(v)) for v in np.atleast_1d(s)])
-        r = integrate(f, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+        r = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
         assert abs(r.value - 1.0) < 1e-10
 
     def test_mean_is_half_pi(self):
-        f = lambda s: np.array([float(v) * area_density(float(v)) for v in np.atleast_1d(s)])
+        f = lambda s: s * area_density(s)
         r = integrate(f, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
         assert abs(r.value - PI / 2) < 1e-10
 
@@ -73,8 +72,7 @@ class TestAreaDensity:
 
     def test_mc_histogram_near_zero(self, tail_histograms_10m):
         n, c_sigma, _ = tail_histograms_10m
-        f = lambda s: np.array([area_density(float(v)) for v in np.atleast_1d(s)])
-        p = integrate(f, 0.0, 0.05, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)).value
+        p = integrate(area_density, 0.0, 0.05, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)).value
         se = math.sqrt(p * (1 - p) / n)
         assert abs(c_sigma / n - p) < 3 * se
 
@@ -91,15 +89,100 @@ class TestAreaCdf:
         assert abs(fd - area_density(1.0)) < 1e-6
 
     def test_integral_of_density(self):
-        f = lambda s: np.array([area_density(float(v)) for v in np.atleast_1d(s)])
         for x in np.linspace(0.3, TWO_PI - 0.3, 20):
-            r = integrate(f, 0.0, float(x), QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+            r = integrate(area_density, 0.0, float(x), QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
             assert abs(r.value - area_cdf(float(x))) < 1e-7
 
     def test_monotone(self):
         xs = np.linspace(0.0, TWO_PI, 100)
-        vals = [area_cdf(float(x)) for x in xs]
+        vals = area_cdf(xs)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-6, 1.84e-5, 5e-5, 1e-3, 0.3, 1.0, PI, 5.0,
+                                   TWO_PI - 1e-3, TWO_PI - 1e-8])
+    def test_matches_density_integral(self, x):
+        # Below x ~ 5e-5 adaptive_area_cdf misses this by up to 3e-5 relative.
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-15)
+        ref = integrate(area_density, 0.0, x, spec).value
+        assert abs(area_cdf(x) - ref) <= 1e-13 * ref
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        import sphtri.distributions as dist
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(dist, "integrate", forbidden)
+        dist.area_cdf(2.0)
+        dist.area_cdf(np.linspace(0.0, TWO_PI, 50))
+
+
+# 1000 random points plus 0, pi, 2*pi and |sigma - pi| = 0.5 and 0.7, where
+# branches of series-switching forms of the area law would meet.
+AREA_XS = np.concatenate([
+    [0.0, PI, TWO_PI, PI - 0.5, PI + 0.5, PI - 0.7, PI + 0.7, 1e-300],
+    np.random.default_rng(9).uniform(0.0, TWO_PI, 1000),
+])
+
+
+class TestAreaLawArrays:
+    @pytest.mark.parametrize("f", [area_density, area_cdf, crofton_kernel])
+    def test_array_equals_scalar_bit_for_bit(self, f):
+        vals = f(AREA_XS)
+        assert isinstance(f(2.0), float) and isinstance(f(np.float64(2.0)), float)
+        assert vals.shape == AREA_XS.shape
+        assert np.array_equal(vals, [f(float(x)) for x in AREA_XS])
+
+    @pytest.mark.parametrize("f", [area_density, area_cdf, crofton_kernel])
+    def test_shapes_and_empty_input(self, f):
+        xs = np.linspace(0.5, 5.5, 12)
+        assert np.array_equal(f(xs.reshape(3, 4)), f(xs).reshape(3, 4))
+        assert f(np.array(2.0)) == f(2.0)
+        assert f(np.array([])).shape == (0,)
+        assert f([1.0, 2.0]).shape == (2,)
+
+    @pytest.mark.parametrize("f, bad", [
+        (area_density, -1e-12), (area_density, TWO_PI + 1e-9), (area_density, float("nan")),
+        (area_cdf, -1e-12), (area_cdf, TWO_PI + 1e-9), (area_cdf, float("nan")),
+        (crofton_kernel, -1e-12), (crofton_kernel, TWO_PI + 1e-9), (crofton_kernel, float("nan")),
+    ])
+    def test_one_value_out_of_domain_raises(self, f, bad):
+        with pytest.raises(ValueError):
+            f(bad)
+        with pytest.raises(ValueError):
+            f(np.array([1.0, bad, 2.0]))
+
+    def test_cdf_ends_are_exact(self):
+        assert np.array_equal(area_cdf(np.array([0.0, TWO_PI])), [0.0, 1.0])
+
+    def test_density_matches_mpmath(self):
+        # The raw closed form at 40 digits, -N / (16 pi cos^4(sigma/2)) with
+        # N = -(d^2 - 2 pi d - 6) cos d + 6 (d - pi) sin d - 2 d^2 + 4 pi d - 6
+        # and d = sigma - pi; the even grid keeps |d| above 3e-3, where the
+        # fourth-order cancellation costs 10 of the 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(0.01, TWO_PI - 0.01, 996)
+        vals = area_density(xs)
+        with mpmath.workdps(40):
+            pi = mpmath.pi
+            for x, v in zip(xs, vals):
+                s = mpmath.mpf(float(x))
+                d = s - pi
+                n = (-(d * d - 2 * pi * d - 6) * mpmath.cos(d) + 6 * (d - pi) * mpmath.sin(d)
+                     - 2 * d * d + 4 * pi * d - 6)
+                ref = -n / (16 * pi * mpmath.cos(s / 2) ** 4)
+                assert abs(v - ref) <= 2e-14 * ref
+
+    def test_tabulated_tables_are_fast(self):
+        # One array call each: about 0.25 ms on a 2-CPU host, against 50 ms for
+        # one adaptive integral a point.
+        xs = np.linspace(0.0, TWO_PI, 500)
+        start = time.perf_counter()
+        pdf = tabulate(CurveKind.AREA_PDF, xs)
+        cdf = tabulate(CurveKind.AREA_CDF, xs)
+        assert time.perf_counter() - start < 0.05
+        assert pdf.values[250] == area_density(float(xs[250]))
+        assert cdf.values[250] == area_cdf(float(xs[250]))
 
 
 class TestPerimeterDensity:
@@ -201,6 +284,30 @@ def adaptive_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
     return integrate(lambda v: _perimeter_cdf_integrand(tau, v), 0.0, 1.0, spec).value
+
+
+def adaptive_area_cdf(sigma: float, tol: float = 1e-12) -> float:
+    """P{area <= sigma} by adaptive quadrature over the fixed side.
+
+    The library's route before the closed form; kept as an independent
+    oracle for it. Below sigma ~ 5e-5 it misses its tolerance by up to
+    3e-5 relative.
+    """
+    from sphtri.distributions import _area_cdf_bracket
+
+    if sigma <= 0.0:
+        return 0.0
+    if sigma >= TWO_PI:
+        return 1.0
+
+    def integrand(kappa):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            omega = np.tan(kappa / 2) / math.sin(sigma / 2)
+            bracket = _area_cdf_bracket(sigma, omega)
+        return (sigma / 2 + np.nan_to_num(bracket)) * np.sin(kappa)
+
+    res = integrate(integrand, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+    return min(1.0, max(0.0, res.value / TWO_PI))
 
 
 # (sqrt(2)/4pi) Integral_0^pi [E(k) - k'^2 K(k)] sqrt(sin t) dt with k = sin(t/2),
@@ -464,14 +571,15 @@ class TestCroftonKernel:
         assert abs(r.value - crofton_kernel(y)) < 1e-10
 
     def test_continuous_across_series_window(self):
-        # The series branch covers |y - pi| < 0.7; both branches must meet there.
+        # An earlier kernel switched to a series for |y - pi| < 0.7 and jumped there.
         for edge in (PI - 0.7, PI + 0.7):
             assert abs(crofton_kernel(edge - 1e-13) - crofton_kernel(edge + 1e-13)) < 1e-12
 
     def test_series_window_matches_area_cdf(self):
-        # (sigma + kernel) / 2pi is the area CDF, here by its own quadrature.
+        # (sigma + kernel) / 2pi is the area CDF, here by the arctan quadrature,
+        # through |y - pi| <= 0.75, where the closed form cancels most.
         for y in np.linspace(PI - 0.75, PI + 0.75, 61):
-            assert abs((y + crofton_kernel(y)) / TWO_PI - area_cdf(y, tol=1e-14)) <= 1e-14
+            assert abs((y + crofton_kernel(y)) / TWO_PI - adaptive_area_cdf(y, tol=1e-14)) <= 1e-14
 
     def test_matches_pre_substitution_integral_above_pi(self):
         y = 4.2

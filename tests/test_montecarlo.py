@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sphtri import sphere
-from sphtri.distributions import ConditionalKind, conditional_cdf
+from sphtri.distributions import ConditionalKind, area_cdf, conditional_cdf
 from sphtri.errors import DegenerateDual
 from sphtri.montecarlo import (
     BLOCK,
@@ -207,17 +207,17 @@ class TestEmpiricalCdf:
         assert ks_distance(e, e) <= 1.0 / e.n + 1e-12
 
     def test_ks_matches_full_temporaries(
-        self, primal_batch_1m, dual_batch_1m, area_cdf_interp, perimeter_cdf_interp
+        self, primal_batch_1m, dual_batch_1m, perimeter_cdf_interp
     ):
-        for sample, cdf in ((primal_batch_1m.sigma, area_cdf_interp),
+        for sample, cdf in ((primal_batch_1m.sigma, area_cdf),
                             (dual_batch_1m.tau, perimeter_cdf_interp)):
             e = EmpiricalCdf(sample)
             assert ks_distance(e, cdf) == reference_ks_distance(e, cdf)
 
 
 class TestKsAgainstAnalytic:
-    def test_area(self, primal_batch_1m, area_cdf_interp):
-        d = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf_interp)
+    def test_area(self, primal_batch_1m):
+        d = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf)
         assert d < 0.003
 
     def test_perimeter(self, primal_batch_1m, perimeter_cdf_interp):
@@ -231,9 +231,9 @@ class TestKsAgainstAnalytic:
         )
         assert d < 0.003
 
-    def test_dual_perimeter_vs_area(self, dual_batch_1m, area_cdf_interp):
+    def test_dual_perimeter_vs_area(self, dual_batch_1m):
         # dual perimeter = 2*pi - primal area in distribution.
-        d = ks_distance(EmpiricalCdf(TWO_PI - dual_batch_1m.tau), area_cdf_interp)
+        d = ks_distance(EmpiricalCdf(TWO_PI - dual_batch_1m.tau), area_cdf)
         assert d < 0.003
 
 
