@@ -14,17 +14,16 @@ from .distributions import (
     DensityCurve,
     DensityKind,
     EllipticReduction,
-    KernelParams,
     area_cdf,
     area_density,
     conditional_cdf,
     crofton_kernel,
     density_via_double_integral,
     elliptic_reduction_gap,
-    kernel_params,
     perimeter_cdf,
     perimeter_cdf_grid,
     perimeter_density,
+    region_boundary,
     tabulate,
 )
 from .errors import (

@@ -7,7 +7,10 @@ integrals over a (coordinate, fixed-element) pair, and conditionally on a
 fixed side or fixed angle through several independent routes. The
 redundant routes exist on purpose: agreement between them (and with the
 Monte Carlo oracle in ``montecarlo``) is the defense against
-transcription errors in the long formulas.
+transcription errors in the long formulas. Copies of one formula are not
+such redundancy: each region law's boundary curve is written once, in
+region_boundary and its two helpers, and both its conditional CDF route
+and the Monte Carlo region test use it.
 
 Sign convention: the area-density closed form is sometimes quoted with
 the opposite overall sign, which makes it negative; this module fixes the
@@ -101,23 +104,6 @@ class DensityCurve:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Region-boundary machinery for one conditional law.
-
-    ``f_limit`` maps the varying coordinate to the boundary curve of the
-    region {statistic <= x}; ``g`` is its derivative with respect to the
-    statistic (None where not used). For the bisector case the admissible
-    band is f_limit(rho) <= theta <= pi - f_limit(rho) with
-    rho >= rho_thres.
-    """
-
-    omega: float
-    f_limit: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray] | None = None
-    rho_thres: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # The area law. With sigma = pi + d its closed forms are 0/0 to fourth
 # order at d = 0. Each cancelling remainder is one fixed Taylor polynomial
@@ -209,16 +195,6 @@ def crofton_kernel(y):
     q = _horner(_SINC_HALF, z)
     v = -32.0 * np.sin(0.5 * x) * g_ratio / (q * q * q)
     return float(v) if isinstance(x, float) else v
-
-
-def _area_cdf_bracket(x: float, omega: np.ndarray) -> np.ndarray:
-    """The arctan branch term of the conditional area law, vectorized in omega."""
-    w = np.hypot(1.0, omega)
-    if x < math.pi:
-        return (math.pi - np.arctan(w * math.tan(x / 2))) / w
-    if x > math.pi:
-        return -np.arctan(w * math.tan(x / 2)) / w
-    return (math.pi / 2) / w
 
 
 def area_cdf(sigma):
@@ -603,122 +579,138 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
 
 
 # ---------------------------------------------------------------------------
-# Region boundary curves (shared with the Monte Carlo scatter tests).
+# Region boundary curves. Each region law's CDF is the measure of the region
+# on one side of a curve; the conditional routes integrate the curve and
+# montecarlo.region_coverage tests samples against it.
 
 
-def kernel_params(kind: ConditionalKind, x: float, kappa: float) -> KernelParams:
-    """Boundary curve, statistic-derivative and threshold for a region law."""
+def _cot_arccos(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> arccos(clip(A + B cot t, -1, 1)), the fixed-side perimeter boundary.
+
+    A = sin(x - kappa)/sin(kappa) and B = (cos(x - kappa) - cos(kappa))/sin(kappa);
+    pi minus the same curve bounds the fixed-angle area law. Unmasked: valid
+    on the band where the curve lies strictly inside (0, pi). kappa must
+    not be 0.
+    """
+    sk = math.sin(kappa)
+    A = math.sin(x - kappa) / sk
+    B = (math.cos(x - kappa) - math.cos(kappa)) / sk
+
+    def curve(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.arccos(np.clip(A + B / np.tan(t), -1.0, 1.0))
+
+    return curve
+
+
+def _bisector_sine(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> sin(x/2) sin(kappa/2) / (sin(x/2) cos rho + cos(x/2) cos(kappa/2) sin rho).
+
+    Minus its value is the sine of the bisector boundary theta = f(rho).
+    Unmasked and unclipped; a zero denominator gives an infinity.
+    """
+    sx = math.sin(x / 2)
+    cx = math.cos(x / 2)
+    skh = math.sin(kappa / 2)
+    ckh = math.cos(kappa / 2)
+
+    def sine(rho):
+        den = sx * np.cos(rho) + cx * ckh * np.sin(rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sx * skh / den
+
+    return sine
+
+
+def region_boundary(
+    kind: ConditionalKind, x: float, kappa: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The boundary curve f of the region {statistic <= x} of a region law.
+
+    The returned function takes an array of the curve's argument. The
+    coordinates are those of montecarlo.SampleBatch: (theta, rho) =
+    (alpha, b) given the side c = kappa, and (rho, theta) = (c, beta) given
+    the angle alpha = kappa.
+
+    - AREA_GIVEN_SIDE and AREA_GIVEN_ANGLE: the region is rho <= f(theta).
+    - PERIMETER_GIVEN_SIDE and PERIMETER_GIVEN_ANGLE: it is theta <= f(rho).
+    - PERIMETER_BISECTOR, in the coordinates of identities.bisector_decompose:
+      it is the band f(rho) <= theta <= pi - f(rho) with
+      rho >= bisector_threshold(x, kappa).
+
+    Outside the range of its argument over which the boundary runs, f is 0
+    or pi, so that the same comparison still decides membership. The
+    conditional CDF routes integrate the same curves. Other kinds raise
+    ValueError.
+    """
     sx = math.sin(x / 2)
     if kind is ConditionalKind.AREA_GIVEN_SIDE:
-        omega = math.tan(kappa / 2) / sx if sx > 0 else math.inf
         tk = math.tan(kappa / 2)
 
-        def f_limit(theta):
+        def curve(theta):
             theta = np.asarray(theta, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = math.sin(x / 2) / (tk * np.sin(theta - x / 2))
-                curve = 2.0 * np.arctan(t)
-            return np.where(theta < x / 2, math.pi, np.nan_to_num(curve, nan=math.pi))
+                t = sx / (tk * np.sin(theta - x / 2))
+                mid = 2.0 * np.arctan(t)
+            return np.where(theta < x / 2, math.pi, np.nan_to_num(mid, nan=math.pi))
 
-        def g(theta):
-            theta = np.asarray(theta, dtype=float)
-            den = tk * tk * np.sin(theta - x / 2) ** 2 + sx * sx
-            return np.where(theta < x / 2, 0.0, tk * np.sin(theta) / den)
-
-        return KernelParams(omega, f_limit, g)
+        return curve
 
     if kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
         ck = 1.0 / math.tan(kappa / 2)
-        omega = ck / sx if sx > 0 else math.inf
 
-        def f_limit(rho):
+        def curve(rho):
             rho = np.asarray(rho, dtype=float)
-            curve = 2.0 * np.arctan(ck * np.sin(x / 2 - rho) / sx)
-            return np.where(rho > x / 2, 0.0, curve)
+            mid = 2.0 * np.arctan(ck * np.sin(x / 2 - rho) / sx)
+            return np.where(rho > x / 2, 0.0, mid)
 
-        def g(rho):
-            rho = np.asarray(rho, dtype=float)
-            tk = math.tan(kappa / 2)
-            den = tk * tk * sx * sx + np.sin(x / 2 - rho) ** 2
-            return np.where(rho > x / 2, 0.0, tk * np.sin(rho) / den)
-
-        return KernelParams(omega, f_limit, g)
+        return curve
 
     if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        sk = math.sin(kappa)
-        A = math.sin(x - kappa) / sk
-        B = (math.cos(x - kappa) - math.cos(kappa)) / sk
+        if kappa > x / 2:  # perimeter >= 2c: the region is empty
+            return lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
+        band = _cot_arccos(x, kappa)
 
-        def f_limit(rho):
+        def curve(rho):
             rho = np.asarray(rho, dtype=float)
-            if kappa > x / 2:
-                return np.zeros_like(rho)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mid = np.arccos(np.clip(A + B / np.tan(rho), -1.0, 1.0))
-            return np.where(rho < x / 2 - kappa, math.pi, np.where(rho > x / 2, 0.0, mid))
+            mid = np.where(rho > x / 2, 0.0, band(rho))
+            return np.where(rho < x / 2 - kappa, math.pi, mid)
 
-        def g(rho):
-            rho = np.asarray(rho, dtype=float)
-            if kappa > x / 2:
-                return np.zeros_like(rho)
-            rad = np.maximum(radicand_perimeter(x, kappa, rho), 0.0)
-            inside = (rho >= x / 2 - kappa) & (rho <= x / 2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.sin(x - kappa - rho) / np.sqrt(rad)
-            return np.where(inside, val, 0.0)
-
-        return KernelParams(0.0, f_limit, g)
+        return curve
 
     if kind is ConditionalKind.AREA_GIVEN_ANGLE:
-        sk = math.sin(kappa)
-        A = math.sin(x - kappa) / sk
-        B = (math.cos(x - kappa) - math.cos(kappa)) / sk
+        if kappa < x / 2:  # area <= 2*alpha: the region is everything
+            return lambda theta: np.full_like(np.asarray(theta, dtype=float), math.pi)
+        band = _cot_arccos(x, kappa)
         hi = math.pi - (kappa - x / 2)
 
-        def f_limit(theta):
+        def curve(theta):
             theta = np.asarray(theta, dtype=float)
-            if kappa < x / 2:
-                return np.full_like(theta, math.pi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mid = math.pi - np.arccos(np.clip(A + B / np.tan(theta), -1.0, 1.0))
-            return np.where(theta < x / 2, math.pi, np.where(theta > hi, 0.0, mid))
+            mid = np.where(theta > hi, 0.0, math.pi - band(theta))
+            return np.where(theta < x / 2, math.pi, mid)
 
-        def g(theta):
-            theta = np.asarray(theta, dtype=float)
-            if kappa < x / 2:
-                return np.zeros_like(theta)
-            rad = np.maximum(radicand_area_dual(x, kappa, theta), 0.0)
-            inside = (theta >= x / 2) & (theta <= hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = -np.sin(x - kappa - theta) / np.sqrt(rad)
-            return np.where(inside, val, 0.0)
-
-        return KernelParams(0.0, f_limit, g)
+        return curve
 
     if kind is ConditionalKind.PERIMETER_BISECTOR:
-        thres = bisector_threshold(x, kappa)
-        cx = math.cos(x / 2)
-        skh = math.sin(kappa / 2)
-        ckh = math.cos(kappa / 2)
+        sine = _bisector_sine(x, kappa)
 
-        def f_limit(rho):
-            rho = np.asarray(rho, dtype=float)
-            den = sx * np.cos(rho) + cx * ckh * np.sin(rho)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = -sx * skh / den
-            return np.arcsin(np.clip(r, -1.0, 1.0))
+        def curve(rho):
+            return np.arcsin(np.clip(-sine(np.asarray(rho, dtype=float)), -1.0, 1.0))
 
-        return KernelParams(0.0, f_limit, None, thres)
+        return curve
 
-    raise ValueError(f"no region kernel for {kind}")
+    raise ValueError(f"no region boundary for {kind}")
 
 
 # ---------------------------------------------------------------------------
 # Conditional CDFs.
 
 
-def _arctan_band(x_half: float, w: np.ndarray) -> np.ndarray:
-    """Integral_0^{x_half} dt / (1 + (w^2-1) sin^2 t), for x_half in [0, pi]."""
+def _arctan_band(x_half: float, w):
+    """Integral_0^{x_half} dt / (1 + (w^2-1) sin^2 t), for x_half in [0, pi].
+
+    w may be a float or an array.
+    """
     t = np.tan(x_half)
     if x_half < math.pi / 2:
         return np.arctan(w * t) / w
@@ -730,7 +722,8 @@ def _arctan_band(x_half: float, w: np.ndarray) -> np.ndarray:
 def _cond_area_given_side(x: float, kappa: float) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         omega = math.tan(kappa / 2) / math.sin(x / 2)
-    bracket = float(_area_cdf_bracket(x, np.asarray(omega)))
+    w = np.hypot(1.0, omega)
+    bracket = float(math.pi / w - _arctan_band(x / 2, w))
     if not math.isfinite(bracket):
         bracket = 0.0
     return (x + 2.0 * bracket) / TWO_PI
@@ -744,7 +737,7 @@ def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
     w = float(np.hypot(1.0, omega))
     if not math.isfinite(w):
         return x / TWO_PI if x < TWO_PI else 1.0
-    band = float(_arctan_band(x / 2, np.asarray(w)))
+    band = float(_arctan_band(x / 2, w))
     return (x - 2.0 * band) / TWO_PI
 
 
@@ -755,14 +748,10 @@ def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
     base = math.pi * (1.0 - math.cos(lo))
     if kappa == 0.0:  # the kappa -> 0 limit; the rho-band [lo, x/2] is empty
         return base / TWO_PI
-    sk = math.sin(kappa)
-    A = math.sin(x - kappa) / sk
-    B = (math.cos(x - kappa) - math.cos(kappa)) / sk
+    band = _cot_arccos(x, kappa)
 
     def f(rho):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.arccos(np.clip(A + B / np.tan(rho), -1.0, 1.0))
-        return val * np.sin(rho)
+        return band(rho) * np.sin(rho)
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
     inner = integrate(f, lo, x / 2, spec).value
@@ -772,16 +761,12 @@ def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
 def _cond_area_given_angle(x: float, kappa: float, tol: float) -> float:
     if kappa < x / 2:  # area <= 2*alpha always
         return 1.0
-    hi = math.pi - (kappa - x / 2)
+    hi = max(x / 2, math.pi - (kappa - x / 2))  # at kappa = pi rounding can put it below x/2
     base = math.pi * (1.0 - math.cos(x / 2))
-    sk = math.sin(kappa)
-    A = math.sin(x - kappa) / sk
-    B = (math.cos(x - kappa) - math.cos(kappa)) / sk
+    band = _cot_arccos(x, kappa)
 
     def f(theta):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = math.pi - np.arccos(np.clip(A + B / np.tan(theta), -1.0, 1.0))
-        return val * np.sin(theta)
+        return (math.pi - band(theta)) * np.sin(theta)
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
     inner = integrate(f, x / 2, hi, spec).value
@@ -822,15 +807,10 @@ def _cond_area_median(x: float, kappa: float, tol: float) -> float:
 
 def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
     thres = bisector_threshold(x, kappa)
-    sx = math.sin(x / 2)
-    cx = math.cos(x / 2)
-    ckh = math.cos(kappa / 2)
-    skh = math.sin(kappa / 2)
+    sine = _bisector_sine(x, kappa)
 
     def f(rho):
-        den = sx * np.cos(rho) + cx * ckh * np.sin(rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = sx * skh / den
+        r = sine(rho)
         return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True)

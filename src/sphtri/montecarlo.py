@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import sphere
-from .distributions import ConditionalKind, kernel_params
+from .distributions import ConditionalKind, region_boundary
+from .identities import bisector_threshold
 from .sphere import RngStream
 
 TWO_PI = 2.0 * math.pi
@@ -134,10 +135,12 @@ def sample_batch(
     points from the stream and writes its slice of the outputs. numpy's
     Generator gives the same values whether n rows are drawn at once or
     in consecutive pieces, so the samples do not depend on the block
-    size. Peak memory is the outputs (16 bytes per triangle, 32 for the
-    conditional kinds) plus a few MB; DUAL_GIVEN_ANGLE also holds its
-    (rho, theta) draws, 16 bytes per triangle. DUAL raises DegenerateDual
-    if any block holds a parallel pole pair.
+    size. DUAL_GIVEN_ANGLE reads the stream as all of rho, then all of
+    theta; it draws each block's theta from a copy of the bit generator
+    advanced past the rho draws, and leaves the stream where one draw of
+    all rho and then all theta would. Peak memory is the outputs (16 bytes
+    per triangle, 32 for the conditional kinds) plus a few MB. DUAL raises
+    DegenerateDual if any block holds a parallel pole pair.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -152,10 +155,15 @@ def sample_batch(
         A = np.array([1.0, 0.0, 0.0])
         B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
     elif kind is BatchKind.DUAL_GIVEN_ANGLE:
-        # All of rho, then all of theta, as the stream has always been read.
+        # The stream is read as all of rho, then all of theta. uniform takes
+        # one 64-bit draw per value, so a copy of the bit generator advanced
+        # by n draws yields the theta draws block by block.
         gen = rng.generator
-        rho = gen.uniform(0.0, math.pi, n)
-        theta = np.arccos(1.0 - 2.0 * gen.uniform(0.0, 1.0, n))  # sin-weighted
+        bits = gen.bit_generator
+        theta_bits = type(bits)()
+        theta_bits.state = bits.state
+        theta_bits.advance(n)
+        theta_gen = np.random.Generator(theta_bits)
 
     sigma, tau = np.empty(n), np.empty(n)
     coord_u = np.empty(n) if conditional else None
@@ -176,10 +184,18 @@ def sample_batch(
             a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
             coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
         else:
-            a, b, c, al, be, ga = _dual_triangle_elements(rho[lo:hi], theta[lo:hi], kappa)
+            rho = gen.uniform(0.0, math.pi, m)
+            theta = np.arccos(1.0 - 2.0 * theta_gen.uniform(0.0, 1.0, m))  # sin-weighted
+            a, b, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
             coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
         sigma[lo:hi] = al + be + ga - math.pi
         tau[lo:hi] = a + b + c
+    if kind is BatchKind.DUAL_GIVEN_ANGLE:
+        # Leave the stream after the theta draws; advance cleared the
+        # copy's buffered 32-bit half-draw, which uniform never touches.
+        state, kept = theta_bits.state, bits.state
+        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+        bits.state = state
     return SampleBatch(
         kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id
     )
@@ -244,9 +260,8 @@ def region_coverage(
         sin_t = np.maximum(np.sin(theta), 1e-300)
         cos_r = -(np.cos(be) + np.cos(ga)) / (2.0 * math.sin(kappa / 2) * sin_t)
         rho = np.arccos(np.clip(cos_r, -1.0, 1.0))
-        params = kernel_params(kind, limit, kappa)
-        thres = params.rho_thres
-        lower = params.f_limit(rho)
+        thres = bisector_threshold(limit, kappa)
+        lower = region_boundary(kind, limit, kappa)(rho)
         upper = math.pi - lower
         in_band = (
             (rho >= thres - _GUARD)
@@ -256,16 +271,11 @@ def region_coverage(
         out_band = (rho <= thres + _GUARD) | (theta <= lower + _GUARD) | (theta >= upper - _GUARD)
         return int(np.sum(inside & ~in_band) + np.sum(~inside & ~out_band))
 
-    params = kernel_params(kind, limit, kappa)
-    # Which batch coordinate is the curve argument and which is bounded:
-    # fixed-side area law bounds rho = f(theta); fixed-side perimeter law
-    # bounds theta = f(rho); fixed-angle perimeter law bounds
-    # theta = f(rho); fixed-angle area law bounds rho = f(theta).
     if kind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
         xcoord, ycoord = batch.coord_u, batch.coord_v
     else:
         xcoord, ycoord = batch.coord_v, batch.coord_u
-    curve = params.f_limit(xcoord)
+    curve = region_boundary(kind, limit, kappa)(xcoord)
     above = ycoord > curve + _GUARD
     below = ycoord < curve - _GUARD
     return int(np.sum(inside & above) + np.sum(~inside & below))

@@ -141,19 +141,17 @@ def integrate(
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
-    *,
-    vectorized: bool = True,
 ) -> QuadratureResult:
     """Integrate f over [a, b] to within max(abs_tol, rel_tol*|value|).
 
     ``f`` must accept an ndarray of abscissae and return an ndarray of
-    values (pass vectorized=False for a plain scalar function). Flagged
-    endpoints are assumed to carry at worst an inverse-square-root
-    singularity, removed exactly by the u^2 substitution before adaptive
-    refinement; the integrand is never evaluated at the endpoints
-    themselves. Raises ToleranceNotMet (with the best estimate attached)
-    when the subdivision budget runs out, NonFiniteIntegrand when a panel
-    sums to NaN or infinity, and ValueError for non-finite bounds.
+    values. Flagged endpoints are assumed to carry at worst an
+    inverse-square-root singularity, removed exactly by the u^2
+    substitution before adaptive refinement; the integrand is never
+    evaluated at the endpoints themselves. Raises ToleranceNotMet (with
+    the best estimate attached) when the subdivision budget runs out,
+    NonFiniteIntegrand when a panel sums to NaN or infinity, and
+    ValueError for non-finite bounds.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -161,12 +159,6 @@ def integrate(
         raise ValueError("integration bounds must be finite")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-    if not vectorized:
-        scalar_f = f
-
-        def f(x, _sf=scalar_f):
-            return np.array([_sf(float(t)) for t in np.atleast_1d(x)])
-
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
 

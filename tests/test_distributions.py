@@ -16,14 +16,16 @@ from sphtri.distributions import (
     crofton_kernel,
     density_via_double_integral,
     elliptic_reduction_gap,
-    kernel_params,
     perimeter_cdf,
     perimeter_cdf_grid,
     perimeter_density,
     radicand_perimeter,
+    region_boundary,
     tabulate,
 )
+from sphtri.distributions import _area_dual_inner, _perimeter_inner
 from sphtri.errors import OutOfDomain, ToleranceNotMet
+from sphtri.identities import bisector_threshold
 from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
 
 PI = math.pi
@@ -293,7 +295,7 @@ def adaptive_area_cdf(sigma: float, tol: float = 1e-12) -> float:
     oracle for it. Below sigma ~ 5e-5 it misses its tolerance by up to
     3e-5 relative.
     """
-    from sphtri.distributions import _area_cdf_bracket
+    from sphtri.distributions import _arctan_band
 
     if sigma <= 0.0:
         return 0.0
@@ -302,8 +304,8 @@ def adaptive_area_cdf(sigma: float, tol: float = 1e-12) -> float:
 
     def integrand(kappa):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            omega = np.tan(kappa / 2) / math.sin(sigma / 2)
-            bracket = _area_cdf_bracket(sigma, omega)
+            w = np.hypot(1.0, np.tan(kappa / 2) / math.sin(sigma / 2))
+            bracket = math.pi / w - _arctan_band(sigma / 2, w)
         return (sigma / 2 + np.nan_to_num(bracket)) * np.sin(kappa)
 
     res = integrate(integrand, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
@@ -614,6 +616,15 @@ class TestConditionalCdf:
     def test_area_given_angle_one_above_double_area(self):
         assert conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, 2.0, 0.5) == 1.0
 
+    def test_area_given_angle_at_straight_angle(self):
+        # At kappa = pi the theta band [x/2, pi - (kappa - x/2)] is empty,
+        # and rounding can put its computed upper end below x/2.
+        for x in np.linspace(1e-6, TWO_PI - 1e-6, 401):
+            x = float(x)
+            at = conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, x, PI)
+            near = conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, x, PI - 1e-8)
+            assert abs(at - near) < 1e-8, x
+
     @pytest.mark.parametrize("kind", list(ConditionalKind))
     def test_bounds_and_endpoints(self, kind):
         assert conditional_cdf(kind, 0.0, 1.0) == 0.0
@@ -724,44 +735,64 @@ class TestConditionalCdf:
             conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, 1.0, PI + 0.1)
 
 
-class TestKernelParams:
+def curve_cdf(kind, x, kappa):
+    """A region law's CDF as the measure of the region under its region_boundary curve."""
+    f = region_boundary(kind, x, kappa)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=True, singular_right=True)
+
+    def pieces(g, lo, breaks):
+        ends = [lo] + sorted(b for b in breaks if lo < b < PI) + [PI]
+        return sum(integrate(g, a, b, spec).value for a, b in zip(ends, ends[1:]))
+
+    if kind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
+        return pieces(lambda t: 1.0 - np.cos(f(t)), 0.0, [x / 2]) / TWO_PI
+    if kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
+        breaks = [x / 2 - kappa, x / 2, PI - kappa + x / 2]
+        return pieces(lambda t: f(t) * np.sin(t), 0.0, breaks) / TWO_PI
+    return pieces(lambda r: np.cos(f(r)), bisector_threshold(x, kappa), []) / PI
+
+
+REGION_KINDS = (
+    ConditionalKind.AREA_GIVEN_SIDE,
+    ConditionalKind.PERIMETER_GIVEN_ANGLE,
+    ConditionalKind.PERIMETER_GIVEN_SIDE,
+    ConditionalKind.AREA_GIVEN_ANGLE,
+    ConditionalKind.PERIMETER_BISECTOR,
+)
+
+
+class TestRegionBoundary:
+    @pytest.mark.parametrize("kind", REGION_KINDS)
+    def test_cdf_is_measure_under_curve(self, kind):
+        # For the two closed-form laws this is an independent route.
+        for x in np.linspace(0.5, 5.8, 9):
+            for kappa in np.linspace(0.3, 2.8, 7):
+                x, kappa = float(x), float(kappa)
+                got = conditional_cdf(kind, x, kappa, tol=1e-11)
+                assert abs(got - curve_cdf(kind, x, kappa)) < 1e-9, (x, kappa)
+
     @pytest.mark.parametrize("kind,x,kappa", [
-        (ConditionalKind.AREA_GIVEN_SIDE, 2.0, 1.2),
-        (ConditionalKind.PERIMETER_GIVEN_ANGLE, 3.0, 1.2),
         (ConditionalKind.PERIMETER_GIVEN_SIDE, 3.0, 1.2),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, 5.0, 0.6),
         (ConditionalKind.AREA_GIVEN_ANGLE, 2.0, 1.9),
+        (ConditionalKind.AREA_GIVEN_ANGLE, 1.0, 2.6),
     ])
-    def test_g_is_statistic_derivative_of_f(self, kind, x, kappa):
-        # Independent check: central difference of the boundary curve in
-        # the statistic.
-        p = kernel_params(kind, x, kappa)
-        h = 1e-6
-        p_lo = kernel_params(kind, x - h, kappa)
-        p_hi = kernel_params(kind, x + h, kappa)
-        if kind in (ConditionalKind.AREA_GIVEN_SIDE,):
-            ts = np.linspace(x / 2 + 0.2, PI - 0.1, 7)
-        elif kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
-            ts = np.linspace(0.05, x / 2 - 0.05, 7)
-        elif kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-            ts = np.linspace(x / 2 - kappa + 0.1, x / 2 - 0.05, 7)
+    def test_statistic_derivative_is_density_kernel(self, kind, x, kappa):
+        # d/dx of the measure under the curve is the inner integral of the
+        # double-integral density, weighted by the fixed element's sin(kappa).
+        h = 1e-5
+        fd = (conditional_cdf(kind, x + h, kappa, tol=1e-13)
+              - conditional_cdf(kind, x - h, kappa, tol=1e-13)) / (2 * h)
+        if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
+            inner = _perimeter_inner(x, kappa, tol=1e-13)
         else:
-            ts = np.linspace(x / 2 + 0.1, PI - (kappa - x / 2) - 0.1, 7)
-        fd = (p_hi.f_limit(ts) - p_lo.f_limit(ts)) / (2 * h)
-        assert np.max(np.abs(fd - p.g(ts))) < 1e-5
-
-    def test_omega_values(self):
-        p = kernel_params(ConditionalKind.AREA_GIVEN_SIDE, 2.0, 1.2)
-        assert abs(p.omega - math.tan(0.6) / math.sin(1.0)) < 1e-15
-        assert p.omega >= 0
-
-    def test_bisector_threshold_populated(self):
-        p = kernel_params(ConditionalKind.PERIMETER_BISECTOR, 3.0, 1.2)
-        assert p.rho_thres is not None and 0 <= p.rho_thres <= PI
-        assert p.g is None
+            inner = _area_dual_inner(x, kappa, tol=1e-13)
+        want = inner / (TWO_PI * math.sin(kappa))
+        assert abs(fd - want) <= 1e-7 * abs(want)
 
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
-            kernel_params(ConditionalKind.AREA_MEDIAN, 2.0, 1.0)
+            region_boundary(ConditionalKind.AREA_MEDIAN, 2.0, 1.0)
 
 
 class TestDensityCurve:

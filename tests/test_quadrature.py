@@ -127,10 +127,6 @@ class TestIntegrate:
         r = integrate(np.sin, 1.0, 1.0)
         assert r.value == 0.0
 
-    def test_scalar_function_mode(self):
-        r = integrate(math.sin, 0.0, PI, vectorized=False)
-        assert abs(r.value - 2.0) < 1e-9
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate(np.sin, 1.0, 0.0)
