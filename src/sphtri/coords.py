@@ -179,32 +179,44 @@ def embed(coords: CoordTriple) -> TriangleMetrics:
     return m
 
 
-def angle_jacobian(phi, psi, kappa):
-    """Area element of the Angle system, vectorized over phi/psi arrays."""
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    su, cu = np.sin(phi), np.cos(phi)
-    sv, cv = np.sin(psi), np.cos(psi)
-    sk, ck = math.sin(kappa), math.cos(kappa)
-    num = sk * sk * su * sv * ((su * cv + ck * cu * sv) ** 2 + sk * sk * sv * sv)
-    den = 1.0 - (cu * cv - ck * su * sv) ** 2
+def _jacobian(u, v, sk, ck, one_plus_ck, one_minus_ck):
+    """The Angle-system area element at fixed element sin/cos (sk, ck).
+
+    Its denominator is 1 - c^2 with c = cos u cos v - ck sin u sin v,
+    taken as the product of
+
+        1 - c = 2 sin^2((u - v)/2) + (1 + ck) sin u sin v,
+        1 + c = 2 cos^2((u + v)/2) + (1 - ck) sin u sin v,
+
+    sums of terms that are nonnegative on the parameter square, so that
+    it keeps its relative accuracy near the corners where it vanishes (as
+    1 - c^2 does not). 1 + ck and 1 - ck come in from the half angle, exact
+    where ck is near -1 or 1. The Side system is the same element with ck
+    negated.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    su, cu = np.sin(u), np.cos(u)
+    sv, cv = np.sin(v), np.cos(v)
+    s = su * sv
+    num = sk * sk * s * ((su * cv + ck * cu * sv) ** 2 + sk * sk * sv * sv)
+    den = ((2.0 * np.sin(0.5 * (u - v)) ** 2 + one_plus_ck * s)
+           * (2.0 * np.cos(0.5 * (u + v)) ** 2 + one_minus_ck * s))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / np.maximum(den, 1e-300) ** 2.5, 0.0)
     return out
+
+
+def angle_jacobian(phi, psi, kappa):
+    """Area element of the Angle system, vectorized over phi/psi arrays."""
+    cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
+    return _jacobian(phi, psi, math.sin(kappa), math.cos(kappa), cos2, sin2)
 
 
 def side_jacobian(xi, eta, kappa):
     """Area element of the Side system, vectorized over xi/eta arrays."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    su, cu = np.sin(xi), np.cos(xi)
-    sv, cv = np.sin(eta), np.cos(eta)
-    sk, ck = math.sin(kappa), math.cos(kappa)
-    num = sk * sk * su * sv * ((su * cv - ck * cu * sv) ** 2 + sk * sk * sv * sv)
-    den = 1.0 - (cu * cv + ck * su * sv) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / np.maximum(den, 1e-300) ** 2.5, 0.0)
-    return out
+    cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
+    return _jacobian(xi, eta, math.sin(kappa), -math.cos(kappa), sin2, cos2)
 
 
 def area_element(coords: CoordTriple) -> float:

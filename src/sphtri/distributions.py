@@ -33,7 +33,9 @@ import numpy as np
 from .coords import angle_jacobian, side_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
-from .quadrature import QuadratureSpec, _agm_KE, carlson_rf_rd, ellip_E, ellip_K, integrate
+from .quadrature import (
+    QuadratureSpec, _agm_KE, _integrate_rows, carlson_rf_rd, ellip_E, ellip_K, integrate,
+)
 
 TWO_PI = 2.0 * math.pi
 COORDS_KAPPA_EDGE = 1e-2  # the 2-D Jacobian routes need kappa this far from 0 and pi
@@ -428,46 +430,64 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # difference-of-squares form suffers near its endpoint zeros.
 
 
-def radicand_perimeter(x: float, kappa: float, rho) -> np.ndarray:
+def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     return (
         4.0
         * np.sin(x / 2 - rho)
-        * math.sin(x / 2 - kappa)
+        * np.sin(x / 2 - kappa)
         * math.sin(x / 2)
         * np.sin(rho + kappa - x / 2)
     )
 
 
-def radicand_area_dual(x: float, kappa: float, theta) -> np.ndarray:
+def radicand_area_dual(x: float, kappa, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     return (
         4.0
         * np.sin(theta - x / 2)
-        * math.sin(kappa - x / 2)
+        * np.sin(kappa - x / 2)
         * math.sin(x / 2)
         * np.sin(theta + kappa - x / 2)
     )
 
 
-def _perimeter_inner(x: float, kappa: float, tol: float):
+# The inner integrals of density_via_double_integral below take kappa as a
+# float or an array and return the same. An array is the rows of one
+# _integrate_rows call, whose integrand f(i, t) reads kappa[i]; a float (as
+# from elliptic_reduction_gap) is one integrate call, which is faster for a
+# single integral.
+
+
+def _inner_rows(f, kappa, bounds, spec):
+    """Integral of f(k, t) dt over bounds(k) = (lo, hi), for each k of kappa."""
+    if np.ndim(kappa) == 0:
+        k = float(kappa)
+        return integrate(lambda t: f(k, t), *bounds(k), spec).value
+    flat = np.asarray(kappa, dtype=float).ravel()
+    lo, hi = (np.broadcast_to(v, flat.shape) for v in bounds(flat))
+    vals = _integrate_rows(lambda i, t: f(flat[i], t), lo, hi, spec)[0]
+    return vals.reshape(np.shape(kappa))
+
+
+def _perimeter_inner(x: float, kappa, tol: float):
     """Inner rho-integral of the primal-perimeter double integral."""
-    def f(rho):
-        rad = np.maximum(radicand_perimeter(x, kappa, rho), 0.0)
-        return np.sin(x - kappa - rho) * math.sin(kappa) * np.sin(rho) / np.sqrt(rad)
+    def f(k, rho):
+        rad = np.maximum(radicand_perimeter(x, k, rho), 0.0)
+        return np.sin(x - k - rho) * np.sin(k) * np.sin(rho) / np.sqrt(rad)
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    return integrate(f, x / 2 - kappa, x / 2, spec).value
+    return _inner_rows(f, kappa, lambda k: (x / 2 - k, x / 2), spec)
 
 
-def _area_dual_inner(x: float, kappa: float, tol: float):
+def _area_dual_inner(x: float, kappa, tol: float):
     """Inner theta-integral of the dual-area double integral (sign included)."""
-    def f(theta):
-        rad = np.maximum(radicand_area_dual(x, kappa, theta), 0.0)
-        return np.sin(x - kappa - theta) * math.sin(kappa) * np.sin(theta) / np.sqrt(rad)
+    def f(k, theta):
+        rad = np.maximum(radicand_area_dual(x, k, theta), 0.0)
+        return np.sin(x - k - theta) * np.sin(k) * np.sin(theta) / np.sqrt(rad)
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    return -integrate(f, x / 2, math.pi - (kappa - x / 2), spec).value
+    return -_inner_rows(f, kappa, lambda k: (x / 2, math.pi - (k - x / 2)), spec)
 
 
 def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> float:
@@ -508,30 +528,31 @@ def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> f
     return abs(lhs - rhs)
 
 
-def _smooth_density_inner(x: float, kappa: float, perimeter: bool, tol: float):
+def _smooth_density_inner(x: float, kappa, perimeter: bool, tol: float):
     """Inner integral of the regular (arctan-form) double integrals.
 
     The sin(kappa) density weight of the fixed element is folded in here,
     so the outer integral is unweighted.
     """
-    ck = math.cos(kappa)
-    sk = math.sin(kappa)
+    sx = math.sin(x / 2)
     if perimeter:
         lo, hi = 0.0, x / 2
 
-        def f(rho):
-            d = (1.0 - ck) * math.sin(x / 2) ** 2 + (1.0 + ck) * np.sin(x / 2 - rho) ** 2
-            num = (1.0 - ck) * (1.0 + ck) * np.sin(x / 2 - rho) * math.sin(x / 2) * np.sin(rho)
-            return sk * num / d ** 2
+        def f(k, rho):
+            ck = np.cos(k)
+            d = (1.0 - ck) * sx ** 2 + (1.0 + ck) * np.sin(x / 2 - rho) ** 2
+            num = (1.0 - ck) * (1.0 + ck) * np.sin(x / 2 - rho) * sx * np.sin(rho)
+            return np.sin(k) * num / d ** 2
     else:
         lo, hi = x / 2, math.pi
 
-        def f(theta):
-            d = (1.0 - ck) * np.sin(theta - x / 2) ** 2 + (1.0 + ck) * math.sin(x / 2) ** 2
-            num = (1.0 - ck) * (1.0 + ck) * np.sin(theta - x / 2) * math.sin(x / 2) * np.sin(theta)
-            return sk * num / d ** 2
+        def f(k, theta):
+            ck = np.cos(k)
+            d = (1.0 - ck) * np.sin(theta - x / 2) ** 2 + (1.0 + ck) * sx ** 2
+            num = (1.0 - ck) * (1.0 + ck) * np.sin(theta - x / 2) * sx * np.sin(theta)
+            return np.sin(k) * num / d ** 2
 
-    return integrate(f, lo, hi, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
+    return _inner_rows(f, kappa, lambda k: (lo, hi), QuadratureSpec(abs_tol=tol, rel_tol=tol))
 
 
 def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) -> float:
@@ -550,6 +571,7 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
+    # Each outer panel's 15 kappa nodes are the rows of one inner call.
     if kind is DensityKind.AREA_PRIMAL:
         lo, hi = 0.0, math.pi
         inner = lambda k: _smooth_density_inner(x, k, perimeter=False, tol=inner_tol)
@@ -571,10 +593,7 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
         scale = 1.0 / (4.0 * math.pi)
         outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True)
 
-    def outer(kappas):
-        return np.array([inner(float(k)) for k in np.atleast_1d(kappas)])
-
-    res = integrate(outer, lo, hi, outer_spec)
+    res = integrate(inner, lo, hi, outer_spec)
     return scale * res.value
 
 
@@ -821,8 +840,16 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
 def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
     """The two-angle / two-side routes, by nested Jacobian-weighted quadrature.
 
-    Nearer kappa = 0 or pi the Jacobian's peak narrows like kappa (or
-    pi - kappa): there the quadrature ran for seconds or returned wrong values.
+    The outer integral over u is adaptive; for each of its panels the
+    boundary h(u) comes from one array call of solved_forms, and the inner
+    integrals of the Jacobian over [0, h(u)] at the 15 nodes are the rows
+    of one _integrate_rows call. On the seed-1 conditional-routes benchmark
+    points a call that integrates takes a median 4.0 ms (two-angle) and
+    3.3 ms (two-side), at most 19 ms; one scalar inner integral per node
+    took 9.2, 11.4 and 114 ms. Nearer kappa = 0 or pi than
+    COORDS_KAPPA_EDGE the Jacobian's peak narrows like kappa (or
+    pi - kappa): there the quadrature ran for seconds or returned wrong
+    values.
     """
     if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
         raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
@@ -838,14 +865,12 @@ def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
 
     inner_spec = QuadratureSpec(abs_tol=tol / 10.0, rel_tol=tol / 10.0)
 
-    def inner(u: float) -> float:
-        hi = math.acos(max(-1.0, min(1.0, solved_forms(form, u, x, kappa))))
-        if hi <= 0.0:
-            return 0.0
-        return integrate(lambda v: jac(u, v, kappa), 0.0, hi, inner_spec).value
-
     def outer(us):
-        return np.array([inner(float(u)) for u in np.atleast_1d(us)])
+        # The boundary v = h(u) at all the panel's nodes, then the inner
+        # integrals over [0, h(u)] as the rows of one call; h = 0 gives 0.
+        hi = np.arccos(np.clip(solved_forms(form, us, x, kappa), -1.0, 1.0))
+        return _integrate_rows(lambda i, v: jac(us[i], v, kappa), np.zeros_like(hi), hi,
+                               inner_spec)[0]
 
     res = integrate(outer, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
     return res.value / TWO_PI

@@ -124,3 +124,31 @@ def test_jacobians_integrate_to_total_measure():
 
             total = integrate(outer, 0.0, PI, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
             assert abs(total.value - 2 * PI) < 1e-7
+
+
+@pytest.mark.parametrize("kappa", [0.01, 1.0, 2.0, PI - 0.01])
+def test_jacobians_accurate_near_their_corners(kappa):
+    # The denominator 1 - c^2 vanishes at the corners of the square. Taken
+    # as 1 - (...)^2 it lost up to 100% relative within 1e-5 of them, which
+    # stalled the 2-D routes' inner integrals near the wedge edge. In product
+    # form the error is at rounding level near (0, 0) and (pi, pi); near
+    # (0, pi) and (pi, 0) the rounding of u + v, close to pi, leaves up to
+    # about 3e-10 at 1e-7 from the corner.
+    mpmath = pytest.importorskip("mpmath")
+    from sphtri.coords import angle_jacobian, side_jacobian
+
+    mpmath.mp.dps = 40
+    k = mpmath.mpf(kappa)
+    off = [1e-7, 3e-6, 1e-4, 1e-2, 0.3]
+    near = [(d, e) for d in off for e in off]
+    corners = [([(d, e) for d, e in near] + [(PI - d, PI - e) for d, e in near], 1e-14),
+               ([(d, PI - e) for d, e in near] + [(PI - d, e) for d, e in near], 1e-9)]
+    for jac, sign in ((angle_jacobian, 1), (side_jacobian, -1)):  # side: cos(kappa) negated
+        for pts, bound in corners:
+            for u, v in pts:
+                su, cu = mpmath.sin(u), mpmath.cos(u)
+                sv, cv = mpmath.sin(v), mpmath.cos(v)
+                sk, ck = mpmath.sin(k), sign * mpmath.cos(k)
+                num = sk ** 2 * su * sv * ((su * cv + ck * cu * sv) ** 2 + sk ** 2 * sv ** 2)
+                want = float(num / (1 - (cu * cv - ck * su * sv) ** 2) ** mpmath.mpf(2.5))
+                assert abs(float(jac(u, v, kappa)) - want) <= bound * want, (jac.__name__, u, v)

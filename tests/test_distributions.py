@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from sphtri import distributions
 from sphtri.distributions import (
     ConditionalKind,
     CurveKind,
@@ -733,6 +734,99 @@ class TestConditionalCdf:
             conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, -0.1, 1.0)
         with pytest.raises(ValueError):
             conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, 1.0, PI + 0.1)
+
+
+# The edge matrix of the 2-D routes: 1e-3 and 1e-6 (relative) either side
+# of the kappa = x/2 wedge edge, where their work peaks, and both ends of
+# their kappa domain. Each call answers as its 1-D sibling does or raises
+# ToleranceNotMet, and in either case within 2 s.
+EDGE_SIBLINGS = {
+    ConditionalKind.PERIMETER_ANGLE_COORDS: ConditionalKind.PERIMETER_GIVEN_SIDE,
+    ConditionalKind.AREA_SIDE_COORDS: ConditionalKind.AREA_GIVEN_ANGLE,
+}
+# A silent wrong value: 0.99999999907 against 0.999364 from AREA_GIVEN_ANGLE
+# (and 0.999347 +- 1.3e-5 from 4e6 DUAL_GIVEN_ANGLE samples). The outer
+# integrand drops from 2 to 0 within about 3e-3 of u = pi, where the
+# boundary crosses the Jacobian's ridge v = u, and the outer integral over
+# [0, pi] accepts its first panel without a node there.
+EDGE_WRONG = (ConditionalKind.AREA_SIDE_COORDS, 0.05, 0.05 / 2 * (1 + 1e-6))
+
+
+def _edge_matrix():
+    for kind in EDGE_SIBLINGS:
+        for x in (0.05, 0.3, 0.85, 2.0, PI, 5.0, 6.2):
+            for kappa in (x / 2 * (1 - 1e-3), x / 2 * (1 + 1e-3), x / 2 * (1 - 1e-6),
+                          x / 2 * (1 + 1e-6), 1e-2, PI - 1e-2):
+                marks = ()
+                if (kind, x, kappa) == EDGE_WRONG:
+                    marks = pytest.mark.xfail(strict=True, reason="outer integral misses a step")
+                yield pytest.param(kind, x, kappa, marks=marks,
+                                   id=f"{kind.value}-{x:.4g}-{kappa:.10g}")
+
+
+@pytest.mark.parametrize("kind, x, kappa", _edge_matrix())
+def test_2d_route_edge_matrix(kind, x, kappa):
+    t0 = time.perf_counter()
+    try:
+        value = conditional_cdf(kind, x, kappa)
+    except ToleranceNotMet:
+        value = None
+    assert time.perf_counter() - t0 < 2.0
+    if value is not None:
+        want = conditional_cdf(EDGE_SIBLINGS[kind], x, kappa, tol=1e-12)
+        assert abs(value - want) < 1e-8
+
+
+ONE_D_ROUTES = (
+    ConditionalKind.AREA_GIVEN_SIDE,
+    ConditionalKind.PERIMETER_GIVEN_ANGLE,
+    ConditionalKind.PERIMETER_GIVEN_SIDE,
+    ConditionalKind.AREA_GIVEN_ANGLE,
+    ConditionalKind.AREA_MEDIAN,
+    ConditionalKind.PERIMETER_BISECTOR,
+)
+
+
+class TestNestedQuadratureStructure:
+    """The nested routes take one engine call per outer panel; the 1-D routes none."""
+
+    def test_one_engine_call_per_outer_panel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fixed two-order rule was called")
+
+        outer, engine = [], []
+        real_integrate, real_rows = distributions.integrate, distributions._integrate_rows
+
+        def counted_integrate(*args, **kwargs):
+            res = real_integrate(*args, **kwargs)
+            outer.append(res.evaluations // 15)
+            return res
+
+        def counted_rows(f, a, b, spec=None):
+            engine.append(np.size(a))
+            return real_rows(f, a, b, spec)
+
+        monkeypatch.setattr(distributions, "_two_order_rule", refuse)
+        monkeypatch.setattr(distributions, "integrate", counted_integrate)
+        monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
+        calls = [lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6),
+                 lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6)]
+        calls += [lambda kind=kind: density_via_double_integral(kind, 2.0) for kind in DensityKind]
+        for call in calls:
+            outer.clear()
+            engine.clear()
+            call()
+            assert len(outer) == 1  # the outer integral only
+            assert len(engine) == outer[0] and set(engine) == {15}  # 15 Kronrod nodes a panel
+
+    def test_one_dimensional_routes_skip_the_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batched engine was called")
+
+        monkeypatch.setattr(distributions, "_integrate_rows", refuse)
+        for kind in ONE_D_ROUTES:
+            for x, kappa in ((0.5, 0.2), (2.0, 0.6), (2.0, 1.6), (5.0, 2.9)):
+                assert 0.0 <= conditional_cdf(kind, x, kappa) <= 1.0
 
 
 def curve_cdf(kind, x, kappa):

@@ -224,6 +224,18 @@ class TestSolvedForms:
             solved_forms(SolvedFormKind.ANGLE_PSI, 1.0, 2.0, 1.0)  # tau/2 == kappa
         with pytest.raises(OutOfDomain):
             solved_forms(SolvedFormKind.SIDE_ETA, 0.0, 1.0, 1.0)  # cot(0) diverges
+        with pytest.raises(OutOfDomain):
+            solved_forms(SolvedFormKind.SIDE_ETA, np.array([1.0, 0.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind, stat, kappa", [(SolvedFormKind.ANGLE_PSI, 3.9, 0.7),
+                                                   (SolvedFormKind.SIDE_ETA, 1.0, 1.4)])
+    def test_array_matches_floats(self, kind, stat, kappa):
+        # The 2-D routes evaluate a panel's 15 nodes in one array call.
+        x = np.concatenate([np.linspace(1e-9, PI - 1e-9, 50), [PI / 2]]).reshape(3, 17)
+        got = solved_forms(kind, x, stat, kappa)
+        assert got.shape == x.shape
+        want = [solved_forms(kind, float(u), stat, kappa) for u in x.ravel()]
+        assert np.max(np.abs(got.ravel() - want)) <= 4.5e-16
 
 
 class TestArrayPath:

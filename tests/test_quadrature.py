@@ -1,14 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphtri.coords import angle_jacobian, side_jacobian
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
+    _ROWS_PANEL_BUDGET,
     QuadratureResult,
     QuadratureSpec,
+    _integrate_rows,
     carlson_rf_rd,
     ellip_E,
     ellip_E_inc,
@@ -161,6 +165,97 @@ class TestIntegrate:
             QuadratureSpec(rel_tol=math.nan)
         with pytest.raises(ValueError):
             QuadratureSpec(max_depth=0)
+
+
+class TestIntegrateRows:
+    """The batched engine: each row is the integral integrate would give."""
+
+    # Row r integrates cos(c_r t) over [a_r, b_r], divided by the square
+    # root of the distance to each flagged end (so the flags are needed).
+    C = np.linspace(0.5, 6.0, 9)
+    A = np.linspace(-1.0, 2.0, 9)
+    B = A + np.geomspace(1e-3, 3.0, 9)
+
+    @pytest.mark.parametrize("left, right", [(False, False), (True, False), (False, True),
+                                             (True, True)])
+    def test_rows_match_scalar_integrate(self, left, right):
+        def f(i, t):
+            y = np.cos(self.C[i] * t)
+            if left:
+                y = y / np.sqrt(np.maximum(t - self.A[i], 0.0))
+            if right:
+                y = y / np.sqrt(np.maximum(self.B[i] - t, 0.0))
+            return y
+
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=left,
+                              singular_right=right)
+        values, errors = _integrate_rows(f, self.A, self.B, spec)
+        assert values.shape == errors.shape == self.A.shape
+        for r in range(self.A.size):
+            want = integrate(lambda t: f(np.array([[r]]), t[None, :])[0],
+                             float(self.A[r]), float(self.B[r]), spec)
+            assert abs(values[r] - want.value) <= 1e-11 * max(1.0, abs(want.value))
+            assert 0.0 <= errors[r] <= 1e-12 * max(1.0, abs(values[r]))
+
+    def test_empty_rows_give_zero(self):
+        calls = []
+
+        def f(i, t):
+            calls.append(i.ravel().copy())
+            return np.exp(t) / np.sqrt(t)  # infinite at t = 0 = a = b of the empty rows
+
+        a = np.array([0.0, 1.0, 0.0, 2.0])
+        b = np.array([0.0, 2.0, 0.0, 2.0])
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=True)
+        values, errors = _integrate_rows(f, a, b, spec)
+        assert values[0] == values[2] == values[3] == 0.0 and errors[3] == 0.0
+        assert abs(values[1] - integrate(lambda t: np.exp(t) / np.sqrt(t), 1.0, 2.0, spec).value) < 1e-11
+        assert set(np.concatenate(calls)) == {1}
+        assert _integrate_rows(f, np.ones(2), np.ones(2))[0].tolist() == [0.0, 0.0]
+
+    def test_nan_row_raises(self):
+        with pytest.raises(NonFiniteIntegrand):
+            _integrate_rows(lambda i, t: np.where(i == 1, np.nan, t), np.zeros(3), np.ones(3))
+
+    def test_step_row_raises_with_estimate(self):
+        # As TestIntegrate.test_tolerance_not_met, in the second of three rows.
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
+
+        def f(i, t):
+            return np.where(i == 1, np.where(t < math.e / 3, 0.0, 1.0), t)
+
+        with pytest.raises(ToleranceNotMet) as info:
+            _integrate_rows(f, np.zeros(3), np.ones(3), spec)
+        assert isinstance(info.value.result, QuadratureResult)
+        assert abs(info.value.result.value - (1.0 - math.e / 3)) < 0.01
+
+    @pytest.mark.parametrize("f", [lambda i, t: 1.0 / t, lambda i, t: np.sin(1.0 / t) / t])
+    def test_non_integrable_row_hits_the_panel_budget(self, f):
+        t0 = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match="panel budget") as info:
+            _integrate_rows(f, np.zeros(2), np.ones(2))
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.result.evaluations <= 15 * _ROWS_PANEL_BUDGET
+
+    def test_bounds_checked(self):
+        with pytest.raises(ValueError):
+            _integrate_rows(lambda i, t: t, np.zeros(2), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            _integrate_rows(lambda i, t: t, np.zeros(2), np.array([1.0, math.inf]))
+
+    @pytest.mark.parametrize("jac", [angle_jacobian, side_jacobian])
+    @pytest.mark.parametrize("kappa", [0.8, PI / 2, 2.4])
+    def test_jacobians_over_the_square(self, jac, kappa):
+        # The measure of the free point, 2*pi, with the Jacobian's four
+        # singular corners inside the inner rows; the scalar reference is
+        # test_coords.py::test_jacobians_integrate_to_total_measure.
+        def outer(us):
+            return _integrate_rows(lambda i, v: jac(us[i], v, kappa), np.zeros_like(us),
+                                   np.full_like(us, PI),
+                                   QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10))[0]
+
+        total = integrate(outer, 0.0, PI, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+        assert abs(total.value - 2 * PI) < 1e-7
 
 
 @settings(max_examples=30, deadline=None)
