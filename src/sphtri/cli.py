@@ -14,6 +14,7 @@ import numpy as np
 
 from . import montecarlo, verify
 from .distributions import (
+    TWO_PI,
     ConditionalKind,
     CurveKind,
     area_cdf,
@@ -27,8 +28,6 @@ from .distributions import (
 from .errors import SphtriError
 from .montecarlo import BatchKind, EmpiricalCdf, ks_distance, sample_batch
 from .sphere import RngStream
-
-TWO_PI = 2.0 * math.pi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,27 +119,23 @@ def _tol_kwargs(args) -> dict:
     return {} if args.tol is None else {"tol": args.tol}
 
 
-def _cmd_density(args) -> int:
-    at = _angle_in(args.at, args.degrees)
-    tol = _tol_kwargs(args)
-    if at is not None:
-        value = area_density(at) if args.kind == "area" else perimeter_density(at, **tol)
-        print(f"{value:.17g}")
-        return 0
-    kind = CurveKind.AREA_PDF if args.kind == "area" else CurveKind.PERIMETER_PDF
-    curve = tabulate(kind, _grid(args), **tol)
-    _emit(curve.to_csv_string(), args.out)
-    return 0
+# (command, --kind) -> the point law and its curve kind.
+_POINT_LAWS = {
+    ("density", "area"): (area_density, CurveKind.AREA_PDF),
+    ("density", "perimeter"): (perimeter_density, CurveKind.PERIMETER_PDF),
+    ("cdf", "area"): (area_cdf, CurveKind.AREA_CDF),
+    ("cdf", "perimeter"): (perimeter_cdf, CurveKind.PERIMETER_CDF),
+}
 
 
-def _cmd_cdf(args) -> int:
+def _cmd_point_law(args) -> int:
+    law, kind = _POINT_LAWS[args.command, args.kind]
     at = _angle_in(args.at, args.degrees)
-    tol = _tol_kwargs(args)
+    # The area laws are closed forms and take no tolerance.
+    tol = _tol_kwargs(args) if args.kind == "perimeter" else {}
     if at is not None:
-        value = area_cdf(at) if args.kind == "area" else perimeter_cdf(at, **tol)
-        print(f"{value:.17g}")
+        print(f"{law(at, **tol):.17g}")
         return 0
-    kind = CurveKind.AREA_CDF if args.kind == "area" else CurveKind.PERIMETER_CDF
     curve = tabulate(kind, _grid(args), **tol)
     _emit(curve.to_csv_string(), args.out)
     return 0
@@ -196,10 +191,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "density":
-            return _cmd_density(args)
-        if args.command == "cdf":
-            return _cmd_cdf(args)
+        if args.command in ("density", "cdf"):
+            return _cmd_point_law(args)
         if args.command == "conditional":
             return _cmd_conditional(args)
         if args.command == "sample":

@@ -7,11 +7,20 @@ Each system fixes one element (kappa) and varies two parameters (u, v):
   Angle   (phi=u, psi=v, c=kappa)   : angles at A and B, fixed side c
   Side    (xi=u, eta=v, alpha=kappa): sides c and b, fixed angle alpha
 
-Vertices A = (1,0,0) and B on the equator; the third point C (or, for the
-Dual/Side systems, the pole of the great circle through B and C, which is
-what actually carries the uniform measure) is a smooth map of (u, v) into
-the sphere. ``area_element`` gives the Jacobian of that map, so that
-integrals in (u, v) weighted by it are uniform-measure probabilities.
+Every system fixes the side c = AB and the angle alpha at A, as kappa or
+as u, so A = (1,0,0) and B = (cos c, sin c, 0) in all four. ``vertices``
+finds C by one of two constructions, on floats or arrays:
+
+  side-angle-side (Primal, Side): C = (cos b, sin b cos alpha, sin b sin alpha)
+  angle-side-angle (Dual, Angle): C = unit(V x W), where
+      V = (0, -sin alpha, cos alpha) is the pole of the great circle AC and
+      W = (sin c sin beta, -cos c sin beta, -cos beta) that of BC
+
+The uniform measure is carried by C in the fixed-side systems (Primal,
+Angle) and by the pole unit(B x C) of BC in the fixed-angle ones (Dual,
+Side). ``area_element`` gives the Jacobian of that map of (u, v) into the
+sphere, so that integrals in (u, v) weighted by it are uniform-measure
+probabilities.
 """
 
 from __future__ import annotations
@@ -37,109 +46,25 @@ class CoordKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CoordTriple:
-    """Two varying parameters plus the fixed one, all in [0, pi]."""
+    """Two varying parameters plus the fixed one, all in [0, pi].
+
+    u and v may be arrays that broadcast; kappa is a float.
+    """
 
     kind: CoordKind
-    u: float
-    v: float
+    u: float | np.ndarray
+    v: float | np.ndarray
     kappa: float
 
     def __post_init__(self):
         for name in ("u", "v", "kappa"):
             val = getattr(self, name)
-            if not 0.0 <= val <= math.pi:
+            if not np.all((0.0 <= val) & (val <= math.pi)):
                 raise ValueError(f"{name} = {val!r} outside [0, pi]")
 
     @property
     def interior(self) -> bool:
-        return all(0.0 < t < math.pi for t in (self.u, self.v, self.kappa))
-
-
-def _primal_point(theta, rho):
-    return np.array([
-        math.cos(rho), math.sin(rho) * math.cos(theta), math.sin(rho) * math.sin(theta)
-    ])
-
-
-def _dual_pole(rho, theta):
-    # Pole of the great circle through B and C; this map carries the
-    # uniform measure in the dual system.
-    return np.array([
-        -math.sin(rho) * math.sin(theta), math.cos(rho) * math.sin(theta), math.cos(theta)
-    ])
-
-
-def _angle_normals(phi, psi, kappa):
-    V = np.array([0.0, -math.sin(phi), math.cos(phi)])
-    W = np.array([
-        math.sin(kappa) * math.sin(psi),
-        -math.cos(kappa) * math.sin(psi),
-        -math.cos(psi),
-    ])
-    return V, W
-
-
-def _third_vertex_from_normals(V, W):
-    cr = np.cross(V, W)
-    n = np.linalg.norm(cr)
-    if n < 1e-12:
-        raise NoSuchTriangle("side planes coincide; no third vertex")
-    return cr / n
-
-
-def _side_pole(xi, eta, kappa):
-    B = np.array([math.cos(xi), math.sin(xi), 0.0])
-    C = np.array([
-        math.cos(eta), math.cos(kappa) * math.sin(eta), math.sin(kappa) * math.sin(eta)
-    ])
-    cr = np.cross(B, C)
-    n = np.linalg.norm(cr)
-    if n < 1e-12:
-        raise NoSuchTriangle("B and C colinear; side plane undefined")
-    return cr / n
-
-
-def embedding_point(coords: CoordTriple) -> np.ndarray:
-    """The measure-carrying point of the embedding map at (u, v).
-
-    Primal/Angle: the third vertex C. Dual/Side: the pole of the great
-    circle through B and C. Defined on the closed parameter square.
-    """
-    k = coords.kind
-    if k is CoordKind.PRIMAL:
-        return _primal_point(coords.u, coords.v)
-    if k is CoordKind.DUAL:
-        return _dual_pole(coords.u, coords.v)
-    if k is CoordKind.ANGLE:
-        V, W = _angle_normals(coords.u, coords.v, coords.kappa)
-        return _third_vertex_from_normals(V, W)
-    return _side_pole(coords.u, coords.v, coords.kappa)
-
-
-def _vertices(coords: CoordTriple):
-    """Vertex triple (A, B, C) realizing the coordinate triple."""
-    k, u, v, kappa = coords.kind, coords.u, coords.v, coords.kappa
-    A = np.array([1.0, 0.0, 0.0])
-    if k is CoordKind.PRIMAL:
-        B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
-        C = _primal_point(u, v)
-    elif k is CoordKind.DUAL:
-        rho, theta = u, v
-        B = np.array([math.cos(rho), math.sin(rho), 0.0])
-        V = np.array([0.0, -math.sin(kappa), math.cos(kappa)])
-        W = -_dual_pole(rho, theta)
-        C = _third_vertex_from_normals(V, W)
-    elif k is CoordKind.ANGLE:
-        B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
-        V, W = _angle_normals(u, v, kappa)
-        C = _third_vertex_from_normals(V, W)
-    else:
-        xi, eta = u, v
-        B = np.array([math.cos(xi), math.sin(xi), 0.0])
-        C = np.array([
-            math.cos(eta), math.cos(kappa) * math.sin(eta), math.sin(kappa) * math.sin(eta)
-        ])
-    return A, B, C
+        return all(np.all((0.0 < t) & (t < math.pi)) for t in (self.u, self.v, self.kappa))
 
 
 _DEFINING = {
@@ -151,6 +76,49 @@ _DEFINING = {
 }
 
 
+def vertices(kind: CoordKind, u, v, kappa: float):
+    """Vertices (A, B, C) of the triangle with coordinates (u, v, kappa).
+
+    u and v are floats or arrays that broadcast. A is the fixed vertex
+    (1, 0, 0) of shape (3,); B and C have the broadcast shape plus a last
+    axis of 3, as views of coordinate-major storage, so that
+    sphere.triangle_elements reads their columns without copying. Where
+    the two great circles of the angle-side-angle construction coincide,
+    C is the zero vector.
+    """
+    el = dict(zip(_DEFINING[kind], (u, v, kappa)))
+    sc, cc = np.sin(el["c"]), np.cos(el["c"])
+    sa, ca = np.sin(el["alpha"]), np.cos(el["alpha"])
+    B = np.zeros((3, *np.broadcast(u, v).shape))
+    B[0], B[1] = cc, sc
+    if "b" in el:  # side-angle-side
+        sb = np.sin(el["b"])
+        C = np.stack(np.broadcast_arrays(np.cos(el["b"]), sb * ca, sb * sa))
+    else:  # angle-side-angle: C = V x W
+        sbe, cbe = np.sin(el["beta"]), np.cos(el["beta"])
+        w = sc * sbe
+        C = np.stack(np.broadcast_arrays(sa * cbe + ca * (cc * sbe), ca * w, sa * w))
+        C /= np.maximum(np.sqrt(np.sum(C * C, axis=0)), 1e-300)
+    return np.array([1.0, 0.0, 0.0]), np.moveaxis(B, 0, -1), np.moveaxis(C, 0, -1)
+
+
+def embedding_point(coords: CoordTriple) -> np.ndarray:
+    """The measure-carrying point of the embedding map at (u, v), shape (..., 3).
+
+    Primal/Angle: the third vertex C. Dual/Side: the pole unit(B x C) of
+    the great circle through B and C; raises NoSuchTriangle where B and C
+    are within 1e-12 of colinear. Defined on the closed parameter square.
+    """
+    _, B, C = vertices(coords.kind, coords.u, coords.v, coords.kappa)
+    if _DEFINING[coords.kind][2] == "c":  # a fixed side: the free vertex
+        return C
+    P = np.cross(B, C)
+    n = np.linalg.norm(P, axis=-1, keepdims=True)
+    if np.any(n < 1e-12):
+        raise NoSuchTriangle("B and C colinear; side plane undefined")
+    return P / n
+
+
 def defining_parameters(kind: CoordKind, m: TriangleMetrics) -> tuple[float, float, float]:
     """(u, v, kappa) of a triangle in the given coordinate system."""
     f1, f2, f3 = _DEFINING[kind]
@@ -158,14 +126,14 @@ def defining_parameters(kind: CoordKind, m: TriangleMetrics) -> tuple[float, flo
 
 
 def embed(coords: CoordTriple) -> TriangleMetrics:
-    """Construct the triangle defined by a strictly interior triple.
+    """Construct the triangle defined by a strictly interior triple of floats.
 
     Raises NoSuchTriangle when no triangle attains the requested
     parameters (checked by measuring the constructed triangle).
     """
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
-    A, B, C = _vertices(coords)
+    A, B, C = vertices(coords.kind, coords.u, coords.v, coords.kappa)
     m = metrics_from_vertices(
         UnitVec3.from_vector(A), UnitVec3.from_vector(B), UnitVec3.from_vector(C)
     )
@@ -219,27 +187,30 @@ def side_jacobian(xi, eta, kappa):
     return _jacobian(xi, eta, math.sin(kappa), -math.cos(kappa), sin2, cos2)
 
 
-def area_element(coords: CoordTriple) -> float:
+def area_element(coords: CoordTriple):
     """Jacobian of the embedding map (the uniform-measure weight).
 
     Primal: sin(rho); Dual: sin(theta); Angle and Side: closed-form
     rational expressions in the two angles/sides and kappa. Returns 0 on
-    the parameter-square boundary.
+    the parameter-square boundary; an array for array coordinates, else
+    a float.
     """
     k, u, v, kappa = coords.kind, coords.u, coords.v, coords.kappa
     if k is CoordKind.PRIMAL or k is CoordKind.DUAL:
-        return abs(math.sin(v))
-    if k is CoordKind.ANGLE:
-        return float(angle_jacobian(u, v, kappa))
-    return float(side_jacobian(u, v, kappa))
+        out = np.abs(np.sin(v)) * np.ones_like(u)
+    elif k is CoordKind.ANGLE:
+        out = angle_jacobian(u, v, kappa)
+    else:
+        out = side_jacobian(u, v, kappa)
+    return out if np.ndim(out) else float(out)
 
 
-def jacobian_fd_check(coords: CoordTriple, h: float = 1e-5) -> float:
+def jacobian_fd_check(coords: CoordTriple, h: float = 1e-5):
     """Relative error of the analytic area element vs a finite difference.
 
     Central differences of the embedding map over the two varying
     parameters give the surface Jacobian |dP/du x dP/dv| independently of
-    the closed forms.
+    the closed forms. An array for array coordinates, else a float.
     """
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
@@ -252,6 +223,7 @@ def jacobian_fd_check(coords: CoordTriple, h: float = 1e-5) -> float:
     u, v = coords.u, coords.v
     du = (pt(u + h, v) - pt(u - h, v)) / (2.0 * h)
     dv = (pt(u, v + h) - pt(u, v - h)) / (2.0 * h)
-    fd = float(np.linalg.norm(np.cross(du, dv)))
+    fd = np.linalg.norm(np.cross(du, dv), axis=-1)
     exact = area_element(coords)
-    return abs(fd - exact) / abs(exact)
+    err = np.abs(fd - exact) / np.abs(exact)
+    return err if np.ndim(err) else float(err)

@@ -24,6 +24,7 @@ import csv
 import enum
 import io
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -739,23 +740,29 @@ def _arctan_band(x_half: float, w):
 
 
 def _cond_area_given_side(x: float, kappa: float) -> float:
-    with np.errstate(divide="ignore", over="ignore"):
-        omega = math.tan(kappa / 2) / math.sin(x / 2)
+    sx = math.sin(x / 2)
+    tk = math.tan(kappa / 2)
+    if sx == 0.0:  # x/2 underflows to 0: x is the smallest subnormal
+        if kappa == 0.0:
+            return 1.0  # the kappa -> 0 limit, 1 at every x > 0
+        # The law depends on tan(kappa/2) / (x/2). Unless that ratio
+        # overflows, as it does from kappa ~ 1e-15 up, no route resolves it.
+        if math.isfinite(2.0 * tk / x):
+            raise OutOfDomain(f"area given side at x = {x!r}, kappa = {kappa!r} "
+                              "is below the resolution of the routes")
+    omega = tk / sx if sx > 0.0 else math.inf
+    if math.isinf(omega):  # the bracket vanishes
+        return x / TWO_PI
     w = np.hypot(1.0, omega)
     bracket = float(math.pi / w - _arctan_band(x / 2, w))
-    if not math.isfinite(bracket):
-        bracket = 0.0
     return (x + 2.0 * bracket) / TWO_PI
 
 
 def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
-    if kappa == 0.0:  # the kappa -> 0 limit
+    den = math.tan(kappa / 2) * math.sin(x / 2)
+    w = float(np.hypot(1.0, 1.0 / den)) if den > 0.0 else math.inf
+    if not math.isfinite(w):  # kappa = 0, or den below ~1e-308: the kappa -> 0 limit
         return x / TWO_PI
-    with np.errstate(divide="ignore", over="ignore"):
-        omega = 1.0 / (math.tan(kappa / 2) * math.sin(x / 2))
-    w = float(np.hypot(1.0, omega))
-    if not math.isfinite(w):
-        return x / TWO_PI if x < TWO_PI else 1.0
     band = float(_arctan_band(x / 2, w))
     return (x - 2.0 * band) / TWO_PI
 
@@ -778,7 +785,7 @@ def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
 
 
 def _cond_area_given_angle(x: float, kappa: float, tol: float) -> float:
-    if kappa < x / 2:  # area <= 2*alpha always
+    if kappa <= x / 2:  # area <= 2*alpha always
         return 1.0
     hi = max(x / 2, math.pi - (kappa - x / 2))  # at kappa = pi rounding can put it below x/2
     base = math.pi * (1.0 - math.cos(x / 2))
@@ -812,10 +819,11 @@ def median_region_cos(x: float, kappa: float, theta) -> np.ndarray:
 
 
 def _cond_area_median(x: float, kappa: float, tol: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= TWO_PI:
-        return 1.0
+    if math.sin(x / 2) ** 2 < sys.float_info.min:
+        # Below x ~ 3e-154 sin^2(x/2) is subnormal, and the boundary cosine
+        # loses its precision (0/0 where sin^2(kappa/2) underflows too). The
+        # fixed-side closed form, which divides by sin(x/2) itself, holds.
+        return _cond_area_given_side(x, kappa)
 
     def f(theta):
         return 1.0 - median_region_cos(x, kappa, theta)

@@ -18,11 +18,10 @@ from typing import Callable
 import numpy as np
 
 from . import sphere
+from .coords import CoordKind, vertices
 from .distributions import ConditionalKind, region_boundary
 from .identities import bisector_threshold
 from .sphere import RngStream
-
-TWO_PI = 2.0 * math.pi
 
 # Rows per block of sample_batch; a block's temporaries (points, column
 # copies, normals) take a few MB. At 10^6 primal triangles on a 2-CPU host,
@@ -99,27 +98,6 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted, x, side="right") / self.n
 
 
-def _dual_triangle_elements(rho, theta, kappa):
-    """Vectorized triangle elements for the fixed-angle construction.
-
-    A = (1,0,0), B = (cos rho, sin rho, 0); C is the intersection (in the
-    upper hemisphere) of the great circle through A at angle kappa to the
-    equator with the one through B at angle theta.
-    """
-    sr, cr = np.sin(rho), np.cos(rho)
-    st, ct = np.sin(theta), np.cos(theta)
-    A = np.array([1.0, 0.0, 0.0])
-    B = np.zeros((3, len(rho)))
-    B[0], B[1] = cr, sr
-    # C = V x W, where V = (0, -sin kappa, cos kappa) and
-    # W = (sr st, -cr st, -ct) are the poles of the two great circles.
-    sk, ck = math.sin(kappa), math.cos(kappa)
-    wx = sr * st
-    C = np.stack([sk * ct + ck * (cr * st), ck * wx, sk * wx])
-    C /= np.maximum(np.sqrt(np.sum(C * C, axis=0)), 1e-300)
-    return sphere.triangle_elements(A, B.T, C.T)
-
-
 def sample_batch(
     kind: BatchKind, kappa: float | None, n: int, rng: RngStream
 ) -> SampleBatch:
@@ -186,7 +164,9 @@ def sample_batch(
         else:
             rho = gen.uniform(0.0, math.pi, m)
             theta = np.arccos(1.0 - 2.0 * theta_gen.uniform(0.0, 1.0, m))  # sin-weighted
-            a, b, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
+            a, b, c, al, be, ga = sphere.triangle_elements(
+                *vertices(CoordKind.DUAL, rho, theta, kappa)
+            )
             coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
         sigma[lo:hi] = al + be + ga - math.pi
         tau[lo:hi] = a + b + c

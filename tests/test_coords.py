@@ -11,8 +11,10 @@ from sphtri.coords import (
     embed,
     embedding_point,
     jacobian_fd_check,
+    vertices,
 )
 from sphtri.errors import NoSuchTriangle
+from sphtri.sphere import TriangleMetrics, triangle_elements
 
 PI = math.pi
 
@@ -24,16 +26,67 @@ INTERIOR_GRID = [
 ]
 
 
+def grid_by_kappa():
+    """INTERIOR_GRID as (u array, v array, kappa) for each kappa."""
+    for k in sorted({k for _, _, k in INTERIOR_GRID}):
+        pts = [(u, v) for u, v, kk in INTERIOR_GRID if kk == k]
+        yield np.array([u for u, _ in pts]), np.array([v for _, v in pts]), k
+
+
 class TestCoordTriple:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             CoordTriple(CoordKind.PRIMAL, -0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             CoordTriple(CoordKind.PRIMAL, 0.1, 1.0, PI + 0.1)
+        with pytest.raises(ValueError):
+            CoordTriple(CoordKind.PRIMAL, np.array([0.1, -0.1]), 1.0, 1.0)
 
     def test_interior_flag(self):
         assert CoordTriple(CoordKind.DUAL, 0.1, 0.1, 0.1).interior
         assert not CoordTriple(CoordKind.DUAL, 0.0, 0.1, 0.1).interior
+        assert CoordTriple(CoordKind.DUAL, np.array([0.1, 3.0]), 0.1, 0.1).interior
+        assert not CoordTriple(CoordKind.DUAL, np.array([0.1, PI]), 0.1, 0.1).interior
+
+
+class TestVertices:
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_array_grid_equals_scalar_calls(self, kind):
+        for us, vs, k in grid_by_kappa():
+            A, B, C = vertices(kind, us, vs, k)
+            assert B.shape == C.shape == (len(us), 3)
+            for i, (u, v) in enumerate(zip(us, vs)):
+                a, b, c = vertices(kind, float(u), float(v), k)
+                assert np.array_equal(A, a)
+                assert np.array_equal(B[i], b) and np.array_equal(C[i], c)
+
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_measured_triangle_gives_back_coordinates(self, kind):
+        for us, vs, k in grid_by_kappa():
+            a, b, c, al, be, ga = triangle_elements(*vertices(kind, us, vs, k))
+            m = TriangleMetrics(a, b, c, al, be, ga, al + be + ga - PI, a + b + c)
+            got_u, got_v, got_k = defining_parameters(kind, m)
+            assert np.max(np.abs(got_u - us)) < 1e-9
+            assert np.max(np.abs(got_v - vs)) < 1e-9
+            assert np.max(np.abs(got_k - k)) < 1e-9
+
+    @pytest.mark.parametrize("kind", [CoordKind.DUAL, CoordKind.SIDE])
+    def test_pole_is_unit_and_orthogonal_to_b_and_c(self, kind):
+        for us, vs, k in grid_by_kappa():
+            P = embedding_point(CoordTriple(kind, us, vs, k))
+            _, B, C = vertices(kind, us, vs, k)
+            assert np.max(np.abs(np.linalg.norm(P, axis=-1) - 1.0)) < 1e-15
+            assert np.max(np.abs(np.sum(P * B, axis=-1))) < 1e-15
+            assert np.max(np.abs(np.sum(P * C, axis=-1))) < 1e-15
+
+    def test_dual_pole_orientation(self):
+        # unit(B x C) is the pole W = (sin rho sin theta, -cos rho sin theta,
+        # -cos theta) of the great circle through B at angle theta.
+        for rho, theta, k in INTERIOR_GRID:
+            P = embedding_point(CoordTriple(CoordKind.DUAL, rho, theta, k))
+            W = [math.sin(rho) * math.sin(theta), -math.cos(rho) * math.sin(theta),
+                 -math.cos(theta)]
+            assert np.max(np.abs(P - W)) < 1e-15
 
 
 class TestEmbed:
@@ -77,6 +130,17 @@ class TestAreaElement:
     def test_boundary_zero(self):
         assert area_element(CoordTriple(CoordKind.SIDE, 0.0, 1.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_array_for_either_array_coordinate(self, kind):
+        us = np.array([0.5, 1.0, 2.0])
+        for u, v in ((us, 0.7), (0.7, us)):
+            got = area_element(CoordTriple(kind, u, v, 1.1))
+            assert got.shape == (3,)
+            for i in range(3):
+                ui, vi = np.broadcast_arrays(u, v)
+                want = area_element(CoordTriple(kind, float(ui[i]), float(vi[i]), 1.1))
+                assert isinstance(want, float) and abs(got[i] - want) <= 1e-15 * want
+
 
 class TestJacobianCheck:
     @pytest.mark.parametrize(
@@ -94,6 +158,16 @@ class TestJacobianCheck:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             jacobian_fd_check(CoordTriple(CoordKind.PRIMAL, 1, 1, 1), 1e-8)
+
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_array_triple_equals_scalar_calls(self, kind):
+        for us, vs, k in grid_by_kappa():
+            got = jacobian_fd_check(CoordTriple(kind, us, vs, k), 1e-5)
+            assert isinstance(got, np.ndarray) and got.shape == us.shape
+            for g, u, v in zip(got, us, vs):
+                want = jacobian_fd_check(CoordTriple(kind, float(u), float(v), k), 1e-5)
+                assert isinstance(want, float)
+                assert abs(g - want) < 1e-9
 
     @pytest.mark.parametrize("kind", list(CoordKind))
     def test_grid(self, kind):

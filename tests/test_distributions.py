@@ -611,6 +611,34 @@ class TestConditionalCdf:
         assert abs(near_side - side_limit) < 3e-10
         assert abs(near_angle - angle_limit) < 3e-10
 
+    # Points where x/2, or a product with sin(x/2), underflows. Each value is
+    # the one a sibling route, or the same route at a neighbouring point,
+    # gives: PERIMETER_BISECTOR gives 0.0 at the first two, and the same
+    # route gives x/(2 pi) at (1e-200, 0); AREA_MEDIAN gives 0.0 at
+    # (5e-324, 1); both fixed-side area routes give 1.0 at (1e-300, 0).
+    # At (5e-324, 1e-300) the fixed-side area law depends on
+    # tan(kappa/2)/(x/2), which no route resolves.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,x,kappa,want", [
+        (ConditionalKind.PERIMETER_GIVEN_ANGLE, 5e-324, 1.0, 0.0),
+        (ConditionalKind.PERIMETER_GIVEN_ANGLE, 5e-324, 1e-300, 0.0),
+        (ConditionalKind.PERIMETER_GIVEN_ANGLE, 1e-200, 1e-300, 1e-200 / TWO_PI),
+        (ConditionalKind.AREA_GIVEN_SIDE, 5e-324, 1.0, 0.0),
+        (ConditionalKind.AREA_GIVEN_SIDE, 5e-324, 0.0, 1.0),
+        (ConditionalKind.AREA_GIVEN_SIDE, 5e-324, 1e-300, OutOfDomain),
+        (ConditionalKind.AREA_GIVEN_ANGLE, 5e-324, 0.0, 1.0),
+        (ConditionalKind.AREA_MEDIAN, 5e-324, 1e-300, OutOfDomain),
+        (ConditionalKind.AREA_MEDIAN, 5e-324, 0.0, 1.0),
+        (ConditionalKind.AREA_MEDIAN, 1e-300, 0.0, 1.0),
+        (ConditionalKind.AREA_MEDIAN, 1e-200, 1e-300, 1.0),
+    ])
+    def test_smallest_x(self, kind, x, kappa, want):
+        if want is OutOfDomain:
+            with pytest.raises(OutOfDomain):
+                conditional_cdf(kind, x, kappa)
+        else:
+            assert conditional_cdf(kind, x, kappa) == want
+
     def test_perimeter_given_side_zero_below_double_side(self):
         assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, 1.0, 0.9) == 0.0
 

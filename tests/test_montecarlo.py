@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sphtri import sphere
+from sphtri.coords import CoordKind, vertices
 from sphtri.distributions import ConditionalKind, area_cdf, conditional_cdf
 from sphtri.errors import DegenerateDual
 from sphtri.montecarlo import (
@@ -13,7 +14,6 @@ from sphtri.montecarlo import (
     BatchKind,
     EmpiricalCdf,
     SampleBatch,
-    _dual_triangle_elements,
     ks_distance,
     region_coverage,
     sample_batch,
@@ -57,7 +57,7 @@ def reference_sample_batch(kind, kappa, n, rng):
     else:
         rho = gen.uniform(0.0, math.pi, n)
         theta = np.arccos(1.0 - 2.0 * gen.uniform(0.0, 1.0, n))
-        a, b, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
+        a, b, c, al, be, ga = sphere.triangle_elements(*vertices(CoordKind.DUAL, rho, theta, kappa))
         coord_u, coord_v = c, be
     sigma = al + be + ga - math.pi
     tau = a + b + c
@@ -121,11 +121,9 @@ class TestSampleBatch:
         # alpha = sigma + pi - beta - gamma... recover alpha directly:
         # sigma = alpha + beta + gamma - pi and coord_v = beta, so check
         # via the sampled triangle's angle sum instead.
-        from sphtri.montecarlo import _dual_triangle_elements
-
         rho = np.linspace(0.3, PI - 0.3, 50)
         theta = np.linspace(0.3, PI - 0.3, 50)
-        a, bb, c, al, be, ga = _dual_triangle_elements(rho, theta, kappa)
+        a, bb, c, al, be, ga = sphere.triangle_elements(*vertices(CoordKind.DUAL, rho, theta, kappa))
         assert np.max(np.abs(al - kappa)) < 1e-9
         assert np.max(np.abs(be - theta)) < 1e-9
         assert np.max(np.abs(c - rho)) < 1e-9
