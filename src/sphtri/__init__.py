@@ -69,11 +69,7 @@ from .quadrature import (
 from .sphere import (
     RngStream,
     TriangleMetrics,
-    UnitVec3,
-    dual_metrics_from_poles,
     lhuilier_excess,
-    metrics_from_vertices,
-    sample_uniform_point,
     sample_uniform_points,
     triangle_elements,
 )

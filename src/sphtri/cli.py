@@ -95,7 +95,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _grid(args) -> list[float] | None:
+def _grid(args) -> np.ndarray | None:
     if args.at is not None:
         return None
     if args.lo is None or args.hi is None or args.steps is None:
@@ -107,7 +107,7 @@ def _grid(args) -> list[float] | None:
         raise _Usage(f"range must satisfy 0 <= from < to <= 2*pi, got [{lo}, {hi}]")
     if args.steps < 2:
         raise _Usage("--steps must be at least 2")
-    return list(np.linspace(lo, hi, args.steps))
+    return np.linspace(lo, hi, args.steps)
 
 
 class _Usage(Exception):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSuchTriangle
-from .sphere import TriangleMetrics, metrics_from_vertices, UnitVec3
+from .sphere import TriangleMetrics
 
 _EMBED_TOL = 1e-9
 
@@ -133,16 +133,13 @@ def embed(coords: CoordTriple) -> TriangleMetrics:
     """
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
-    A, B, C = vertices(coords.kind, coords.u, coords.v, coords.kappa)
-    m = metrics_from_vertices(
-        UnitVec3.from_vector(A), UnitVec3.from_vector(B), UnitVec3.from_vector(C)
-    )
+    m = TriangleMetrics.from_vertices(*vertices(coords.kind, coords.u, coords.v, coords.kappa))
     got = defining_parameters(coords.kind, m)
     want = (coords.u, coords.v, coords.kappa)
     if max(abs(g - w) for g, w in zip(got, want)) > _EMBED_TOL:
         raise NoSuchTriangle(
             f"constraints unsatisfiable for {coords.kind.value}: "
-            f"wanted {want}, constructed {got}"
+            f"wanted {want}, constructed {tuple(map(float, got))}"
         )
     return m
 

@@ -20,7 +20,6 @@ suite pins both properties.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import math
@@ -77,29 +76,29 @@ class CurveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """A sampled (x, value) table of a density or CDF."""
+    """A sampled (x, value) table of a density or CDF, as float arrays."""
 
-    xs: tuple[float, ...]
-    values: tuple[float, ...]
+    xs: np.ndarray
+    values: np.ndarray
     kind: CurveKind
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        if xs.size != len(self.values):
-            raise ValueError("xs and values must have equal length")
+        for name in ("xs", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        xs = self.xs
+        if xs.shape != self.values.shape or xs.ndim != 1:
+            raise ValueError("xs and values must be 1-D of equal length")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         if xs.size and (xs[0] < -1e-12 or xs[-1] > TWO_PI + 1e-12):
             raise ValueError("xs must lie within [0, 2*pi]")
-        if any(v < -1e-12 for v in self.values):
+        if np.any(self.values < -1e-12):
             raise ValueError("curve values must be nonnegative")
 
     def to_csv(self, stream) -> None:
         """Write `x,value` rows at full round-trip precision (17 digits)."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        for x, v in zip(self.xs, self.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+        np.savetxt(stream, np.column_stack([self.xs, self.values]), fmt="%.17g",
+                   delimiter=",", header="x,value", comments="")
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -370,6 +369,11 @@ def _legendre_pair(orders: tuple[int, int]):
     return rule
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tolerance must be positive, got tol={tol!r}")
+
+
 def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: float) -> np.ndarray:
     """Integral_0^1 integrand(x, v) dv for every x of the 1-D array xs.
 
@@ -383,8 +387,7 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
     converged (Carlson's duplication), and then by rounding. A tol that is
     not positive (NaN included) raises ValueError, even for empty xs.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tolerance must be positive, got tol={tol!r}")
+    _check_tol(tol)
     v, w_lo, w_hi = _legendre_pair(orders)
     vals = np.empty(xs.size)
     rows = max(1, _GRID_BATCH // v.size)
@@ -687,7 +690,7 @@ def region_boundary(
         return curve
 
     if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        if kappa > x / 2:  # perimeter >= 2c: the region is empty
+        if kappa >= x / 2:  # perimeter >= 2c, equal only if degenerate: the region is empty
             return lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
         band = _cot_arccos(x, kappa)
 
@@ -768,7 +771,7 @@ def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
 
 
 def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
-    if kappa > x / 2:  # perimeter >= 2c
+    if kappa >= x / 2:  # perimeter >= 2c, equal only for degenerate triangles
         return 0.0
     lo = x / 2 - kappa
     base = math.pi * (1.0 - math.cos(lo))
@@ -895,11 +898,13 @@ def conditional_cdf(
     PERIMETER_GIVEN_SIDE on c. Routes sharing a conditioning variable
     agree; that redundancy is asserted by the test suite. The two 2-D routes
     raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
+    A tol that is not positive (NaN included) raises ValueError on every route.
     """
     if not 0.0 <= x <= TWO_PI:
         raise ValueError("x must lie in [0, 2*pi]")
     if not 0.0 <= kappa <= math.pi:
         raise ValueError("kappa must lie in [0, pi]")
+    _check_tol(tol)
     if x <= 0.0:
         return 0.0
     if x >= TWO_PI:
@@ -935,19 +940,19 @@ def tabulate(kind: CurveKind, xs: Sequence[float], **kwargs) -> DensityCurve:
     (the closed-form area curves take none); without it each function
     uses its own default.
     """
-    xs = [float(x) for x in xs]
+    xs = np.array(xs, dtype=float)
     tol = {"tol": kwargs["tol"]} if "tol" in kwargs else {}
     if kind is CurveKind.AREA_PDF:
-        vals = area_density(np.array(xs)).tolist()
+        vals = area_density(xs)
     elif kind is CurveKind.AREA_CDF:
-        vals = area_cdf(np.array(xs)).tolist()
+        vals = area_cdf(xs)
     elif kind is CurveKind.PERIMETER_PDF:
         cap = TWO_PI - 1e-6  # the density diverges at 2*pi; never sample it
-        vals = perimeter_density(np.clip(xs, 1e-12, cap), **tol).tolist()
+        vals = perimeter_density(np.clip(xs, 1e-12, cap), **tol)
     elif kind is CurveKind.PERIMETER_CDF:
-        vals = perimeter_cdf(np.array(xs), **tol).tolist()
+        vals = perimeter_cdf(xs, **tol)
     else:
         ckind = kwargs["conditional_kind"]
         kappa = kwargs["kappa"]
-        vals = [conditional_cdf(ckind, x, kappa, **tol) for x in xs]
-    return DensityCurve(tuple(xs), tuple(vals), kind)
+        vals = [conditional_cdf(ckind, float(x), kappa, **tol) for x in xs]
+    return DensityCurve(xs, vals, kind)

@@ -1,5 +1,8 @@
 """Points on the unit sphere and spherical-triangle element computation.
 
+``TriangleMetrics.from_vertices`` is the checked interface. The kernels it
+calls check nothing, so that near-collinear dual batches pass through them.
+
 A triangle is described by its six elements: sides ``a, b, c`` (arc lengths
 of the great-circle edges, each in [0, pi]) and opposite angles ``alpha,
 beta, gamma`` (dihedral angles, each in [0, pi]), together with the
@@ -43,51 +46,30 @@ _NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class UnitVec3:
-    """A point on the unit sphere (direction cosines)."""
+class TriangleMetrics:
+    """Sides, angles, excess and perimeter: floats, or arrays of one per triangle."""
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(n - 1.0) > _NORM_TOL:
-            raise ValueError(f"not a unit vector (norm {n!r})")
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    sigma: float | np.ndarray
+    tau: float | np.ndarray
 
     @classmethod
-    def from_vector(cls, v) -> "UnitVec3":
-        """Normalize an arbitrary 3-vector onto the sphere."""
-        v = np.asarray(v, dtype=float)
-        n = float(np.linalg.norm(v))
-        if n < _NORM_TOL:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(float(v[0] / n), float(v[1] / n), float(v[2] / n))
+    def from_vertices(cls, A, B, C) -> TriangleMetrics:
+        """Triangles with unit vertices A, B, C: arrays (..., 3) that broadcast.
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class TriangleMetrics:
-    """The six elements of a spherical triangle plus excess and perimeter."""
-
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-    gamma: float
-    sigma: float
-    tau: float
-
-    @property
-    def sides(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
-    @property
-    def angles(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
+        Fields have the broadcast shape (0-d for single vertices); sigma =
+        alpha + beta + gamma - pi (Girard) and tau = a + b + c. Raises
+        DegenerateTriangle if any side is within DEGENERACY_TOL of 0 or pi.
+        """
+        a, b, c, alpha, beta, gamma = triangle_elements(A, B, C)
+        if any(np.any((s < DEGENERACY_TOL) | (s > math.pi - DEGENERACY_TOL)) for s in (a, b, c)):
+            raise DegenerateTriangle("two vertices coincide or are antipodal within tolerance")
+        return cls(a, b, c, alpha, beta, gamma, alpha + beta + gamma - math.pi, a + b + c)
 
 
 @dataclass
@@ -117,6 +99,7 @@ def arc_length(u, v):
 
     Uses atan2(|u x v|, u . v) rather than acos of the dot product, which
     keeps full precision for nearly coincident and nearly antipodal pairs.
+    No src/ module calls it: it is the tests' oracle for triangle_elements.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -149,8 +132,8 @@ def triangle_elements(A, B, C):
     """Sides and angles for vertex arrays of shape (..., 3) that broadcast.
 
     Returns (a, b, c, alpha, beta, gamma), each of the broadcast shape.
-    Vertices must be unit vectors; no degeneracy checking is done here (see
-    metrics_from_vertices for the checked scalar interface).
+    Vertices must be unit vectors; no degeneracy checking is done here
+    (TriangleMetrics.from_vertices is the checked interface).
 
     With edge normals n_AB = A x B, n_BC = B x C, n_CA = C x A and
     |det| = |n_AB x n_CA| = |A . (B x C)|: a = atan2(|n_BC|, B . C) (b, c
@@ -176,32 +159,6 @@ def triangle_elements(A, B, C):
     return tuple(x if np.shape(x) == shape else np.full(shape, x) for x in out)
 
 
-def _metrics_from_elements(a, b, c, alpha, beta, gamma) -> TriangleMetrics:
-    sigma = alpha + beta + gamma - math.pi
-    tau = a + b + c
-    return TriangleMetrics(
-        float(a), float(b), float(c),
-        float(alpha), float(beta), float(gamma),
-        float(sigma), float(tau),
-    )
-
-
-def metrics_from_vertices(A: UnitVec3, B: UnitVec3, C: UnitVec3) -> TriangleMetrics:
-    """All six elements of the triangle with the given vertices.
-
-    Raises DegenerateTriangle if any two vertices coincide or are antipodal
-    within DEGENERACY_TOL (the angle at such a vertex is undefined).
-    """
-    va, vb, vc = A.as_array(), B.as_array(), C.as_array()
-    for u, v in ((va, vb), (va, vc), (vb, vc)):
-        if np.linalg.norm(np.cross(u, v)) < DEGENERACY_TOL:
-            raise DegenerateTriangle(
-                "two vertices coincide or are antipodal within tolerance"
-            )
-    a, b, c, alpha, beta, gamma = triangle_elements(va, vb, vc)
-    return _metrics_from_elements(a, b, c, alpha, beta, gamma)
-
-
 def dual_vertices(Ap, Bp, Cp):
     """Vertices of the dual triangle with poles Ap, Bp, Cp (arrays ...,3).
 
@@ -223,24 +180,6 @@ def dual_vertices(Ap, Bp, Cp):
     return tuple(out)
 
 
-def dual_metrics_from_poles(Ap: UnitVec3, Bp: UnitVec3, Cp: UnitVec3) -> TriangleMetrics:
-    """Metrics of the dual triangle whose great-circle sides have these poles."""
-    A, B, C = dual_vertices(Ap.as_array(), Bp.as_array(), Cp.as_array())
-    a, b, c, alpha, beta, gamma = triangle_elements(A, B, C)
-    return _metrics_from_elements(a, b, c, alpha, beta, gamma)
-
-
-def sample_uniform_point(rng: RngStream) -> UnitVec3:
-    """One point uniform on the sphere (normalized Gaussian triple)."""
-    g = rng.generator
-    v = g.standard_normal(3)
-    n = np.linalg.norm(v)
-    while n < _NORM_TOL:  # pragma: no cover - probability ~ 0
-        v = g.standard_normal(3)
-        n = np.linalg.norm(v)
-    return UnitVec3(float(v[0] / n), float(v[1] / n), float(v[2] / n))
-
-
 def sample_uniform_points(rng: RngStream, n: int) -> np.ndarray:
     """(n, 3) array of independent uniform points on the sphere."""
     v = rng.generator.standard_normal((n, 3))
@@ -255,7 +194,7 @@ def lhuilier_excess(a, b, c):
 
     tan(sigma/4) = sqrt(tan(s/2) tan((s-a)/2) tan((s-b)/2) tan((s-c)/2)),
     s = (a+b+c)/2. Independent of the angle-based (Girard) route, so it
-    serves as an oracle for it.
+    serves as an oracle for it; no src/ module calls it, the tests do.
     """
     s = 0.5 * (a + b + c)
     t = (

@@ -39,7 +39,7 @@ from .identities import (
 )
 from .montecarlo import BatchKind, EmpiricalCdf, ks_distance, region_coverage, sample_batch
 from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
-from .sphere import RngStream, TriangleMetrics, sample_uniform_points, triangle_elements
+from .sphere import RngStream, TriangleMetrics, sample_uniform_points
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def _worst(values) -> float:
 def identity_checks(n: int, seed: int) -> list[Check]:
     """Identity and cevian-relation residuals on n random primal triangles."""
     pts = sample_uniform_points(RngStream(seed), 3 * n).reshape(n, 3, 3)
-    a, b, c, al, be, ga = triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
-    m = TriangleMetrics(a, b, c, al, be, ga, al + be + ga - math.pi, a + b + c)
+    m = TriangleMetrics.from_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
     med = median_relation_residual(m, median_decompose(m))
     bis = bisector_relation_residual(m, bisector_decompose(m))
     return [

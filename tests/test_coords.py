@@ -14,7 +14,7 @@ from sphtri.coords import (
     vertices,
 )
 from sphtri.errors import NoSuchTriangle
-from sphtri.sphere import TriangleMetrics, triangle_elements
+from sphtri.sphere import TriangleMetrics
 
 PI = math.pi
 
@@ -63,8 +63,7 @@ class TestVertices:
     @pytest.mark.parametrize("kind", list(CoordKind))
     def test_measured_triangle_gives_back_coordinates(self, kind):
         for us, vs, k in grid_by_kappa():
-            a, b, c, al, be, ga = triangle_elements(*vertices(kind, us, vs, k))
-            m = TriangleMetrics(a, b, c, al, be, ga, al + be + ga - PI, a + b + c)
+            m = TriangleMetrics.from_vertices(*vertices(kind, us, vs, k))
             got_u, got_v, got_k = defining_parameters(kind, m)
             assert np.max(np.abs(got_u - us)) < 1e-9
             assert np.max(np.abs(got_v - vs)) < 1e-9
@@ -92,7 +91,7 @@ class TestVertices:
 class TestEmbed:
     def test_primal_octant(self):
         m = embed(CoordTriple(CoordKind.PRIMAL, PI / 2, PI / 2, PI / 2))
-        for v in m.sides + m.angles:
+        for v in (m.a, m.b, m.c, m.alpha, m.beta, m.gamma):
             assert abs(v - PI / 2) < 1e-12
 
     def test_primal_theta_zero_limit(self):

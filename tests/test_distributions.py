@@ -450,7 +450,7 @@ class TestPerimeterCdf:
         start = time.perf_counter()
         curve = tabulate(CurveKind.PERIMETER_CDF, xs)
         assert time.perf_counter() - start < 0.5
-        assert curve.values == tuple(perimeter_cdf(xs))
+        assert curve.values.tobytes() == perimeter_cdf(xs).tobytes()
 
     def test_tail_constant_matches_density(self):
         # density ~ c / sqrt(2 pi - tau) and 1 - F ~ 2 c sqrt(2 pi - tau)
@@ -617,7 +617,9 @@ class TestConditionalCdf:
     # route gives x/(2 pi) at (1e-200, 0); AREA_MEDIAN gives 0.0 at
     # (5e-324, 1); both fixed-side area routes give 1.0 at (1e-300, 0).
     # At (5e-324, 1e-300) the fixed-side area law depends on
-    # tan(kappa/2)/(x/2), which no route resolves.
+    # tan(kappa/2)/(x/2), which no route resolves. The fixed-side
+    # perimeter law is 0.0 on the diagonal kappa = x/2, since tau >= 2c
+    # with equality only for degenerate triangles.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind,x,kappa,want", [
         (ConditionalKind.PERIMETER_GIVEN_ANGLE, 5e-324, 1.0, 0.0),
@@ -631,6 +633,10 @@ class TestConditionalCdf:
         (ConditionalKind.AREA_MEDIAN, 5e-324, 0.0, 1.0),
         (ConditionalKind.AREA_MEDIAN, 1e-300, 0.0, 1.0),
         (ConditionalKind.AREA_MEDIAN, 1e-200, 1e-300, 1.0),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, 1e-323, 5e-324, 0.0),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, 2e-323, 1e-323, 0.0),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, 1e-320, 5e-321, 0.0),
+        (ConditionalKind.PERIMETER_GIVEN_SIDE, 1e-310, 5e-311, 0.0),
     ])
     def test_smallest_x(self, kind, x, kappa, want):
         if want is OutOfDomain:
@@ -640,7 +646,17 @@ class TestConditionalCdf:
             assert conditional_cdf(kind, x, kappa) == want
 
     def test_perimeter_given_side_zero_below_double_side(self):
-        assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, 1.0, 0.9) == 0.0
+        for x, kappa in ((1.0, 0.9), (1.0, 0.5), (6.0, 3.0)):  # kappa = x/2 included
+            assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, kappa) == 0.0
+
+    # (2.0, 1.5) and (2.0, 0.5) are either side of the fixed-side perimeter
+    # law's kappa = x/2 branch; x = 0 and 2 pi are the endpoint branches.
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    @pytest.mark.parametrize("kind", list(ConditionalKind))
+    def test_invalid_tolerance(self, kind, tol):
+        for x, kappa in ((2.0, 1.5), (2.0, 0.5), (0.0, 1.0), (TWO_PI, 1.0)):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                conditional_cdf(kind, x, kappa, tol=tol)
 
     def test_area_given_angle_one_above_double_area(self):
         assert conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, 2.0, 0.5) == 1.0
@@ -915,6 +931,15 @@ class TestRegionBoundary:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             region_boundary(ConditionalKind.AREA_MEDIAN, 2.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [2.0, 1e-323, 1e-310])
+    def test_perimeter_given_side_empty_on_the_diagonal(self, x):
+        # tau >= 2c, equal only for degenerate triangles: at kappa = x/2
+        # the region is empty, so the curve is 0 for every rho.
+        rho = np.linspace(0.0, PI, 9)
+        curve = region_boundary(ConditionalKind.PERIMETER_GIVEN_SIDE, x, x / 2)(rho)
+        assert np.array_equal(curve, np.zeros_like(rho))
 
 
 class TestDensityCurve:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,36 +18,24 @@ from sphtri.identities import (
 from sphtri.sphere import (
     RngStream,
     TriangleMetrics,
-    UnitVec3,
     arc_length,
-    metrics_from_vertices,
     sample_uniform_points,
-    triangle_elements,
 )
 
 PI = math.pi
 
-OCTANT = metrics_from_vertices(UnitVec3(1, 0, 0), UnitVec3(0, 1, 0), UnitVec3(0, 0, 1))
+OCTANT = TriangleMetrics.from_vertices(*np.eye(3))
 
 
 def random_triangle_batch(n, seed=909):
+    """(n, 3, 3) vertices and the metrics of their n triangles."""
     pts = sample_uniform_points(RngStream(seed), 3 * n).reshape(n, 3, 3)
-    elems = triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
-    return pts, elems
+    return pts, TriangleMetrics.from_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
 
 
-def metrics_at(elems, i):
-    a, b, c, al, be, ga = elems
-    return TriangleMetrics(
-        float(a[i]), float(b[i]), float(c[i]),
-        float(al[i]), float(be[i]), float(ga[i]),
-        float(al[i] + be[i] + ga[i] - PI), float(a[i] + b[i] + c[i]),
-    )
-
-
-def batch_metrics(elems):
-    a, b, c, al, be, ga = elems
-    return TriangleMetrics(a, b, c, al, be, ga, al + be + ga - PI, a + b + c)
+def metrics_at(m, i):
+    """Triangle i of a batch, with float fields."""
+    return TriangleMetrics(*(float(getattr(m, f.name)[i]) for f in fields(m)))
 
 
 class TestResiduals:
@@ -56,8 +44,8 @@ class TestResiduals:
         assert r.max() < 1e-12
 
     def test_random_sweep(self):
-        _, elems = random_triangle_batch(10**4)
-        assert identity_residuals(batch_metrics(elems)).max() < 1e-10
+        _, m = random_triangle_batch(10**4)
+        assert identity_residuals(m).max() < 1e-10
 
     def test_detects_inconsistency(self):
         m = replace(OCTANT, sigma=OCTANT.sigma + 1e-3)
@@ -65,18 +53,18 @@ class TestResiduals:
 
     def test_relabel_invariance_fixing_c(self):
         # Swapping (a, alpha) with (b, beta) keeps every residual small.
-        _, elems = random_triangle_batch(50, seed=31)
+        _, m = random_triangle_batch(50, seed=31)
         for i in range(50):
-            m = metrics_at(elems, i)
-            swapped = replace(m, a=m.b, b=m.a, alpha=m.beta, beta=m.alpha)
+            mi = metrics_at(m, i)
+            swapped = replace(mi, a=mi.b, b=mi.a, alpha=mi.beta, beta=mi.alpha)
             assert identity_residuals(swapped).max() < 1e-10
 
     def test_relabel_invariance_fixing_alpha(self):
         # Swapping (b, beta) with (c, gamma) keeps every residual small.
-        _, elems = random_triangle_batch(50, seed=32)
+        _, m = random_triangle_batch(50, seed=32)
         for i in range(50):
-            m = metrics_at(elems, i)
-            swapped = replace(m, b=m.c, c=m.b, beta=m.gamma, gamma=m.beta)
+            mi = metrics_at(m, i)
+            swapped = replace(mi, b=mi.c, c=mi.b, beta=mi.gamma, gamma=mi.beta)
             assert identity_residuals(swapped).max() < 1e-10
 
 
@@ -93,28 +81,26 @@ class TestMedian:
         ) < 1e-12
 
     def test_isosceles_theta_is_right_angle(self):
-        A = UnitVec3(1, 0, 0)
-        B = UnitVec3(0, 1, 0)
-        C = UnitVec3.from_vector([1.0, 1.0, 1.2])
-        m = metrics_from_vertices(A, B, C)
+        C = np.array([1.0, 1.0, 1.2])
+        m = TriangleMetrics.from_vertices([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], C / np.linalg.norm(C))
         assert abs(m.a - m.b) < 1e-12
         d = median_decompose(m)
         assert abs(d.theta - PI / 2) < 1e-9
 
     def test_random_relation(self):
-        _, elems = random_triangle_batch(10**4)
+        _, batch = random_triangle_batch(10**4)
         worst = 0.0
         for i in range(10**4):
-            m = metrics_at(elems, i)
+            m = metrics_at(batch, i)
             worst = max(worst, median_relation_residual(m, median_decompose(m)))
         assert worst < 1e-10
 
     def test_geometric_construction(self):
         # Midpoint of AB measured directly with the vector geometry.
-        pts, elems = random_triangle_batch(10**3, seed=55)
+        pts, batch = random_triangle_batch(10**3, seed=55)
         for i in range(10**3):
             A, B, C = pts[i]
-            m = metrics_at(elems, i)
+            m = metrics_at(batch, i)
             d = median_decompose(m)
             P = (A + B) / np.linalg.norm(A + B)
             rho_geo = float(arc_length(P, C))
@@ -144,10 +130,10 @@ class TestBisector:
         assert abs(val - math.tan(3 * PI / 4)) < 1e-12
 
     def test_random_relation_and_threshold(self):
-        _, elems = random_triangle_batch(10**4)
+        _, batch = random_triangle_batch(10**4)
         worst = 0.0
         for i in range(10**4):
-            m = metrics_at(elems, i)
+            m = metrics_at(batch, i)
             d = bisector_decompose(m)
             worst = max(worst, bisector_relation_residual(m, d))
             # The threshold inequality is exact in exact arithmetic; in
@@ -161,10 +147,10 @@ class TestBisector:
     def test_geometric_construction(self):
         # The decomposition describes the far intersection of the bisector
         # circle with the BC circle (the antipode of the interior foot).
-        pts, elems = random_triangle_batch(10**3, seed=56)
+        pts, batch = random_triangle_batch(10**3, seed=56)
         for i in range(10**3):
             A, B, C = pts[i]
-            m = metrics_at(elems, i)
+            m = metrics_at(batch, i)
             d = bisector_decompose(m)
             tAB = B - np.dot(A, B) * A
             tAC = C - np.dot(A, C) * A
@@ -244,8 +230,7 @@ class TestArrayPath:
     N = 10**3
 
     def test_matches_scalar_calls(self):
-        _, elems = random_triangle_batch(self.N, seed=77)
-        m = batch_metrics(elems)
+        _, m = random_triangle_batch(self.N, seed=77)
         res = identity_residuals(m)
         med = median_decompose(m)
         bis = bisector_decompose(m)
@@ -253,7 +238,7 @@ class TestArrayPath:
         bis_res = bisector_relation_residual(m, bis)
         worst = 0.0
         for i in range(self.N):
-            mi = metrics_at(elems, i)
+            mi = metrics_at(m, i)
             ri = identity_residuals(mi)
             worst = max(worst, ri.max())
             for got, want in zip(res.as_tuple(), ri.as_tuple()):
@@ -270,8 +255,7 @@ class TestArrayPath:
         assert res.max() == worst  # the batch maximum
 
     def test_threshold_matches_scalar_formula(self):
-        _, elems = random_triangle_batch(self.N, seed=78)
-        m = batch_metrics(elems)
+        _, m = random_triangle_batch(self.N, seed=78)
         thres = bisector_decompose(m).rho_thres
         for i in range(self.N):
             assert abs(thres[i] - bisector_threshold(float(m.tau[i]), float(m.alpha[i]))) <= 1e-15
@@ -281,8 +265,7 @@ class TestArrayPath:
         ("alpha", bisector_decompose),
     ])
     def test_one_degenerate_triangle_raises(self, field, func):
-        _, elems = random_triangle_batch(self.N, seed=79)
-        m = batch_metrics(elems)
+        _, m = random_triangle_batch(self.N, seed=79)
         bad = getattr(m, field).copy()
         bad[self.N // 2] = 0.0
         func(m)  # the batch as drawn is fine

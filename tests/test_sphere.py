@@ -7,22 +7,19 @@ from hypothesis import strategies as st
 
 from sphtri.errors import DegenerateDual, DegenerateTriangle
 from sphtri.sphere import (
+    DEGENERACY_TOL,
     RngStream,
     TriangleMetrics,
-    UnitVec3,
     arc_length,
-    dual_metrics_from_poles,
     dual_vertices,
     lhuilier_excess,
-    metrics_from_vertices,
-    sample_uniform_point,
     sample_uniform_points,
     triangle_elements,
 )
 
 PI = math.pi
 
-OCTANT = (UnitVec3(1, 0, 0), UnitVec3(0, 1, 0), UnitVec3(0, 0, 1))
+OCTANT = tuple(np.eye(3))
 
 
 def reference_triangle_elements(A, B, C):
@@ -60,33 +57,12 @@ def random_metrics(n, seed=2024):
     return triangle_elements(*random_vertices(n, seed))
 
 
-def as_metrics(a, b, c, al, be, ga, i) -> TriangleMetrics:
-    return TriangleMetrics(
-        float(a[i]), float(b[i]), float(c[i]),
-        float(al[i]), float(be[i]), float(ga[i]),
-        float(al[i] + be[i] + ga[i] - PI), float(a[i] + b[i] + c[i]),
-    )
-
-
-class TestUnitVec3:
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            UnitVec3(1.0, 1.0, 0.0)
-
-    def test_from_vector_normalizes(self):
-        v = UnitVec3.from_vector([3.0, 4.0, 12.0])
-        assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) < 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            UnitVec3.from_vector([0.0, 0.0, 0.0])
+def at_arc(A, B, t):
+    """The unit vector at arc t from A towards B, for orthogonal unit A and B."""
+    return math.cos(t) * np.asarray(A) + math.sin(t) * np.asarray(B)
 
 
 class TestSampling:
-    def test_single_sample_unit_norm(self):
-        v = sample_uniform_point(RngStream(1))
-        assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) < 1e-12
-
     def test_determinism(self):
         a = sample_uniform_points(RngStream(9, 4), 1000)
         b = sample_uniform_points(RngStream(9, 4), 1000)
@@ -156,7 +132,7 @@ class TestKernel:
         assert np.all(fixed[2] == fixed[2][0])  # the fixed side c
 
     def test_scalar_vertices(self):
-        out = triangle_elements(*(v.as_array() for v in OCTANT))
+        out = triangle_elements(*OCTANT)
         assert all(np.shape(x) == () for x in out)
         assert np.allclose(out, PI / 2, atol=1e-15)
 
@@ -169,26 +145,67 @@ class TestKernel:
 
 class TestMetrics:
     def test_octant(self):
-        m = metrics_from_vertices(*OCTANT)
-        for v in m.sides + m.angles:
+        m = TriangleMetrics.from_vertices(*OCTANT)
+        for v in (m.a, m.b, m.c, m.alpha, m.beta, m.gamma):
+            assert np.shape(v) == ()
             assert abs(v - PI / 2) < 1e-12
         assert abs(m.sigma - PI / 2) < 1e-12
         assert abs(m.tau - 3 * PI / 2) < 1e-12
 
+    def test_batch_is_kernel_plus_sums(self):
+        A, B, C = random_vertices(10**4, seed=34)
+        m = TriangleMetrics.from_vertices(A, B, C)
+        a, b, c, al, be, ga = triangle_elements(A, B, C)
+        want = (a, b, c, al, be, ga, al + be + ga - PI, a + b + c)
+        for got, x in zip((m.a, m.b, m.c, m.alpha, m.beta, m.gamma, m.sigma, m.tau), want):
+            assert got.shape == (10**4,)
+            assert got.tobytes() == x.tobytes()
+
+    def test_fixed_vertices_broadcast(self):
+        C = sample_uniform_points(RngStream(4), 100)
+        m = TriangleMetrics.from_vertices(OCTANT[0], OCTANT[1], C)
+        assert m.tau.shape == (100,)
+        assert np.all(m.c == PI / 2)
+
     def test_degenerate_coincident(self):
         with pytest.raises(DegenerateTriangle):
-            metrics_from_vertices(OCTANT[0], OCTANT[0], OCTANT[2])
+            TriangleMetrics.from_vertices(OCTANT[0], OCTANT[0], OCTANT[2])
 
     def test_degenerate_antipodal(self):
         with pytest.raises(DegenerateTriangle):
-            metrics_from_vertices(UnitVec3(1, 0, 0), UnitVec3(-1, 0, 0), OCTANT[2])
+            TriangleMetrics.from_vertices(OCTANT[0], -OCTANT[0], OCTANT[2])
+
+    @pytest.mark.parametrize("row", [0, 5000, 9999])
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_one_degenerate_row_in_a_batch(self, row, antipodal):
+        A, B, C = (V.copy() for V in random_vertices(10**4, seed=35))
+        TriangleMetrics.from_vertices(A, B, C)  # the batch as drawn is fine
+        C[row] = -A[row] if antipodal else A[row]
+        with pytest.raises(DegenerateTriangle):
+            TriangleMetrics.from_vertices(A, B, C)
+
+    def test_tolerance_decides_from_the_side(self):
+        # A side of 2 DEGENERACY_TOL is a triangle, one of DEGENERACY_TOL / 2 is not.
+        A, B, C = OCTANT
+        for near in (at_arc(A, B, 2 * DEGENERACY_TOL), at_arc(-A, B, 2 * DEGENERACY_TOL)):
+            TriangleMetrics.from_vertices(A, near, C)
+        for near in (at_arc(A, B, DEGENERACY_TOL / 2), at_arc(-A, B, DEGENERACY_TOL / 2)):
+            with pytest.raises(DegenerateTriangle):
+                TriangleMetrics.from_vertices(A, near, C)
+
+    def test_relabeling_permutes_consistently(self):
+        A, B, C = random_vertices(1000, seed=5)
+        m = TriangleMetrics.from_vertices(A, B, C)
+        mp = TriangleMetrics.from_vertices(B, C, A)
+        assert np.max(np.abs(mp.a - m.b)) < 1e-12 and np.max(np.abs(mp.alpha - m.beta)) < 1e-12
+        assert np.max(np.abs(mp.sigma - m.sigma)) < 1e-12
+        assert np.max(np.abs(mp.tau - m.tau)) < 1e-12
 
     def test_girard_vs_lhuilier(self):
         # L'Huilier (sides only) is the independent oracle for the
         # angle-based excess.
-        a, b, c, al, be, ga = random_metrics(10**4)
-        sigma = al + be + ga - PI
-        assert np.max(np.abs(sigma - lhuilier_excess(a, b, c))) < 1e-10
+        m = TriangleMetrics.from_vertices(*random_vertices(10**4, seed=2024))
+        assert np.max(np.abs(m.sigma - lhuilier_excess(m.a, m.b, m.c))) < 1e-10
 
     def test_girard_vs_van_oosterom_strackee(self):
         # tan(sigma/2) = |A.(B x C)| / (1 + A.B + B.C + C.A) (Van Oosterom
@@ -198,8 +215,8 @@ class TestMetrics:
         sigma_vos = 2.0 * np.arctan2(
             np.abs(dot(A, np.cross(B, C))), 1.0 + dot(A, B) + dot(B, C) + dot(C, A)
         )
-        _, _, _, al, be, ga = triangle_elements(A, B, C)
-        assert np.max(np.abs(al + be + ga - PI - sigma_vos)) < 1e-11
+        sigma = TriangleMetrics.from_vertices(A, B, C).sigma
+        assert np.max(np.abs(sigma - sigma_vos)) < 1e-11
 
     def test_law_of_sines(self):
         # Cleared form: the quotient form amplifies noise when the common
@@ -213,15 +230,6 @@ class TestMetrics:
         lhs = np.cos(a)
         rhs = np.cos(b) * np.cos(c) + np.sin(b) * np.sin(c) * np.cos(al)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_relabeling_permutes_consistently(self):
-        pts = sample_uniform_points(RngStream(5), 3)
-        A, B, C = (UnitVec3.from_vector(p) for p in pts)
-        m = metrics_from_vertices(A, B, C)
-        mp = metrics_from_vertices(B, C, A)
-        assert abs(mp.a - m.b) < 1e-12 and abs(mp.alpha - m.beta) < 1e-12
-        assert abs(mp.sigma - m.sigma) < 1e-12
-        assert abs(mp.tau - m.tau) < 1e-12
 
     def test_ranges(self):
         a, b, c, al, be, ga = random_metrics(10**4)
@@ -242,14 +250,14 @@ class TestDual:
         assert np.allclose(va, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_degenerate_dual(self):
-        p = UnitVec3(1, 0, 0)
+        p = OCTANT[0]
         with pytest.raises(DegenerateDual):
-            dual_metrics_from_poles(p, p, UnitVec3(0, 0, 1))
+            dual_vertices(p, p, OCTANT[2])
 
     def test_dual_metrics_valid(self):
-        poles = sample_uniform_points(RngStream(11), 3)
-        m = dual_metrics_from_poles(*(UnitVec3.from_vector(p) for p in poles))
-        assert 0 <= m.sigma <= 2 * PI and 0 <= m.tau <= 2 * PI
+        m = TriangleMetrics.from_vertices(*dual_vertices(*random_vertices(1000, seed=11)))
+        assert np.all((0 <= m.sigma) & (m.sigma <= 2 * PI))
+        assert np.all((0 <= m.tau) & (m.tau <= 2 * PI))
 
     def test_duality_distribution(self, primal_batch_1m, dual_batch_1m):
         # (dual area) matches (2*pi - primal perimeter) in distribution.
