@@ -34,7 +34,8 @@ from .coords import angle_jacobian, side_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import (
-    QuadratureSpec, _agm_KE, _integrate_rows, carlson_rf_rd, ellip_E, ellip_K, integrate,
+    QuadratureSpec, _agm_KE, _check_tol, _integrate_rows, carlson_rf_rd, ellip_E, ellip_K,
+    integrate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -369,11 +370,6 @@ def _legendre_pair(orders: tuple[int, int]):
     return rule
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tolerance must be positive, got tol={tol!r}")
-
-
 def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: float) -> np.ndarray:
     """Integral_0^1 integrand(x, v) dv for every x of the 1-D array xs.
 
@@ -427,71 +423,55 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Radicands shared by the double integrals and their elliptic reductions.
-# Both are the factored (product-of-sines) form of
-#   sin^2(kappa) sin^2(r) - [cos(kappa) cos(r) - cos(x - kappa - r)]^2,
-# which is algebraically identical but free of the cancellation that the
-# difference-of-squares form suffers near its endpoint zeros.
+# The double integrals, by nested quadrature.
+
+
+def _nested(f, bounds, lo: float, hi: float, outer_spec, inner_spec) -> float:
+    """Integral over u in [lo, hi] of the integral of f(u, t) dt over bounds(u) = (a, b).
+
+    The outer integral is integrate's; the inner integrals at each outer
+    panel's 15 nodes us are the rows of one _integrate_rows call (Shampine,
+    J. Comput. Appl. Math. 211, 2008). So f(u, t) gets a column of nodes u
+    against rows of abscissae t, and bounds(us) returns floats or arrays
+    that broadcast against us.
+    """
+    def outer(us):
+        a, b = (np.broadcast_to(v, us.shape) for v in bounds(us))
+        return _integrate_rows(lambda i, t: f(us[i], t), a, b, inner_spec)[0]
+
+    return integrate(outer, lo, hi, outer_spec).value
 
 
 def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
+    """The square-root kinds' radicand, in factored (product-of-sines) form.
+
+    Equals sin^2(kappa) sin^2(rho) - [cos(kappa) cos(rho) - cos(x - kappa - rho)]^2,
+    but without the cancellation that the difference of squares suffers
+    near its endpoint zeros. The dual-area radicand in theta is the same
+    expression: its two sign flips cancel exactly.
+    """
     rho = np.asarray(rho, dtype=float)
-    return (
-        4.0
-        * np.sin(x / 2 - rho)
-        * np.sin(x / 2 - kappa)
-        * math.sin(x / 2)
-        * np.sin(rho + kappa - x / 2)
-    )
+    return (4.0 * np.sin(x / 2 - rho) * np.sin(x / 2 - kappa) * math.sin(x / 2)
+            * np.sin(rho + kappa - x / 2))
 
 
-def radicand_area_dual(x: float, kappa, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return (
-        4.0
-        * np.sin(theta - x / 2)
-        * np.sin(kappa - x / 2)
-        * math.sin(x / 2)
-        * np.sin(theta + kappa - x / 2)
-    )
+def _sqrt_inner(x: float, dual: bool, tol: float):
+    """Inner integral of the primal-perimeter or dual-area double integral: (f, bounds, spec).
 
+    Both integrate sin(x - kappa - t) sin(kappa) sin(t) / sqrt(radicand)
+    dt, the primal one over the rho-band [x/2 - kappa, x/2] and the dual
+    one, negated, over the theta-band [x/2, pi - kappa + x/2]; the radicand
+    vanishes at both ends of either band. f and bounds take floats or arrays.
+    """
+    sign = -1.0 if dual else 1.0
 
-# The inner integrals of density_via_double_integral below take kappa as a
-# float or an array and return the same. An array is the rows of one
-# _integrate_rows call, whose integrand f(i, t) reads kappa[i]; a float (as
-# from elliptic_reduction_gap) is one integrate call, which is faster for a
-# single integral.
+    def f(k, t):
+        rad = np.maximum(radicand_perimeter(x, k, t), 0.0)
+        return np.sin(x - k - t) * (sign * np.sin(k)) * np.sin(t) / np.sqrt(rad)
 
-
-def _inner_rows(f, kappa, bounds, spec):
-    """Integral of f(k, t) dt over bounds(k) = (lo, hi), for each k of kappa."""
-    if np.ndim(kappa) == 0:
-        k = float(kappa)
-        return integrate(lambda t: f(k, t), *bounds(k), spec).value
-    flat = np.asarray(kappa, dtype=float).ravel()
-    lo, hi = (np.broadcast_to(v, flat.shape) for v in bounds(flat))
-    vals = _integrate_rows(lambda i, t: f(flat[i], t), lo, hi, spec)[0]
-    return vals.reshape(np.shape(kappa))
-
-
-def _perimeter_inner(x: float, kappa, tol: float):
-    """Inner rho-integral of the primal-perimeter double integral."""
-    def f(k, rho):
-        rad = np.maximum(radicand_perimeter(x, k, rho), 0.0)
-        return np.sin(x - k - rho) * np.sin(k) * np.sin(rho) / np.sqrt(rad)
-
+    bounds = (lambda k: (x / 2, math.pi - (k - x / 2))) if dual else (lambda k: (x / 2 - k, x / 2))
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    return _inner_rows(f, kappa, lambda k: (x / 2 - k, x / 2), spec)
-
-
-def _area_dual_inner(x: float, kappa, tol: float):
-    """Inner theta-integral of the dual-area double integral (sign included)."""
-    def f(k, theta):
-        rad = np.maximum(radicand_area_dual(x, k, theta), 0.0)
-        return np.sin(x - k - theta) * np.sin(k) * np.sin(theta) / np.sqrt(rad)
-
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    return -_inner_rows(f, kappa, lambda k: (x / 2, math.pi - (k - x / 2)), spec)
+    return f, bounds, spec
 
 
 def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> float:
@@ -509,54 +489,43 @@ def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> f
     No symbolic proof of these evaluations is known; driving the gap
     below tolerance on a grid is the numerical settlement.
     """
-    if kind is EllipticReduction.PERIMETER_GIVEN_SIDE:
-        if not 0.0 < kappa < x / 2 < math.pi:
-            raise ValueError("requires 0 < kappa < x/2 < pi")
-        lhs = _perimeter_inner(x, kappa, tol=1e-11)
-        z = math.sin(kappa / 2)
-        rhs = (
-            (ellip_E(z) - math.cos((x - kappa) / 2) ** 2 * ellip_K(z))
-            / math.sqrt(math.sin(x / 2) * math.sin(x / 2 - kappa))
-            * math.sin(kappa)
-        )
-    else:
+    dual = kind is EllipticReduction.AREA_GIVEN_ANGLE
+    if dual:
         if not 0.0 < x / 2 < kappa < math.pi:
             raise ValueError("requires 0 < x/2 < kappa < pi")
-        lhs = _area_dual_inner(x, kappa, tol=1e-11)
-        z = math.cos(kappa / 2)
-        rhs = (
-            (ellip_E(z) - math.sin((x - kappa) / 2) ** 2 * ellip_K(z))
-            / math.sqrt(math.sin(x / 2) * math.sin(kappa - x / 2))
-            * math.sin(kappa)
-        )
+        z, c, gap = math.cos(kappa / 2), math.sin((x - kappa) / 2), kappa - x / 2
+    else:
+        if not 0.0 < kappa < x / 2 < math.pi:
+            raise ValueError("requires 0 < kappa < x/2 < pi")
+        z, c, gap = math.sin(kappa / 2), math.cos((x - kappa) / 2), x / 2 - kappa
+    rhs = ((ellip_E(z) - c ** 2 * ellip_K(z)) / math.sqrt(math.sin(x / 2) * math.sin(gap))
+           * math.sin(kappa))
+    f, bounds, spec = _sqrt_inner(x, dual, tol=1e-11)
+    lhs = integrate(lambda t: f(kappa, t), *bounds(kappa), spec).value
     return abs(lhs - rhs)
 
 
-def _smooth_density_inner(x: float, kappa, perimeter: bool, tol: float):
-    """Inner integral of the regular (arctan-form) double integrals.
+def _smooth_density_inner(x: float, perimeter: bool, tol: float):
+    """Inner integral of the regular (arctan-form) double integrals: (f, bounds, spec).
 
-    The sin(kappa) density weight of the fixed element is folded in here,
-    so the outer integral is unweighted.
+    The dual-perimeter one runs over rho in [0, x/2] with s = sin(x/2 - rho),
+    the primal-area one over theta in [x/2, pi] with s = sin(theta - x/2)
+    and the two squares of the denominator swapped. The sin(kappa) density
+    weight of the fixed element is folded in here, so the outer integral is
+    unweighted.
     """
     sx = math.sin(x / 2)
-    if perimeter:
-        lo, hi = 0.0, x / 2
 
-        def f(k, rho):
-            ck = np.cos(k)
-            d = (1.0 - ck) * sx ** 2 + (1.0 + ck) * np.sin(x / 2 - rho) ** 2
-            num = (1.0 - ck) * (1.0 + ck) * np.sin(x / 2 - rho) * sx * np.sin(rho)
-            return np.sin(k) * num / d ** 2
-    else:
-        lo, hi = x / 2, math.pi
+    def f(k, t):
+        ck = np.cos(k)
+        s = np.sin(x / 2 - t) if perimeter else np.sin(t - x / 2)
+        p, q = (sx, s) if perimeter else (s, sx)
+        d = (1.0 - ck) * p ** 2 + (1.0 + ck) * q ** 2
+        num = (1.0 - ck) * (1.0 + ck) * s * sx * np.sin(t)
+        return np.sin(k) * num / d ** 2
 
-        def f(k, theta):
-            ck = np.cos(k)
-            d = (1.0 - ck) * np.sin(theta - x / 2) ** 2 + (1.0 + ck) * sx ** 2
-            num = (1.0 - ck) * (1.0 + ck) * np.sin(theta - x / 2) * sx * np.sin(theta)
-            return np.sin(k) * num / d ** 2
-
-    return _inner_rows(f, kappa, lambda k: (lo, hi), QuadratureSpec(abs_tol=tol, rel_tol=tol))
+    bounds = (lambda k: (0.0, x / 2)) if perimeter else (lambda k: (x / 2, math.pi))
+    return f, bounds, QuadratureSpec(abs_tol=tol, rel_tol=tol)
 
 
 def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) -> float:
@@ -575,30 +544,17 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
-    # Each outer panel's 15 kappa nodes are the rows of one inner call.
-    if kind is DensityKind.AREA_PRIMAL:
-        lo, hi = 0.0, math.pi
-        inner = lambda k: _smooth_density_inner(x, k, perimeter=False, tol=inner_tol)
-        scale = 1.0 / (2.0 * math.pi)
-        outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
-    elif kind is DensityKind.PERIMETER_DUAL:
-        lo, hi = 0.0, math.pi
-        inner = lambda k: _smooth_density_inner(x, k, perimeter=True, tol=inner_tol)
-        scale = 1.0 / (2.0 * math.pi)
-        outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
-    elif kind is DensityKind.PERIMETER_PRIMAL:
-        lo, hi = 0.0, x / 2
-        inner = lambda k: _perimeter_inner(x, k, tol=inner_tol)
-        scale = 1.0 / (4.0 * math.pi)
-        outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_right=True)
-    else:  # AREA_DUAL
-        lo, hi = x / 2, math.pi
-        inner = lambda k: _area_dual_inner(x, k, tol=inner_tol)
-        scale = 1.0 / (4.0 * math.pi)
-        outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True)
-
-    res = integrate(inner, lo, hi, outer_spec)
-    return scale * res.value
+    if kind is DensityKind.AREA_PRIMAL or kind is DensityKind.PERIMETER_DUAL:
+        f, bounds, inner_spec = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL,
+                                                      inner_tol)
+        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), {}
+    else:
+        dual = kind is DensityKind.AREA_DUAL
+        f, bounds, inner_spec = _sqrt_inner(x, dual, inner_tol)
+        lo, hi = (x / 2, math.pi) if dual else (0.0, x / 2)
+        scale, ends = 1.0 / (4.0 * math.pi), {"singular_left": dual, "singular_right": not dual}
+    outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, **ends)
+    return scale * _nested(f, bounds, lo, hi, outer_spec, inner_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +807,9 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
 def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
     """The two-angle / two-side routes, by nested Jacobian-weighted quadrature.
 
-    The outer integral over u is adaptive; for each of its panels the
-    boundary h(u) comes from one array call of solved_forms, and the inner
-    integrals of the Jacobian over [0, h(u)] at the 15 nodes are the rows
-    of one _integrate_rows call. On the seed-1 conditional-routes benchmark
+    The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
+    by _nested, so the boundary h(u) comes from one array call of
+    solved_forms per outer panel. On the seed-1 conditional-routes benchmark
     points a call that integrates takes a median 4.0 ms (two-angle) and
     3.3 ms (two-side), at most 19 ms; one scalar inner integral per node
     took 9.2, 11.4 and 114 ms. Nearer kappa = 0 or pi than
@@ -874,17 +829,13 @@ def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
             return 1.0  # at kappa == x/2, the edge of the admissible wedge, f == pi
         form, jac = SolvedFormKind.SIDE_ETA, side_jacobian  # boundary eta = f(xi)
 
-    inner_spec = QuadratureSpec(abs_tol=tol / 10.0, rel_tol=tol / 10.0)
+    def bounds(us):  # the boundary v = h(u); h = 0 gives 0
+        return 0.0, np.arccos(np.clip(solved_forms(form, us, x, kappa), -1.0, 1.0))
 
-    def outer(us):
-        # The boundary v = h(u) at all the panel's nodes, then the inner
-        # integrals over [0, h(u)] as the rows of one call; h = 0 gives 0.
-        hi = np.arccos(np.clip(solved_forms(form, us, x, kappa), -1.0, 1.0))
-        return _integrate_rows(lambda i, v: jac(us[i], v, kappa), np.zeros_like(hi), hi,
-                               inner_spec)[0]
-
-    res = integrate(outer, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
-    return res.value / TWO_PI
+    value = _nested(lambda u, v: jac(u, v, kappa), bounds, 0.0, math.pi,
+                    QuadratureSpec(abs_tol=tol, rel_tol=tol),
+                    QuadratureSpec(abs_tol=tol / 10.0, rel_tol=tol / 10.0))
+    return value / TWO_PI
 
 
 def conditional_cdf(

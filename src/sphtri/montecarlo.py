@@ -196,8 +196,9 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     return float(max(d_plus, d_minus))
 
 
-# Region kinds -> (batch kind, statistic attribute).
-_REGION_SETUP = {
+# The region laws: conditional kind -> (the batch kind that samples it, the
+# statistic attribute it bounds).
+REGION_SETUP = {
     ConditionalKind.AREA_GIVEN_SIDE: (BatchKind.PRIMAL_GIVEN_SIDE, "sigma"),
     ConditionalKind.PERIMETER_GIVEN_SIDE: (BatchKind.PRIMAL_GIVEN_SIDE, "tau"),
     ConditionalKind.PERIMETER_GIVEN_ANGLE: (BatchKind.DUAL_GIVEN_ANGLE, "tau"),
@@ -223,9 +224,9 @@ def region_coverage(
     side. Returns the number of violations (0 when the curve formula and
     the sampler agree).
     """
-    if kind not in _REGION_SETUP:
+    if kind not in REGION_SETUP:
         raise ValueError(f"no region characterization for {kind}")
-    batch_kind, stat_name = _REGION_SETUP[kind]
+    batch_kind, stat_name = REGION_SETUP[kind]
     batch = sample_batch(batch_kind, kappa, n, rng)
     stat = getattr(batch, stat_name)
     inside = stat <= limit

@@ -9,7 +9,9 @@ DLMF 19.36(i)), which works elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 endpoint (t = a + u^2 or t = b - u^2) becomes a bounded smooth integrand,
-so no special weighting is needed afterwards.
+so no special weighting is needed afterwards. Its two engines, a heap
+for one integral and a batched one for many (_integrate_rows), stop at the
+same width floor and the same per-call panel budget.
 """
 
 from __future__ import annotations
@@ -60,21 +62,35 @@ _WEIGHTS_G = _weights_g
 del _weights_g
 
 
+# Panels one call of integrate or _integrate_rows may evaluate, as
+# QUADPACK's limit (Piessens et al., 1983); the first panel of each piece
+# or row is always evaluated. The 2-D routes and the double integrals at
+# the benchmark points of four seeds, the wedge-edge matrix and 25
+# densities of each kind used at most 867 a call.
+_PANEL_BUDGET = 1 << 14
+# A panel narrower than _FLOOR times its position, plus _FLOOR times the
+# width of its piece, is not split. Without the second term the heap chased
+# 1/t on [0, 1] down to a width of 7e-307, where 1/t overflows.
+_FLOOR = 1e-15
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tolerance must be positive, got {name}={tol!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and endpoint-singularity flags."""
+    """Tolerances and endpoint-singularity flags."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 48
     singular_left: bool = False
     singular_right: bool = False
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        _check_tol(self.abs_tol, "abs_tol")
+        _check_tol(self.rel_tol, "rel_tol")
 
 
 @dataclass(frozen=True)
@@ -105,29 +121,35 @@ def _kronrod_panel(f, a, b):
     return k, _sharpened(abs(k - g))
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_depth):
-    """Adaptive bisection on [a, b]; returns (value, err, evaluations)."""
+def _adaptive(f, a, b, abs_tol, rel_tol, budget):
+    """Adaptive bisection on [a, b] in at most budget panels; returns (value, err, evaluations)."""
     if a == b:
         return 0.0, 0.0, 0
     val, err = _kronrod_panel(f, a, b)
     evals = 15
-    # Heap of (-err, counter, a, b, value, err, depth).
+    last_split = 15 * (budget - 2)  # the evaluations after which a split goes past budget
+    floor = (b - a) * _FLOOR
+
+    def fail(why):
+        raise ToleranceNotMet(f"{why} (err ~ {total_err:.3e})",
+                              QuadratureResult(total, total_err, evals))
+
+    # Heap of (-err, counter, a, b, value, err).
     counter = 0
-    heap = [(-err, counter, a, b, val, err, 0)]
+    heap = [(-err, counter, a, b, val, err)]
     total = val
     total_err = err
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        neg, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
-        if depth >= max_depth or (pb - pa) <= abs(pb + pa) * 1e-15:
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, perr, depth))
+        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
+        if (pb - pa) <= abs(pb + pa) * _FLOOR + floor:
+            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, perr))
             counter += 1
             # Nothing left that may be split.
             if all(item[0] == 0.0 for item in heap):
-                raise ToleranceNotMet(
-                    f"subdivision budget exhausted (err ~ {total_err:.3e})",
-                    QuadratureResult(total, total_err, evals),
-                )
+                fail("no panel wider than the floor left to split")
             continue
+        if evals > last_split:
+            fail(f"panel budget of {_PANEL_BUDGET} exhausted")
         mid = 0.5 * (pa + pb)
         lval, lerr = _kronrod_panel(f, pa, mid)
         rval, rerr = _kronrod_panel(f, mid, pb)
@@ -135,9 +157,9 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_depth):
         total += lval + rval - pval
         total_err += lerr + rerr - perr
         counter += 1
-        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr, depth + 1))
+        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
         counter += 1
-        heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr, depth + 1))
+        heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr))
     return total, total_err, evals
 
 
@@ -153,10 +175,11 @@ def integrate(
     values. Flagged endpoints are assumed to carry at worst an
     inverse-square-root singularity, removed exactly by the u^2
     substitution before adaptive refinement; the integrand is never
-    evaluated at the endpoints themselves. Raises ToleranceNotMet (with
-    the best estimate attached) when the subdivision budget runs out,
-    NonFiniteIntegrand when a panel sums to NaN or infinity, and
-    ValueError for non-finite bounds.
+    evaluated at the endpoints themselves. Raises ToleranceNotMet, with
+    the best estimate of the piece that failed attached, when only panels
+    at the width floor are left to split or a split would take the call
+    past _PANEL_BUDGET panels; NonFiniteIntegrand when a panel sums to NaN
+    or infinity; and ValueError for non-finite bounds.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -176,7 +199,7 @@ def integrate(
         piece_f = f if substituted is None else substituted(f, end)
         v, e, n = _adaptive(
             piece_f, lo, hi, spec.abs_tol * tol_scale, spec.rel_tol * tol_scale,
-            spec.max_depth,
+            _PANEL_BUDGET - evals // 15,
         )
         value += v
         err += e
@@ -221,12 +244,6 @@ def _right_substituted(f, b):
     return g
 
 
-# Panels one _integrate_rows call may evaluate over all its rows; max_depth
-# alone admits 2^48 a row. The 2-D routes and the double integrals used at
-# most 867 a call over the benchmark points of four seeds, the wedge-edge
-# matrix and 25 densities of each kind; a non-integrable row reaches the
-# budget in tens of milliseconds.
-_ROWS_PANEL_BUDGET = 1 << 14
 # Panels split a step in each row not yet accepted, at the least.
 _ROWS_SPLITS = 2
 
@@ -235,29 +252,32 @@ def _integrate_rows(f, a, b, spec=None):
     """Integral of f(r, t) dt over [a[r], b[r]] for every row r of the 1-D arrays a and b.
 
     The batched form of integrate for the inner integrals of nested
-    quadrature: each refinement step evaluates the new G7/K15 panels of
-    every row in one call f(i, t) (Shampine, "Vectorized adaptive
-    quadrature in MATLAB", J. Comput. Appl. Math. 211, 2008). There t has
-    one panel's 15 abscissae per line and the column i holds each line's
-    row index, by which f looks up its per-row parameters. Each row is
-    accepted on its own test, max(abs_tol, rel_tol * |value|) of spec, and
-    honours max_depth and the singular flags through the u^2 substitutions
-    of integrate. Rows with a == b give 0 and are not evaluated.
+    quadrature (distributions._nested makes one call per outer panel):
+    each refinement step evaluates the new G7/K15 panels of every row in
+    one call f(i, t) (Shampine, "Vectorized adaptive quadrature in
+    MATLAB", J. Comput. Appl. Math. 211, 2008). There t has one panel's 15
+    abscissae per line and the column i holds each line's row index, by
+    which f looks up its per-row parameters. Each row is accepted on its
+    own test, max(abs_tol, rel_tol * |value|) of spec, and honours the
+    singular flags through the u^2 substitutions of integrate. Rows with
+    a == b give 0 and are not evaluated.
 
     integrate splits one panel at a time, from a heap. Here a step splits,
     in every row not yet accepted, its _ROWS_SPLITS panels of largest error
     estimate, or its worst eighth of panels if that is more: a step's array
     work grows with the panel count, so a row that needs thousands of
     panels then takes tens of steps rather than thousands. For a single
-    integral the heap is faster: integrate took 68-120 us on a
-    bisector-route integrand where a one-row call took 390-520 us.
+    integral the heap is faster, which is why the engines stay two: the
+    1-D conditional routes ran about 3x slower (40 -> 130 us and
+    74 -> 220 us) as one-row calls of this engine.
 
     Returns (values, error estimates), arrays of a's length. Raises
     ValueError for non-finite or reversed bounds, NonFiniteIntegrand when a
     panel sums to NaN or infinity, and ToleranceNotMet, with the first
     failing row's best estimate attached, when a row that misses its
-    tolerance has no panel left to split or when the call would evaluate
-    more than _ROWS_PANEL_BUDGET panels.
+    tolerance has only panels at the width floor left to split, or when a
+    step would take the call past _PANEL_BUDGET panels. Both limits are
+    those of integrate.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -293,16 +313,17 @@ def _integrate_rows(f, a, b, spec=None):
     abs_tol, rel_tol = spec.abs_tol * tol_scale, spec.rel_tol * tol_scale
     rows = lo.size
     # The panels, in arrays whose first n entries are in use: [pa, pb] of
-    # virtual row j, at depth, with its K15 value and error estimate, and
-    # whether it may still be split (as in _adaptive). A split puts the left
-    # half in the parent's place and appends the right half.
+    # virtual row j, with its K15 value and error estimate, and whether it
+    # is wider than the floor of _adaptive. A split puts the left half in
+    # the parent's place and appends the right half.
     live = np.flatnonzero(lo < hi)
     if not live.size:
         return np.zeros(a.size), np.zeros(a.size)
     n = spent = live.size
     pa, pb, val, err = lo[live], hi[live], np.empty(n), np.empty(n)
-    j, depth = live, np.zeros(n, dtype=np.intp)
-    room = pb - pa > np.abs(pb + pa) * 1e-15
+    j = live
+    floor = (hi - lo) * _FLOOR
+    room = pb - pa > np.abs(pb + pa) * _FLOOR + floor[j]
     val[:], err[:] = _row_panels(g, j, pa, pb)
 
     def fail(r, why):
@@ -321,7 +342,7 @@ def _integrate_rows(f, a, b, spec=None):
         splittable = open_rows[J] & room[:n]
         stuck = open_rows & (np.bincount(J, splittable, rows) == 0)
         if stuck.any():
-            fail(int(np.argmax(stuck)), "subdivision budget exhausted")
+            fail(int(np.argmax(stuck)), "no panel wider than the floor left to split")
         # The splittable panels of each row by decreasing error, ranked
         # within their row; take each row's quota.
         order = np.lexsort((-np.where(splittable, E, -1.0), J))
@@ -330,18 +351,17 @@ def _integrate_rows(f, a, b, spec=None):
         quota = np.maximum(_ROWS_SPLITS, np.bincount(J, minlength=rows) >> 3)
         pick = order[(rank < quota[by_row]) & splittable[order]]
         m = pick.size
-        if spent + 2 * m > _ROWS_PANEL_BUDGET:
-            fail(int(J[pick[0]]), f"panel budget of {_ROWS_PANEL_BUDGET} exhausted")
+        if spent + 2 * m > _PANEL_BUDGET:
+            fail(int(J[pick[0]]), f"panel budget of {_PANEL_BUDGET} exhausted")
         if n + m > pa.size:  # np.resize repeats the entries; those past n are rewritten before use
-            pa, pb, val, err, j, depth, room = (np.resize(v, 2 * (n + m))
-                                                for v in (pa, pb, val, err, j, depth, room))
+            pa, pb, val, err, j, room = (np.resize(v, 2 * (n + m))
+                                         for v in (pa, pb, val, err, j, room))
         new = np.concatenate([pick, np.arange(n, n + m)])
         mid = 0.5 * (A[pick] + B[pick])
         ca, cb = np.concatenate([A[pick], mid]), np.concatenate([mid, B[pick]])
-        cdepth = np.concatenate([depth[pick], depth[pick]]) + 1
         j[n:n + m] = J[pick]
-        pa[new], pb[new], depth[new] = ca, cb, cdepth
-        room[new] = (cdepth < spec.max_depth) & (cb - ca > np.abs(cb + ca) * 1e-15)
+        pa[new], pb[new] = ca, cb
+        room[new] = cb - ca > np.abs(cb + ca) * _FLOOR + floor[j[new]]
         n += m
         spent += 2 * m
         val[new], err[new] = _row_panels(g, j[new], ca, cb)

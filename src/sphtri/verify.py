@@ -37,7 +37,9 @@ from .identities import (
     median_decompose,
     median_relation_residual,
 )
-from .montecarlo import BatchKind, EmpiricalCdf, ks_distance, region_coverage, sample_batch
+from .montecarlo import (
+    REGION_SETUP, BatchKind, EmpiricalCdf, ks_distance, region_coverage, sample_batch,
+)
 from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
 from .sphere import RngStream, TriangleMetrics, sample_uniform_points
 
@@ -155,14 +157,10 @@ def mc_checks(n: int, seed: int) -> list[Check]:
     pxs, pvals = perimeter_cdf_grid()
     d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
     checks.append(Check("KS primal perimeter vs single-integral CDF", d, ks_bound))
-    kinds = [
-        (ConditionalKind.AREA_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "sigma"),
-        (ConditionalKind.PERIMETER_GIVEN_SIDE, BatchKind.PRIMAL_GIVEN_SIDE, "tau"),
-        (ConditionalKind.PERIMETER_GIVEN_ANGLE, BatchKind.DUAL_GIVEN_ANGLE, "tau"),
-        (ConditionalKind.AREA_GIVEN_ANGLE, BatchKind.DUAL_GIVEN_ANGLE, "sigma"),
-    ]
     m = 10**5
-    for ckind, bkind, stat in kinds:
+    for ckind, (bkind, stat) in REGION_SETUP.items():
+        if ckind is ConditionalKind.PERIMETER_BISECTOR:  # the perimeter-given-angle law again
+            continue
         ratios = []
         for kappa in np.linspace(0.5, math.pi - 0.5, 3):
             cb = sample_batch(bkind, float(kappa), m, RngStream(seed, 7))
@@ -174,9 +172,7 @@ def mc_checks(n: int, seed: int) -> list[Check]:
                 ratios.append(abs(frac - p) / (3 * se))
         checks.append(Check(f"conditional fractions [{ckind.value}] / 3se", _worst(ratios), 1.0))
     viol = sum(region_coverage(ckind, 1.2, 3.0, 10**5, RngStream(seed, 11))
-               for ckind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_SIDE,
-                             ConditionalKind.PERIMETER_GIVEN_ANGLE, ConditionalKind.AREA_GIVEN_ANGLE,
-                             ConditionalKind.PERIMETER_BISECTOR))
+               for ckind in REGION_SETUP)
     checks.append(Check("region coverage violations", float(viol), 1.0))
     return checks
 

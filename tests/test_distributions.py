@@ -24,7 +24,7 @@ from sphtri.distributions import (
     region_boundary,
     tabulate,
 )
-from sphtri.distributions import _area_dual_inner, _perimeter_inner
+from sphtri.distributions import _sqrt_inner
 from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.identities import bisector_threshold
 from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
@@ -32,6 +32,12 @@ from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
 PI = math.pi
 TWO_PI = 2.0 * PI
 PERIM_AT_PI = 3.0 * math.sqrt(2.0) / 32.0
+
+
+def sqrt_inner(x, kappa, tol, dual=False):
+    """The primal-perimeter (or negated dual-area) inner integral at one kappa."""
+    f, bounds, spec = _sqrt_inner(x, dual, tol)
+    return integrate(lambda t: f(kappa, t), *bounds(kappa), spec).value
 
 
 class TestAreaDensity:
@@ -215,10 +221,14 @@ class TestPerimeterDensity:
         assert abs(r.value - 1.0) < 1e-5
 
     def test_radicand_product_form(self):
-        # The factored radicand equals the literal difference of squares.
+        # The factored radicand equals the literal difference of squares, on
+        # the primal-perimeter rho-band and on the dual-area theta-band.
         for tau in (1.0, PI, 5.0):
-            for kappa in (0.2 * tau / 2, 0.7 * tau / 2):
-                rho = np.linspace(tau / 2 - kappa + 0.01, tau / 2 - 0.01, 7)
+            bands = [(kappa, tau / 2 - kappa, tau / 2) for kappa in (0.2 * tau / 2, 0.7 * tau / 2)]
+            bands += [(kappa, tau / 2, PI - kappa + tau / 2)
+                      for kappa in (tau / 2 + 0.2 * (PI - tau / 2), tau / 2 + 0.7 * (PI - tau / 2))]
+            for kappa, lo, hi in bands:
+                rho = np.linspace(lo + 0.01, hi - 0.01, 7)
                 lit = (
                     np.sin(kappa) ** 2 * np.sin(rho) ** 2
                     - (np.cos(kappa) * np.cos(rho) - np.cos(tau - kappa - rho)) ** 2
@@ -525,11 +535,9 @@ class TestEllipticReductions:
         assert gap < 1e-8
 
     def test_vanishes_as_kappa_to_zero(self):
-        from sphtri.distributions import _perimeter_inner
-
         # Both sides carry a sin(kappa) factor.
         x = PI
-        lhs = _perimeter_inner(x, 1e-4, tol=1e-12)
+        lhs = sqrt_inner(x, 1e-4, tol=1e-12)
         assert abs(lhs) < 1e-3
         gap = elliptic_reduction_gap(EllipticReduction.PERIMETER_GIVEN_SIDE, x, 1e-4)
         assert gap < 1e-8
@@ -921,10 +929,7 @@ class TestRegionBoundary:
         h = 1e-5
         fd = (conditional_cdf(kind, x + h, kappa, tol=1e-13)
               - conditional_cdf(kind, x - h, kappa, tol=1e-13)) / (2 * h)
-        if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-            inner = _perimeter_inner(x, kappa, tol=1e-13)
-        else:
-            inner = _area_dual_inner(x, kappa, tol=1e-13)
+        inner = sqrt_inner(x, kappa, tol=1e-13, dual=kind is ConditionalKind.AREA_GIVEN_ANGLE)
         want = inner / (TWO_PI * math.sin(kappa))
         assert abs(fd - want) <= 1e-7 * abs(want)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sphtri.coords import angle_jacobian, side_jacobian
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
-    _ROWS_PANEL_BUDGET,
+    _PANEL_BUDGET,
     QuadratureResult,
     QuadratureSpec,
     _integrate_rows,
@@ -136,12 +136,22 @@ class TestIntegrate:
             integrate(np.sin, 1.0, 0.0)
 
     def test_tolerance_not_met(self):
-        # A jump discontinuity cannot be resolved within two levels.
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
+        # A jump discontinuity leaves an error of about 2e-21 at the width
+        # floor, so a tolerance of 1e-30 is out of reach.
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
         with pytest.raises(ToleranceNotMet) as info:
             integrate(lambda x: np.where(x < math.e / 3, 0.0, 1.0), 0.0, 1.0, spec)
         assert isinstance(info.value.result, QuadratureResult)
         assert abs(info.value.result.value - (1.0 - math.e / 3)) < 0.01
+
+    @pytest.mark.parametrize("f", [lambda t: 1.0 / t, lambda t: np.sin(1.0 / t) / t])
+    def test_non_integrable_hits_the_panel_budget(self, f):
+        # The integrands of TestIntegrateRows.test_non_integrable_row_hits_the_panel_budget.
+        t0 = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match="panel budget") as info:
+            integrate(f, 0.0, 1.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.result.evaluations <= 15 * _PANEL_BUDGET
 
     def test_nan_integrand_raises(self):
         with pytest.raises(NonFiniteIntegrand):
@@ -163,8 +173,6 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=math.nan)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_depth=0)
 
 
 class TestIntegrateRows:
@@ -219,7 +227,7 @@ class TestIntegrateRows:
 
     def test_step_row_raises_with_estimate(self):
         # As TestIntegrate.test_tolerance_not_met, in the second of three rows.
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
 
         def f(i, t):
             return np.where(i == 1, np.where(t < math.e / 3, 0.0, 1.0), t)
@@ -235,7 +243,7 @@ class TestIntegrateRows:
         with pytest.raises(ToleranceNotMet, match="panel budget") as info:
             _integrate_rows(f, np.zeros(2), np.ones(2))
         assert time.perf_counter() - t0 < 1.0
-        assert info.value.result.evaluations <= 15 * _ROWS_PANEL_BUDGET
+        assert info.value.result.evaluations <= 15 * _PANEL_BUDGET
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
