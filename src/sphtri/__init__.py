@@ -10,7 +10,6 @@ from .coords import (
 )
 from .distributions import (
     ConditionalKind,
-    CurveKind,
     DensityCurve,
     DensityKind,
     EllipticReduction,
@@ -24,7 +23,6 @@ from .distributions import (
     perimeter_cdf_grid,
     perimeter_density,
     region_boundary,
-    tabulate,
 )
 from .errors import (
     DegenerateDual,

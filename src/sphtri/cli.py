@@ -1,4 +1,4 @@
-"""Command-line interface: tabulate curves, sample batches, run verification.
+"""Command-line interface: evaluate laws on grids, sample batches, run verification.
 
 Exit codes: 0 success, 1 usage error, 2 verification-suite failure.
 All output is deterministic given the flags (and seed, where one applies).
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -16,17 +17,15 @@ from . import montecarlo, verify
 from .distributions import (
     TWO_PI,
     ConditionalKind,
-    CurveKind,
+    DensityCurve,
     area_cdf,
     area_density,
     conditional_cdf,
     perimeter_cdf,
-    perimeter_cdf_grid,
     perimeter_density,
-    tabulate,
 )
 from .errors import SphtriError
-from .montecarlo import BatchKind, EmpiricalCdf, ks_distance, sample_batch
+from .montecarlo import BatchKind, sample_batch
 from .sphere import RngStream
 
 
@@ -95,9 +94,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _grid(args) -> np.ndarray | None:
-    if args.at is not None:
-        return None
+def _grid(args) -> np.ndarray:
     if args.lo is None or args.hi is None or args.steps is None:
         raise _Usage("need either --at or all of --from/--to/--steps")
     lo, hi = args.lo, args.hi
@@ -114,44 +111,35 @@ class _Usage(Exception):
     pass
 
 
-def _tol_kwargs(args) -> dict:
-    """``tol`` for the library call when --tol was given, else nothing."""
-    return {} if args.tol is None else {"tol": args.tol}
+def _cmd_curve(args) -> int:
+    """density, cdf and conditional: the law at --at, or its CSV table on the grid.
 
-
-# (command, --kind) -> the point law and its curve kind.
-_POINT_LAWS = {
-    ("density", "area"): (area_density, CurveKind.AREA_PDF),
-    ("density", "perimeter"): (perimeter_density, CurveKind.PERIMETER_PDF),
-    ("cdf", "area"): (area_cdf, CurveKind.AREA_CDF),
-    ("cdf", "perimeter"): (perimeter_cdf, CurveKind.PERIMETER_CDF),
-}
-
-
-def _cmd_point_law(args) -> int:
-    law, kind = _POINT_LAWS[args.command, args.kind]
+    Laws are looked up by name per call, so that a wrapper rebound on this
+    module (benchmark/tracing.py) sees the call; a table built at import would not.
+    """
+    tol = {} if args.tol is None else {"tol": args.tol}
+    density = args.command == "density"
+    if args.command == "conditional":
+        law = partial(conditional_cdf, ConditionalKind(args.kind),
+                      kappa=_angle_in(args.kappa, args.degrees), **tol)
+    elif args.kind == "area":  # the closed forms take no tolerance
+        law = area_density if density else area_cdf
+    else:
+        law = partial(perimeter_density if density else perimeter_cdf, **tol)
     at = _angle_in(args.at, args.degrees)
-    # The area laws are closed forms and take no tolerance.
-    tol = _tol_kwargs(args) if args.kind == "perimeter" else {}
     if at is not None:
-        print(f"{law(at, **tol):.17g}")
+        print(f"{law(at):.17g}")
         return 0
-    curve = tabulate(kind, _grid(args), **tol)
-    _emit(curve.to_csv_string(), args.out)
-    return 0
-
-
-def _cmd_conditional(args) -> int:
-    ckind = ConditionalKind(args.kind)
-    kappa = _angle_in(args.kappa, args.degrees)
-    at = _angle_in(args.at, args.degrees)
-    tol = _tol_kwargs(args)
-    if at is not None:
-        print(f"{conditional_cdf(ckind, at, kappa, **tol):.17g}")
-        return 0
-    curve = tabulate(CurveKind.CONDITIONAL, _grid(args),
-                     conditional_kind=ckind, kappa=kappa, **tol)
-    _emit(curve.to_csv_string(), args.out)
+    xs = _grid(args)
+    if args.command == "conditional":  # conditional_cdf takes one x at a time
+        vals = [law(float(x)) for x in xs]
+    elif density and args.kind == "perimeter":
+        # The density is defined on (0, 2*pi) only and diverges at 2*pi, where
+        # grids end: each grid point is evaluated clipped to [1e-12, 2*pi - 1e-6].
+        vals = law(np.clip(xs, 1e-12, TWO_PI - 1e-6))
+    else:
+        vals = law(xs)
+    _emit(DensityCurve(xs, vals).to_csv_string(), args.out)
     return 0
 
 
@@ -160,13 +148,9 @@ def _cmd_sample(args) -> int:
     kappa = _angle_in(args.kappa, args.degrees)
     rng = RngStream(args.seed, args.stream)
     batch = sample_batch(kind, kappa, args.n, rng)
-    ks_area = ks_perim = None
-    if kind is BatchKind.PRIMAL:
-        # KS columns are only meaningful for the unconditional laws.
-        ks_area = ks_distance(EmpiricalCdf(batch.sigma), area_cdf)
-        pxs, pvals = perimeter_cdf_grid()
-        ks_perim = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
-    text = montecarlo.summary_csv([batch.summary_row(ks_area, ks_perim)])
+    # KS columns are only meaningful for the unconditional laws.
+    ks = verify.primal_ks(batch) if kind is BatchKind.PRIMAL else (None, None)
+    text = montecarlo.summary_csv([batch.summary_row(*ks)])
     _emit(text, args.out)
     return 0
 
@@ -191,10 +175,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command in ("density", "cdf"):
-            return _cmd_point_law(args)
-        if args.command == "conditional":
-            return _cmd_conditional(args)
+        if args.command in ("density", "cdf", "conditional"):
+            return _cmd_curve(args)
         if args.command == "sample":
             return _cmd_sample(args)
         return _cmd_verify(args)

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .coords import angle_jacobian, side_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import (
-    QuadratureSpec, _agm_KE, _check_tol, _integrate_rows, carlson_rf_rd, ellip_E, ellip_K,
-    integrate,
+    QuadratureResult, QuadratureSpec, _agm_KE, _check_tol, _integrate_rows, carlson_rf_rd,
+    ellip_E, ellip_K, integrate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -67,21 +67,12 @@ class EllipticReduction(enum.Enum):
     AREA_GIVEN_ANGLE = "area_given_angle"
 
 
-class CurveKind(enum.Enum):
-    AREA_PDF = "area_pdf"
-    AREA_CDF = "area_cdf"
-    PERIMETER_PDF = "perimeter_pdf"
-    PERIMETER_CDF = "perimeter_cdf"
-    CONDITIONAL = "conditional"
-
-
 @dataclass(frozen=True)
 class DensityCurve:
     """A sampled (x, value) table of a density or CDF, as float arrays."""
 
     xs: np.ndarray
     values: np.ndarray
-    kind: CurveKind
 
     def __post_init__(self):
         for name in ("xs", "values"):
@@ -96,14 +87,11 @@ class DensityCurve:
         if np.any(self.values < -1e-12):
             raise ValueError("curve values must be nonnegative")
 
-    def to_csv(self, stream) -> None:
-        """Write `x,value` rows at full round-trip precision (17 digits)."""
-        np.savetxt(stream, np.column_stack([self.xs, self.values]), fmt="%.17g",
-                   delimiter=",", header="x,value", comments="")
-
     def to_csv_string(self) -> str:
+        """`x,value` rows at full round-trip precision (17 digits), under that header."""
         buf = io.StringIO()
-        self.to_csv(buf)
+        np.savetxt(buf, np.column_stack([self.xs, self.values]), fmt="%.17g",
+                   delimiter=",", header="x,value", comments="")
         return buf.getvalue()
 
 
@@ -377,7 +365,8 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
     xs at a time as fit in _GRID_BATCH elements; the higher order's values
     are returned. Raises ToleranceNotMet at the first x where the orders
     differ by more than max(tol, tol * |value|), the acceptance of
-    QuadratureSpec(abs_tol=tol, rel_tol=tol). Each row is summed on its
+    QuadratureSpec(abs_tol=tol, rel_tol=tol), with that x's higher-order
+    value and the gap attached as a QuadratureResult. Each row is summed on its
     own; a value depends on the other entries of xs only where an
     iteration inside the integrand stops when its whole batch has
     converged (Carlson's duplication), and then by rounding. A tol that is
@@ -397,7 +386,8 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ToleranceNotMet(f"Gauss-Legendre rules of orders {orders} differ by "
-                                  f"{gap[i]:.3e} at tau = {float(x[i, 0])!r} (tol {tol:.1e})")
+                                  f"{gap[i]:.3e} at tau = {float(x[i, 0])!r} (tol {tol:.1e})",
+                                  QuadratureResult(float(fine[i]), float(gap[i]), v.size))
         vals[start:start + rows] = fine
     return vals
 
@@ -576,7 +566,7 @@ def _cot_arccos(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     B = (math.cos(x - kappa) - math.cos(kappa)) / sk
 
     def curve(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.arccos(np.clip(A + B / np.tan(t), -1.0, 1.0))
 
     return curve
@@ -601,6 +591,18 @@ def _bisector_sine(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]
     return sine
 
 
+def _check_x_kappa(x: float, kappa: float) -> None:
+    if not 0.0 <= x <= TWO_PI:
+        raise ValueError("x must lie in [0, 2*pi]")
+    if not 0.0 <= kappa <= math.pi:
+        raise ValueError("kappa must lie in [0, pi]")
+
+
+def _step(at: float) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> pi up to at and 0 above it: the kappa -> 0 limit of the perimeter boundaries."""
+    return lambda t: np.where(np.asarray(t, dtype=float) <= at, math.pi, 0.0)
+
+
 def region_boundary(
     kind: ConditionalKind, x: float, kappa: float
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -619,9 +621,12 @@ def region_boundary(
 
     Outside the range of its argument over which the boundary runs, f is 0
     or pi, so that the same comparison still decides membership. The
-    conditional CDF routes integrate the same curves. Other kinds raise
-    ValueError.
+    conditional CDF routes integrate the same curves. At kappa = 0 the
+    perimeter curves take their limit, pi up to x/2 and 0 above it (where
+    x/2 is 0, the empty region's). x outside [0, 2*pi], kappa outside
+    [0, pi] and other kinds raise ValueError.
     """
+    _check_x_kappa(x, kappa)
     sx = math.sin(x / 2)
     if kind is ConditionalKind.AREA_GIVEN_SIDE:
         tk = math.tan(kappa / 2)
@@ -636,37 +641,16 @@ def region_boundary(
         return curve
 
     if kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
-        ck = 1.0 / math.tan(kappa / 2)
+        tk = math.tan(kappa / 2)
+        ck = 1.0 / tk if tk > 0.0 else math.inf
+        if math.isinf(ck) or sx == 0.0:  # the kappa -> 0 limit, or x/2 = 0
+            return _step(x / 2)
 
         def curve(rho):
             rho = np.asarray(rho, dtype=float)
-            mid = 2.0 * np.arctan(ck * np.sin(x / 2 - rho) / sx)
+            with np.errstate(over="ignore"):  # a subnormal sx gives +-inf, so +-pi
+                mid = 2.0 * np.arctan(ck * np.sin(x / 2 - rho) / sx)
             return np.where(rho > x / 2, 0.0, mid)
-
-        return curve
-
-    if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        if kappa >= x / 2:  # perimeter >= 2c, equal only if degenerate: the region is empty
-            return lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
-        band = _cot_arccos(x, kappa)
-
-        def curve(rho):
-            rho = np.asarray(rho, dtype=float)
-            mid = np.where(rho > x / 2, 0.0, band(rho))
-            return np.where(rho < x / 2 - kappa, math.pi, mid)
-
-        return curve
-
-    if kind is ConditionalKind.AREA_GIVEN_ANGLE:
-        if kappa < x / 2:  # area <= 2*alpha: the region is everything
-            return lambda theta: np.full_like(np.asarray(theta, dtype=float), math.pi)
-        band = _cot_arccos(x, kappa)
-        hi = math.pi - (kappa - x / 2)
-
-        def curve(theta):
-            theta = np.asarray(theta, dtype=float)
-            mid = np.where(theta > hi, 0.0, math.pi - band(theta))
-            return np.where(theta < x / 2, math.pi, mid)
 
         return curve
 
@@ -674,11 +658,34 @@ def region_boundary(
         sine = _bisector_sine(x, kappa)
 
         def curve(rho):
-            return np.arcsin(np.clip(-sine(np.asarray(rho, dtype=float)), -1.0, 1.0))
+            # A 0/0 sine, where sin(x/2) sin(kappa/2) is 0, is 0 as at its neighbours.
+            f = np.arcsin(np.clip(-sine(np.asarray(rho, dtype=float)), -1.0, 1.0))
+            return np.nan_to_num(f, nan=0.0)
 
         return curve
 
-    raise ValueError(f"no region boundary for {kind}")
+    if kind not in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
+        raise ValueError(f"no region boundary for {kind}")
+    # The band laws of _cond_band.
+    dual = kind is ConditionalKind.AREA_GIVEN_ANGLE
+    if (kappa <= x / 2) if dual else (kappa >= x / 2):
+        # Area <= 2*alpha: the region is everything. Perimeter >= 2c: it is empty.
+        fill = math.pi if dual else 0.0
+        return lambda t: np.full_like(np.asarray(t, dtype=float), fill)
+    if kappa == 0.0:
+        return _step(x / 2)
+    band = _cot_arccos(x, kappa)
+    lo, hi = (x / 2, math.pi - (kappa - x / 2)) if dual else (x / 2 - kappa, x / 2)
+
+    def curve(t):
+        t = np.asarray(t, dtype=float)
+        mid = np.where(t > hi, 0.0, (math.pi - band(t)) if dual else band(t))
+        # The curve is NaN only at t = lo: from B / tan(0) = 0/0 where x/2 is
+        # 0, or from inf - inf where A and B overflow (kappa < 1e-308, lo = hi).
+        # It takes the value pi of the curve below lo.
+        return np.where(t < lo, math.pi, np.nan_to_num(mid, nan=math.pi))
+
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -726,35 +733,33 @@ def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
     return (x - 2.0 * band) / TWO_PI
 
 
-def _cond_perimeter_given_side(x: float, kappa: float, tol: float) -> float:
-    if kappa >= x / 2:  # perimeter >= 2c, equal only for degenerate triangles
-        return 0.0
-    lo = x / 2 - kappa
+def _cond_band(x: float, kappa: float, tol: float, dual: bool) -> float:
+    """The fixed-side perimeter law, or with dual the fixed-angle area law.
+
+    Each boundary curve is pi below a band [lo, hi], 0 above it and on it
+    _cot_arccos, or pi minus that for the dual law, so the CDF is
+    (pi (1 - cos lo) + Integral_lo^hi curve(t) sin t dt) / (2 pi).
+    """
+    if dual:
+        if kappa <= x / 2:  # area <= 2*alpha always
+            return 1.0
+        lo, hi = x / 2, math.pi - (kappa - x / 2)
+    else:
+        if kappa >= x / 2:  # perimeter >= 2c, equal only for degenerate triangles
+            return 0.0
+        lo, hi = x / 2 - kappa, x / 2
     base = math.pi * (1.0 - math.cos(lo))
-    if kappa == 0.0:  # the kappa -> 0 limit; the rho-band [lo, x/2] is empty
+    # No band where kappa is 0 (the kappa -> 0 limit) or below half an ulp of
+    # x/2, or where kappa = pi rounds hi below x/2.
+    if hi <= lo:
         return base / TWO_PI
     band = _cot_arccos(x, kappa)
 
-    def f(rho):
-        return band(rho) * np.sin(rho)
+    def f(t):
+        return ((math.pi - band(t)) if dual else band(t)) * np.sin(t)
 
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    inner = integrate(f, lo, x / 2, spec).value
-    return (base + inner) / TWO_PI
-
-
-def _cond_area_given_angle(x: float, kappa: float, tol: float) -> float:
-    if kappa <= x / 2:  # area <= 2*alpha always
-        return 1.0
-    hi = max(x / 2, math.pi - (kappa - x / 2))  # at kappa = pi rounding can put it below x/2
-    base = math.pi * (1.0 - math.cos(x / 2))
-    band = _cot_arccos(x, kappa)
-
-    def f(theta):
-        return (math.pi - band(theta)) * np.sin(theta)
-
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    inner = integrate(f, x / 2, hi, spec).value
+    inner = integrate(f, lo, hi, spec).value
     return (base + inner) / TWO_PI
 
 
@@ -851,10 +856,7 @@ def conditional_cdf(
     raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
     A tol that is not positive (NaN included) raises ValueError on every route.
     """
-    if not 0.0 <= x <= TWO_PI:
-        raise ValueError("x must lie in [0, 2*pi]")
-    if not 0.0 <= kappa <= math.pi:
-        raise ValueError("kappa must lie in [0, pi]")
+    _check_x_kappa(x, kappa)
     _check_tol(tol)
     if x <= 0.0:
         return 0.0
@@ -865,10 +867,8 @@ def conditional_cdf(
         val = _cond_area_given_side(x, kappa)
     elif kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
         val = _cond_perimeter_given_angle(x, kappa)
-    elif kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        val = _cond_perimeter_given_side(x, kappa, tol)
-    elif kind is ConditionalKind.AREA_GIVEN_ANGLE:
-        val = _cond_area_given_angle(x, kappa, tol)
+    elif kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
+        val = _cond_band(x, kappa, tol, dual=kind is ConditionalKind.AREA_GIVEN_ANGLE)
     elif kind is ConditionalKind.AREA_MEDIAN:
         val = _cond_area_median(x, kappa, tol)
     elif kind is ConditionalKind.PERIMETER_BISECTOR:
@@ -878,32 +878,3 @@ def conditional_cdf(
     else:
         val = _cond_2d(x, kappa, tol, perimeter=False)
     return min(1.0, max(0.0, val))
-
-
-# ---------------------------------------------------------------------------
-# Curve tabulation.
-
-
-def tabulate(kind: CurveKind, xs: Sequence[float], **kwargs) -> DensityCurve:
-    """Evaluate a density/CDF on a grid; conditional curves need kind+kappa.
-
-    An optional ``tol`` is passed to every quadrature-based evaluation
-    (the closed-form area curves take none); without it each function
-    uses its own default.
-    """
-    xs = np.array(xs, dtype=float)
-    tol = {"tol": kwargs["tol"]} if "tol" in kwargs else {}
-    if kind is CurveKind.AREA_PDF:
-        vals = area_density(xs)
-    elif kind is CurveKind.AREA_CDF:
-        vals = area_cdf(xs)
-    elif kind is CurveKind.PERIMETER_PDF:
-        cap = TWO_PI - 1e-6  # the density diverges at 2*pi; never sample it
-        vals = perimeter_density(np.clip(xs, 1e-12, cap), **tol)
-    elif kind is CurveKind.PERIMETER_CDF:
-        vals = perimeter_cdf(xs, **tol)
-    else:
-        ckind = kwargs["conditional_kind"]
-        kappa = kwargs["kappa"]
-        vals = [conditional_cdf(ckind, float(x), kappa, **tol) for x in xs]
-    return DensityCurve(xs, vals, kind)

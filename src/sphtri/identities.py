@@ -141,6 +141,21 @@ def median_decompose(m: TriangleMetrics) -> CevianDecomposition:
     return CevianDecomposition(rho, theta)
 
 
+def bisector_angles(alpha, beta, gamma):
+    """(theta, rho) of bisector_decompose from the three angles, unchecked.
+
+    The angles are floats or arrays that broadcast. sin(theta) is floored at
+    1e-300 in rho's denominator only, so a degenerate triangle gives no 0/0.
+    """
+    theta = np.arccos(np.clip(
+        (np.cos(beta) - np.cos(gamma)) / (2.0 * np.cos(alpha / 2)), -1.0, 1.0
+    ))
+    with np.errstate(over="ignore"):
+        cos_rho = -(np.cos(beta) + np.cos(gamma)) / (2.0 * np.sin(alpha / 2)
+                                                     * np.maximum(np.sin(theta), 1e-300))
+    return theta, np.arccos(np.clip(cos_rho, -1.0, 1.0))
+
+
 def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
     """Bisector of angle alpha, met at the far intersection with side BC's circle.
 
@@ -157,16 +172,9 @@ def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
     """
     if np.any((m.alpha <= 1e-12) | (m.alpha >= math.pi - 1e-12)):
         raise DegenerateTriangle("bisector of a degenerate angle")
-    theta = np.arccos(np.clip(
-        (np.cos(m.beta) - np.cos(m.gamma)) / (2.0 * np.cos(m.alpha / 2)), -1.0, 1.0
-    ))
-    sin_theta = np.sin(theta)
-    if np.any(sin_theta < 1e-12):
+    theta, rho = bisector_angles(m.alpha, m.beta, m.gamma)
+    if np.any(np.sin(theta) < 1e-12):
         raise DegenerateTriangle("bisector degenerate (theta at 0 or pi)")
-    rho = np.arccos(np.clip(
-        -(np.cos(m.beta) + np.cos(m.gamma)) / (2.0 * np.sin(m.alpha / 2) * sin_theta),
-        -1.0, 1.0,
-    ))
     num, den = _threshold_quotient(m.tau, m.alpha, np)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho_thres = np.where(den > 0.0, np.arccos(np.clip(num / den, -1.0, 1.0)), math.pi)

@@ -20,7 +20,7 @@ import numpy as np
 from . import sphere
 from .coords import CoordKind, vertices
 from .distributions import ConditionalKind, region_boundary
-from .identities import bisector_threshold
+from .identities import bisector_angles, bisector_threshold
 from .sphere import RngStream
 
 # Rows per block of sample_batch; a block's temporaries (points, column
@@ -233,14 +233,8 @@ def region_coverage(
 
     if kind is ConditionalKind.PERIMETER_BISECTOR:
         # Per-sample bisector decomposition of the sampled triangles.
-        al = np.full(n, kappa)
         be = batch.coord_v  # beta
-        ga = batch.sigma + math.pi - al - be
-        cos_t = (np.cos(be) - np.cos(ga)) / (2.0 * math.cos(kappa / 2))
-        theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
-        sin_t = np.maximum(np.sin(theta), 1e-300)
-        cos_r = -(np.cos(be) + np.cos(ga)) / (2.0 * math.sin(kappa / 2) * sin_t)
-        rho = np.arccos(np.clip(cos_r, -1.0, 1.0))
+        theta, rho = bisector_angles(kappa, be, batch.sigma + math.pi - kappa - be)
         thres = bisector_threshold(limit, kappa)
         lower = region_boundary(kind, limit, kappa)(rho)
         upper = math.pi - lower

@@ -122,17 +122,16 @@ def _kronrod_panel(f, a, b):
 
 
 def _adaptive(f, a, b, abs_tol, rel_tol, budget):
-    """Adaptive bisection on [a, b] in at most budget panels; returns (value, err, evaluations)."""
+    """Adaptive bisection on [a, b] in at most budget panels: (value, err, evaluations, failure).
+
+    failure is None, or why the tolerance was not met; the estimate is then the best reached.
+    """
     if a == b:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0, 0, None
     val, err = _kronrod_panel(f, a, b)
     evals = 15
     last_split = 15 * (budget - 2)  # the evaluations after which a split goes past budget
     floor = (b - a) * _FLOOR
-
-    def fail(why):
-        raise ToleranceNotMet(f"{why} (err ~ {total_err:.3e})",
-                              QuadratureResult(total, total_err, evals))
 
     # Heap of (-err, counter, a, b, value, err).
     counter = 0
@@ -146,10 +145,10 @@ def _adaptive(f, a, b, abs_tol, rel_tol, budget):
             counter += 1
             # Nothing left that may be split.
             if all(item[0] == 0.0 for item in heap):
-                fail("no panel wider than the floor left to split")
+                return total, total_err, evals, "no panel wider than the floor left to split"
             continue
         if evals > last_split:
-            fail(f"panel budget of {_PANEL_BUDGET} exhausted")
+            return total, total_err, evals, f"panel budget of {_PANEL_BUDGET} exhausted"
         mid = 0.5 * (pa + pb)
         lval, lerr = _kronrod_panel(f, pa, mid)
         rval, rerr = _kronrod_panel(f, mid, pb)
@@ -160,7 +159,7 @@ def _adaptive(f, a, b, abs_tol, rel_tol, budget):
         heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
         counter += 1
         heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr))
-    return total, total_err, evals
+    return total, total_err, evals, None
 
 
 def integrate(
@@ -175,11 +174,12 @@ def integrate(
     values. Flagged endpoints are assumed to carry at worst an
     inverse-square-root singularity, removed exactly by the u^2
     substitution before adaptive refinement; the integrand is never
-    evaluated at the endpoints themselves. Raises ToleranceNotMet, with
-    the best estimate of the piece that failed attached, when only panels
-    at the width floor are left to split or a split would take the call
-    past _PANEL_BUDGET panels; NonFiniteIntegrand when a panel sums to NaN
-    or infinity; and ValueError for non-finite bounds.
+    evaluated at the endpoints themselves. Raises ToleranceNotMet when
+    only panels at the width floor are left to split or a split would take
+    the call past _PANEL_BUDGET panels; a piece after the one that failed
+    still runs, on what is left of the budget, so that the attached result
+    estimates the whole integral. Raises NonFiniteIntegrand when a panel
+    sums to NaN or infinity, and ValueError for non-finite bounds.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -195,15 +195,19 @@ def integrate(
     value = 0.0
     err = 0.0
     evals = 0
+    failure = None
     for substituted, end, lo, hi in pieces:
         piece_f = f if substituted is None else substituted(f, end)
-        v, e, n = _adaptive(
+        v, e, n, why = _adaptive(
             piece_f, lo, hi, spec.abs_tol * tol_scale, spec.rel_tol * tol_scale,
             _PANEL_BUDGET - evals // 15,
         )
+        failure = failure or why
         value += v
         err += e
         evals += n
+    if failure:
+        raise ToleranceNotMet(f"{failure} (err ~ {err:.3e})", QuadratureResult(value, err, evals))
     return QuadratureResult(value, err, evals)
 
 

@@ -38,7 +38,8 @@ from .identities import (
     median_relation_residual,
 )
 from .montecarlo import (
-    REGION_SETUP, BatchKind, EmpiricalCdf, ks_distance, region_coverage, sample_batch,
+    REGION_SETUP, BatchKind, EmpiricalCdf, SampleBatch, ks_distance, region_coverage,
+    sample_batch,
 )
 from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
 from .sphere import RngStream, TriangleMetrics, sample_uniform_points
@@ -147,16 +148,22 @@ def duality_checks() -> list[Check]:
     ]
 
 
+def primal_ks(batch: SampleBatch) -> tuple[float, float]:
+    """KS distances of a primal batch from the area CDF and the interpolated perimeter CDF."""
+    pxs, pvals = perimeter_cdf_grid()
+    return (ks_distance(EmpiricalCdf(batch.sigma), area_cdf),
+            ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals)))
+
+
 def mc_checks(n: int, seed: int) -> list[Check]:
     """Monte Carlo batches against the analytic and conditional laws."""
-    checks = []
     batch = sample_batch(BatchKind.PRIMAL, None, max(n, 10**5), RngStream(seed))
     ks_bound = 0.003 * math.sqrt(10**6 / batch.n)
-    d = ks_distance(EmpiricalCdf(batch.sigma), area_cdf)
-    checks.append(Check("KS primal area vs analytic CDF", d, ks_bound))
-    pxs, pvals = perimeter_cdf_grid()
-    d = ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals))
-    checks.append(Check("KS primal perimeter vs single-integral CDF", d, ks_bound))
+    ks_area, ks_perimeter = primal_ks(batch)
+    checks = [
+        Check("KS primal area vs analytic CDF", ks_area, ks_bound),
+        Check("KS primal perimeter vs single-integral CDF", ks_perimeter, ks_bound),
+    ]
     m = 10**5
     for ckind, (bkind, stat) in REGION_SETUP.items():
         if ckind is ConditionalKind.PERIMETER_BISECTOR:  # the perimeter-given-angle law again

@@ -1,12 +1,22 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from sphtri.cli import run
-from sphtri.distributions import CurveKind, perimeter_cdf, perimeter_density, tabulate
+from sphtri.distributions import (
+    ConditionalKind,
+    DensityCurve,
+    area_cdf,
+    area_density,
+    conditional_cdf,
+    perimeter_cdf,
+    perimeter_density,
+)
 
 PI = math.pi
+TWO_PI = 2.0 * PI
 
 
 def test_perimeter_density_at_pi(capsys):
@@ -56,8 +66,35 @@ def test_cdf_default_tolerance(capsys, tmp_path):
     out = tmp_path / "p.csv"
     assert run(["cdf", "--kind", "perimeter", "--from", "1", "--to", "3",
                 "--steps", "3", "--out", str(out)]) == 0
-    expected = tabulate(CurveKind.PERIMETER_CDF, np.linspace(1.0, 3.0, 3))
-    assert out.read_text() == expected.to_csv_string()
+    xs = np.linspace(1.0, 3.0, 3)
+    assert out.read_text() == DensityCurve(xs, perimeter_cdf(xs)).to_csv_string()
+
+
+def _conditional_law(kind, kappa):
+    return lambda xs: [conditional_cdf(kind, float(x), kappa) for x in xs]
+
+
+@pytest.mark.parametrize("argv,law", [
+    (["density", "--kind", "area"], area_density),
+    # The density diverges at 2*pi; the table evaluates it clipped inside (0, 2*pi).
+    (["density", "--kind", "perimeter"],
+     lambda xs: perimeter_density(np.clip(xs, 1e-12, TWO_PI - 1e-6))),
+    (["cdf", "--kind", "area"], area_cdf),
+    (["cdf", "--kind", "perimeter"], perimeter_cdf),
+    (["conditional", "--kind", "perimeter_given_side", "--kappa", "0.7"],
+     _conditional_law(ConditionalKind.PERIMETER_GIVEN_SIDE, 0.7)),
+    (["conditional", "--kind", "area_median", "--kappa", "1.3"],
+     _conditional_law(ConditionalKind.AREA_MEDIAN, 1.3)),
+], ids=["density-area", "density-perimeter", "cdf-area", "cdf-perimeter",
+        "conditional-perimeter_given_side", "conditional-area_median"])
+def test_curve_table_is_the_law_on_the_grid(argv, law, capsys):
+    # Golden: each table over [0, 2*pi] is DensityCurve(xs, law(xs)), finite throughout.
+    assert run(argv + ["--from", "0", "--to", repr(TWO_PI), "--steps", "9"]) == 0
+    out = capsys.readouterr().out
+    xs = np.linspace(0.0, TWO_PI, 9)
+    assert out == DensityCurve(xs, law(xs)).to_csv_string()
+    values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.isfinite(values))
 
 
 @pytest.mark.parametrize("argv", [

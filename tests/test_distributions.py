@@ -7,7 +7,6 @@ import pytest
 from sphtri import distributions
 from sphtri.distributions import (
     ConditionalKind,
-    CurveKind,
     DensityCurve,
     DensityKind,
     EllipticReduction,
@@ -22,7 +21,6 @@ from sphtri.distributions import (
     perimeter_density,
     radicand_perimeter,
     region_boundary,
-    tabulate,
 )
 from sphtri.distributions import _sqrt_inner
 from sphtri.errors import OutOfDomain, ToleranceNotMet
@@ -187,8 +185,8 @@ class TestAreaLawArrays:
         # one adaptive integral a point.
         xs = np.linspace(0.0, TWO_PI, 500)
         start = time.perf_counter()
-        pdf = tabulate(CurveKind.AREA_PDF, xs)
-        cdf = tabulate(CurveKind.AREA_CDF, xs)
+        pdf = DensityCurve(xs, area_density(xs))
+        cdf = DensityCurve(xs, area_cdf(xs))
         assert time.perf_counter() - start < 0.05
         assert pdf.values[250] == area_density(float(xs[250]))
         assert cdf.values[250] == area_cdf(float(xs[250]))
@@ -388,7 +386,7 @@ class TestPerimeterDensityRule:
         # for the adaptive route.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
-        curve = tabulate(CurveKind.PERIMETER_PDF, xs)
+        curve = DensityCurve(xs, perimeter_density(np.maximum(xs, 1e-12)))
         assert time.perf_counter() - start < 0.5
         assert curve.values[250] == perimeter_density(float(xs[250]))
 
@@ -448,6 +446,12 @@ class TestPerimeterCdf:
         with pytest.raises(ToleranceNotMet, match=r"differ by .* at tau = 6\.28\b"):
             perimeter_cdf(np.array([1.0, 6.28]), tol=1e-16)
 
+    def test_unmet_tolerance_carries_value_and_gap(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            perimeter_cdf(6.28, tol=1e-13)
+        assert info.value.result.value == perimeter_cdf(6.28)  # the order-48 value
+        assert 1e-12 < info.value.result.err_estimate < 1e-11  # the gap, 4.5e-12
+
     def test_domain(self):
         for bad in (-1e-12, TWO_PI + 1e-9, float("nan"), np.array([1.0, 7.0])):
             with pytest.raises(ValueError):
@@ -458,7 +462,7 @@ class TestPerimeterCdf:
         # adaptive integral a point.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
-        curve = tabulate(CurveKind.PERIMETER_CDF, xs)
+        curve = DensityCurve(xs, perimeter_cdf(xs))
         assert time.perf_counter() - start < 0.5
         assert curve.values.tobytes() == perimeter_cdf(xs).tobytes()
 
@@ -937,6 +941,36 @@ class TestRegionBoundary:
         with pytest.raises(ValueError):
             region_boundary(ConditionalKind.AREA_MEDIAN, 2.0, 1.0)
 
+    @pytest.mark.parametrize("x,kappa", [
+        (-1e-12, 1.0), (TWO_PI + 1e-9, 1.0), (float("nan"), 1.0), (2.0, -1e-12), (2.0, PI + 1e-9),
+    ])
+    def test_domain(self, x, kappa):
+        for kind in REGION_KINDS:
+            with pytest.raises(ValueError):
+                region_boundary(kind, x, kappa)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", REGION_KINDS)
+    def test_finite_at_the_domain_edges(self, kind):
+        edges = (0.0, 5e-324, 1e-300, 1.0, PI, TWO_PI)
+        args = np.concatenate([[5e-324, 1e-300], np.linspace(0.0, PI, 9)])
+        lowest = -PI / 2 if kind is ConditionalKind.PERIMETER_BISECTOR else 0.0
+        for x in edges:
+            for kappa in (k for k in edges if k <= PI):
+                curve = region_boundary(kind, x, kappa)(args)
+                assert np.all((curve >= lowest) & (curve <= PI)), (x, kappa)
+
+    @pytest.mark.parametrize("kind", [
+        ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE,
+    ])
+    def test_zero_kappa_is_the_limit_curve(self, kind):
+        # pi below x/2 and 0 above it, which the conditional route integrates too.
+        rho = np.linspace(0.0, PI, 9)
+        for x in (0.5, 2.0, 5.0):
+            want = np.where(rho < x / 2, PI, 0.0)
+            assert np.array_equal(region_boundary(kind, x, 0.0)(rho), want)
+            assert abs(curve_cdf(kind, x, 0.0) - conditional_cdf(kind, x, 0.0)) < 1e-9
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [2.0, 1e-323, 1e-310])
     def test_perimeter_given_side_empty_on_the_diagonal(self, x):
@@ -949,7 +983,8 @@ class TestRegionBoundary:
 
 class TestDensityCurve:
     def test_csv_schema_and_precision(self):
-        curve = tabulate(CurveKind.AREA_PDF, [0.5, 1.0, 1.5])
+        xs = np.array([0.5, 1.0, 1.5])
+        curve = DensityCurve(xs, area_density(xs))
         text = curve.to_csv_string()
         lines = text.strip().split("\n")
         assert lines[0] == "x,value"
@@ -960,20 +995,14 @@ class TestDensityCurve:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DensityCurve((1.0, 1.0), (0.1, 0.2), CurveKind.AREA_PDF)
+            DensityCurve((1.0, 1.0), (0.1, 0.2))
         with pytest.raises(ValueError):
-            DensityCurve((1.0, 2.0), (0.1, -0.2), CurveKind.AREA_PDF)
+            DensityCurve((1.0, 2.0), (0.1, -0.2))
         with pytest.raises(ValueError):
-            DensityCurve((1.0, 9.0), (0.1, 0.2), CurveKind.AREA_PDF)
+            DensityCurve((1.0, 9.0), (0.1, 0.2))
 
-    def test_perimeter_tabulation_avoids_divergence(self):
-        curve = tabulate(CurveKind.PERIMETER_PDF, list(np.linspace(0.1, TWO_PI, 8)))
-        assert all(np.isfinite(curve.values))
-
-    def test_conditional_tabulation(self):
-        curve = tabulate(
-            CurveKind.CONDITIONAL, [1.0, 2.0, 3.0],
-            conditional_kind=ConditionalKind.AREA_GIVEN_SIDE, kappa=1.0,
-        )
-        assert curve.kind is CurveKind.CONDITIONAL
+    def test_conditional_table(self):
+        xs = [1.0, 2.0, 3.0]
+        curve = DensityCurve(xs, [conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, x, 1.0)
+                                  for x in xs])
         assert all(0 <= v <= 1 for v in curve.values)

@@ -153,6 +153,18 @@ class TestIntegrate:
         assert time.perf_counter() - t0 < 1.0
         assert info.value.result.evaluations <= 15 * _PANEL_BUDGET
 
+    def test_unmet_tolerance_estimates_the_whole_integral(self):
+        # Both flags split [0, 1] at 1/2. The left piece exhausts the budget as
+        # it does alone; the right piece still runs and adds its ln 2.
+        both = QuadratureSpec(singular_left=True, singular_right=True)
+        with pytest.raises(ToleranceNotMet) as whole:
+            integrate(lambda t: 1.0 / t, 0.0, 1.0, both)
+        with pytest.raises(ToleranceNotMet) as left:
+            integrate(lambda t: 1.0 / t, 0.0, 0.5, QuadratureSpec(singular_left=True))
+        gap = whole.value.result.value - left.value.result.value
+        assert abs(gap - math.log(2.0)) < 1e-9
+        assert whole.value.result.evaluations <= 15 * _PANEL_BUDGET
+
     def test_nan_integrand_raises(self):
         with pytest.raises(NonFiniteIntegrand):
             integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
