@@ -59,8 +59,6 @@ from .quadrature import (
     QuadratureSpec,
     carlson_rf_rd,
     ellip_E,
-    ellip_E_inc,
-    ellip_F,
     ellip_K,
     integrate,
 )

@@ -135,8 +135,9 @@ def _cmd_curve(args) -> int:
         vals = [law(float(x)) for x in xs]
     elif density and args.kind == "perimeter":
         # The density is defined on (0, 2*pi) only and diverges at 2*pi, where
-        # grids end: each grid point is evaluated clipped to [1e-12, 2*pi - 1e-6].
-        vals = law(np.clip(xs, 1e-12, TWO_PI - 1e-6))
+        # grids end: the closed ends 0 and 2*pi take its values at 1e-12 and
+        # 2*pi - 1e-6, and every interior point is evaluated at itself.
+        vals = law(np.select([xs <= 0.0, xs >= TWO_PI], [1e-12, TWO_PI - 1e-6], xs))
     else:
         vals = law(xs)
     _emit(DensityCurve(xs, vals).to_csv_string(), args.out)

@@ -456,7 +456,11 @@ def _sqrt_inner(x: float, dual: bool, tol: float):
     sign = -1.0 if dual else 1.0
 
     def f(k, t):
-        rad = np.maximum(radicand_perimeter(x, k, t), 0.0)
+        rad = radicand_perimeter(x, k, t)
+        # The radicand can round to 0 or below at a node next to a band end,
+        # and underflows at tiny x; the integrand is then not resolved.
+        if not rad.min() > 0.0:  # NaN fails too
+            raise ToleranceNotMet(f"the radicand at x = {x!r} rounds to 0 inside the band")
         return np.sin(x - k - t) * (sign * np.sin(k)) * np.sin(t) / np.sqrt(rad)
 
     bounds = (lambda k: (x / 2, math.pi - (k - x / 2))) if dual else (lambda k: (x / 2 - k, x / 2))
@@ -524,7 +528,9 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     The outer variable is the fixed element (side or angle), weighted by
     its own density sin(kappa)/2; the inner integral is the conditional
     density for that fixed element. Slower than the closed/1-D forms by
-    construction; exists to cross-check them.
+    construction; exists to cross-check them. Raises ToleranceNotMet where
+    an integral misses its tolerance, and where the square-root kinds'
+    radicand rounds to 0 inside a band (at tol 1e-16 or tiny x, say).
     """
     if not 0.0 < x < TWO_PI:
         raise ValueError("x must lie strictly inside (0, 2*pi)")

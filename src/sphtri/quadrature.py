@@ -2,8 +2,8 @@
 
 The complete integrals K and E are evaluated by the arithmetic-geometric-
 mean iteration, which converges quadratically and reaches machine
-precision in under ten steps. The incomplete integrals F(phi, k) and
-E(phi, k) come from Carlson's symmetric forms R_F and R_D, evaluated by
+precision in under ten steps. Carlson's symmetric forms R_F and R_D, in
+which the perimeter CDF writes its incomplete integrals, are evaluated by
 the duplication algorithm (Carlson, Numer. Algorithms 10:13-26, 1995;
 DLMF 19.36(i)), which works elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
@@ -234,17 +234,23 @@ def _left_substituted(f, a):
     """u -> f(a + u^2) 2u: t = a + u^2 maps u in [0, sqrt(b - a)] onto [a, b].
 
     An inverse-square-root singularity of f at a becomes bounded and
-    smooth. a may be an array that broadcasts against u.
+    smooth. a may be an array that broadcasts against u. Where u^2 is
+    below half an ulp of a, t is the next float above a, so that f is
+    never evaluated at a.
     """
+    first = np.nextafter(a, np.inf)
+
     def g(u):
-        return f(a + u * u) * 2.0 * u
+        return f(np.maximum(a + u * u, first)) * 2.0 * u
     return g
 
 
 def _right_substituted(f, b):
-    """u -> f(b - u^2) 2u: t = b - u^2 maps u in [0, sqrt(b - a)] onto [a, b]."""
+    """u -> f(b - u^2) 2u: t = b - u^2 maps u in [0, sqrt(b - a)] onto [a, b], never onto b."""
+    last = np.nextafter(b, -np.inf)
+
     def g(u):
-        return f(b - u * u) * 2.0 * u
+        return f(np.minimum(b - u * u, last)) * 2.0 * u
     return g
 
 
@@ -400,27 +406,6 @@ _AGM_MAX_ITER = 24
 _AGM_TOL = 2e-9
 
 
-def ellip_K(zeta):
-    """Complete elliptic integral of the first kind, by AGM.
-
-    Accepts a float or ndarray of moduli in [0, 1). Raises Divergent when
-    any modulus is within 1e-15 of 1 (logarithmic divergence).
-    """
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
-        raise ValueError("modulus must lie in [0, 1]")
-    if np.any(z >= 1.0 - 1e-15):
-        raise Divergent("K diverges at modulus 1")
-    a = np.ones_like(z)
-    b = np.sqrt(1.0 - z * z)
-    for _ in range(_AGM_MAX_ITER):
-        if np.all(np.abs(a - b) <= _AGM_TOL * a):
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    out = np.pi / (a + b)
-    return float(out) if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
-
-
 def _agm_KE(k2, kp):
     """K and E from one AGM pass, given k^2 and the complementary modulus k'.
 
@@ -436,7 +421,7 @@ def _agm_KE(k2, kp):
     for _ in range(_AGM_MAX_ITER):
         d = a - b
         np.abs(d, out=d)
-        done = np.all(d <= _AGM_TOL * a)
+        done = (d <= _AGM_TOL * a).all()
         pow2 *= 2.0
         d *= d
         d *= pow2
@@ -455,28 +440,49 @@ def _agm_KE(k2, kp):
     return K, csum
 
 
+def _agm_at(zeta):
+    """K, E and the moduli within 1e-15 of 1, from one _agm_KE pass at the moduli zeta.
+
+    The one modulus check of ellip_K and ellip_E: zeta must lie in [0, 1].
+    The results are arrays of at least one dimension. Moduli within 1e-15
+    of 1, where K diverges and E = 1, enter the AGM as 0.
+    """
+    z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    if (z < 0.0).any() or (z > 1.0).any():
+        raise ValueError("modulus must lie in [0, 1]")
+    one = z >= 1.0 - 1e-15
+    z2 = np.where(one, 0.0, z)
+    z2 *= z2
+    kp = 1.0 - z2
+    np.sqrt(kp, out=kp)
+    return *_agm_KE(z2, kp), one
+
+
+def ellip_K(zeta):
+    """Complete elliptic integral of the first kind, by AGM.
+
+    Accepts a float or ndarray of moduli in [0, 1). Raises Divergent when
+    any modulus is within 1e-15 of 1 (logarithmic divergence).
+    """
+    K, _, one = _agm_at(zeta)
+    if one.any():
+        raise Divergent("K diverges at modulus 1")
+    return float(K[0]) if np.ndim(zeta) == 0 else K
+
+
 def ellip_E(zeta):
     """Complete elliptic integral of the second kind, by AGM.
 
     Accepts a float or ndarray of moduli in [0, 1]; E(1) = 1 exactly.
     """
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
-        raise ValueError("modulus must lie in [0, 1]")
-    scalar = np.isscalar(zeta) or np.ndim(zeta) == 0
-    z = np.atleast_1d(z)
-    one = z >= 1.0 - 1e-15  # E(1) = 1; the AGM sum formula degenerates there
-    z2 = np.where(one, 0.0, z)
-    z2 *= z2
-    kp = 1.0 - z2
-    np.sqrt(kp, out=kp)
-    out = _agm_KE(z2, kp)[1]
-    out[one] = 1.0
-    return float(out[0]) if scalar else out
+    _, E, one = _agm_at(zeta)
+    E[one] = 1.0  # the AGM sum formula degenerates there
+    return float(E[0]) if np.ndim(zeta) == 0 else E
 
 
 # ---------------------------------------------------------------------------
-# Carlson symmetric forms and the incomplete integrals (modulus convention).
+# Carlson's symmetric forms, which give the perimeter CDF its incomplete
+# integrals.
 
 _CARLSON_TOL = 1e-16  # relative truncation error of the duplication series
 _CARLSON_MAX_ITER = 60  # each step shrinks the spread of x, y, z fourfold
@@ -524,34 +530,3 @@ def carlson_rf_rd(x, y, z):
     if rf.ndim == 0:
         return float(rf), float(rd)
     return rf, rd
-
-
-def _incomplete(phi, zeta):
-    """sin(phi), R_F and R_D at the Legendre arguments of (phi, zeta)."""
-    phi = np.asarray(phi, dtype=float)
-    z = np.asarray(zeta, dtype=float)
-    if np.any(np.abs(phi) > 0.5 * np.pi) or np.any(z < 0.0) or np.any(z >= 1.0):
-        raise ValueError("need |phi| <= pi/2 and modulus in [0, 1)")
-    s, c = np.sin(phi), np.cos(phi)
-    # 1 - k^2 sin^2 phi, without the cancellation near k = 1, phi = pi/2
-    delta2 = c * c + (1.0 - z) * (1.0 + z) * s * s
-    rf, rd = carlson_rf_rd(c * c, delta2, 1.0)
-    return s, z * z, rf, rd
-
-
-def ellip_F(phi, zeta):
-    """Incomplete elliptic integral of the first kind, F(phi, k) = sin(phi) R_F.
-
-    Modulus convention, as ellip_K; |phi| <= pi/2 and k in [0, 1).
-    """
-    s, _, rf, _ = _incomplete(phi, zeta)
-    return s * rf
-
-
-def ellip_E_inc(phi, zeta):
-    """Incomplete elliptic integral of the second kind, E(phi, k).
-
-    E = sin(phi) R_F - (k^2/3) sin^3(phi) R_D, with the arguments of ellip_F.
-    """
-    s, k2, rf, rd = _incomplete(phi, zeta)
-    return s * rf - (k2 / 3.0) * s ** 3 * rd

@@ -118,12 +118,20 @@ def test_area_closed_forms_ignore_tol(command, capsys):
     assert capsys.readouterr().out == plain
 
 
-def test_perimeter_density_table_matches_scalar_values(capsys):
-    assert run(["density", "--kind", "perimeter", "--from", "1", "--to", "6.2",
-                "--steps", "3"]) == 0
+@pytest.mark.parametrize("lo,hi,steps", [
+    ("1", "6.2", 3),
+    ("6.28318", repr(TWO_PI), 5),
+    ("6.2831849", repr(TWO_PI), 5),  # interior rows within 1e-6 of 2*pi
+])
+def test_perimeter_density_table_matches_scalar_values(lo, hi, steps, capsys):
+    # Every row before 2*pi is the density at its own x.
+    assert run(["density", "--kind", "perimeter", "--from", lo, "--to", hi,
+                "--steps", str(steps)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
-    assert len(rows) == 3
-    assert all(v == f"{perimeter_density(float(x)):.17g}" for x, v in rows)
+    assert len(rows) == steps
+    inside = [(x, v) for x, v in rows if float(x) < TWO_PI]
+    assert len(inside) >= steps - 1
+    assert all(v == f"{perimeter_density(float(x)):.17g}" for x, v in inside)
 
 
 def test_verify_takes_no_tol(capsys):

@@ -521,6 +521,14 @@ class TestDoubleIntegrals:
         v = density_via_double_integral(DensityKind.PERIMETER_DUAL, 2.0, tol=1e-9)
         assert abs(v - area_density(TWO_PI - 2.0)) < 1e-7
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [DensityKind.PERIMETER_PRIMAL, DensityKind.AREA_DUAL])
+    def test_unreachable_tolerance(self, kind):
+        # The inner integrals refine into the band ends until t = end -+ u^2
+        # rounds onto an end, or the radicand rounds to 0 next to one.
+        with pytest.raises(ToleranceNotMet):
+            density_via_double_integral(kind, 2.0, tol=1e-16)
+
     def test_duality_grid(self):
         for x in np.linspace(0.5, TWO_PI - 0.5, 10):
             a = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
