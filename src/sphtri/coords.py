@@ -202,17 +202,17 @@ def area_element(coords: CoordTriple):
     return out if np.ndim(out) else float(out)
 
 
-def jacobian_fd_check(coords: CoordTriple, h: float = 1e-5):
+def jacobian_fd_check(coords: CoordTriple):
     """Relative error of the analytic area element vs a finite difference.
 
-    Central differences of the embedding map over the two varying
-    parameters give the surface Jacobian |dP/du x dP/dv| independently of
-    the closed forms. An array for array coordinates, else a float.
+    Central differences of step 1e-5 of the embedding map over the two
+    varying parameters give the surface Jacobian |dP/du x dP/dv|
+    independently of the closed forms. An array for array coordinates,
+    else a float.
     """
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
-    if not 1e-6 <= h <= 1e-3:
-        raise ValueError("step size h must be in [1e-6, 1e-3]")
+    h = 1e-5
 
     def pt(u, v):
         return embedding_point(CoordTriple(coords.kind, u, v, coords.kappa))

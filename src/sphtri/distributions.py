@@ -217,7 +217,7 @@ def perimeter_density(tau, tol: float = 1e-12):
     and 128 in v serve every tau at once; K and E come from one AGM pass
     started at k' = cos(t/2), which stays accurate as t approaches pi. The
     value of the higher order is returned; where the two orders differ by
-    more than max(tol, tol * |value|) at some tau, ToleranceNotMet is
+    more than tol * max(1, |value|) at some tau, ToleranceNotMet is
     raised naming that tau and the gap. A float gives a float and an array
     an array of the same shape. Measured against the adaptive integral at
     tol 1e-14: within 8e-14 relative for tau from 0.05 to 2*pi - 1e-9, and
@@ -294,7 +294,7 @@ def perimeter_cdf(tau, tol: float = 1e-9):
     v in [0, 1] onto t in [0, tau/2] and smooths the square-root end;
     fixed Gauss-Legendre rules of orders 32 and 48 in v then serve every
     tau at once. The order-48 value, clipped to [0, 1], is returned; where
-    the two orders differ by more than max(tol, tol * |value|) at some
+    the two orders differ by more than tol * max(1, |value|) at some
     tau, ToleranceNotMet is raised naming that tau and the gap. The
     measured gap is at most 4.5e-12, at tau = 6.28, so a tol below about
     5e-12 raises near 2*pi. Against the adaptive integral at tol 1e-13 the
@@ -364,8 +364,8 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
     Both Gauss-Legendre orders are evaluated together, on as many rows of
     xs at a time as fit in _GRID_BATCH elements; the higher order's values
     are returned. Raises ToleranceNotMet at the first x where the orders
-    differ by more than max(tol, tol * |value|), the acceptance of
-    QuadratureSpec(abs_tol=tol, rel_tol=tol), with that x's higher-order
+    differ by more than tol * max(1, |value|), the acceptance of
+    QuadratureSpec(tol), with that x's higher-order
     value and the gap attached as a QuadratureResult. Each row is summed on its
     own; a value depends on the other entries of xs only where an
     iteration inside the integrand stops when its whole batch has
@@ -416,20 +416,25 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # The double integrals, by nested quadrature.
 
 
-def _nested(f, bounds, lo: float, hi: float, outer_spec, inner_spec) -> float:
+def _nested(f, bounds, lo: float, hi: float, spec: QuadratureSpec,
+            inner_singular: bool = False) -> float:
     """Integral over u in [lo, hi] of the integral of f(u, t) dt over bounds(u) = (a, b).
 
-    The outer integral is integrate's; the inner integrals at each outer
-    panel's 15 nodes us are the rows of one _integrate_rows call (Shampine,
-    J. Comput. Appl. Math. 211, 2008). So f(u, t) gets a column of nodes u
-    against rows of abscissae t, and bounds(us) returns floats or arrays
-    that broadcast against us.
+    The outer integral is integrate's, to spec; the inner integrals at each
+    outer panel's 15 nodes us are the rows of one _integrate_rows call
+    (Shampine, J. Comput. Appl. Math. 211, 2008), held to spec.tol / 10 so
+    that their errors stay below the outer tolerance, with both ends
+    flagged singular when inner_singular. So f(u, t) gets a column of
+    nodes u against rows of abscissae t, and bounds(us) returns floats or
+    arrays that broadcast against us.
     """
+    inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
+
     def outer(us):
         a, b = (np.broadcast_to(v, us.shape) for v in bounds(us))
         return _integrate_rows(lambda i, t: f(us[i], t), a, b, inner_spec)[0]
 
-    return integrate(outer, lo, hi, outer_spec).value
+    return integrate(outer, lo, hi, spec).value
 
 
 def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
@@ -445,13 +450,14 @@ def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
             * np.sin(rho + kappa - x / 2))
 
 
-def _sqrt_inner(x: float, dual: bool, tol: float):
-    """Inner integral of the primal-perimeter or dual-area double integral: (f, bounds, spec).
+def _sqrt_inner(x: float, dual: bool):
+    """Inner integral of the primal-perimeter or dual-area double integral: (f, bounds).
 
     Both integrate sin(x - kappa - t) sin(kappa) sin(t) / sqrt(radicand)
     dt, the primal one over the rho-band [x/2 - kappa, x/2] and the dual
     one, negated, over the theta-band [x/2, pi - kappa + x/2]; the radicand
-    vanishes at both ends of either band. f and bounds take floats or arrays.
+    vanishes at both ends of either band, which a quadrature must flag as
+    singular. f and bounds take floats or arrays.
     """
     sign = -1.0 if dual else 1.0
 
@@ -464,8 +470,7 @@ def _sqrt_inner(x: float, dual: bool, tol: float):
         return np.sin(x - k - t) * (sign * np.sin(k)) * np.sin(t) / np.sqrt(rad)
 
     bounds = (lambda k: (x / 2, math.pi - (k - x / 2))) if dual else (lambda k: (x / 2 - k, x / 2))
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    return f, bounds, spec
+    return f, bounds
 
 
 def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> float:
@@ -494,32 +499,43 @@ def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> f
         z, c, gap = math.sin(kappa / 2), math.cos((x - kappa) / 2), x / 2 - kappa
     rhs = ((ellip_E(z) - c ** 2 * ellip_K(z)) / math.sqrt(math.sin(x / 2) * math.sin(gap))
            * math.sin(kappa))
-    f, bounds, spec = _sqrt_inner(x, dual, tol=1e-11)
-    lhs = integrate(lambda t: f(kappa, t), *bounds(kappa), spec).value
+    f, bounds = _sqrt_inner(x, dual)
+    lhs = integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(1e-11, True, True)).value
     return abs(lhs - rhs)
 
 
-def _smooth_density_inner(x: float, perimeter: bool, tol: float):
-    """Inner integral of the regular (arctan-form) double integrals: (f, bounds, spec).
+def _smooth_density_inner(x: float, perimeter: bool):
+    """Inner integral of the regular (arctan-form) double integrals: (f, bounds).
 
-    The dual-perimeter one runs over rho in [0, x/2] with s = sin(x/2 - rho),
-    the primal-area one over theta in [x/2, pi] with s = sin(theta - x/2)
-    and the two squares of the denominator swapped. The sin(kappa) density
-    weight of the fixed element is folded in here, so the outer integral is
-    unweighted.
+    The primal-area one runs over theta in [x/2, pi] with s = sin(theta - x/2).
+    The dual-perimeter one runs over rho in [0, x/2] with s = sin(x/2 - rho)
+    and the two squares of the denominator swapped; it is taken in
+    t = rho / (x/2) over [0, 1], with every sine divided by sin(x/2),
+    because at tiny x the squares of the sines underflow. Where sin(x/2)
+    is 0 that raises OutOfDomain. The sin(kappa) density weight of the
+    fixed element is folded in here, so the outer integral is unweighted.
     """
     sx = math.sin(x / 2)
+    if not perimeter:
+        def f(k, t):
+            ck = np.cos(k)
+            s = np.sin(t - x / 2)
+            d = (1.0 - ck) * s ** 2 + (1.0 + ck) * sx ** 2
+            num = (1.0 - ck) * (1.0 + ck) * s * sx * np.sin(t)
+            return np.sin(k) * num / d ** 2
+
+        return f, lambda k: (x / 2, math.pi)
+    if sx == 0.0:
+        raise OutOfDomain(f"sin(x/2) is 0 at x = {x!r}")
+    weight = (x / 2) / sx  # d rho / dt, over the 1/sin(x/2) that the divided sines leave out
 
     def f(k, t):
         ck = np.cos(k)
-        s = np.sin(x / 2 - t) if perimeter else np.sin(t - x / 2)
-        p, q = (sx, s) if perimeter else (s, sx)
-        d = (1.0 - ck) * p ** 2 + (1.0 + ck) * q ** 2
-        num = (1.0 - ck) * (1.0 + ck) * s * sx * np.sin(t)
-        return np.sin(k) * num / d ** 2
+        s, st = np.sin(x / 2 * (1.0 - t)) / sx, np.sin(x / 2 * t) / sx
+        d = (1.0 - ck) + (1.0 + ck) * s ** 2
+        return np.sin(k) * ((1.0 - ck) * (1.0 + ck) * weight) * s * st / d ** 2
 
-    bounds = (lambda k: (0.0, x / 2)) if perimeter else (lambda k: (x / 2, math.pi))
-    return f, bounds, QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    return f, lambda k: (0.0, 1.0)
 
 
 def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) -> float:
@@ -534,23 +550,21 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     """
     if not 0.0 < x < TWO_PI:
         raise ValueError("x must lie strictly inside (0, 2*pi)")
-    inner_tol = tol / 10.0
 
     # The inner integral of the two square-root kinds itself diverges like
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
-    if kind is DensityKind.AREA_PRIMAL or kind is DensityKind.PERIMETER_DUAL:
-        f, bounds, inner_spec = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL,
-                                                      inner_tol)
-        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), {}
+    singular = kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL
+    if not singular:
+        f, bounds = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL)
+        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), (False, False)
     else:
         dual = kind is DensityKind.AREA_DUAL
-        f, bounds, inner_spec = _sqrt_inner(x, dual, inner_tol)
+        f, bounds = _sqrt_inner(x, dual)
         lo, hi = (x / 2, math.pi) if dual else (0.0, x / 2)
-        scale, ends = 1.0 / (4.0 * math.pi), {"singular_left": dual, "singular_right": not dual}
-    outer_spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, **ends)
-    return scale * _nested(f, bounds, lo, hi, outer_spec, inner_spec)
+        scale, ends = 1.0 / (4.0 * math.pi), (dual, not dual)
+    return scale * _nested(f, bounds, lo, hi, QuadratureSpec(tol, *ends), singular)
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +778,7 @@ def _cond_band(x: float, kappa: float, tol: float, dual: bool) -> float:
     def f(t):
         return ((math.pi - band(t)) if dual else band(t)) * np.sin(t)
 
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True, singular_right=True)
-    inner = integrate(f, lo, hi, spec).value
+    inner = integrate(f, lo, hi, QuadratureSpec(tol, True, True)).value
     return (base + inner) / TWO_PI
 
 
@@ -798,7 +811,7 @@ def _cond_area_median(x: float, kappa: float, tol: float) -> float:
     def f(theta):
         return 1.0 - median_region_cos(x, kappa, theta)
 
-    res = integrate(f, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+    res = integrate(f, 0.0, math.pi, QuadratureSpec(tol))
     return res.value / TWO_PI
 
 
@@ -810,8 +823,7 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
         r = sine(rho)
         return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_left=True)
-    res = integrate(f, thres, math.pi, spec)
+    res = integrate(f, thres, math.pi, QuadratureSpec(tol, singular_left=True))
     return res.value / math.pi
 
 
@@ -843,9 +855,7 @@ def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
     def bounds(us):  # the boundary v = h(u); h = 0 gives 0
         return 0.0, np.arccos(np.clip(solved_forms(form, us, x, kappa), -1.0, 1.0))
 
-    value = _nested(lambda u, v: jac(u, v, kappa), bounds, 0.0, math.pi,
-                    QuadratureSpec(abs_tol=tol, rel_tol=tol),
-                    QuadratureSpec(abs_tol=tol / 10.0, rel_tol=tol / 10.0))
+    value = _nested(lambda u, v: jac(u, v, kappa), bounds, 0.0, math.pi, QuadratureSpec(tol))
     return value / TWO_PI
 
 

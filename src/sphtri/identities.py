@@ -56,15 +56,10 @@ class IdentityResiduals:
 
 @dataclass(frozen=True)
 class CevianDecomposition:
-    """Length rho and foot angle theta of a cevian great circle.
-
-    rho_thres is the smallest admissible rho in the angle-bisector case
-    (where sin theta = 1); None for the median case.
-    """
+    """Length rho and foot angle theta of a cevian great circle."""
 
     rho: float
     theta: float
-    rho_thres: float | None = None
 
 
 class SolvedFormKind(enum.Enum):
@@ -166,26 +161,15 @@ def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
 
     tied to the perimeter by
     tan(tau/2) = -cos(alpha/2) sin(rho) sin(theta) / (sin(alpha/2) + cos(rho) sin(theta)),
-    with threshold cos(rho_thres) = -(cos(tau/2) + sin(alpha/2))
-                                    / (1 + cos(tau/2) sin(alpha/2)).
-    Raises DegenerateTriangle if any triangle of a batch is degenerate.
+    and rho >= bisector_threshold(tau, alpha). Raises DegenerateTriangle if
+    any triangle of a batch is degenerate.
     """
     if np.any((m.alpha <= 1e-12) | (m.alpha >= math.pi - 1e-12)):
         raise DegenerateTriangle("bisector of a degenerate angle")
     theta, rho = bisector_angles(m.alpha, m.beta, m.gamma)
     if np.any(np.sin(theta) < 1e-12):
         raise DegenerateTriangle("bisector degenerate (theta at 0 or pi)")
-    num, den = _threshold_quotient(m.tau, m.alpha, np)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_thres = np.where(den > 0.0, np.arccos(np.clip(num / den, -1.0, 1.0)), math.pi)
-    return CevianDecomposition(rho, theta, rho_thres[()])  # [()]: 0-d array to scalar
-
-
-def _threshold_quotient(tau, alpha, xp):
-    # (e - d, e + d - d e) of bisector_threshold, for xp = math or np.
-    d = 2.0 * xp.cos(tau / 4) ** 2
-    e = xp.cos(alpha / 2) ** 2 / (1.0 + xp.sin(alpha / 2))
-    return e - d, e + d - d * e
+    return CevianDecomposition(rho, theta)
 
 
 def bisector_threshold(tau: float, alpha: float) -> float:
@@ -197,10 +181,12 @@ def bisector_threshold(tau: float, alpha: float) -> float:
     the quotient becomes (e - d) / (e + d - d e). Scalar only: on floats numpy
     costs about ten times what math does, which would show in the bisector route.
     """
-    num, den = _threshold_quotient(tau, alpha, math)
+    d = 2.0 * math.cos(tau / 4) ** 2
+    e = math.cos(alpha / 2) ** 2 / (1.0 + math.sin(alpha / 2))
+    den = e + d - d * e
     if den <= 0.0:
         return math.pi
-    return math.acos(_clamp(num / den))
+    return math.acos(_clamp((e - d) / den))
 
 
 def median_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:
@@ -232,23 +218,23 @@ def solved_forms(kind: SolvedFormKind, x, tau_or_sigma: float, kappa: float):
 
         w = cot(x/2) sin(sigma/2) / sin(kappa - sigma/2),  cos eta = (1-w^2)/(1+w^2)
 
-    x may be a float or an ndarray; an array gives an array of its shape.
-    Raises OutOfDomain where a denominator vanishes or a value leaves [-1, 1].
+    x may be a float or an ndarray; an array gives an array of its shape
+    and a float an np.float64. Raises OutOfDomain where a denominator
+    vanishes or a value leaves [-1, 1].
     """
-    xp = np if isinstance(x, np.ndarray) else math  # math is ten times faster on a float
     if kind is SolvedFormKind.ANGLE_PSI:
         tau = tau_or_sigma
         den = math.sin(tau / 2 - kappa)
         if abs(den) < 1e-300:
             raise OutOfDomain("sin(tau/2 - kappa) vanishes")
-        y = xp.tan(x / 2) * math.sin(tau / 2) / den
+        y = np.tan(x / 2) * math.sin(tau / 2) / den
         out = 1.0 - 2.0 / (y * y + 1.0)  # y^2 = inf gives 1
     else:
         sigma = tau_or_sigma
         den = math.sin(kappa - sigma / 2)
         if abs(den) < 1e-300:
             raise OutOfDomain("sin(kappa - sigma/2) vanishes")
-        t = xp.tan(x / 2)
+        t = np.tan(x / 2)
         if np.any(abs(t) < 1e-300):
             raise OutOfDomain("cot(x/2) diverges")
         w = math.sin(sigma / 2) / (t * den)

@@ -74,23 +74,25 @@ _PANEL_BUDGET = 1 << 14
 _FLOOR = 1e-15
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
+def _check_tol(tol: float) -> None:
     if not tol > 0:  # NaN fails too
-        raise ValueError(f"tolerance must be positive, got {name}={tol!r}")
+        raise ValueError(f"tolerance must be positive, got tol={tol!r}")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and endpoint-singularity flags."""
+    """Tolerance and endpoint-singularity flags.
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    An integral is accepted when its error estimate is at most
+    tol * max(1, |value|): absolute below 1, relative above.
+    """
+
+    tol: float = 1e-10
     singular_left: bool = False
     singular_right: bool = False
 
     def __post_init__(self):
-        _check_tol(self.abs_tol, "abs_tol")
-        _check_tol(self.rel_tol, "rel_tol")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def _kronrod_panel(f, a, b):
     return k, _sharpened(abs(k - g))
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, budget):
+def _adaptive(f, a, b, tol, budget):
     """Adaptive bisection on [a, b] in at most budget panels: (value, err, evaluations, failure).
 
     failure is None, or why the tolerance was not met; the estimate is then the best reached.
@@ -138,7 +140,7 @@ def _adaptive(f, a, b, abs_tol, rel_tol, budget):
     heap = [(-err, counter, a, b, val, err)]
     total = val
     total_err = err
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    while total_err > tol * max(1.0, abs(total)):
         neg, _, pa, pb, pval, perr = heapq.heappop(heap)
         if (pb - pa) <= abs(pb + pa) * _FLOOR + floor:
             heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, perr))
@@ -166,9 +168,9 @@ def integrate(
     f: Callable,
     a: float,
     b: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureResult:
-    """Integrate f over [a, b] to within max(abs_tol, rel_tol*|value|).
+    """Integrate f over [a, b] to within spec.tol * max(1, |value|).
 
     ``f`` must accept an ndarray of abscissae and return an ndarray of
     values. Flagged endpoints are assumed to carry at worst an
@@ -181,8 +183,6 @@ def integrate(
     estimates the whole integral. Raises NonFiniteIntegrand when a panel
     sums to NaN or infinity, and ValueError for non-finite bounds.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if b < a:
@@ -198,10 +198,8 @@ def integrate(
     failure = None
     for substituted, end, lo, hi in pieces:
         piece_f = f if substituted is None else substituted(f, end)
-        v, e, n, why = _adaptive(
-            piece_f, lo, hi, spec.abs_tol * tol_scale, spec.rel_tol * tol_scale,
-            _PANEL_BUDGET - evals // 15,
-        )
+        v, e, n, why = _adaptive(piece_f, lo, hi, spec.tol * tol_scale,
+                                 _PANEL_BUDGET - evals // 15)
         failure = failure or why
         value += v
         err += e
@@ -258,7 +256,7 @@ def _right_substituted(f, b):
 _ROWS_SPLITS = 2
 
 
-def _integrate_rows(f, a, b, spec=None):
+def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     """Integral of f(r, t) dt over [a[r], b[r]] for every row r of the 1-D arrays a and b.
 
     The batched form of integrate for the inner integrals of nested
@@ -268,7 +266,7 @@ def _integrate_rows(f, a, b, spec=None):
     MATLAB", J. Comput. Appl. Math. 211, 2008). There t has one panel's 15
     abscissae per line and the column i holds each line's row index, by
     which f looks up its per-row parameters. Each row is accepted on its
-    own test, max(abs_tol, rel_tol * |value|) of spec, and honours the
+    own test, spec.tol * max(1, |value|), and honours the
     singular flags through the u^2 substitutions of integrate. Rows with
     a == b give 0 and are not evaluated.
 
@@ -289,8 +287,6 @@ def _integrate_rows(f, a, b, spec=None):
     step would take the call past _PANEL_BUDGET panels. Both limits are
     those of integrate.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -319,8 +315,7 @@ def _integrate_rows(f, a, b, spec=None):
             y[at] = piece_values(piece, owner[j[at]], u[at])
         return y
 
-    tol_scale = 1.0 / len(pieces)
-    abs_tol, rel_tol = spec.abs_tol * tol_scale, spec.rel_tol * tol_scale
+    tol = spec.tol * (1.0 / len(pieces))
     rows = lo.size
     # The panels, in arrays whose first n entries are in use: [pa, pb] of
     # virtual row j, with its K15 value and error estimate, and whether it
@@ -346,7 +341,7 @@ def _integrate_rows(f, a, b, spec=None):
     while True:
         J, A, B, E = j[:n], pa[:n], pb[:n], err[:n]
         total = np.bincount(J, val[:n], rows)
-        open_rows = ~(np.bincount(J, E, rows) <= np.maximum(abs_tol, rel_tol * np.abs(total)))
+        open_rows = ~(np.bincount(J, E, rows) <= tol * np.maximum(1.0, np.abs(total)))
         if not open_rows.any():  # a NaN total error stays open
             break
         splittable = open_rows[J] & room[:n]

@@ -76,14 +76,14 @@ def test_03_area_density_at_pi():
 
 def test_04_normalization():
     t0 = time.perf_counter()
-    area_total = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)).value
+    area_total = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(1e-10)).value
 
     g = lambda s: np.array(
         [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9), tol=1e-10)
          for v in np.atleast_1d(s)]
     )
     perim_total = integrate(
-        g, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7, singular_right=True)
+        g, 0.0, TWO_PI, QuadratureSpec(1e-7, singular_right=True)
     ).value
     dt = time.perf_counter() - t0
     e1, e2 = abs(area_total - 1.0), abs(perim_total - 1.0)

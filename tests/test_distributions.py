@@ -34,8 +34,8 @@ PERIM_AT_PI = 3.0 * math.sqrt(2.0) / 32.0
 
 def sqrt_inner(x, kappa, tol, dual=False):
     """The primal-perimeter (or negated dual-area) inner integral at one kappa."""
-    f, bounds, spec = _sqrt_inner(x, dual, tol)
-    return integrate(lambda t: f(kappa, t), *bounds(kappa), spec).value
+    f, bounds = _sqrt_inner(x, dual)
+    return integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(tol, True, True)).value
 
 
 class TestAreaDensity:
@@ -63,12 +63,12 @@ class TestAreaDensity:
         assert np.all(area_density(xs) >= 0.0)
 
     def test_normalizes(self):
-        r = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+        r = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(1e-11))
         assert abs(r.value - 1.0) < 1e-10
 
     def test_mean_is_half_pi(self):
         f = lambda s: s * area_density(s)
-        r = integrate(f, 0.0, TWO_PI, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+        r = integrate(f, 0.0, TWO_PI, QuadratureSpec(1e-11))
         assert abs(r.value - PI / 2) < 1e-10
 
     def test_domain(self):
@@ -79,7 +79,7 @@ class TestAreaDensity:
 
     def test_mc_histogram_near_zero(self, tail_histograms_10m):
         n, c_sigma, _ = tail_histograms_10m
-        p = integrate(area_density, 0.0, 0.05, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)).value
+        p = integrate(area_density, 0.0, 0.05, QuadratureSpec(1e-12)).value
         se = math.sqrt(p * (1 - p) / n)
         assert abs(c_sigma / n - p) < 3 * se
 
@@ -97,7 +97,7 @@ class TestAreaCdf:
 
     def test_integral_of_density(self):
         for x in np.linspace(0.3, TWO_PI - 0.3, 20):
-            r = integrate(area_density, 0.0, float(x), QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+            r = integrate(area_density, 0.0, float(x), QuadratureSpec(1e-11))
             assert abs(r.value - area_cdf(float(x))) < 1e-7
 
     def test_monotone(self):
@@ -109,8 +109,9 @@ class TestAreaCdf:
                                    TWO_PI - 1e-3, TWO_PI - 1e-8])
     def test_matches_density_integral(self, x):
         # Below x ~ 5e-5 adaptive_area_cdf misses this by up to 3e-5 relative.
-        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-15)
-        ref = integrate(area_density, 0.0, x, spec).value
+        # The reference is x times the integral of area_density(x s) over
+        # s in [0, 1], so that one tolerance is relative to the CDF at every x.
+        ref = x * integrate(lambda s: area_density(x * s), 0.0, 1.0, QuadratureSpec(1e-15)).value
         assert abs(area_cdf(x) - ref) <= 1e-13 * ref
 
     def test_no_adaptive_quadrature(self, monkeypatch):
@@ -214,7 +215,7 @@ class TestPerimeterDensity:
             [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9), tol=1e-10)
              for v in np.atleast_1d(s)]
         )
-        spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7, singular_right=True)
+        spec = QuadratureSpec(1e-7, singular_right=True)
         r = integrate(f, 0.0, TWO_PI, spec)
         assert abs(r.value - 1.0) < 1e-5
 
@@ -244,7 +245,7 @@ class TestPerimeterDensity:
         n, _, c_tau = tail_histograms_10m
         lo, hi = 3 * PI / 2 - 0.005, 3 * PI / 2 + 0.005
         f = lambda s: np.array([perimeter_density(float(v), tol=1e-10) for v in np.atleast_1d(s)])
-        p = integrate(f, lo, hi, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)).value
+        p = integrate(f, lo, hi, QuadratureSpec(1e-10)).value
         se = math.sqrt(p * (1 - p) / n)
         assert abs(c_tau / n - p) < 3 * se
 
@@ -269,7 +270,7 @@ def adaptive_perimeter_density(tau: float, tol: float = 1e-12) -> float:
         rad = np.sin(tau / 2 - t) * s_half
         return num / np.sqrt(rad) * np.sin(t)
 
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, singular_right=True)
+    spec = QuadratureSpec(tol, singular_right=True)
     return integrate(integrand, 0.0, tau / 2, spec).value / (4.0 * math.pi)
 
 
@@ -282,7 +283,7 @@ def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
     def density(t):
         return np.array([perimeter_density(float(x), tol=tol / 100) for x in np.atleast_1d(t)])
 
-    return integrate(density, 0.0, tau, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
+    return integrate(density, 0.0, tau, QuadratureSpec(tol)).value
 
 
 def adaptive_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
@@ -293,7 +294,7 @@ def adaptive_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
     """
     from sphtri.distributions import _perimeter_cdf_integrand
 
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    spec = QuadratureSpec(tol)
     return integrate(lambda v: _perimeter_cdf_integrand(tau, v), 0.0, 1.0, spec).value
 
 
@@ -317,7 +318,7 @@ def adaptive_area_cdf(sigma: float, tol: float = 1e-12) -> float:
             bracket = math.pi / w - _arctan_band(sigma / 2, w)
         return (sigma / 2 + np.nan_to_num(bracket)) * np.sin(kappa)
 
-    res = integrate(integrand, 0.0, math.pi, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+    res = integrate(integrand, 0.0, math.pi, QuadratureSpec(tol))
     return min(1.0, max(0.0, res.value / TWO_PI))
 
 
@@ -517,9 +518,17 @@ class TestDoubleIntegrals:
         v = density_via_double_integral(DensityKind.AREA_PRIMAL, x, tol=1e-9)
         assert abs(v - area_density(x)) < 1e-7
 
-    def test_perimeter_dual_mirrors_area(self):
-        v = density_via_double_integral(DensityKind.PERIMETER_DUAL, 2.0, tol=1e-9)
-        assert abs(v - area_density(TWO_PI - 2.0)) < 1e-7
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [2.0, 1e-310, 1e-200, 1e-100, 1e-80, 1e-78, 1e-77])
+    def test_perimeter_dual_mirrors_area(self, x):
+        # At tiny x the squares of sin(x/2) and sin(x/2 - rho) underflow
+        # unless the inner integrand is divided through by sin(x/2).
+        v = density_via_double_integral(DensityKind.PERIMETER_DUAL, x, tol=1e-9)
+        assert abs(v - area_density(TWO_PI - x)) < 1e-7
+
+    def test_perimeter_dual_where_sin_half_x_is_zero(self):
+        with pytest.raises(OutOfDomain):
+            density_via_double_integral(DensityKind.PERIMETER_DUAL, 5e-324)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", [DensityKind.PERIMETER_PRIMAL, DensityKind.AREA_DUAL])
@@ -590,7 +599,7 @@ class TestCroftonKernel:
             w = np.sqrt(np.tan(x / 2) ** 2 / math.sin(y / 2) ** 2 + 1.0)
             return (PI - np.arctan(w * math.tan(y / 2))) / w * np.sin(x)
 
-        r = integrate(f, 0.0, PI, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+        r = integrate(f, 0.0, PI, QuadratureSpec(1e-12))
         assert abs(r.value - crofton_kernel(y)) < 1e-10
 
     def test_continuous_across_series_window(self):
@@ -611,7 +620,7 @@ class TestCroftonKernel:
             w = np.sqrt(np.tan(x / 2) ** 2 / math.sin(y / 2) ** 2 + 1.0)
             return -np.arctan(w * math.tan(y / 2)) / w * np.sin(x)
 
-        r = integrate(f, 0.0, PI, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+        r = integrate(f, 0.0, PI, QuadratureSpec(1e-12))
         assert abs(r.value - crofton_kernel(y)) < 1e-10
 
 
@@ -896,7 +905,7 @@ class TestNestedQuadratureStructure:
 def curve_cdf(kind, x, kappa):
     """A region law's CDF as the measure of the region under its region_boundary curve."""
     f = region_boundary(kind, x, kappa)
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=True, singular_right=True)
+    spec = QuadratureSpec(1e-12, singular_left=True, singular_right=True)
 
     def pieces(g, lo, breaks):
         ends = [lo] + sorted(b for b in breaks if lo < b < PI) + [PI]

@@ -121,7 +121,7 @@ class TestBisector:
         d = bisector_decompose(OCTANT)
         assert abs(d.rho - PI / 2) < 1e-12
         assert abs(d.theta - PI / 2) < 1e-12
-        assert abs(d.rho_thres - PI / 2) < 1e-12
+        assert abs(bisector_threshold(float(OCTANT.tau), float(OCTANT.alpha)) - PI / 2) < 1e-12
         # tan(tau/2) = -1 here, i.e. tau = 3*pi/2.
         val = -(
             math.cos(OCTANT.alpha / 2) * math.sin(d.rho) * math.sin(d.theta)
@@ -139,9 +139,10 @@ class TestBisector:
             # The threshold inequality is exact in exact arithmetic; in
             # floats the angular comparison degrades for triangles within
             # ~1e-3 of covering the sphere, so compare cosines there.
-            assert math.cos(d.rho) <= math.cos(d.rho_thres) + 5e-9
+            thres = bisector_threshold(float(m.tau), float(m.alpha))
+            assert math.cos(d.rho) <= math.cos(thres) + 5e-9
             if min(PI - m.alpha, PI - m.beta, PI - m.gamma) > 1e-2:
-                assert d.rho >= d.rho_thres - 1e-10
+                assert d.rho >= thres - 1e-10
         assert worst < 1e-10
 
     def test_geometric_construction(self):
@@ -250,15 +251,8 @@ class TestArrayPath:
             di = bisector_decompose(mi)
             assert abs(bis.rho[i] - di.rho) <= 1e-15
             assert abs(bis.theta[i] - di.theta) <= 1e-15
-            assert abs(bis.rho_thres[i] - di.rho_thres) <= 1e-15
             assert abs(bis_res[i] - bisector_relation_residual(mi, di)) <= 1e-15
         assert res.max() == worst  # the batch maximum
-
-    def test_threshold_matches_scalar_formula(self):
-        _, m = random_triangle_batch(self.N, seed=78)
-        thres = bisector_decompose(m).rho_thres
-        for i in range(self.N):
-            assert abs(thres[i] - bisector_threshold(float(m.tau[i]), float(m.alpha[i]))) <= 1e-15
 
     @pytest.mark.parametrize("field, func", [
         ("c", median_decompose),

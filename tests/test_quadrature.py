@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtri.coords import angle_jacobian, side_jacobian
+from sphtri.distributions import _two_order_rule
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
     _PANEL_BUDGET,
@@ -23,7 +24,7 @@ PI = math.pi
 
 
 def quad_oracle(f, a, b, tol=1e-13):
-    return integrate(f, a, b, QuadratureSpec(abs_tol=tol, rel_tol=tol)).value
+    return integrate(f, a, b, QuadratureSpec(tol)).value
 
 
 class TestEllipticK:
@@ -103,24 +104,23 @@ def test_legendre_relation_grid():
 
 class TestIntegrate:
     def test_sine(self):
-        r = integrate(np.sin, 0.0, PI, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+        r = integrate(np.sin, 0.0, PI, QuadratureSpec(1e-13))
         assert abs(r.value - 2.0) < 1e-12
         assert r.err_estimate >= 0
         assert r.evaluations >= 15
 
     def test_inverse_sqrt_left(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=True)
+        spec = QuadratureSpec(1e-12, singular_left=True)
         r = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
         assert abs(r.value - 2.0) < 1e-10
 
     def test_inverse_sqrt_right(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_right=True)
+        spec = QuadratureSpec(1e-12, singular_right=True)
         r = integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, spec)
         assert abs(r.value - 2.0) < 1e-10
 
     def test_both_singular(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12,
-                              singular_left=True, singular_right=True)
+        spec = QuadratureSpec(1e-12, singular_left=True, singular_right=True)
         r = integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0, spec)
         assert abs(r.value - PI) < 1e-10
 
@@ -128,7 +128,7 @@ class TestIntegrate:
         z = 0.5
         r = integrate(
             lambda t: 1.0 / np.sqrt(1 - z * z * np.sin(t) ** 2), 0.0, PI / 2,
-            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+            QuadratureSpec(1e-12),
         )
         assert abs(r.value - ellip_K(z)) < 1e-10
 
@@ -143,7 +143,7 @@ class TestIntegrate:
     def test_tolerance_not_met(self):
         # A jump discontinuity leaves an error of about 2e-21 at the width
         # floor, so a tolerance of 1e-30 is out of reach.
-        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
+        spec = QuadratureSpec(1e-30)
         with pytest.raises(ToleranceNotMet) as info:
             integrate(lambda x: np.where(x < math.e / 3, 0.0, 1.0), 0.0, 1.0, spec)
         assert isinstance(info.value.result, QuadratureResult)
@@ -187,9 +187,9 @@ class TestIntegrate:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
+            QuadratureSpec(0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=math.nan)
+            QuadratureSpec(math.nan)
 
 
 class TestIntegrateRows:
@@ -212,8 +212,7 @@ class TestIntegrateRows:
                 y = y / np.sqrt(np.maximum(self.B[i] - t, 0.0))
             return y
 
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=left,
-                              singular_right=right)
+        spec = QuadratureSpec(1e-12, singular_left=left, singular_right=right)
         values, errors = _integrate_rows(f, self.A, self.B, spec)
         assert values.shape == errors.shape == self.A.shape
         for r in range(self.A.size):
@@ -231,7 +230,7 @@ class TestIntegrateRows:
 
         a = np.array([0.0, 1.0, 0.0, 2.0])
         b = np.array([0.0, 2.0, 0.0, 2.0])
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_left=True)
+        spec = QuadratureSpec(1e-12, singular_left=True)
         values, errors = _integrate_rows(f, a, b, spec)
         assert values[0] == values[2] == values[3] == 0.0 and errors[3] == 0.0
         assert abs(values[1] - integrate(lambda t: np.exp(t) / np.sqrt(t), 1.0, 2.0, spec).value) < 1e-11
@@ -244,7 +243,7 @@ class TestIntegrateRows:
 
     def test_step_row_raises_with_estimate(self):
         # As TestIntegrate.test_tolerance_not_met, in the second of three rows.
-        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
+        spec = QuadratureSpec(1e-30)
 
         def f(i, t):
             return np.where(i == 1, np.where(t < math.e / 3, 0.0, 1.0), t)
@@ -277,16 +276,72 @@ class TestIntegrateRows:
         def outer(us):
             return _integrate_rows(lambda i, v: jac(us[i], v, kappa), np.zeros_like(us),
                                    np.full_like(us, PI),
-                                   QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10))[0]
+                                   QuadratureSpec(1e-10))[0]
 
-        total = integrate(outer, 0.0, PI, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+        total = integrate(outer, 0.0, PI, QuadratureSpec(1e-9))
         assert abs(total.value - 2 * PI) < 1e-7
+
+
+class TestOneAcceptanceRule:
+    """integrate, _integrate_rows and _two_order_rule accept on err <= tol * max(1, |value|).
+
+    So the tolerance is absolute for a value below 1 (c = 1 gives 1/15
+    below) and relative above it (c = 150 gives 10), where an estimate
+    larger than tol itself passes.
+    """
+
+    @staticmethod
+    def tols(err, value):
+        """The tolerances just above and just below the one at which err passes for value."""
+        scale = max(1.0, abs(value))
+        return 1.01 * err / scale, 0.99 * err / scale
+
+    @pytest.mark.parametrize("c", [150.0, 1.0])
+    def test_integrate(self, c):
+        def f(t):
+            return c * t ** 14  # beyond the degree 13 that G7 integrates exactly
+
+        first = integrate(f, 0.0, 1.0, QuadratureSpec(1.0))
+        assert first.evaluations == 15 and first.err_estimate > 0.0
+        accept, refine = self.tols(first.err_estimate, first.value)
+        assert (first.err_estimate > accept) == (c > 15.0)
+        assert integrate(f, 0.0, 1.0, QuadratureSpec(accept)).evaluations == 15
+        assert integrate(f, 0.0, 1.0, QuadratureSpec(refine)).evaluations > 15
+
+    @pytest.mark.parametrize("c", [150.0, 1.0])
+    def test_integrate_rows(self, c):
+        calls = []
+
+        def f(i, t):  # row 1 is a constant, accepted on its first panel at every tol here
+            calls.append(i.size)
+            return np.where(i == 0, c * t ** 14, 1.0)
+
+        values, errors = _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(1.0))
+        accept, refine = self.tols(errors[0], values[0])
+        for tol, steps in ((accept, 1), (refine, 2)):
+            calls.clear()
+            _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(tol))
+            assert min(len(calls), 2) == steps
+
+    @pytest.mark.parametrize("c", [150.0, 1.0])
+    def test_two_order_rule(self, c):
+        def integrand(x, v):
+            return c * x * v ** 6  # beyond the degree 5 that orders 2 and 3 integrate exactly
+
+        xs = np.array([1.0])
+        with pytest.raises(ToleranceNotMet) as info:
+            _two_order_rule(integrand, xs, (2, 3), 1e-15)
+        gap, value = info.value.result.err_estimate, info.value.result.value
+        accept, refine = self.tols(gap, value)
+        assert _two_order_rule(integrand, xs, (2, 3), accept)[0] == value
+        with pytest.raises(ToleranceNotMet):
+            _two_order_rule(integrand, xs, (2, 3), refine)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(alpha, beta):
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    spec = QuadratureSpec(1e-12)
     f = lambda x: np.sin(x)
     g = lambda x: x * x
     combined = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, spec).value
@@ -334,7 +389,7 @@ class TestCarlson:
         assert abs(E - 1.0) < 1e-15
 
     def test_incomplete_vs_defining_integrals(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+        spec = QuadratureSpec(1e-14)
         for phi, z in ((0.4, 0.2), (1.2, 0.8), (1.5, 0.97)):
             f = integrate(lambda t: 1.0 / np.sqrt(1 - z * z * np.sin(t) ** 2), 0.0, phi, spec)
             e = integrate(lambda t: np.sqrt(1 - z * z * np.sin(t) ** 2), 0.0, phi, spec)
