@@ -119,7 +119,7 @@ def _horner(coeffs: tuple[float, ...], z):
     return acc
 
 
-def _area_argument(value):
+def _law_argument(value, name: str = "sigma"):
     """value as a float (from a scalar) or a float array, checked to lie in [0, 2*pi].
 
     A scalar is checked in Python: a numpy ufunc on it costs more than the series.
@@ -131,7 +131,7 @@ def _area_argument(value):
     else:
         inside = ((x >= 0.0) & (x <= TWO_PI)).all()
     if not inside:
-        raise ValueError("sigma must lie in [0, 2*pi]")
+        raise ValueError(f"{name} must lie in [0, 2*pi]")
     return x
 
 
@@ -151,7 +151,7 @@ def area_density(sigma):
     including exactly 1/(4 pi) at sigma = pi. It is within 7e-15 relative
     of 40-digit mpmath on [0.01, 2*pi - 0.01].
     """
-    x = _area_argument(sigma)
+    x = _law_argument(sigma)
     d = x - math.pi
     z = d * d
     s = d * _horner(_SIN_REM, z)
@@ -173,7 +173,7 @@ def crofton_kernel(y):
     area_density, so the whole range evaluates stably. y may be a float or
     an array, as for area_density.
     """
-    x = _area_argument(y)
+    x = _law_argument(y)
     d = x - math.pi
     z = d * d
     # G(y) = closed-form integral; G = A/16 - (pi/8)(d - sin d) with
@@ -196,11 +196,23 @@ def area_cdf(sigma):
     It is within 1e-15 relative of an adaptive integral of area_density
     from sigma = 1e-8 to 2*pi - 1e-8.
     """
-    x = _area_argument(sigma)
+    x = _law_argument(sigma)
     v = (x + crofton_kernel(x)) / TWO_PI
     if isinstance(x, float):
         return 1.0 if x >= TWO_PI else min(1.0, max(0.0, v))
     return np.where(x >= TWO_PI, 1.0, np.clip(v, 0.0, 1.0))
+
+
+# Below this tau the perimeter density takes its tau^2 series, and the
+# CDF series' nodes take its integral: there the elliptic integrands
+# cancel (E - cos^2 K at small t). At 0.3 the sixth term is 2.6e-16 of
+# the first.
+_SERIES_BELOW = 0.3
+# The density's Taylor coefficients, f = tau^3 * sum_j a_j tau^(2j), found
+# by PSLQ on 90-digit values. The six-term series is within 8e-19 relative
+# of 40-digit mpmath at 0.3 and 3.7e-16 at 0.5.
+_DENSITY_TAU2 = (1 / 168, -1 / 5280, 1 / 480480, -461 / 42664527360,
+                 59 / 1186167628800, 1 / 3855044793600)
 
 
 def perimeter_density(tau, tol: float = 1e-12):
@@ -218,18 +230,30 @@ def perimeter_density(tau, tol: float = 1e-12):
     started at k' = cos(t/2), which stays accurate as t approaches pi. The
     value of the higher order is returned; where the two orders differ by
     more than tol * max(1, |value|) at some tau, ToleranceNotMet is
-    raised naming that tau and the gap. A float gives a float and an array
-    an array of the same shape. Measured against the adaptive integral at
-    tol 1e-14: within 8e-14 relative for tau from 0.05 to 2*pi - 1e-9, and
-    6e-17 from 3*sqrt(2)/32 at pi; at tau = 0.01 the cancellation in
-    E - cos^2 K leaves about 2e-12 relative on either route.
-    Diverges like c/sqrt(2*pi - tau) as tau approaches 2*pi, with
-    c ~ 0.1211663 (so 1 - CDF ~ 2c sqrt(2*pi - tau)).
+    raised naming that tau and the gap. Measured against the adaptive
+    integral at tol 1e-14: within 8e-14 relative for tau from 0.3 to
+    2*pi - 1e-9, and 6e-17 from 3*sqrt(2)/32 at pi.
+
+    Below tau = 0.3, where E - cos^2 K cancels, the value is the series
+    tau^3 (1/168 - tau^2/5280 + tau^4/480480 - 461 tau^6/42664527360 + ...)
+    to six terms, which is exact to rounding there and needs no tol; the
+    two routes agree to 5e-16 relative at 0.3. It is positive wherever
+    tau^3/168 is (tau above about 7.5e-108) and underflows to 0.0 below.
+    A float gives a float and an array an array of the same shape,
+    equal bit for bit to the scalar calls. Diverges like
+    c/sqrt(2*pi - tau) as tau approaches 2*pi, with
+    c = 3 pi^2 / (sqrt(2) Gamma(1/4)^4) = 0.12116625978620570
+    (so 1 - CDF ~ 2c sqrt(2*pi - tau)).
     """
     x = np.asarray(tau, dtype=float)
     if not np.all((x > 0.0) & (x < TWO_PI)):
         raise ValueError("tau must lie strictly inside (0, 2*pi)")
-    vals = _two_order_rule(_perimeter_density_integrand, x.ravel(), _DENSITY_ORDERS, tol)
+    flat = x.ravel()
+    small = flat < _SERIES_BELOW
+    vals = np.empty(flat.size)
+    z = flat[small]
+    vals[small] = z * z * z * _horner(_DENSITY_TAU2, z * z)
+    vals[~small] = _two_order_rule(_perimeter_density_integrand, flat[~small], _DENSITY_ORDERS, tol)
     return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
@@ -261,6 +285,9 @@ def _perimeter_cdf_integrand(x, v):
     forms free of cancellation: cos^2(theta1) = sin(x/2 - t) sin(x/2) / k'^2
     and 1 - k'^2 sin^2(theta1) = sin^2((x-t)/2). The bracket vanishes like
     sqrt(x/2 - t) at t = x/2, which the substitution makes smooth in v.
+
+    perimeter_cdf does not call it: this is the paper's integral, kept as
+    the source of the series' coefficients and as the tests' oracle.
     """
     t = 0.5 * x * (1.0 - v * v)
     k2 = np.sin(0.5 * t) ** 2
@@ -281,49 +308,111 @@ def _perimeter_cdf_integrand(x, v):
 
 
 # F(tau) <= P{b <= tau/2, c <= tau/2} = sin^4(tau/4), which is below
-# 4e-323 (a few subnormal units) for tau up to this; below about 1e-155
-# sin^2((tau - t)/2) underflows and the integrand cannot be evaluated.
+# 4e-323 (a few subnormal units) for tau up to this; the CDF is 0.0 there.
 _CDF_ZERO_BELOW = 1e-80
+# 2*pi - TWO_PI, so that s is measured from the true 2*pi.
+_TWO_PI_SHORTFALL = 2.4492935982947064e-16
+_U_PER_S = 2.0 / math.sqrt(TWO_PI)  # u = s * _U_PER_S - 1 maps s in [0, sqrt(2*pi)] onto [-1, 1]
+# Chebyshev coefficients, in u, of
+# R(s) = F(tau) / sin^4(tau/4) with s = sqrt(2*pi - tau). The factor
+# carries F's tau^4 start and s its sqrt(2*pi - tau) end, so R is analytic
+# on the whole interval. They interpolate R at the 28 Chebyshev nodes
+# u_j = cos(pi (j + 1/2) / 28), whose values are the tau^2 series of
+# _DENSITY_TAU2 integrated below _SERIES_BELOW and the orders-96/128
+# rule over _perimeter_cdf_integrand above it;
+# tests/test_distributions.py::perimeter_cdf_series_coefficients
+# regenerates them.
+_CDF_CHEB = (
+    0.6531615145577833, -0.33178291510177105, 0.03826555379978804,
+    0.023506906007460547, -0.001677663250141673, -0.0012200083360935127,
+    0.0007468058103632697, -3.5279975120705576e-05, -2.0950321250759858e-05,
+    7.92109624378875e-06, 8.657056983258598e-07, -4.5664929947714885e-07,
+    6.882380853318841e-08, 2.3642553438816905e-08, -5.079420891832394e-09,
+    -1.830195677549844e-10, 4.4564045311089116e-10, -3.034714543151803e-11,
+    -1.6535582427122465e-11, 5.92372976068337e-12, 4.0711481804781406e-13,
+    -3.5917697387739213e-13, 5.725578741281164e-14, 1.7109329825919824e-14,
+    -4.910754342850915e-15, 3.6280502411857793e-16, 5.699805706780937e-16,
+    1.37290972241593e-15,
+)
+# The series' absolute error bound: measured at most 4e-15 against
+# 30-digit mpmath values (45 points) and against the orders-96/128 rule
+# (4000 points in [0.3, 2*pi - 1e-12]).
+_CDF_SERIES_ERROR = 1e-14
+# Points per chunk of an array call, which bounds the working memory.
+_SERIES_BATCH = 1 << 14
+
+
+def _clenshaw(coeffs: tuple[float, ...], u):
+    """Sum of coeffs[k] T_k(u) by Clenshaw's recurrence; u may be a float or an array."""
+    u2 = u + u
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + u2 * b1 - b2, b1
+    return coeffs[0] + u * b1 - b2
+
+
+def _perimeter_cdf_series(x):
+    """The perimeter CDF on a float or an array of x in [0, 2*pi], ends included."""
+    s = np.sqrt((TWO_PI - x) + _TWO_PI_SHORTFALL)
+    q = np.sin(0.25 * x)
+    scalar = isinstance(x, float)
+    if scalar:  # the same arithmetic on Python floats, a third of the time of numpy scalars
+        s, q = float(s), float(q)
+    q2 = q * q
+    v = q2 * q2 * _clenshaw(_CDF_CHEB, s * _U_PER_S - 1.0)
+    if scalar:
+        return 1.0 if x >= TWO_PI else 0.0 if x <= _CDF_ZERO_BELOW else min(1.0, max(0.0, v))
+    return np.where(x >= TWO_PI, 1.0, np.where(x <= _CDF_ZERO_BELOW, 0.0, np.clip(v, 0.0, 1.0)))
 
 
 def perimeter_cdf(tau, tol: float = 1e-9):
     """P{perimeter <= tau} for tau in [0, 2*pi]; tau may be a float or an array.
 
-    One integral over incomplete elliptic integrals (see
-    _perimeter_cdf_integrand), taken with t = tau/2 (1 - v^2), which maps
-    v in [0, 1] onto t in [0, tau/2] and smooths the square-root end;
-    fixed Gauss-Legendre rules of orders 32 and 48 in v then serve every
-    tau at once. The order-48 value, clipped to [0, 1], is returned; where
-    the two orders differ by more than tol * max(1, |value|) at some
-    tau, ToleranceNotMet is raised naming that tau and the gap. The
-    measured gap is at most 4.5e-12, at tau = 6.28, so a tol below about
-    5e-12 raises near 2*pi. Against the adaptive integral at tol 1e-13 the
-    values agree to 1.9e-13 absolute from tau = 1e-6 to 2*pi - 1e-12.
-    tau = 0 and tau <= 1e-80 give 0.0 (the CDF is below 4e-323 there),
-    and tau = 2*pi gives 1.0. A float gives a float and an array an array
-    of the same shape.
+    F(tau) = sin^4(tau/4) R(s), with s = sqrt(2*pi - tau) and R a fixed
+    28-term Chebyshev series in s (_CDF_CHEB), summed by Clenshaw's
+    recurrence and clipped to [0, 1]. Nothing is built at import or on the
+    first call. The series is within 4e-15 absolute of 30-digit mpmath
+    values from tau = 0.3 to 2*pi - 1e-12, and within 7.3e-15 relative of
+    the tau^2 series F = tau^4 (1/672 - tau^2/31680 + tau^4/3843840 - ...)
+    from 1e-75 to 0.3. tau = 0 and tau <= 1e-80 give 0.0 (the CDF is
+    below 4e-323 there), and tau = 2*pi gives 1.0. A float gives a float
+    and an array an array of the same shape, equal bit for bit to the
+    scalar calls. 10^6 points in one call take about 0.1 s on a 2-CPU
+    host, a scalar call about 6 us.
+
+    tol bounds the absolute error as for the quadratures: the series is
+    held to _CDF_SERIES_ERROR = 1e-14, so a tol below that raises
+    ToleranceNotMet for any tau strictly between the exact ends, naming
+    the first such tau, with its value and the bound attached. A tol that
+    is not positive (NaN included) raises ValueError.
     """
-    x = np.asarray(tau, dtype=float)
-    if not np.all((x >= 0.0) & (x <= TWO_PI)):
-        raise ValueError("tau must lie in [0, 2*pi]")
+    _check_tol(tol)
+    x = _law_argument(tau, "tau")
+    if tol < _CDF_SERIES_ERROR:
+        flat = np.ravel(x)
+        inside = np.flatnonzero((flat > _CDF_ZERO_BELOW) & (flat < TWO_PI))
+        if inside.size:
+            at = float(flat[inside[0]])
+            raise ToleranceNotMet(f"the perimeter CDF series is accurate to {_CDF_SERIES_ERROR:.0e}, "
+                                  f"above tol {tol:.1e}, at tau = {at!r}",
+                                  QuadratureResult(_perimeter_cdf_series(at), _CDF_SERIES_ERROR, 0))
+    if isinstance(x, float):
+        return _perimeter_cdf_series(x)
     flat = x.ravel()
-    inside = (flat > _CDF_ZERO_BELOW) & (flat < TWO_PI)
-    vals = np.where(flat >= TWO_PI, 1.0, 0.0)
-    rule = _two_order_rule(_perimeter_cdf_integrand, flat[inside], _GRID_ORDERS, tol)
-    vals[inside] = np.clip(rule, 0.0, 1.0)
-    return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+    vals = np.empty(flat.size)
+    for start in range(0, flat.size, _SERIES_BATCH):
+        vals[start:start + _SERIES_BATCH] = _perimeter_cdf_series(flat[start:start + _SERIES_BATCH])
+    return vals.reshape(x.shape)
 
 
-# Gauss-Legendre orders of the perimeter CDF and of the density: the
-# higher order gives the values, and its gap to the lower one is checked
-# against the tolerance. The density needs higher orders because K's
-# logarithm at t -> pi enters its interval as tau approaches 2*pi: there
-# the relative gap at tol 1e-12 measured 2.5e-11 for orders 48/64,
-# 3.7e-12 for 64/96 and 2.0e-13 for 96/128.
-_GRID_ORDERS = (32, 48)
+# Gauss-Legendre orders of the perimeter density: the higher order gives
+# the values, and its gap to the lower one is checked against the
+# tolerance. K's logarithm at t -> pi enters the interval as tau
+# approaches 2*pi: there the relative gap at tol 1e-12 measured 2.5e-11
+# for orders 48/64, 3.7e-12 for 64/96 and 2.0e-13 for 96/128.
 _DENSITY_ORDERS = (96, 128)
 # Integrand elements per batch, which bounds the working memory.
-_GRID_BATCH = 2048
+_RULE_BATCH = 2048
 
 
 def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +451,7 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
     """Integral_0^1 integrand(x, v) dv for every x of the 1-D array xs.
 
     Both Gauss-Legendre orders are evaluated together, on as many rows of
-    xs at a time as fit in _GRID_BATCH elements; the higher order's values
+    xs at a time as fit in _RULE_BATCH elements; the higher order's values
     are returned. Raises ToleranceNotMet at the first x where the orders
     differ by more than tol * max(1, |value|), the acceptance of
     QuadratureSpec(tol), with that x's higher-order
@@ -375,7 +464,7 @@ def _two_order_rule(integrand, xs: np.ndarray, orders: tuple[int, int], tol: flo
     _check_tol(tol)
     v, w_lo, w_hi = _legendre_pair(orders)
     vals = np.empty(xs.size)
-    rows = max(1, _GRID_BATCH // v.size)
+    rows = max(1, _RULE_BATCH // v.size)
     for start in range(0, xs.size, rows):
         x = xs[start:start + rows, None]
         y = integrand(x, v)
@@ -397,12 +486,14 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 
     The grid is uniform up to 2*pi - 0.1, then refined geometrically toward
     2*pi, where the density diverges and a uniform grid would make
-    interpolation overshoot. The nodes are perimeter_cdf values, but linear
-    interpolation between them (np.interp) is not that accurate near 2*pi:
-    between 2*pi - 0.1 and 2*pi - 0.05, where the density rises like
-    c/sqrt(2*pi - tau), it is off by up to 8.3e-4 (at tau ~ 6.21) for 256
-    and 600 steps alike. Use such an interpolant only where that error is
-    small against the bound it serves (a KS distance, say).
+    interpolation overshoot. The nodes are perimeter_cdf values, 256 of
+    them in about 0.1 ms, but linear interpolation between them (np.interp)
+    is not that accurate near 2*pi: between 2*pi - 0.1 and 2*pi - 0.05,
+    where the density rises like c/sqrt(2*pi - tau), it is off by up to
+    8.3e-4 (at tau ~ 6.21) for 256 and 600 steps alike. perimeter_cdf
+    itself evaluates 10^6 sorted samples in about 0.1 s, so a KS distance
+    needs no interpolant; the library no longer uses this grid, which the
+    benchmark keeps as its KS reference.
     """
     xs = np.concatenate([
         np.linspace(0.0, TWO_PI - 0.1, max(steps - 25, 8)),

@@ -3,9 +3,9 @@
 The complete integrals K and E are evaluated by the arithmetic-geometric-
 mean iteration, which converges quadratically and reaches machine
 precision in under ten steps. Carlson's symmetric forms R_F and R_D, in
-which the perimeter CDF writes its incomplete integrals, are evaluated by
-the duplication algorithm (Carlson, Numer. Algorithms 10:13-26, 1995;
-DLMF 19.36(i)), which works elementwise on arrays.
+which the perimeter CDF's integral writes its incomplete integrals, are
+evaluated by the duplication algorithm (Carlson, Numer. Algorithms
+10:13-26, 1995; DLMF 19.36(i)), which works elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 endpoint (t = a + u^2 or t = b - u^2) becomes a bounded smooth integrand,
@@ -476,8 +476,8 @@ def ellip_E(zeta):
 
 
 # ---------------------------------------------------------------------------
-# Carlson's symmetric forms, which give the perimeter CDF its incomplete
-# integrals.
+# Carlson's symmetric forms, which give the perimeter CDF's integral its
+# incomplete integrals.
 
 _CARLSON_TOL = 1e-16  # relative truncation error of the duplication series
 _CARLSON_MAX_ITER = 60  # each step shrinks the spread of x, y, z fourfold

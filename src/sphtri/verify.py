@@ -27,7 +27,7 @@ from .distributions import (
     conditional_cdf,
     density_via_double_integral,
     elliptic_reduction_gap,
-    perimeter_cdf_grid,
+    perimeter_cdf,
     perimeter_density,
 )
 from .identities import (
@@ -148,10 +148,9 @@ def duality_checks() -> list[Check]:
 
 
 def primal_ks(batch: SampleBatch) -> tuple[float, float]:
-    """KS distances of a primal batch from the area CDF and the interpolated perimeter CDF."""
-    pxs, pvals = perimeter_cdf_grid()
+    """KS distances of a primal batch from the area CDF and the perimeter CDF."""
     return (ks_distance(EmpiricalCdf(batch.sigma), area_cdf),
-            ks_distance(EmpiricalCdf(batch.tau), lambda s: np.interp(s, pxs, pvals)))
+            ks_distance(EmpiricalCdf(batch.tau), perimeter_cdf))
 
 
 def mc_checks(n: int, seed: int) -> list[Check]:

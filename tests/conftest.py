@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sphtri.distributions import perimeter_cdf_grid
 from sphtri.montecarlo import BatchKind, sample_batch
 from sphtri.sphere import RngStream
 
@@ -16,13 +15,6 @@ def primal_batch_1m():
 @pytest.fixture(scope="session")
 def dual_batch_1m():
     return sample_batch(BatchKind.DUAL, None, 10**6, RngStream(123, 1))
-
-
-@pytest.fixture(scope="session")
-def perimeter_cdf_interp():
-    """Interpolated perimeter CDF (geometrically refined near 2*pi)."""
-    xs, vals = perimeter_cdf_grid(steps=600)
-    return lambda s: np.interp(s, xs, vals)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from sphtri.distributions import (
     area_density,
     conditional_cdf,
     density_via_double_integral,
+    perimeter_cdf,
     perimeter_density,
 )
 from sphtri.montecarlo import (
@@ -122,12 +123,10 @@ def test_07_jacobian_suite():
             worst < 1e-6 and dt < 30, f"worst rel err={worst:.2e}")
 
 
-def test_08_monte_carlo_agreement(
-    primal_batch_1m, perimeter_cdf_interp
-):
+def test_08_monte_carlo_agreement(primal_batch_1m):
     t0 = time.perf_counter()
     d_area = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf)
-    d_perim = ks_distance(EmpiricalCdf(primal_batch_1m.tau), perimeter_cdf_interp)
+    d_perim = ks_distance(EmpiricalCdf(primal_batch_1m.tau), perimeter_cdf)
     ok = d_area < 0.003 and d_perim < 0.003
 
     matrix = [

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from sphtri.distributions import (
     radicand_perimeter,
     region_boundary,
 )
-from sphtri.distributions import _sqrt_inner
+from sphtri.distributions import (
+    _DENSITY_ORDERS, _perimeter_cdf_integrand, _perimeter_density_integrand, _sqrt_inner,
+    _two_order_rule,
+)
 from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.identities import bisector_threshold
 from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
@@ -323,7 +327,8 @@ def adaptive_area_cdf(sigma: float, tol: float = 1e-12) -> float:
 
 
 # (sqrt(2)/4pi) Integral_0^pi [E(k) - k'^2 K(k)] sqrt(sin t) dt with k = sin(t/2),
-# by mpmath at 45 digits: the limit of sqrt(2 pi - tau) f(tau) at 2 pi.
+# by mpmath at 45 digits: the limit of sqrt(2 pi - tau) f(tau) at 2 pi. It
+# equals 3 pi^2 / (sqrt(2) Gamma(1/4)^4) to 2.6e-67 at 70 digits.
 TAIL_CONSTANT = 0.12116625978620570455
 ORACLE_XS = tuple(np.linspace(0.01, 6.2, 13)) + (6.28, TWO_PI - 1e-3, TWO_PI - 1e-6, TWO_PI - 1e-9)
 
@@ -358,6 +363,27 @@ class TestPerimeterDensityRule:
         # f(tau) ~ tau^3 / 168, so F(tau) ~ tau^4 / 672.
         for x, bound in ((1e-4, 1e-8), (1e-3, 1e-7)):
             assert abs(168.0 * perimeter_density(x) / x ** 3 - 1.0) < bound
+
+    def test_tiny_tau_without_warnings(self):
+        # The rule returned 0.0 from 1e-8 down, was off by 8.9e-5 relative
+        # at 1e-6 and warned at 1e-200. tau^3/168 underflows below about
+        # 7.5e-108, where 0.0 is the rounded value.
+        xs = np.geomspace(1e-300, 0.3, 600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = perimeter_density(xs)
+            scalars = [perimeter_density(float(x)) for x in xs[::50]]
+        assert np.array_equal(vals[::50], scalars)
+        assert np.all(vals >= 0.0) and np.all(vals[xs >= 1e-107] > 0.0)
+        for x in (1e-100, 1e-8, 1e-6):
+            assert abs(168.0 * perimeter_density(x) / x ** 3 - 1.0) <= 1e-12
+
+    def test_series_meets_rule_at_crossover(self):
+        x = distributions._SERIES_BELOW
+        below = perimeter_density(np.nextafter(x, 0.0))  # the series
+        rule = _two_order_rule(_perimeter_density_integrand, np.array([x]), _DENSITY_ORDERS, 1e-12)[0]
+        assert perimeter_density(x) == rule
+        assert abs(below / rule - 1.0) <= 1e-13
 
     def test_tail_asymptote(self):
         # sqrt(delta) f(2 pi - delta) -> c. delta is read back from sin(tau/2):
@@ -419,13 +445,14 @@ class TestPerimeterCdf:
         dist.perimeter_cdf(np.linspace(0.0, TWO_PI, 50))
 
     def test_array_matches_scalar(self):
-        xs = np.array(CDF_CHECK_XS + (0.0, 1e-3, TWO_PI - 1e-9, TWO_PI))
+        xs = np.array(CDF_CHECK_XS + (0.0, 1e-3, TWO_PI - 1e-9, TWO_PI, 1e-90, 1e-60, 0.3))
         vals = perimeter_cdf(xs)
         assert isinstance(perimeter_cdf(PI), float)
         assert vals.shape == xs.shape
-        # Carlson's duplication runs until every element of a batch has
-        # converged, so a value can move by rounding with its neighbours.
-        assert all(abs(v - perimeter_cdf(float(x))) <= 1e-15 for x, v in zip(xs, vals))
+        assert all(v == perimeter_cdf(float(x)) for x, v in zip(xs, vals))
+        many = np.random.default_rng(3).uniform(0.0, TWO_PI, 3 * distributions._SERIES_BATCH)
+        picks = np.arange(0, many.size, 97)
+        assert np.array_equal(perimeter_cdf(many)[picks], [perimeter_cdf(float(x)) for x in many[picks]])
         grid = perimeter_cdf(xs[:10].reshape(2, 5))
         assert grid.shape == (2, 5) and np.array_equal(grid.ravel(), vals[:10])
         assert perimeter_cdf(np.array([])).shape == (0,)
@@ -442,16 +469,18 @@ class TestPerimeterCdf:
             with pytest.raises(ValueError, match="tolerance"):
                 perimeter_cdf(x, tol=tol)
 
-    def test_unmet_tolerance_names_tau_and_gap(self):
-        # The orders 32 and 48 differ by 4.5e-12 at 6.28.
-        with pytest.raises(ToleranceNotMet, match=r"differ by .* at tau = 6\.28\b"):
-            perimeter_cdf(np.array([1.0, 6.28]), tol=1e-16)
+    def test_unmet_tolerance_names_tau_and_bound(self):
+        # The series is held to 1e-14; the exact ends need no tolerance.
+        with pytest.raises(ToleranceNotMet, match=r"accurate to 1e-14, above tol 1\.0e-16, at tau = 6\.28\b"):
+            perimeter_cdf(np.array([0.0, 6.28, 1.0]), tol=1e-16)
+        assert perimeter_cdf(np.array([0.0, 1e-90, TWO_PI]), tol=1e-16).tolist() == [0.0, 0.0, 1.0]
 
-    def test_unmet_tolerance_carries_value_and_gap(self):
+    def test_unmet_tolerance_carries_value_and_bound(self):
         with pytest.raises(ToleranceNotMet) as info:
-            perimeter_cdf(6.28, tol=1e-13)
-        assert info.value.result.value == perimeter_cdf(6.28)  # the order-48 value
-        assert 1e-12 < info.value.result.err_estimate < 1e-11  # the gap, 4.5e-12
+            perimeter_cdf(6.28, tol=9e-15)
+        assert info.value.result.value == perimeter_cdf(6.28)
+        assert info.value.result.err_estimate == distributions._CDF_SERIES_ERROR == 1e-14
+        assert perimeter_cdf(6.28, tol=1e-14) == perimeter_cdf(6.28)
 
     def test_domain(self):
         for bad in (-1e-12, TWO_PI + 1e-9, float("nan"), np.array([1.0, 7.0])):
@@ -459,13 +488,30 @@ class TestPerimeterCdf:
                 perimeter_cdf(bad)
 
     def test_tabulated_table_is_fast(self):
-        # One array call: about 47 ms on a 2-CPU host, against 0.35 s for one
-        # adaptive integral a point.
+        # One array call: about 0.1 ms on a 2-CPU host, against 47 ms for the
+        # Gauss-Legendre rule over the integral and 0.35 s for one adaptive
+        # integral a point.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
         curve = DensityCurve(xs, perimeter_cdf(xs))
         assert time.perf_counter() - start < 0.5
         assert curve.values.tobytes() == perimeter_cdf(xs).tobytes()
+
+    def test_million_points_and_scalar_calls_are_fast(self):
+        # About 0.1 s for 10^6 points and 6 us a scalar call on a 2-CPU host;
+        # the best of three runs guards against a slow spell.
+        xs = np.sort(np.random.default_rng(4).uniform(0.0, TWO_PI, 10**6))
+        best_array = best_scalar = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            perimeter_cdf(xs)
+            best_array = min(best_array, time.perf_counter() - start)
+            start = time.perf_counter()
+            for x in xs[:1000]:
+                perimeter_cdf(float(x))
+            best_scalar = min(best_scalar, (time.perf_counter() - start) / 1000)
+        assert best_array <= 0.15
+        assert best_scalar <= 20e-6
 
     def test_tail_constant_matches_density(self):
         # density ~ c / sqrt(2 pi - tau) and 1 - F ~ 2 c sqrt(2 pi - tau)
@@ -473,7 +519,65 @@ class TestPerimeterCdf:
         from_cdf = (1.0 - perimeter_cdf(TWO_PI - d, tol=1e-12)) / (2.0 * math.sqrt(d))
         from_density = math.sqrt(d) * perimeter_density(TWO_PI - d)
         assert abs(from_cdf - from_density) < 1e-5 * from_density
-        assert abs(from_density - 0.1211663) < 1e-6
+        assert abs(from_density - TAIL_CONSTANT) < 1e-6
+        closed_form = 3.0 * PI ** 2 / (math.sqrt(2.0) * math.gamma(0.25) ** 4)
+        assert abs(closed_form - TAIL_CONSTANT) < 1e-16  # 5.6e-17 of rounding in Gamma^4
+
+
+def tau2_perimeter_cdf(tau):
+    """The perimeter CDF's tau^2 series, the density's integrated term by term."""
+    coeffs = tuple(a / (2 * j + 4) for j, a in enumerate(distributions._DENSITY_TAU2))
+    z = tau * tau
+    return z * z * distributions._horner(coeffs, z)
+
+
+def perimeter_cdf_series_coefficients(n: int = 28) -> np.ndarray:
+    """The Chebyshev coefficients of the perimeter CDF's series, from n node values.
+
+    R(s) = F(tau) / sin^4(tau/4) at the n Chebyshev nodes of s in
+    [0, sqrt(2 pi)], with F from tau2_perimeter_cdf below the crossover and
+    from the orders-96/128 rule over _perimeter_cdf_integrand above it.
+    The literals in distributions._CDF_CHEB are this function's output,
+    printed from the root of the checkout by
+
+        PYTHONPATH=src:tests python -c "import test_distributions as t; print(t.perimeter_cdf_series_coefficients().tolist())"
+    """
+    theta = PI * (np.arange(n) + 0.5) / n
+    s = (np.cos(theta) + 1.0) / distributions._U_PER_S
+    tau = (distributions.TWO_PI - s * s) + distributions._TWO_PI_SHORTFALL
+    small = tau < distributions._SERIES_BELOW
+    F = np.empty(n)
+    F[small] = tau2_perimeter_cdf(tau[small])
+    F[~small] = _two_order_rule(_perimeter_cdf_integrand, tau[~small], _DENSITY_ORDERS, 1e-12)
+    q2 = np.sin(0.25 * tau) ** 2
+    R = F / (q2 * q2)
+    c = np.array([2.0 / n * np.sum(R * np.cos(k * theta)) for k in range(n)])
+    c[0] /= 2.0
+    return c
+
+
+class TestPerimeterCdfSeries:
+    def test_literals_regenerate(self):
+        c = perimeter_cdf_series_coefficients(len(distributions._CDF_CHEB))
+        assert np.max(np.abs(c - np.array(distributions._CDF_CHEB))) <= 1e-15
+
+    def test_anchor_at_pi(self):
+        # F(pi) to about 25 digits, by mpmath on the CDF integrand.
+        assert abs(perimeter_cdf(PI) - 0.1169785022373650048) <= 1e-13
+
+    def test_small_tau_series(self):
+        xs = np.geomspace(1e-75, 0.1, 300)
+        assert np.max(np.abs(perimeter_cdf(xs) / tau2_perimeter_cdf(xs) - 1.0)) <= 1e-12
+
+    def test_within_stated_bound_of_the_rule(self):
+        xs = np.concatenate([np.linspace(0.3, 6.2, 300), TWO_PI - np.geomspace(1e-12, 0.1, 100)])
+        rule = _two_order_rule(_perimeter_cdf_integrand, xs, _DENSITY_ORDERS, 1e-12)
+        assert np.max(np.abs(perimeter_cdf(xs) - rule)) <= distributions._CDF_SERIES_ERROR
+
+    def test_monotone(self):
+        xs = np.concatenate([np.geomspace(1e-79, 0.3, 400), np.linspace(0.3, 6.28, 4000),
+                             TWO_PI - np.geomspace(0.003, 1e-15, 400), [TWO_PI]])
+        assert np.all(np.diff(perimeter_cdf(xs)) >= 0.0)
 
 
 class TestPerimeterCdfGrid:

@@ -6,7 +6,7 @@ import pytest
 
 from sphtri import sphere
 from sphtri.coords import CoordKind, vertices
-from sphtri.distributions import ConditionalKind, area_cdf, conditional_cdf
+from sphtri.distributions import ConditionalKind, area_cdf, conditional_cdf, perimeter_cdf
 from sphtri.errors import DegenerateDual
 from sphtri.montecarlo import (
     BLOCK,
@@ -222,11 +222,9 @@ class TestEmpiricalCdf:
         e = EmpiricalCdf(data)
         assert ks_distance(e, e) <= 1.0 / e.n + 1e-12
 
-    def test_ks_matches_full_temporaries(
-        self, primal_batch_1m, dual_batch_1m, perimeter_cdf_interp
-    ):
+    def test_ks_matches_full_temporaries(self, primal_batch_1m, dual_batch_1m):
         for sample, cdf in ((primal_batch_1m.sigma, area_cdf),
-                            (dual_batch_1m.tau, perimeter_cdf_interp)):
+                            (dual_batch_1m.tau, perimeter_cdf)):
             e = EmpiricalCdf(sample)
             assert ks_distance(e, cdf) == reference_ks_distance(e, cdf)
 
@@ -236,14 +234,14 @@ class TestKsAgainstAnalytic:
         d = ks_distance(EmpiricalCdf(primal_batch_1m.sigma), area_cdf)
         assert d < 0.003
 
-    def test_perimeter(self, primal_batch_1m, perimeter_cdf_interp):
-        d = ks_distance(EmpiricalCdf(primal_batch_1m.tau), perimeter_cdf_interp)
+    def test_perimeter(self, primal_batch_1m):
+        d = ks_distance(EmpiricalCdf(primal_batch_1m.tau), perimeter_cdf)
         assert d < 0.003
 
-    def test_dual_duality(self, dual_batch_1m, perimeter_cdf_interp):
+    def test_dual_duality(self, dual_batch_1m):
         # dual area = 2*pi - primal perimeter in distribution.
         d = ks_distance(
-            EmpiricalCdf(TWO_PI - dual_batch_1m.sigma), perimeter_cdf_interp
+            EmpiricalCdf(TWO_PI - dual_batch_1m.sigma), perimeter_cdf
         )
         assert d < 0.003
 
