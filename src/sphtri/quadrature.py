@@ -397,8 +397,28 @@ _AGM_MAX_ITER = 24
 # The AGM stops once |a - b| <= _AGM_TOL * a; the next mean then lies
 # within _AGM_TOL^2 / 8 (5e-19) of the limit, relative. (A stop at a == b
 # never came for about a quarter of moduli, whose a and b kept trading the
-# last bit, so every array call ran all _AGM_MAX_ITER steps.)
+# last bit.) The test is made once per batch, before the vector steps, on
+# the batch's smallest k' alone: it is the slowest to pass (see _agm_KE).
 _AGM_TOL = 2e-9
+# Moduli per _agm_KE call in _agm_at. At this size each of the AGM's ten
+# or so temporaries is 64 KB and stays in L2 cache, instead of streaming
+# through memory at every step.
+_AGM_BLOCK = 8192
+
+
+def _agm_steps(kp):
+    """The number of AGM steps from (1, kp) until |a - b| <= _AGM_TOL * a.
+
+    A scalar run of the same arithmetic as _agm_KE, so it stops after the
+    same step as that modulus would in the vector loop; _AGM_MAX_ITER if
+    it never does (kp = 0 or NaN).
+    """
+    a, b = 1.0, kp
+    for n in range(_AGM_MAX_ITER):
+        if abs(a - b) <= _AGM_TOL * a:
+            return n
+        a, b = (a + b) * 0.5, math.sqrt(a * b)
+    return _AGM_MAX_ITER
 
 
 def _agm_KE(k2, kp):
@@ -408,20 +428,28 @@ def _agm_KE(k2, kp):
     finite and accurate when k is within rounding of 1, where it grows like
     log(4/k'); k^2 is taken separately so that E - K keeps its accuracy at
     small k. Works in place where it can, to hold few arrays at once.
+
+    _agm_at calls it on blocks of _AGM_BLOCK (8192) moduli. The step count
+    is taken once per call, before the loop, from the smallest k': after n
+    steps b/a increases with k' (b/a -> 2 sqrt(b/a) / (1 + b/a) is
+    increasing), so that modulus is the last to pass the stopping test, and
+    the vector steps make no test of their own. Every modulus thus takes
+    the steps its block's slowest one needs, and a step past convergence
+    moves neither K nor E by a bit: array and scalar calls stay equal bit
+    for bit, whatever the block.
     """
+    steps = _agm_steps(float(np.min(kp, initial=1.0)))
     a = np.ones_like(kp)
     b = kp
     csum = 0.5 * k2  # sum of 2^(n-1) c_n^2 with c_n = (a_n - b_n)/2; the n = 0 term
     pow2 = 0.125  # 2^(n-1) / 4
-    for _ in range(_AGM_MAX_ITER):
+    for n in range(_AGM_MAX_ITER):
         d = a - b
-        np.abs(d, out=d)
-        done = (d <= _AGM_TOL * a).all()
         pow2 *= 2.0
         d *= d
         d *= pow2
         csum += d
-        if done:
+        if n == steps:
             break
         m = a + b
         m *= 0.5
@@ -436,21 +464,28 @@ def _agm_KE(k2, kp):
 
 
 def _agm_at(zeta):
-    """K, E and the moduli within 1e-15 of 1, from one _agm_KE pass at the moduli zeta.
+    """K, E and the moduli within 1e-15 of 1, from _agm_KE at the moduli zeta.
 
-    The one modulus check of ellip_K and ellip_E: zeta must lie in [0, 1].
-    The results are arrays of at least one dimension. Moduli within 1e-15
-    of 1, where K diverges and E = 1, enter the AGM as 0.
+    The one modulus check of ellip_K and ellip_E: zeta must lie in [0, 1],
+    so NaN raises too. The results are arrays of at least one dimension, in
+    zeta's shape. Moduli within 1e-15 of 1, where K diverges and E = 1,
+    enter the AGM as 0. _agm_KE runs on blocks of _AGM_BLOCK moduli.
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if (z < 0.0).any() or (z > 1.0).any():
+    if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("modulus must lie in [0, 1]")
-    one = z >= 1.0 - 1e-15
-    z2 = np.where(one, 0.0, z)
-    z2 *= z2
-    kp = 1.0 - z2
-    np.sqrt(kp, out=kp)
-    return *_agm_KE(z2, kp), one
+    flat = z.ravel()
+    one = flat >= 1.0 - 1e-15
+    K = np.empty(flat.size)
+    E = np.empty(flat.size)
+    for start in range(0, flat.size, _AGM_BLOCK):
+        blk = slice(start, start + _AGM_BLOCK)
+        z2 = np.where(one[blk], 0.0, flat[blk])
+        z2 *= z2
+        kp = 1.0 - z2
+        np.sqrt(kp, out=kp)
+        K[blk], E[blk] = _agm_KE(z2, kp)
+    return K.reshape(z.shape), E.reshape(z.shape), one.reshape(z.shape)
 
 
 def ellip_K(zeta):

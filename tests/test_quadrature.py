@@ -10,6 +10,7 @@ from sphtri.coords import angle_jacobian, side_jacobian
 from sphtri.distributions import _two_order_rule
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
+    _AGM_BLOCK,
     _PANEL_BUDGET,
     QuadratureResult,
     QuadratureSpec,
@@ -21,6 +22,7 @@ from sphtri.quadrature import (
 )
 
 PI = math.pi
+LEMNISCATIC_K = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(PI))
 
 
 def quad_oracle(f, a, b, tol=1e-13):
@@ -32,8 +34,8 @@ class TestEllipticK:
         assert abs(ellip_K(0.0) - PI / 2) < 1e-15
 
     def test_lemniscatic_value(self):
-        # Frozen from the defining-integral oracle (and classical tables).
-        assert abs(ellip_K(math.sqrt(2) / 2) - 1.8540746773013719) < 1e-12
+        # K(1/sqrt 2) = Gamma(1/4)^2 / (4 sqrt(pi))
+        assert abs(ellip_K(math.sqrt(0.5)) - LEMNISCATIC_K) < 1e-15
 
     def test_divergent_at_one(self):
         with pytest.raises(Divergent):
@@ -46,6 +48,10 @@ class TestEllipticK:
             ellip_K(1.5)
         with pytest.raises(ValueError):
             ellip_K(-0.1)
+        with pytest.raises(ValueError):
+            ellip_K(math.nan)
+        with pytest.raises(ValueError):
+            ellip_K(np.array([0.5, math.nan]))
 
     def test_vs_defining_integral(self):
         for z in (0.1, 0.5, 0.9, 0.99):
@@ -69,6 +75,21 @@ class TestEllipticE:
     def test_unit_modulus(self):
         assert ellip_E(1.0) == 1.0
 
+    def test_lemniscatic_value(self):
+        # Legendre's relation at k = k' = 1/sqrt 2: E = K/2 + pi^(3/2) / Gamma(1/4)^2
+        target = LEMNISCATIC_K / 2 + PI**1.5 / math.gamma(0.25) ** 2
+        assert abs(ellip_E(math.sqrt(0.5)) - target) < 1e-15
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            ellip_E(1.5)
+        with pytest.raises(ValueError):
+            ellip_E(-0.1)
+        with pytest.raises(ValueError):
+            ellip_E(math.nan)
+        with pytest.raises(ValueError):
+            ellip_E(np.array([0.5, math.nan]))
+
     def test_vs_defining_integral(self):
         for z in (0.1, math.sqrt(2) / 2, 0.9, 0.999):
             target = quad_oracle(lambda t: np.sqrt(1 - z * z * np.sin(t) ** 2), 0, PI / 2)
@@ -90,9 +111,23 @@ def test_legendre_relation(z):
 
 @pytest.mark.parametrize("f, at_one", [(ellip_K, []), (ellip_E, [1.0 - 1e-15, 1.0 - 1e-16, 1.0])])
 def test_array_calls_equal_scalar_calls(f, at_one):
-    # An array call's AGM runs until its slowest modulus has converged.
+    # Every modulus of an array call takes the steps its block's slowest one needs.
     z = np.concatenate([np.linspace(0.0, 0.999999, 501), [1.0 - 1e-12, 1.0 - 2e-15], at_one])
     assert np.array_equal(f(z), [f(float(x)) for x in z])
+    # Four blocks, with moduli within 1e-15..1e-1 of 1 in the second only, so
+    # that the blocks take different step counts. Scalar calls at every 25th
+    # modulus and at all those near 1.
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.0, 0.9, 3 * _AGM_BLOCK + 100)
+    near = slice(_AGM_BLOCK + 7, _AGM_BLOCK + 507)
+    z[near] = np.concatenate([1.0 - 10.0 ** rng.uniform(-14.9, -1.0, 500 - len(at_one)), at_one])
+    idx = np.concatenate([np.arange(0, z.size, 25), np.arange(z.size)[near]])
+    assert np.array_equal(f(z)[idx], [f(float(x)) for x in z[idx]])
+    square = z[: 2 * _AGM_BLOCK].reshape(128, -1)
+    out = f(square)
+    assert out.shape == square.shape
+    assert np.array_equal(out.ravel(), f(square.ravel()))
+    assert f(np.array([])).shape == (0,)
 
 
 def test_legendre_relation_grid():
