@@ -507,25 +507,40 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # The double integrals, by nested quadrature.
 
 
+# Equal rows of [lo, hi] that _nested's outer integral starts from, so that
+# the stragglers of different outer panels refine side by side. The 2-D
+# routes and double integrals at the seed-5 conditional-routes benchmark
+# points took a median 0.26 s with 4 rows, 0.28 s with 2, 0.30 s with 8 and
+# 0.43 s with 1, against 0.37 s with integrate's heap as the outer engine
+# (2-CPU host, six runs each).
+_OUTER_ROWS = 4
+
+
 def _nested(f, bounds, lo: float, hi: float, spec: QuadratureSpec,
             inner_singular: bool = False) -> float:
     """Integral over u in [lo, hi] of the integral of f(u, t) dt over bounds(u) = (a, b).
 
-    The outer integral is integrate's, to spec; the inner integrals at each
-    outer panel's 15 nodes us are the rows of one _integrate_rows call
-    (Shampine, J. Comput. Appl. Math. 211, 2008), held to spec.tol / 10 so
-    that their errors stay below the outer tolerance, with both ends
-    flagged singular when inner_singular. So f(u, t) gets a column of
-    nodes u against rows of abscissae t, and bounds(us) returns floats or
-    arrays that broadcast against us.
+    Both integrals run on _integrate_rows (Shampine, J. Comput. Appl.
+    Math. 211, 2008). The outer one is _OUTER_ROWS equal rows of [lo, hi],
+    each held to spec.tol / _OUTER_ROWS as integrate divides its tolerance
+    among pieces, and each carrying spec's singular flags (at a row's
+    interior end a flag only adds a u^2 map). Each outer step makes one
+    inner call, whose rows are all the outer nodes us of that step, held to
+    spec.tol / 10 so that their errors stay below the outer tolerance, with
+    both ends flagged singular when inner_singular. So f(u, t) gets a column
+    of nodes u against rows of abscissae t, and bounds(us) takes a 1-D
+    array and returns floats or arrays that broadcast against it.
     """
     inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
+    outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
 
-    def outer(us):
-        a, b = (np.broadcast_to(v, us.shape) for v in bounds(us))
-        return _integrate_rows(lambda i, t: f(us[i], t), a, b, inner_spec)[0]
+    def outer(_, us):
+        flat = us.ravel()
+        a, b = (np.broadcast_to(v, flat.shape) for v in bounds(flat))
+        return _integrate_rows(lambda i, t: f(flat[i], t), a, b, inner_spec)[0].reshape(us.shape)
 
-    return integrate(outer, lo, hi, spec).value
+    edges = np.linspace(lo, hi, _OUTER_ROWS + 1)
+    return float(_integrate_rows(outer, edges[:-1], edges[1:], outer_spec)[0].sum())
 
 
 def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
@@ -646,16 +661,20 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
-    singular = kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL
-    if not singular:
-        f, bounds = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL)
-        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), (False, False)
-    else:
+    if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL:
         dual = kind is DensityKind.AREA_DUAL
         f, bounds = _sqrt_inner(x, dual)
         lo, hi = (x / 2, math.pi) if dual else (0.0, x / 2)
         scale, ends = 1.0 / (4.0 * math.pi), (dual, not dual)
-    return scale * _nested(f, bounds, lo, hi, QuadratureSpec(tol, *ends), singular)
+    else:
+        f, bounds = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL)
+        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), (False, False)
+    # Both inner ends are flagged for every kind. The square-root kinds'
+    # radicand vanishes at both band ends. The smooth kinds' integrand peaks
+    # next to an end at small x: for AREA_PRIMAL near theta = x/2, at
+    # sin(theta - x/2) ~ sin(x/2) cot(kappa/2) / sqrt(3), which the
+    # unmapped rule missed for kappa near pi at x = 1e-4.
+    return scale * _nested(f, bounds, lo, hi, QuadratureSpec(tol, *ends), True)
 
 
 # ---------------------------------------------------------------------------
@@ -923,10 +942,12 @@ def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
 
     The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
     by _nested, so the boundary h(u) comes from one array call of
-    solved_forms per outer panel. On the seed-1 conditional-routes benchmark
-    points a call that integrates takes a median 4.0 ms (two-angle) and
-    3.3 ms (two-side), at most 19 ms; one scalar inner integral per node
-    took 9.2, 11.4 and 114 ms. Nearer kappa = 0 or pi than
+    solved_forms per outer step. On the seed-1 conditional-routes benchmark
+    points a call that integrates takes a median 2.6 ms (two-angle) and
+    3.0 ms (two-side), at most 29 ms (best of 5, 2-CPU host); with
+    integrate's heap as the outer engine it took 4.0 and 5.9 ms, at most
+    21 ms, and with one scalar inner integral per node 9.2, 11.4 and
+    114 ms. Nearer kappa = 0 or pi than
     COORDS_KAPPA_EDGE the Jacobian's peak narrows like kappa (or
     pi - kappa): there the quadrature ran for seconds or returned wrong
     values.

@@ -642,6 +642,34 @@ class TestDoubleIntegrals:
         with pytest.raises(ToleranceNotMet):
             density_via_double_integral(kind, 2.0, tol=1e-16)
 
+    @staticmethod
+    def closed_form(kind, x):
+        if kind is DensityKind.AREA_PRIMAL:
+            return area_density(x)
+        if kind is DensityKind.PERIMETER_PRIMAL:
+            return perimeter_density(x)
+        if kind is DensityKind.AREA_DUAL:
+            return perimeter_density(TWO_PI - x)
+        return area_density(TWO_PI - x)
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    @pytest.mark.parametrize("x", [1e-3, 2e-3, 5e-3, 1e-2, 0.1,
+                                   TWO_PI - 1e-3, TWO_PI - 2e-3, TWO_PI - 5e-3,
+                                   TWO_PI - 1e-2, TWO_PI - 0.1])
+    def test_near_the_ends(self, kind, x):
+        v = density_via_double_integral(kind, x)
+        assert abs(v - self.closed_form(kind, x)) < 1e-8
+
+    @pytest.mark.parametrize("x", np.geomspace(1e-6, 1e-3, 8))
+    def test_smooth_kinds_close_to_their_ends(self, x):
+        # AREA_PRIMAL's theta-integrand peaks next to theta = x/2 at small x;
+        # the inner rule resolves the peak only with that end flagged.
+        x = float(x)
+        v = density_via_double_integral(DensityKind.AREA_PRIMAL, x)
+        assert abs(v - area_density(x)) < 1e-8
+        v = density_via_double_integral(DensityKind.PERIMETER_DUAL, TWO_PI - x)
+        assert abs(v - area_density(x)) < 1e-8
+
     def test_duality_grid(self):
         for x in np.linspace(0.5, TWO_PI - 0.5, 10):
             a = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
@@ -921,12 +949,6 @@ EDGE_SIBLINGS = {
     ConditionalKind.PERIMETER_ANGLE_COORDS: ConditionalKind.PERIMETER_GIVEN_SIDE,
     ConditionalKind.AREA_SIDE_COORDS: ConditionalKind.AREA_GIVEN_ANGLE,
 }
-# A silent wrong value: 0.99999999907 against 0.999364 from AREA_GIVEN_ANGLE
-# (and 0.999347 +- 1.3e-5 from 4e6 DUAL_GIVEN_ANGLE samples). The outer
-# integrand drops from 2 to 0 within about 3e-3 of u = pi, where the
-# boundary crosses the Jacobian's ridge v = u, and the outer integral over
-# [0, pi] accepts its first panel without a node there.
-EDGE_WRONG = (ConditionalKind.AREA_SIDE_COORDS, 0.05, 0.05 / 2 * (1 + 1e-6))
 
 
 def _edge_matrix():
@@ -934,11 +956,7 @@ def _edge_matrix():
         for x in (0.05, 0.3, 0.85, 2.0, PI, 5.0, 6.2):
             for kappa in (x / 2 * (1 - 1e-3), x / 2 * (1 + 1e-3), x / 2 * (1 - 1e-6),
                           x / 2 * (1 + 1e-6), 1e-2, PI - 1e-2):
-                marks = ()
-                if (kind, x, kappa) == EDGE_WRONG:
-                    marks = pytest.mark.xfail(strict=True, reason="outer integral misses a step")
-                yield pytest.param(kind, x, kappa, marks=marks,
-                                   id=f"{kind.value}-{x:.4g}-{kappa:.10g}")
+                yield pytest.param(kind, x, kappa, id=f"{kind.value}-{x:.4g}-{kappa:.10g}")
 
 
 @pytest.mark.parametrize("kind, x, kappa", _edge_matrix())
@@ -965,36 +983,42 @@ ONE_D_ROUTES = (
 
 
 class TestNestedQuadratureStructure:
-    """The nested routes take one engine call per outer panel; the 1-D routes none."""
+    """The nested routes nest two engine calls; the 1-D routes make none."""
 
-    def test_one_engine_call_per_outer_panel(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the fixed two-order rule was called")
+    def test_one_inner_call_per_outer_step(self, monkeypatch):
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return refused
 
-        outer, engine = [], []
-        real_integrate, real_rows = distributions.integrate, distributions._integrate_rows
+        rows, outer_steps = [], []
+        real_rows = distributions._integrate_rows
 
-        def counted_integrate(*args, **kwargs):
-            res = real_integrate(*args, **kwargs)
-            outer.append(res.evaluations // 15)
-            return res
-
-        def counted_rows(f, a, b, spec=None):
-            engine.append(np.size(a))
+        def counted_rows(f, a, b, spec):
+            rows.append(np.size(a))
+            if len(rows) == 1:  # the outer integral: count the steps of its integrand
+                def stepped(i, t):
+                    outer_steps.append(t.shape)
+                    return f(i, t)
+                return real_rows(stepped, a, b, spec)
             return real_rows(f, a, b, spec)
 
-        monkeypatch.setattr(distributions, "_two_order_rule", refuse)
-        monkeypatch.setattr(distributions, "integrate", counted_integrate)
+        monkeypatch.setattr(distributions, "_two_order_rule", refuse("the fixed two-order rule"))
+        monkeypatch.setattr(distributions, "integrate", refuse("integrate"))
         monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
         calls = [lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6),
                  lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6)]
         calls += [lambda kind=kind: density_via_double_integral(kind, 2.0) for kind in DensityKind]
         for call in calls:
-            outer.clear()
-            engine.clear()
+            rows.clear()
+            outer_steps.clear()
             call()
-            assert len(outer) == 1  # the outer integral only
-            assert len(engine) == outer[0] and set(engine) == {15}  # 15 Kronrod nodes a panel
+            outer, inner = rows[0], rows[1:]
+            assert outer == distributions._OUTER_ROWS == 4
+            assert len(inner) == len(outer_steps)  # one inner call per outer step
+            # An inner call's rows are the 15 Kronrod nodes of each outer panel of the step.
+            assert inner == [m * 15 for m, _ in outer_steps]
+            assert inner[0] == 60
 
     def test_one_dimensional_routes_skip_the_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
