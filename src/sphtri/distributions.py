@@ -510,8 +510,8 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # Equal rows of [lo, hi] that _nested's outer integral starts from, so that
 # the stragglers of different outer panels refine side by side. The 2-D
 # routes and double integrals at the seed-5 conditional-routes benchmark
-# points took a median 0.26 s with 4 rows, 0.28 s with 2, 0.30 s with 8 and
-# 0.43 s with 1, against 0.37 s with integrate's heap as the outer engine
+# points took a median 0.19 s with 4 rows, 0.25 s with 2, 0.29 s with 8 and
+# 0.29 s with 1, against 0.33 s with integrate's heap as the outer engine
 # (2-CPU host, six runs each).
 _OUTER_ROWS = 4
 
@@ -530,6 +530,11 @@ def _nested(f, bounds, lo: float, hi: float, spec: QuadratureSpec,
     both ends flagged singular when inner_singular. So f(u, t) gets a column
     of nodes u against rows of abscissae t, and bounds(us) takes a 1-D
     array and returns floats or arrays that broadcast against it.
+
+    Each step of either integral quarters the panels it refines (see
+    _integrate_rows): AREA_SIDE_COORDS 1e-3 past the wedge edge at
+    x = 0.85, the slowest benchmark probe, takes 37 engine steps and
+    75,060 Jacobian evaluations, where bisection took 83 and 134,580.
     """
     inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
     outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
@@ -943,11 +948,11 @@ def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
     The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
     by _nested, so the boundary h(u) comes from one array call of
     solved_forms per outer step. On the seed-1 conditional-routes benchmark
-    points a call that integrates takes a median 2.6 ms (two-angle) and
-    3.0 ms (two-side), at most 29 ms (best of 5, 2-CPU host); with
-    integrate's heap as the outer engine it took 4.0 and 5.9 ms, at most
-    21 ms, and with one scalar inner integral per node 9.2, 11.4 and
-    114 ms. Nearer kappa = 0 or pi than
+    points a call that integrates takes a median 2.3 ms (two-angle) and
+    2.3 ms (two-side), at most 12 ms (best of 5, 2-CPU host); with
+    integrate's heap as the outer engine it takes 3.5 and 2.6 ms, at most
+    31 ms. One scalar inner integral per node took 9.2, 11.4 and 114 ms,
+    before the inner integrals were batched. Nearer kappa = 0 or pi than
     COORDS_KAPPA_EDGE the Jacobian's peak narrows like kappa (or
     pi - kappa): there the quadrature ran for seconds or returned wrong
     values.

@@ -67,9 +67,9 @@ del _weights_g
 # or row is always evaluated. An inner call of distributions._nested
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
-# each kind the largest call used 5,936, 2.8 times under the budget. The double
-# integrals need up to 5,348 from 1e-6 of their ends, and 14,814 at
-# 2.2e-8; PERIMETER_DUAL at 2*pi - 1e-8 and 2*pi - 2.2e-8 exhausts it.
+# each kind the largest call used 3,328, 4.9 times under the budget. The
+# double integrals need up to 3,232 from 1e-6 of their ends, and 10,004 at
+# 2.2e-8; AREA_PRIMAL and PERIMETER_DUAL at 1e-8 from 2*pi exhaust it.
 _PANEL_BUDGET = 1 << 14
 # A panel narrower than _FLOOR times its position, plus _FLOOR times the
 # width of its piece, is not split. Without the second term the heap chased
@@ -232,31 +232,49 @@ def _pieces(a, b, spec, sqrt=math.sqrt):
 
 
 def _left_substituted(f, a):
-    """u -> f(a + u^2) 2u: t = a + u^2 maps u in [0, sqrt(b - a)] onto [a, b].
+    """u -> f(t) 2 sqrt(t - a) at t = a + u^2, which maps u in [0, sqrt(b - a)] onto [a, b].
 
     An inverse-square-root singularity of f at a becomes bounded and
     smooth. a may be an array that broadcasts against u. Where u^2 is
     below half an ulp of a, t is the next float above a, so that f is
     never evaluated at a.
+
+    The Jacobian 2u is taken as 2 sqrt(t - a) of the node t that f gets:
+    t = a + u^2 rounds, and t - a (exact near a, by Sterbenz's lemma)
+    differs from u^2 by up to ulp(a) / 2. The flagged integrands compute
+    that distance from t, so where u^2 is within a few ulps of a, f(t) 2u
+    is noise, and refinement that reaches such panels chases it: the
+    batched engine then met its tolerance 2.9e-7 away from
+    cos(c t) / sqrt((t - a)(b - t)) integrated exactly, at a = -0.625.
     """
     first = np.nextafter(a, np.inf)
 
     def g(u):
-        return f(np.maximum(a + u * u, first)) * 2.0 * u
+        t = np.maximum(a + u * u, first)
+        return f(t) * (2.0 * np.sqrt(t - a))
     return g
 
 
 def _right_substituted(f, b):
-    """u -> f(b - u^2) 2u: t = b - u^2 maps u in [0, sqrt(b - a)] onto [a, b], never onto b."""
+    """u -> f(t) 2 sqrt(b - t) at t = b - u^2, which maps u in [0, sqrt(b - a)] onto [a, b].
+
+    The mirror of _left_substituted: t is never b, and the Jacobian is
+    taken at t for the same reason.
+    """
     last = np.nextafter(b, -np.inf)
 
     def g(u):
-        return f(np.minimum(b - u * u, last)) * 2.0 * u
+        t = np.minimum(b - u * u, last)
+        return f(t) * (2.0 * np.sqrt(b - t))
     return g
 
 
-# Panels split a step in each row not yet accepted, at the least.
-_ROWS_SPLITS = 2
+# A step splits, in each row not yet accepted, every panel wider than the
+# floor whose error estimate is at least this fraction of the largest such
+# estimate in the row. At 0.1 and at 0.5 the 2-D routes and double integrals
+# of the seed-7 conditional-routes benchmark points made the same Jacobian
+# evaluations to within 0.5%, and their steps moved by 5%.
+_MARK = 0.25
 
 
 def _integrate_rows(f, a, b, spec=QuadratureSpec()):
@@ -274,14 +292,23 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     singular flags through the u^2 substitutions of integrate. Rows with
     a == b give 0 and are not evaluated.
 
-    integrate splits one panel at a time, from a heap. Here a step splits,
-    in every row not yet accepted, its _ROWS_SPLITS panels of largest error
-    estimate, or its worst eighth of panels if that is more: a step's array
-    work grows with the panel count, so a row that needs thousands of
-    panels then takes tens of steps rather than thousands. For a single
-    integral the heap is faster, which is why the engines stay two: the
-    1-D conditional routes ran about 3x slower (40 -> 130 us and
-    74 -> 220 us) as one-row calls of this engine.
+    integrate splits one panel at a time, from a heap. Here a step takes,
+    in every row not yet accepted, each panel wider than the floor whose
+    error estimate is at least _MARK of the row's largest, and splits it
+    into four equal panels: two bisection levels in one step, so that an
+    inner call of _nested reaches the depth of the Jacobians' corner peaks
+    in half the steps. On the 2-D routes and double integrals of the seed-7
+    conditional-routes benchmark points, four parts took 910 steps and
+    683,280 Jacobian evaluations, two parts 1,690 steps and 623,460, and
+    eight parts 738 steps and 1,180,560. A row that passes its test is
+    summed and dropped from the working arrays, so later steps never
+    touch it again.
+
+    For a single integral the heap is faster, which is why the engines
+    stay two: the 1-D conditional routes ran about 3.5x slower as one-row
+    calls of this engine (41 -> 147 us for PERIMETER_GIVEN_SIDE and
+    56 -> 180 us for PERIMETER_BISECTOR, median over the seed-1
+    conditional-routes benchmark points, 2-CPU host).
 
     Returns (values, error estimates), arrays of a's length. Raises
     ValueError for non-finite or reversed bounds, NonFiniteIntegrand when a
@@ -316,67 +343,60 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
         y = np.empty(u.shape)
         for k, piece in enumerate(pieces):
             at = j[:, 0] // a.size == k
-            y[at] = piece_values(piece, owner[j[at]], u[at])
+            if at.any():  # a piece whose rows are all accepted has no panels left
+                y[at] = piece_values(piece, owner[j[at]], u[at])
         return y
 
     tol = spec.tol * (1.0 / len(pieces))
     rows = lo.size
-    # The panels, in arrays whose first n entries are in use: [pa, pb] of
-    # virtual row j, with its K15 value and error estimate, and whether it
-    # is wider than the floor of _adaptive. A split puts the left half in
-    # the parent's place and appends the right half.
-    live = np.flatnonzero(lo < hi)
-    if not live.size:
+    # The sums of the accepted virtual rows; the panels of the others, as
+    # [pa, pb] of virtual row j with its K15 value and error estimate.
+    value, error = np.zeros(rows), np.zeros(rows)
+    j = np.flatnonzero(lo < hi)
+    if not j.size:
         return np.zeros(a.size), np.zeros(a.size)
-    n = spent = live.size
-    pa, pb, val, err = lo[live], hi[live], np.empty(n), np.empty(n)
-    j = live
+    pa, pb = lo[j], hi[j]
     floor = (hi - lo) * _FLOOR
-    room = pb - pa > np.abs(pb + pa) * _FLOOR + floor[j]
-    val[:], err[:] = _row_panels(g, j, pa, pb)
+    spent = j.size
+    val, err = _row_panels(g, j, pa, pb)
 
     def fail(r, why):
         mine = owner == owner[r]
-        total = np.bincount(j[:n], val[:n], rows)[mine].sum()
-        total_err = np.bincount(j[:n], err[:n], rows)[mine].sum()
+        total = (value + np.bincount(j, val, rows))[mine].sum()
+        total_err = (error + np.bincount(j, err, rows))[mine].sum()
         raise ToleranceNotMet(f"row {owner[r]}: {why} (err ~ {total_err:.3e})",
                               QuadratureResult(float(total), float(total_err), 15 * spent))
 
     while True:
-        J, A, B, E = j[:n], pa[:n], pb[:n], err[:n]
-        total = np.bincount(J, val[:n], rows)
-        open_rows = ~(np.bincount(J, E, rows) <= tol * np.maximum(1.0, np.abs(total)))
-        if not open_rows.any():  # a NaN total error stays open
-            break
-        splittable = open_rows[J] & room[:n]
-        stuck = open_rows & (np.bincount(J, splittable, rows) == 0)
+        total = np.bincount(j, val, rows)
+        total_err = np.bincount(j, err, rows)
+        done = total_err <= tol * np.maximum(1.0, np.abs(total))  # a NaN error stays open
+        value[done] += total[done]
+        error[done] += total_err[done]
+        still = ~done[j]
+        j, pa, pb, val, err = j[still], pa[still], pb[still], val[still], err[still]
+        if not j.size:
+            return np.bincount(owner, value, a.size), np.bincount(owner, error, a.size)
+        room = pb - pa > np.abs(pb + pa) * _FLOOR + floor[j]
+        worst = np.zeros(rows)
+        np.maximum.at(worst, j[room], err[room])
+        mark = room & (err >= _MARK * worst[j])
+        stuck = (np.bincount(j, mark, rows) == 0) & ~done
         if stuck.any():
             fail(int(np.argmax(stuck)), "no panel wider than the floor left to split")
-        # The splittable panels of each row by decreasing error, ranked
-        # within their row; take each row's quota.
-        order = np.lexsort((-np.where(splittable, E, -1.0), J))
-        by_row = J[order]
-        rank = np.arange(n) - np.searchsorted(by_row, by_row)
-        quota = np.maximum(_ROWS_SPLITS, np.bincount(J, minlength=rows) >> 3)
-        pick = order[(rank < quota[by_row]) & splittable[order]]
-        m = pick.size
-        if spent + 2 * m > _PANEL_BUDGET:
-            fail(int(J[pick[0]]), f"panel budget of {_PANEL_BUDGET} exhausted")
-        if n + m > pa.size:  # np.resize repeats the entries; those past n are rewritten before use
-            pa, pb, val, err, j, room = (np.resize(v, 2 * (n + m))
-                                         for v in (pa, pb, val, err, j, room))
-        new = np.concatenate([pick, np.arange(n, n + m)])
-        mid = 0.5 * (A[pick] + B[pick])
-        ca, cb = np.concatenate([A[pick], mid]), np.concatenate([mid, B[pick]])
-        j[n:n + m] = J[pick]
-        pa[new], pb[new] = ca, cb
-        room[new] = cb - ca > np.abs(cb + ca) * _FLOOR + floor[j[new]]
-        n += m
-        spent += 2 * m
-        val[new], err[new] = _row_panels(g, j[new], ca, cb)
-    value = np.bincount(j[:n], val[:n], rows)
-    error = np.bincount(j[:n], err[:n], rows)
-    return np.bincount(owner, value, a.size), np.bincount(owner, error, a.size)
+        pick = np.flatnonzero(mark)
+        if spent + 4 * pick.size > _PANEL_BUDGET:
+            fail(int(j[pick[0]]), f"panel budget of {_PANEL_BUDGET} exhausted")
+        A, B = pa[pick], pb[pick]
+        mid = 0.5 * (A + B)
+        q1, q3 = 0.5 * (A + mid), 0.5 * (mid + B)
+        ca, cb = np.concatenate([A, q1, mid, q3]), np.concatenate([q1, mid, q3, B])
+        cj = np.tile(j[pick], 4)
+        cval, cerr = _row_panels(g, cj, ca, cb)
+        spent += cj.size
+        keep = ~mark
+        j, pa, pb, val, err = (np.concatenate([v[keep], c]) for v, c in
+                               ((j, cj), (pa, ca), (pb, cb), (val, cval), (err, cerr)))
 
 
 def _row_panels(g, j, a, b):
@@ -431,7 +451,10 @@ def _agm_KE(k2, kp):
     Starting the AGM at b = k' directly (not at sqrt(1 - k^2)) keeps K
     finite and accurate when k is within rounding of 1, where it grows like
     log(4/k'); k^2 is taken separately so that E - K keeps its accuracy at
-    small k. Works in place where it can, to hold few arrays at once.
+    small k. k2 and kp are both Python floats or both arrays; on arrays it
+    works in place where it can, to hold few arrays at once, and on floats
+    it makes the same operations in the same order, so that a float
+    modulus gives what it gives in an array.
 
     _agm_at calls it on blocks of _AGM_BLOCK (8192) moduli. The step count
     is taken once per call, before the loop, from the smallest k': after n
@@ -442,8 +465,9 @@ def _agm_KE(k2, kp):
     moves neither K nor E by a bit: array and scalar calls stay equal bit
     for bit, whatever the block.
     """
-    steps = _agm_steps(float(np.min(kp, initial=1.0)))
-    a = np.ones_like(kp)
+    scalar = isinstance(kp, float)
+    steps = _agm_steps(kp if scalar else float(np.min(kp, initial=1.0)))
+    a = 1.0 if scalar else np.ones_like(kp)
     b = kp
     csum = 0.5 * k2  # sum of 2^(n-1) c_n^2 with c_n = (a_n - b_n)/2; the n = 0 term
     pow2 = 0.125  # 2^(n-1) / 4
@@ -458,8 +482,11 @@ def _agm_KE(k2, kp):
         m = a + b
         m *= 0.5
         b = a * b
-        np.sqrt(b, out=b)
+        b = math.sqrt(b) if scalar else np.sqrt(b, out=b)
         a = m
+    if scalar:
+        K = math.pi / (a + b)
+        return K, (1.0 - csum) * K
     K = a + b
     np.divide(np.pi, K, out=K)
     np.subtract(1.0, csum, out=csum)
@@ -471,11 +498,19 @@ def _agm_at(zeta):
     """K, E and the moduli within 1e-15 of 1, from _agm_KE at the moduli zeta.
 
     The one modulus check of ellip_K and ellip_E: zeta must lie in [0, 1],
-    so NaN raises too. The results are arrays of at least one dimension, in
-    zeta's shape. Moduli within 1e-15 of 1, where K diverges and E = 1,
-    enter the AGM as 0. _agm_KE runs on blocks of _AGM_BLOCK moduli.
+    so NaN raises too. A modulus of no dimensions gives Python floats and
+    a bool, run on floats; an array gives arrays in its shape, and
+    _agm_KE runs on blocks of _AGM_BLOCK of its moduli. Moduli within
+    1e-15 of 1, where K diverges and E = 1, enter the AGM as 0.
     """
-    z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    if np.ndim(zeta) == 0:
+        z = float(zeta)
+        if not 0.0 <= z <= 1.0:
+            raise ValueError("modulus must lie in [0, 1]")
+        one = z >= 1.0 - 1e-15
+        z2 = 0.0 if one else z * z
+        return (*_agm_KE(z2, math.sqrt(1.0 - z2)), one)
+    z = np.asarray(zeta, dtype=float)
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValueError("modulus must lie in [0, 1]")
     flat = z.ravel()
@@ -499,9 +534,9 @@ def ellip_K(zeta):
     any modulus is within 1e-15 of 1 (logarithmic divergence).
     """
     K, _, one = _agm_at(zeta)
-    if one.any():
+    if one if isinstance(K, float) else one.any():
         raise Divergent("K diverges at modulus 1")
-    return float(K[0]) if np.ndim(zeta) == 0 else K
+    return K
 
 
 def ellip_E(zeta):
@@ -510,8 +545,10 @@ def ellip_E(zeta):
     Accepts a float or ndarray of moduli in [0, 1]; E(1) = 1 exactly.
     """
     _, E, one = _agm_at(zeta)
+    if isinstance(E, float):
+        return 1.0 if one else E
     E[one] = 1.0  # the AGM sum formula degenerates there
-    return float(E[0]) if np.ndim(zeta) == 0 else E
+    return E
 
 
 # ---------------------------------------------------------------------------

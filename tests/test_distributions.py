@@ -642,6 +642,18 @@ class TestDoubleIntegrals:
         with pytest.raises(ToleranceNotMet):
             density_via_double_integral(kind, 2.0, tol=1e-16)
 
+    @pytest.mark.parametrize("kind, tol", [(DensityKind.PERIMETER_PRIMAL, 1e-14),
+                                           (DensityKind.AREA_DUAL, 1e-13)])
+    def test_tight_tolerance_answers_or_raises_tolerance_not_met(self, kind, tol):
+        # Points of a tolerance sweep where one half of an inner row (both
+        # ends flagged) is accepted steps before the other.
+        x = 2.88395993245731
+        try:
+            v = density_via_double_integral(kind, x, tol)
+        except ToleranceNotMet:
+            return
+        assert abs(v - self.closed_form(kind, x)) < 1e-8
+
     @staticmethod
     def closed_form(kind, x):
         if kind is DensityKind.AREA_PRIMAL:
@@ -1019,6 +1031,20 @@ class TestNestedQuadratureStructure:
             # An inner call's rows are the 15 Kronrod nodes of each outer panel of the step.
             assert inner == [m * 15 for m, _ in outer_steps]
             assert inner[0] == 60
+
+    def test_edge_probe_cost(self, monkeypatch):
+        # The slowest conditional-routes benchmark probe: 1e-3 (relative)
+        # past the kappa = x/2 wedge edge, where the Jacobian peaks.
+        points = []
+        real = distributions.side_jacobian
+
+        def counted(u, v, kappa):
+            points.append(np.broadcast(u, v).size)
+            return real(u, v, kappa)
+
+        monkeypatch.setattr(distributions, "side_jacobian", counted)
+        conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 0.85, 0.85 / 2 * (1 + 1e-3))
+        assert 0 < sum(points) <= 90_000
 
     def test_one_dimensional_routes_skip_the_engine(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -11,6 +11,7 @@ from sphtri.distributions import _two_order_rule
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
     _AGM_BLOCK,
+    _NODES,
     _PANEL_BUDGET,
     QuadratureResult,
     QuadratureSpec,
@@ -255,6 +256,69 @@ class TestIntegrateRows:
                              float(self.A[r]), float(self.B[r]), spec)
             assert abs(values[r] - want.value) <= 1e-11 * max(1.0, abs(want.value))
             assert 0.0 <= errors[r] <= 1e-12 * max(1.0, abs(values[r]))
+
+    def test_flagged_rows_match_bessel(self):
+        # Both ends flagged away from 0, where t = a + u^2 rounds: the integral
+        # of cos(c t) / sqrt((t - a)(b - t)) over [a, b] is
+        # pi cos(c (a + b) / 2) J0(c (b - a) / 2).
+        mpmath = pytest.importorskip("mpmath")
+
+        def f(i, t):
+            return np.cos(self.C[i] * t) / np.sqrt((t - self.A[i]) * (self.B[i] - t))
+
+        spec = QuadratureSpec(1e-12, singular_left=True, singular_right=True)
+        values, errors = _integrate_rows(f, self.A, self.B, spec)
+        for c, a, b, v, e in zip(self.C, self.A, self.B, values, errors):
+            exact = PI * math.cos(c * (a + b) / 2) * float(mpmath.besselj(0, c * (b - a) / 2))
+            assert abs(v - exact) <= 1e-11 * max(1.0, abs(exact))
+            assert e <= 1e-12 * max(1.0, abs(v))
+
+    def test_accepted_row_is_retired(self):
+        # Row 0 is a constant, accepted on its first panel; row 1 peaks sharply
+        # at t = 0.3 and refines for many steps.
+        seen = []
+
+        def f(i, t):
+            i = np.broadcast_to(i, t.shape)
+            seen.append(i.ravel().copy())
+            return np.where(i == 0, 2.0, 1.0 / (1e-6 + (t - 0.3) ** 2))
+
+        values, _ = _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(1e-12))
+        assert values[0] == 2.0
+        assert len(seen) > 3
+        assert np.count_nonzero(np.concatenate(seen) == 0) == 15
+
+    def test_marked_panels_split_in_quarters(self):
+        panels = []
+
+        def f(i, t):
+            # The panel [centre - half width, centre + half width] of each line.
+            half = (t[:, -1] - t[:, 7]) / _NODES[-1]
+            panels.append(np.stack([t[:, 7] - half, t[:, 7] + half], axis=1))
+            return 1.0 / (1e-6 + (t - 0.3) ** 2)
+
+        _integrate_rows(f, np.zeros(1), np.ones(1), QuadratureSpec(1e-12))
+        assert len(panels[0]) == 1 and len(panels) > 3
+        for new in panels[1:]:
+            quads = new[np.argsort(new[:, 0])].reshape(-1, 4, 2)  # each parent's four panels
+            widths = quads[:, :, 1] - quads[:, :, 0]
+            assert np.allclose(widths, widths[:, :1], rtol=1e-9, atol=0.0)
+            assert np.allclose(quads[:, 1:, 0], quads[:, :-1, 1], rtol=0.0, atol=1e-12)
+
+    def test_both_flags_never_pass_an_empty_piece(self):
+        # One half of [0, 1] is accepted steps before the other; the finished
+        # half must not be evaluated on no abscissae.
+        sizes = []
+
+        def f(i, t):
+            sizes.append(t.size)
+            return np.exp(3.0 * t) / np.sqrt(t * (1.0 - t))
+
+        spec = QuadratureSpec(1e-12, singular_left=True, singular_right=True)
+        values, _ = _integrate_rows(f, np.zeros(1), np.ones(1), spec)
+        assert abs(values[0] - PI * math.exp(1.5) * float(np.i0(1.5))) < 1e-11
+        assert _integrate_rows(f, np.ones(2), np.ones(2), spec)[0].tolist() == [0.0, 0.0]
+        assert min(sizes) > 0
 
     def test_empty_rows_give_zero(self):
         calls = []
