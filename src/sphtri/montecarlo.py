@@ -146,6 +146,8 @@ def sample_batch(
     sigma, tau = np.empty(n), np.empty(n)
     coord_u = np.empty(n) if conditional else None
     coord_v = np.empty(n) if conditional else None
+    # Not quadrature._blocked, which maps an input array: each block here
+    # draws its own inputs from the stream, in the stream's order.
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         m = hi - lo

@@ -134,16 +134,24 @@ def reduction_checks() -> list[Check]:
 
 
 def duality_checks() -> list[Check]:
-    """The primal perimeter density against the mirrored dual area density."""
+    """The primal perimeter density against the mirrored dual area density, and two exact values.
+
+    The perimeter series was fitted to neither: f(pi), and c in sqrt(d) f(2*pi - d) -> c.
+    """
     gaps = []
     for x in np.linspace(0.5, TWO_PI - 0.5, 10):
         a = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
         b = density_via_double_integral(DensityKind.AREA_DUAL, float(TWO_PI - x), tol=1e-8)
         gaps.append(abs(a - b))
+    x = TWO_PI - 1e-12
+    delta = 2.0 * math.sin(x / 2)  # the distance to the true 2*pi
+    c = 3 * math.pi ** 2 / (math.sqrt(2) * math.gamma(0.25) ** 4)
     return [
         Check("perimeter vs mirrored dual area", _worst(gaps), 1e-7),
         Check("perimeter density at pi vs 3*sqrt(2)/32",
-              abs(perimeter_density(math.pi) - 3 * math.sqrt(2) / 32), 1e-9),
+              abs(perimeter_density(math.pi) - 3 * math.sqrt(2) / 32), 1e-12),
+        Check("perimeter density tail vs 3*pi^2/(sqrt(2)*Gamma(1/4)^4)",
+              abs(math.sqrt(delta) * perimeter_density(x) / c - 1.0), 1e-10),
     ]
 
 

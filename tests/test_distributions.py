@@ -23,13 +23,10 @@ from sphtri.distributions import (
     radicand_perimeter,
     region_boundary,
 )
-from sphtri.distributions import (
-    _DENSITY_ORDERS, _perimeter_cdf_integrand, _perimeter_density_integrand, _sqrt_inner,
-    _two_order_rule,
-)
+from sphtri.distributions import _perimeter_cdf_integrand, _perimeter_density_integrand, _sqrt_inner
 from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.identities import bisector_threshold
-from sphtri.quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
+from sphtri.quadrature import _BLOCK, QuadratureSpec, ellip_E, ellip_K, integrate
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -263,8 +260,8 @@ class TestPerimeterDensity:
 def adaptive_perimeter_density(tau: float, tol: float = 1e-12) -> float:
     """The perimeter density by adaptive Gauss-Kronrod, with K and E at k = sin(t/2).
 
-    The library's route before the fixed two-order rule; kept as an
-    independent oracle for it.
+    The library's route before the fixed two-order rule and the series;
+    kept as an independent oracle for the series.
     """
     s_half = math.sin(tau / 2)
 
@@ -278,14 +275,65 @@ def adaptive_perimeter_density(tau: float, tol: float = 1e-12) -> float:
     return integrate(integrand, 0.0, tau / 2, spec).value / (4.0 * math.pi)
 
 
-def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
-    """The perimeter CDF as quadrature of perimeter_density, itself a quadrature.
+def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1].
 
-    The library's route before the single-integral form; kept as an
-    independent oracle for it.
+    Newton's method on P_n from the asymptotic node guesses; numpy's own
+    rule lives in numpy.polynomial, whose import costs about 1 MB.
+    """
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)  # P_n'(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+# Orders 96 and 128 on [0, 1]: their nodes concatenated, and each rule's
+# weights. K's logarithm at t -> pi enters the perimeter integrals as tau
+# approaches 2*pi; there the relative gap at tol 1e-12 measured 2.5e-11 for
+# orders 48/64, 3.7e-12 for 64/96 and 2.0e-13 for 96/128. (numpy's
+# leggauss nodes regenerate distributions._CDF_CHEB only to 3.7e-15.)
+(_V96, _W96), (_V128, _W128) = _legendre_01(96), _legendre_01(128)
+_RULE_NODES = np.concatenate([_V96, _V128])
+
+
+def legendre_rule(integrand, xs, tol: float = 1e-12) -> np.ndarray:
+    """Integral_0^1 integrand(x, v) dv for each x of xs, by the order-128 Gauss-Legendre rule.
+
+    The order-96 rule checks it: the two must agree to tol * max(1, |value|).
+    Rows of xs are taken 9 at a time (within 2,048 integrand elements), which is
+    how the literals of distributions._CDF_CHEB were generated: Carlson's
+    duplication stops when a whole batch has converged, so the batching
+    moves values by rounding.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    vals = np.empty(xs.size)
+    rows = 2048 // _RULE_NODES.size
+    for start in range(0, xs.size, rows):
+        y = integrand(xs[start:start + rows, None], _RULE_NODES)
+        coarse = (y[:, :_W96.size] * _W96).sum(axis=1)
+        fine = (y[:, _W96.size:] * _W128).sum(axis=1)
+        gap = np.abs(fine - coarse)
+        assert np.all(gap <= tol * np.maximum(1.0, np.abs(fine))), (xs[start:start + rows], gap)
+        vals[start:start + rows] = fine
+    return vals
+
+
+def nested_perimeter_cdf(tau: float, tol: float = 1e-9) -> float:
+    """The perimeter CDF as adaptive quadrature of the paper's density integral.
+
+    The density at each node is legendre_rule over _perimeter_density_integrand,
+    with K and E by the AGM, so this route shares nothing with the series,
+    which was fitted to the Carlson form of the CDF's integral.
     """
     def density(t):
-        return np.array([perimeter_density(float(x), tol=tol / 100) for x in np.atleast_1d(t)])
+        return legendre_rule(_perimeter_density_integrand, t, tol / 100)
 
     return integrate(density, 0.0, tau, QuadratureSpec(tol)).value
 
@@ -348,6 +396,10 @@ class TestPerimeterDensityRule:
         grid = perimeter_density(xs[:16].reshape(4, 4))
         assert grid.shape == (4, 4) and np.array_equal(grid.ravel(), vals[:16])
         assert perimeter_density(np.array([])).shape == (0,)
+        many = np.random.default_rng(5).uniform(1e-9, TWO_PI - 1e-9, 3 * _BLOCK)
+        picks = np.arange(0, many.size, 97)
+        assert np.array_equal(perimeter_density(many)[picks],
+                              [perimeter_density(float(x)) for x in many[picks]])
 
     def test_no_adaptive_quadrature(self, monkeypatch):
         import sphtri.distributions as dist
@@ -378,12 +430,45 @@ class TestPerimeterDensityRule:
         for x in (1e-100, 1e-8, 1e-6):
             assert abs(168.0 * perimeter_density(x) / x ** 3 - 1.0) <= 1e-12
 
-    def test_series_meets_rule_at_crossover(self):
-        x = distributions._SERIES_BELOW
-        below = perimeter_density(np.nextafter(x, 0.0))  # the series
-        rule = _two_order_rule(_perimeter_density_integrand, np.array([x]), _DENSITY_ORDERS, 1e-12)[0]
-        assert perimeter_density(x) == rule
-        assert abs(below / rule - 1.0) <= 1e-13
+    def test_matches_tau2_series(self):
+        # One expression on all of (0, 2 pi): no crossover at 0.3. The
+        # differentiated series, summed exactly, is 1.0e-14 off the tau^2
+        # series near 0.29 (rounded, up to 1.03e-14), and 5.1e-15 below 0.1.
+        xs = np.concatenate([np.geomspace(1e-100, 0.3, 3000), np.linspace(0.25, 0.3, 2000)])
+        tau2 = xs ** 3 * distributions._horner(DENSITY_TAU2, xs * xs)
+        assert np.max(np.abs(perimeter_density(xs) / tau2 - 1.0)) <= 1.1e-14
+
+    def test_within_stated_bound_of_the_rule(self):
+        xs = np.linspace(0.3, TWO_PI - 1e-9, 3000)
+        f = perimeter_density(xs)
+        rule = legendre_rule(_perimeter_density_integrand, xs)
+        assert np.max(np.abs(f - rule) / np.maximum(1.0, f)) <= distributions._DENSITY_SERIES_ERROR
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def density(tau):  # the paper's integral under t = tau/2 (1 - v^2), at 30 digits
+            with mpmath.workdps(30):
+                x = mpmath.mpf(tau)
+
+                def g(v):
+                    t = x / 2 * (1 - v * v)
+                    m = mpmath.sin(t / 2) ** 2
+                    num = mpmath.ellipe(m) - mpmath.cos(x / 4 * (1 + v * v)) ** 2 * mpmath.ellipk(m)
+                    rad = mpmath.sin(x * v * v / 2) * mpmath.sin(x / 2)
+                    return num * mpmath.sin(t) * x * v / mpmath.sqrt(rad)
+
+                return float(mpmath.quad(g, [0, 1]) / (4 * mpmath.pi))
+
+        # The series' worst point is 2 pi - 8.8e-5, at 1.2e-12.
+        for x in (PI, 6.25, 6.27, 6.28, TWO_PI - 1e-3, TWO_PI - 8.8e-5, TWO_PI - 1e-5, TWO_PI - 1e-6):
+            ref = density(x)
+            assert abs(perimeter_density(x) - ref) <= distributions._DENSITY_SERIES_ERROR * max(1.0, ref)
+
+    def test_series_tail_constant(self):
+        # As s -> 0 the density is -R'(-1) _U_PER_S / (2 s): the series' own c.
+        c = -distributions._clenshaw(distributions._CDF_CHEB_DU, -1.0) * distributions._U_PER_S / 2
+        assert abs(c / TAIL_CONSTANT - 1.0) <= 2e-13
 
     def test_tail_asymptote(self):
         # sqrt(delta) f(2 pi - delta) -> c. delta is read back from sin(tau/2):
@@ -399,9 +484,28 @@ class TestPerimeterDensityRule:
         with pytest.raises(ValueError, match="tolerance"):
             perimeter_density(PI, tol=tol)
 
-    def test_unmet_tolerance_names_tau_and_gap(self):
-        with pytest.raises(ToleranceNotMet, match=r"differ by .* at tau = 6\.28\b"):
-            perimeter_density(np.array([1.0, 6.28]), tol=1e-17)
+    def test_unmet_tolerance_names_tau_and_bound(self):
+        # The series is held to 2e-12; below that every tau raises, the first named.
+        with pytest.raises(ToleranceNotMet, match=r"accurate to 2e-12, above tol 1\.0e-17, at tau = 6\.28\b"):
+            perimeter_density(np.array([6.28, 1.0]), tol=1e-17)
+        assert perimeter_density(np.array([]), tol=1e-17).shape == (0,)
+
+    def test_unmet_tolerance_carries_value_and_bound(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            perimeter_density(6.28, tol=1.9e-12)
+        value = perimeter_density(6.28)
+        assert info.value.result.value == value > 1.0
+        # The bound is in tol's units, tol * max(1, |f|).
+        assert info.value.result.err_estimate == distributions._DENSITY_SERIES_ERROR == 2e-12
+        assert perimeter_density(6.28, tol=2e-12) == value
+
+    def test_default_tolerance_never_raises(self):
+        xs = np.concatenate([[1e-300, 5e-324], np.geomspace(1e-300, 1.0, 200),
+                             np.linspace(1.0, 6.28, 200), TWO_PI - np.geomspace(1e-15, 1e-2, 200),
+                             [np.nextafter(TWO_PI, 0.0)]])
+        vals = perimeter_density(xs)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert perimeter_density(float(xs[-1])) == vals[-1]
 
     def test_array_domain(self):
         for bad in ([1.0, 0.0], [1.0, TWO_PI], [float("nan")]):
@@ -409,13 +513,29 @@ class TestPerimeterDensityRule:
                 perimeter_density(np.array(bad))
 
     def test_tabulated_table_is_fast(self):
-        # One array call: about 15 ms on a 2-CPU host, against 0.6-8 ms a point
-        # for the adaptive route.
+        # One array call: about 0.13 ms on a 2-CPU host, against 0.6-8 ms a
+        # point for the adaptive route.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
         curve = DensityCurve(xs, perimeter_density(np.maximum(xs, 1e-12)))
         assert time.perf_counter() - start < 0.5
         assert curve.values[250] == perimeter_density(float(xs[250]))
+
+    def test_million_points_and_scalar_calls_are_fast(self):
+        # About 0.11 s for 10^6 points and 5 us a scalar call on a 2-CPU
+        # host; the best of three runs guards against a slow spell.
+        xs = np.sort(np.random.default_rng(4).uniform(1e-9, TWO_PI - 1e-9, 10**6))
+        best_array = best_scalar = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            perimeter_density(xs)
+            best_array = min(best_array, time.perf_counter() - start)
+            start = time.perf_counter()
+            for x in xs[:1000]:
+                perimeter_density(float(x))
+            best_scalar = min(best_scalar, (time.perf_counter() - start) / 1000)
+        assert best_array <= 0.2
+        assert best_scalar <= 20e-6
 
 
 CDF_CHECK_XS = (0.5, 2.0, PI, 4.5, 6.0, 6.28, TWO_PI - 1e-3)
@@ -431,7 +551,14 @@ class TestPerimeterCdf:
         [6.2, 6.28] + [TWO_PI - d for d in (1e-3, 1e-6, 1e-9, 1e-12)],
     ]))
     def test_matches_adaptive_oracle(self, x):
-        assert abs(perimeter_cdf(x) - adaptive_perimeter_cdf(x, tol=1e-13)) <= 1e-12
+        # From 6.2 up the adaptive integral is off by up to 6.1e-13; the
+        # orders-96/128 rule over the same integrand is within 6e-16 of
+        # mpmath there.
+        if x >= 6.2:
+            ref = legendre_rule(_perimeter_cdf_integrand, x)[0]
+        else:
+            ref = adaptive_perimeter_cdf(x, tol=1e-13)
+        assert abs(perimeter_cdf(x) - ref) <= 1e-12
 
     def test_no_adaptive_quadrature_nor_density(self, monkeypatch):
         import sphtri.distributions as dist
@@ -450,7 +577,7 @@ class TestPerimeterCdf:
         assert isinstance(perimeter_cdf(PI), float)
         assert vals.shape == xs.shape
         assert all(v == perimeter_cdf(float(x)) for x, v in zip(xs, vals))
-        many = np.random.default_rng(3).uniform(0.0, TWO_PI, 3 * distributions._SERIES_BATCH)
+        many = np.random.default_rng(3).uniform(0.0, TWO_PI, 3 * _BLOCK)
         picks = np.arange(0, many.size, 97)
         assert np.array_equal(perimeter_cdf(many)[picks], [perimeter_cdf(float(x)) for x in many[picks]])
         grid = perimeter_cdf(xs[:10].reshape(2, 5))
@@ -524,9 +651,20 @@ class TestPerimeterCdf:
         assert abs(closed_form - TAIL_CONSTANT) < 1e-16  # 5.6e-17 of rounding in Gamma^4
 
 
+# The density's Taylor coefficients, f = tau^3 * sum_j a_j tau^(2j), found
+# by PSLQ on 90-digit values. The six-term series is within 8e-19 relative
+# of 40-digit mpmath at 0.3 and 3.7e-16 at 0.5.
+DENSITY_TAU2 = (1 / 168, -1 / 5280, 1 / 480480, -461 / 42664527360,
+                59 / 1186167628800, 1 / 3855044793600)
+# Below this tau the series' nodes take the tau^2 series: there the elliptic
+# integrands cancel (E - cos^2 K at small t). At 0.3 the sixth term is
+# 2.6e-16 of the first.
+SERIES_BELOW = 0.3
+
+
 def tau2_perimeter_cdf(tau):
     """The perimeter CDF's tau^2 series, the density's integrated term by term."""
-    coeffs = tuple(a / (2 * j + 4) for j, a in enumerate(distributions._DENSITY_TAU2))
+    coeffs = tuple(a / (2 * j + 4) for j, a in enumerate(DENSITY_TAU2))
     z = tau * tau
     return z * z * distributions._horner(coeffs, z)
 
@@ -535,8 +673,8 @@ def perimeter_cdf_series_coefficients(n: int = 28) -> np.ndarray:
     """The Chebyshev coefficients of the perimeter CDF's series, from n node values.
 
     R(s) = F(tau) / sin^4(tau/4) at the n Chebyshev nodes of s in
-    [0, sqrt(2 pi)], with F from tau2_perimeter_cdf below the crossover and
-    from the orders-96/128 rule over _perimeter_cdf_integrand above it.
+    [0, sqrt(2 pi)], with F from tau2_perimeter_cdf below SERIES_BELOW and
+    from legendre_rule over _perimeter_cdf_integrand above it.
     The literals in distributions._CDF_CHEB are this function's output,
     printed from the root of the checkout by
 
@@ -545,10 +683,10 @@ def perimeter_cdf_series_coefficients(n: int = 28) -> np.ndarray:
     theta = PI * (np.arange(n) + 0.5) / n
     s = (np.cos(theta) + 1.0) / distributions._U_PER_S
     tau = (distributions.TWO_PI - s * s) + distributions._TWO_PI_SHORTFALL
-    small = tau < distributions._SERIES_BELOW
+    small = tau < SERIES_BELOW
     F = np.empty(n)
     F[small] = tau2_perimeter_cdf(tau[small])
-    F[~small] = _two_order_rule(_perimeter_cdf_integrand, tau[~small], _DENSITY_ORDERS, 1e-12)
+    F[~small] = legendre_rule(_perimeter_cdf_integrand, tau[~small])
     q2 = np.sin(0.25 * tau) ** 2
     R = F / (q2 * q2)
     c = np.array([2.0 / n * np.sum(R * np.cos(k * theta)) for k in range(n)])
@@ -571,7 +709,7 @@ class TestPerimeterCdfSeries:
 
     def test_within_stated_bound_of_the_rule(self):
         xs = np.concatenate([np.linspace(0.3, 6.2, 300), TWO_PI - np.geomspace(1e-12, 0.1, 100)])
-        rule = _two_order_rule(_perimeter_cdf_integrand, xs, _DENSITY_ORDERS, 1e-12)
+        rule = legendre_rule(_perimeter_cdf_integrand, xs)
         assert np.max(np.abs(perimeter_cdf(xs) - rule)) <= distributions._CDF_SERIES_ERROR
 
     def test_monotone(self):
@@ -1015,7 +1153,6 @@ class TestNestedQuadratureStructure:
                 return real_rows(stepped, a, b, spec)
             return real_rows(f, a, b, spec)
 
-        monkeypatch.setattr(distributions, "_two_order_rule", refuse("the fixed two-order rule"))
         monkeypatch.setattr(distributions, "integrate", refuse("integrate"))
         monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
         calls = [lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6),

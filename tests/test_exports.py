@@ -11,6 +11,7 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 # Exported names that no src module uses, each kept for a reason.
 UNUSED_BY_DESIGN = {
+    "crofton_kernel": "the area law's one-integral reduction, public; area_cdf runs its body on blocks",
     "embed": "the coordinate round-trip oracle of the tests",
     "lhuilier_excess": "the tests' oracle for Girard's excess",
     "perimeter_cdf_grid": "the benchmark's KS grid; to be deleted once the benchmark stops calling it",

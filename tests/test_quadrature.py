@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphtri.coords import angle_jacobian, side_jacobian
-from sphtri.distributions import _two_order_rule
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
     _AGM_BLOCK,
@@ -382,7 +381,7 @@ class TestIntegrateRows:
 
 
 class TestOneAcceptanceRule:
-    """integrate, _integrate_rows and _two_order_rule accept on err <= tol * max(1, |value|).
+    """integrate and _integrate_rows accept on err <= tol * max(1, |value|).
 
     So the tolerance is absolute for a value below 1 (c = 1 gives 1/15
     below) and relative above it (c = 150 gives 10), where an estimate
@@ -421,20 +420,6 @@ class TestOneAcceptanceRule:
             calls.clear()
             _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(tol))
             assert min(len(calls), 2) == steps
-
-    @pytest.mark.parametrize("c", [150.0, 1.0])
-    def test_two_order_rule(self, c):
-        def integrand(x, v):
-            return c * x * v ** 6  # beyond the degree 5 that orders 2 and 3 integrate exactly
-
-        xs = np.array([1.0])
-        with pytest.raises(ToleranceNotMet) as info:
-            _two_order_rule(integrand, xs, (2, 3), 1e-15)
-        gap, value = info.value.result.err_estimate, info.value.result.value
-        accept, refine = self.tols(gap, value)
-        assert _two_order_rule(integrand, xs, (2, 3), accept)[0] == value
-        with pytest.raises(ToleranceNotMet):
-            _two_order_rule(integrand, xs, (2, 3), refine)
 
 
 @settings(max_examples=30, deadline=None)
