@@ -12,6 +12,11 @@ such redundancy: each region law's boundary curve is written once, in
 region_boundary and its two helpers, and both its conditional CDF route
 and the Monte Carlo region test use it.
 
+Polar duality is written once too: the polar triangle has sides pi minus
+the angles and area 2*pi minus the perimeter, so where two routes are one
+integral, one kind runs its partner's body at _polar_point(x, kappa).
+Each pair keeps the form that takes x itself, not 2*pi - x, at its hard end.
+
 Sign convention: the area-density closed form is sometimes quoted with
 the opposite overall sign, which makes it negative; this module fixes the
 sign so the density is nonnegative and integrates to 1, and the test
@@ -29,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import angle_jacobian, side_jacobian
+from .coords import angle_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import (
@@ -39,7 +44,18 @@ from .quadrature import (
 
 TWO_PI = 2.0 * math.pi
 _BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+_TWO_PI_SHORTFALL = 2.4492935982947064e-16  # the true 2*pi - TWO_PI
 COORDS_KAPPA_EDGE = 1e-2  # the 2-D Jacobian routes need kappa this far from 0 and pi
+
+
+def _polar(x):
+    """The true 2*pi minus x, a float or an array: rounded once for x >= pi."""
+    return (TWO_PI - x) + _TWO_PI_SHORTFALL
+
+
+def _polar_point(x: float, kappa: float) -> tuple[float, float]:
+    """(2*pi - x, pi - kappa), pi - kappa as _polar(2 kappa)/2: kappa = x/2 maps onto itself."""
+    return _polar(x), 0.5 * _polar(2.0 * kappa)
 
 
 class DensityKind(enum.Enum):
@@ -214,8 +230,6 @@ def _area_cdf(x):
 # F(tau) <= P{b <= tau/2, c <= tau/2} = sin^4(tau/4), which is below
 # 4e-323 (a few subnormal units) for tau up to this; the CDF is 0.0 there.
 _CDF_ZERO_BELOW = 1e-80
-# 2*pi - TWO_PI, so that s is measured from the true 2*pi.
-_TWO_PI_SHORTFALL = 2.4492935982947064e-16
 _U_PER_S = 2.0 / math.sqrt(TWO_PI)  # u = s * _U_PER_S - 1 maps s in [0, sqrt(2*pi)] onto [-1, 1]
 # Chebyshev coefficients, in u, of R(s) = F(tau) / sin^4(tau/4), with
 # s = sqrt(2*pi - tau): the factor carries F's tau^4 start and s its
@@ -265,7 +279,7 @@ def _clenshaw(coeffs: tuple[float, ...], u):
 
 def _series_at(x):
     """q = sin(x/4), s = sqrt(2*pi - x) and u of the perimeter series, at a float or an array x."""
-    q, s = np.sin(0.25 * x), np.sqrt((TWO_PI - x) + _TWO_PI_SHORTFALL)
+    q, s = np.sin(0.25 * x), np.sqrt(_polar(x))
     if isinstance(x, float):  # the rest then runs on Python floats, 3x faster than on np.float64
         q, s = float(q), float(s)
     return q, s, s * _U_PER_S - 1.0
@@ -465,8 +479,8 @@ def _nested(f, bounds, lo: float, hi: float, spec: QuadratureSpec,
 
     Each step of either integral quarters the panels it refines (see
     _integrate_rows): AREA_SIDE_COORDS 1e-3 past the wedge edge at
-    x = 0.85, the slowest benchmark probe, takes 37 engine steps and
-    75,060 Jacobian evaluations, where bisection took 83 and 134,580.
+    x = 0.85, the slowest benchmark probe, evaluates 12,960 Jacobian
+    points as the two-angle integral at its polar point.
     """
     inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
     outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
@@ -485,89 +499,77 @@ def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
 
     Equals sin^2(kappa) sin^2(rho) - [cos(kappa) cos(rho) - cos(x - kappa - rho)]^2,
     but without the cancellation that the difference of squares suffers
-    near its endpoint zeros. The dual-area radicand in theta is the same
-    expression: its two sign flips cancel exactly.
+    near its endpoint zeros. The polar map (x, kappa, rho) -> (2*pi - x,
+    pi - kappa, pi - rho) flips two of its four factors, so the dual-area
+    radicand in theta is the primal-perimeter one in rho.
     """
     rho = np.asarray(rho, dtype=float)
     return (4.0 * np.sin(x / 2 - rho) * np.sin(x / 2 - kappa) * math.sin(x / 2)
             * np.sin(rho + kappa - x / 2))
 
 
-def _sqrt_inner(x: float, dual: bool):
-    """Inner integral of the primal-perimeter or dual-area double integral: (f, bounds).
+def _sqrt_inner(x: float):
+    """Inner integral of the square-root double integrals, at the dual area x: (f, bounds).
 
-    Both integrate sin(x - kappa - t) sin(kappa) sin(t) / sqrt(radicand)
-    dt, the primal one over the rho-band [x/2 - kappa, x/2] and the dual
-    one, negated, over the theta-band [x/2, pi - kappa + x/2]; the radicand
-    vanishes at both ends of either band, which a quadrature must flag as
-    singular. f and bounds take floats or arrays.
+    It integrates -sin(x - kappa - t) sin(kappa) sin(t) / sqrt(radicand) dt
+    over the theta-band [x/2, pi - kappa + x/2], whose ends a quadrature
+    must flag as singular. The primal perimeter's rho-band [x/2 - kappa, x/2]
+    is its polar image, so PERIMETER_PRIMAL runs it at _polar(x); this form
+    takes x itself at the singular end x -> 0. f and bounds take floats or arrays.
     """
-    sign = -1.0 if dual else 1.0
-
     def f(k, t):
         rad = radicand_perimeter(x, k, t)
         # The radicand can round to 0 or below at a node next to a band end,
         # and underflows at tiny x; the integrand is then not resolved.
         if not rad.min() > 0.0:  # NaN fails too
             raise ToleranceNotMet(f"the radicand at x = {x!r} rounds to 0 inside the band")
-        return np.sin(x - k - t) * (sign * np.sin(k)) * np.sin(t) / np.sqrt(rad)
+        return -np.sin(x - k - t) * np.sin(k) * np.sin(t) / np.sqrt(rad)
 
-    bounds = (lambda k: (x / 2, math.pi - (k - x / 2))) if dual else (lambda k: (x / 2 - k, x / 2))
-    return f, bounds
+    return f, lambda k: (x / 2, math.pi - (k - x / 2))
 
 
 def elliptic_reduction_gap(kind: EllipticReduction, x: float, kappa: float) -> float:
     """|quadrature - elliptic closed form| for the two reducible inner integrals.
 
-    PERIMETER_GIVEN_SIDE (requires 0 < kappa < x/2 < pi):
-        Integral_{x/2-kappa}^{x/2} sin(x-kappa-rho) sin(kappa) sin(rho)
-            / sqrt(radicand) d rho
-      = [E(sin(kappa/2)) - cos^2((x-kappa)/2) K(sin(kappa/2))]
-            / sqrt(sin(x/2) sin(x/2 - kappa)) * sin(kappa)
+    AREA_GIVEN_ANGLE (requires 0 < x/2 < kappa < pi):
+        Integral_{x/2}^{pi-kappa+x/2} -sin(x-kappa-theta) sin(kappa) sin(theta)
+            / sqrt(radicand) d theta
+      = [E(cos(kappa/2)) - sin^2((x-kappa)/2) K(cos(kappa/2))]
+            / sqrt(sin(x/2) sin(kappa - x/2)) * sin(kappa)
 
-    AREA_GIVEN_ANGLE (requires 0 < x/2 < kappa < pi): the mirrored
-    theta-integral against E(cos(kappa/2)), K(cos(kappa/2)).
+    PERIMETER_GIVEN_SIDE (requires 0 < kappa < x/2 < pi): the rho-integral
+    over [x/2 - kappa, x/2] against E(sin(kappa/2)), K(sin(kappa/2)). It
+    is the same equation at the polar point (2*pi - x, pi - kappa), where
+    both sides are evaluated.
 
     No symbolic proof of these evaluations is known; driving the gap
     below tolerance on a grid is the numerical settlement.
     """
-    dual = kind is EllipticReduction.AREA_GIVEN_ANGLE
-    if dual:
-        if not 0.0 < x / 2 < kappa < math.pi:
-            raise ValueError("requires 0 < x/2 < kappa < pi")
-        z, c, gap = math.cos(kappa / 2), math.sin((x - kappa) / 2), kappa - x / 2
-    else:
+    if kind is EllipticReduction.PERIMETER_GIVEN_SIDE:
         if not 0.0 < kappa < x / 2 < math.pi:
             raise ValueError("requires 0 < kappa < x/2 < pi")
-        z, c, gap = math.sin(kappa / 2), math.cos((x - kappa) / 2), x / 2 - kappa
-    rhs = ((ellip_E(z) - c ** 2 * ellip_K(z)) / math.sqrt(math.sin(x / 2) * math.sin(gap))
-           * math.sin(kappa))
-    f, bounds = _sqrt_inner(x, dual)
+        x, kappa = _polar_point(x, kappa)
+    elif not 0.0 < x / 2 < kappa < math.pi:
+        raise ValueError("requires 0 < x/2 < kappa < pi")
+    z = math.cos(kappa / 2)
+    rhs = ((ellip_E(z) - math.sin((x - kappa) / 2) ** 2 * ellip_K(z))
+           / math.sqrt(math.sin(x / 2) * math.sin(kappa - x / 2)) * math.sin(kappa))
+    f, bounds = _sqrt_inner(x)
     lhs = integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(1e-11, True, True)).value
     return abs(lhs - rhs)
 
 
-def _smooth_density_inner(x: float, perimeter: bool):
-    """Inner integral of the regular (arctan-form) double integrals: (f, bounds).
+def _smooth_density_inner(x: float):
+    """Inner integral of the arctan-form double integrals, at the dual perimeter x: (f, bounds).
 
-    The primal-area one runs over theta in [x/2, pi] with s = sin(theta - x/2).
-    The dual-perimeter one runs over rho in [0, x/2] with s = sin(x/2 - rho)
-    and the two squares of the denominator swapped; it is taken in
+    It runs over rho in [0, x/2] with s = sin(x/2 - rho), taken in
     t = rho / (x/2) over [0, 1], with every sine divided by sin(x/2),
-    because at tiny x the squares of the sines underflow. Where sin(x/2)
-    is 0 that raises OutOfDomain. The sin(kappa) density weight of the
-    fixed element is folded in here, so the outer integral is unweighted.
+    because at tiny x the squares of the sines underflow; where sin(x/2) is
+    0 that raises OutOfDomain. The primal area's theta-form is its polar
+    image, so AREA_PRIMAL runs it at _polar(x). The sin(kappa) density
+    weight of the fixed element is folded in, so the outer integral is unweighted.
     """
     sx = math.sin(x / 2)
-    if not perimeter:
-        def f(k, t):
-            ck = np.cos(k)
-            s = np.sin(t - x / 2)
-            d = (1.0 - ck) * s ** 2 + (1.0 + ck) * sx ** 2
-            num = (1.0 - ck) * (1.0 + ck) * s * sx * np.sin(t)
-            return np.sin(k) * num / d ** 2
-
-        return f, lambda k: (x / 2, math.pi)
     if sx == 0.0:
         raise OutOfDomain(f"sin(x/2) is 0 at x = {x!r}")
     weight = (x / 2) / sx  # d rho / dt, over the 1/sin(x/2) that the divided sines leave out
@@ -587,31 +589,31 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     The outer variable is the fixed element (side or angle), weighted by
     its own density sin(kappa)/2; the inner integral is the conditional
     density for that fixed element. Slower than the closed/1-D forms by
-    construction; exists to cross-check them. Raises ToleranceNotMet where
-    an integral misses its tolerance, and where the square-root kinds'
-    radicand rounds to 0 inside a band (at tol 1e-16 or tiny x, say).
+    construction; exists to cross-check them. PERIMETER_PRIMAL and
+    AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at _polar(x). Raises
+    ToleranceNotMet where an integral misses its tolerance, and where the
+    square-root kinds' radicand rounds to 0 inside a band (at tol 1e-16 or
+    tiny x, say).
     """
     if not 0.0 < x < TWO_PI:
         raise ValueError("x must lie strictly inside (0, 2*pi)")
-
+    if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_PRIMAL:
+        x = _polar(x)
     # The inner integral of the two square-root kinds itself diverges like
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL:
-        dual = kind is DensityKind.AREA_DUAL
-        f, bounds = _sqrt_inner(x, dual)
-        lo, hi = (x / 2, math.pi) if dual else (0.0, x / 2)
-        scale, ends = 1.0 / (4.0 * math.pi), (dual, not dual)
+        f, bounds = _sqrt_inner(x)
+        lo, scale, ends = x / 2, 1.0 / (4.0 * math.pi), (True, False)
     else:
-        f, bounds = _smooth_density_inner(x, kind is DensityKind.PERIMETER_DUAL)
-        lo, hi, scale, ends = 0.0, math.pi, 1.0 / (2.0 * math.pi), (False, False)
+        f, bounds = _smooth_density_inner(x)
+        lo, scale, ends = 0.0, 1.0 / (2.0 * math.pi), (False, False)
     # Both inner ends are flagged for every kind. The square-root kinds'
     # radicand vanishes at both band ends. The smooth kinds' integrand peaks
-    # next to an end at small x: for AREA_PRIMAL near theta = x/2, at
-    # sin(theta - x/2) ~ sin(x/2) cot(kappa/2) / sqrt(3), which the
-    # unmapped rule missed for kappa near pi at x = 1e-4.
-    return scale * _nested(f, bounds, lo, hi, QuadratureSpec(tol, *ends), True)
+    # next to t = 1 as x nears 2*pi, which the unmapped rule missed by 1.5e-6
+    # (AREA_PRIMAL at x = 1e-4).
+    return scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +667,6 @@ def _check_x_kappa(x: float, kappa: float) -> None:
         raise ValueError("kappa must lie in [0, pi]")
 
 
-def _step(at: float) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> pi up to at and 0 above it: the kappa -> 0 limit of the perimeter boundaries."""
-    return lambda t: np.where(np.asarray(t, dtype=float) <= at, math.pi, 0.0)
-
-
 def region_boundary(
     kind: ConditionalKind, x: float, kappa: float
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -710,8 +707,8 @@ def region_boundary(
     if kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
         tk = math.tan(kappa / 2)
         ck = 1.0 / tk if tk > 0.0 else math.inf
-        if math.isinf(ck) or sx == 0.0:  # the kappa -> 0 limit, or x/2 = 0
-            return _step(x / 2)
+        if math.isinf(ck) or sx == 0.0:  # the kappa -> 0 limit, pi up to x/2, or x/2 = 0
+            return lambda rho: np.where(np.asarray(rho, dtype=float) <= x / 2, math.pi, 0.0)
 
         def curve(rho):
             rho = np.asarray(rho, dtype=float)
@@ -731,25 +728,21 @@ def region_boundary(
 
         return curve
 
-    if kind not in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
+    if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:  # the polar image of the area region
+        f = region_boundary(ConditionalKind.AREA_GIVEN_ANGLE, *_polar_point(x, kappa))
+        return lambda t: math.pi - f(math.pi - np.asarray(t, dtype=float))
+    if kind is not ConditionalKind.AREA_GIVEN_ANGLE:
         raise ValueError(f"no region boundary for {kind}")
-    # The band laws of _cond_band.
-    dual = kind is ConditionalKind.AREA_GIVEN_ANGLE
-    if (kappa <= x / 2) if dual else (kappa >= x / 2):
-        # Area <= 2*alpha: the region is everything. Perimeter >= 2c: it is empty.
-        fill = math.pi if dual else 0.0
-        return lambda t: np.full_like(np.asarray(t, dtype=float), fill)
-    if kappa == 0.0:
-        return _step(x / 2)
+    if kappa <= x / 2:  # area <= 2*alpha: the region is everything
+        return lambda t: np.full_like(np.asarray(t, dtype=float), math.pi)
     band = _cot_arccos(x, kappa)
-    lo, hi = (x / 2, math.pi - (kappa - x / 2)) if dual else (x / 2 - kappa, x / 2)
+    lo, hi = x / 2, math.pi - (kappa - x / 2)
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        mid = np.where(t > hi, 0.0, (math.pi - band(t)) if dual else band(t))
-        # The curve is NaN only at t = lo: from B / tan(0) = 0/0 where x/2 is
-        # 0, or from inf - inf where A and B overflow (kappa < 1e-308, lo = hi).
-        # It takes the value pi of the curve below lo.
+        mid = np.where(t > hi, 0.0, math.pi - band(t))
+        # The curve is NaN only at t = lo, from B / tan(0) = 0/0 where x/2
+        # is 0. It takes the value pi of the curve below lo.
         return np.where(t < lo, math.pi, np.nan_to_num(mid, nan=math.pi))
 
     return curve
@@ -800,32 +793,25 @@ def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
     return (x - 2.0 * band) / TWO_PI
 
 
-def _cond_band(x: float, kappa: float, tol: float, dual: bool) -> float:
-    """The fixed-side perimeter law, or with dual the fixed-angle area law.
+def _cond_band(x: float, kappa: float, tol: float) -> float:
+    """The fixed-angle area law; at _polar_point(x, kappa), 1 minus the fixed-side perimeter law.
 
-    Each boundary curve is pi below a band [lo, hi], 0 above it and on it
-    _cot_arccos, or pi minus that for the dual law, so the CDF is
-    (pi (1 - cos lo) + Integral_lo^hi curve(t) sin t dt) / (2 pi).
+    The boundary curve is pi below the band [x/2, pi - kappa + x/2], 0
+    above it and pi minus _cot_arccos on it, so the CDF is
+    (pi (1 - cos lo) + Integral_lo^hi curve(t) sin t dt) / (2 pi). This
+    form takes x and kappa themselves where both are small and the law is
+    of order 1. Where the perimeter law's x and kappa are small it is of
+    order x^2, and the rounding of its polar point moves it by about 1e-16.
     """
-    if dual:
-        if kappa <= x / 2:  # area <= 2*alpha always
-            return 1.0
-        lo, hi = x / 2, math.pi - (kappa - x / 2)
-    else:
-        if kappa >= x / 2:  # perimeter >= 2c, equal only for degenerate triangles
-            return 0.0
-        lo, hi = x / 2 - kappa, x / 2
+    if kappa <= x / 2:  # area <= 2*alpha always
+        return 1.0
+    lo, hi = x / 2, math.pi - (kappa - x / 2)
     base = math.pi * (1.0 - math.cos(lo))
-    # No band where kappa is 0 (the kappa -> 0 limit) or below half an ulp of
-    # x/2, or where kappa = pi rounds hi below x/2.
-    if hi <= lo:
+    if hi <= lo:  # kappa = pi can round hi below x/2
         return base / TWO_PI
     band = _cot_arccos(x, kappa)
-
-    def f(t):
-        return ((math.pi - band(t)) if dual else band(t)) * np.sin(t)
-
-    inner = integrate(f, lo, hi, QuadratureSpec(tol, True, True)).value
+    inner = integrate(lambda t: (math.pi - band(t)) * np.sin(t), lo, hi,
+                      QuadratureSpec(tol, True, True)).value
     return (base + inner) / TWO_PI
 
 
@@ -874,37 +860,27 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
     return res.value / math.pi
 
 
-def _cond_2d(x: float, kappa: float, tol: float, perimeter: bool) -> float:
-    """The two-angle / two-side routes, by nested Jacobian-weighted quadrature.
+def _cond_2d(x: float, kappa: float, tol: float) -> float:
+    """The two-angle route of the fixed-side perimeter law, by nested Jacobian-weighted quadrature.
 
-    The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
-    by _nested, so the boundary h(u) comes from one array call of
-    solved_forms per outer step. On the seed-1 conditional-routes benchmark
-    points a call that integrates takes a median 2.3 ms (two-angle) and
-    2.3 ms (two-side), at most 12 ms (best of 5, 2-CPU host); with
-    integrate's heap as the outer engine it takes 3.5 and 2.6 ms, at most
-    31 ms. One scalar inner integral per node took 9.2, 11.4 and 114 ms,
-    before the inner integrals were batched. Nearer kappa = 0 or pi than
-    COORDS_KAPPA_EDGE the Jacobian's peak narrows like kappa (or
-    pi - kappa): there the quadrature ran for seconds or returned wrong
-    values.
+    At _polar_point(x, kappa) it is 1 minus the fixed-angle area law's
+    two-side route. The Jacobian is integrated over [0, h(u)] and then over
+    u in [0, pi] by _nested, so the boundary h(u) comes from one array call
+    of solved_forms per outer step. A call that integrates took a median
+    2.3 ms on the seed-1 conditional-routes benchmark points (2-CPU host).
+    Nearer kappa = 0 or pi than COORDS_KAPPA_EDGE the Jacobian's peak
+    narrows like kappa (or pi - kappa): there the quadrature ran for
+    seconds or returned wrong values.
     """
-    if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
-        raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
-                          f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
-    if perimeter:
-        if kappa >= x / 2:
-            return 0.0
-        form, jac = SolvedFormKind.ANGLE_PSI, angle_jacobian  # boundary psi = f(phi)
-    else:
-        if kappa <= x / 2:
-            return 1.0  # at kappa == x/2, the edge of the admissible wedge, f == pi
-        form, jac = SolvedFormKind.SIDE_ETA, side_jacobian  # boundary eta = f(xi)
+    if kappa >= x / 2:
+        return 0.0
 
-    def bounds(us):  # the boundary v = h(u); h = 0 gives 0
-        return 0.0, np.arccos(np.clip(solved_forms(form, us, x, kappa), -1.0, 1.0))
+    def bounds(us):  # the boundary psi = h(phi); h = 0 gives 0
+        cos_psi = solved_forms(SolvedFormKind.ANGLE_PSI, us, x, kappa)
+        return 0.0, np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
-    value = _nested(lambda u, v: jac(u, v, kappa), bounds, 0.0, math.pi, QuadratureSpec(tol))
+    value = _nested(lambda u, v: angle_jacobian(u, v, kappa), bounds, 0.0, math.pi,
+                    QuadratureSpec(tol))
     return value / TWO_PI
 
 
@@ -917,7 +893,11 @@ def conditional_cdf(
     the side c; PERIMETER_GIVEN_ANGLE / PERIMETER_BISECTOR /
     AREA_SIDE_COORDS / AREA_GIVEN_ANGLE on the angle alpha;
     PERIMETER_GIVEN_SIDE on c. Routes sharing a conditioning variable
-    agree; that redundancy is asserted by the test suite. The two 2-D routes
+    agree; that redundancy is asserted by the test suite. At
+    _polar_point(x, kappa), PERIMETER_GIVEN_SIDE is 1 minus AREA_GIVEN_ANGLE's
+    band route and AREA_SIDE_COORDS 1 minus PERIMETER_ANGLE_COORDS's 2-D
+    route, so each pair of siblings is still one band integral and one 2-D
+    integral. The two 2-D routes
     raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
     A tol that is not positive (NaN included) raises ValueError on every route.
     """
@@ -932,14 +912,20 @@ def conditional_cdf(
         val = _cond_area_given_side(x, kappa)
     elif kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
         val = _cond_perimeter_given_angle(x, kappa)
-    elif kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
-        val = _cond_band(x, kappa, tol, dual=kind is ConditionalKind.AREA_GIVEN_ANGLE)
+    elif kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
+        val = 1.0 - _cond_band(*_polar_point(x, kappa), tol)
+    elif kind is ConditionalKind.AREA_GIVEN_ANGLE:
+        val = _cond_band(x, kappa, tol)
     elif kind is ConditionalKind.AREA_MEDIAN:
         val = _cond_area_median(x, kappa, tol)
     elif kind is ConditionalKind.PERIMETER_BISECTOR:
         val = _cond_perimeter_bisector(x, kappa, tol)
-    elif kind is ConditionalKind.PERIMETER_ANGLE_COORDS:
-        val = _cond_2d(x, kappa, tol, perimeter=True)
-    else:
-        val = _cond_2d(x, kappa, tol, perimeter=False)
+    else:  # the 2-D routes; kappa is checked before the polar map moves it
+        if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
+            raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
+                              f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
+        if kind is ConditionalKind.PERIMETER_ANGLE_COORDS:
+            val = _cond_2d(x, kappa, tol)
+        else:
+            val = 1.0 - _cond_2d(*_polar_point(x, kappa), tol)
     return min(1.0, max(0.0, val))

@@ -68,8 +68,9 @@ del _weights_g
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
 # each kind the largest call used 3,328, 4.9 times under the budget. The
-# double integrals need up to 3,232 from 1e-6 of their ends, and 10,004 at
-# 2.2e-8; AREA_PRIMAL and PERIMETER_DUAL at 1e-8 from 2*pi exhaust it.
+# double integrals need up to 3,228 from 1e-6 of their ends, and 9,808 at
+# 2.2e-8: PERIMETER_DUAL next to 2*pi, which is AREA_PRIMAL next to 0. At
+# 1e-8 from those ends both exhaust it.
 _PANEL_BUDGET = 1 << 14
 # A panel narrower than _FLOOR times its position, plus _FLOOR times the
 # width of its piece, is not split. Without the second term the heap chased

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from sphtri.distributions import (
     radicand_perimeter,
     region_boundary,
 )
-from sphtri.distributions import _perimeter_cdf_integrand, _perimeter_density_integrand, _sqrt_inner
+from sphtri.coords import side_jacobian
+from sphtri.distributions import (
+    _perimeter_cdf_integrand, _perimeter_density_integrand, _polar, _sqrt_inner,
+)
 from sphtri.errors import OutOfDomain, ToleranceNotMet
-from sphtri.identities import bisector_threshold
+from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
 from sphtri.quadrature import _BLOCK, QuadratureSpec, ellip_E, ellip_K, integrate
 
 PI = math.pi
@@ -33,10 +37,42 @@ TWO_PI = 2.0 * PI
 PERIM_AT_PI = 3.0 * math.sqrt(2.0) / 32.0
 
 
-def sqrt_inner(x, kappa, tol, dual=False):
-    """The primal-perimeter (or negated dual-area) inner integral at one kappa."""
-    f, bounds = _sqrt_inner(x, dual)
+def theta_band_inner(x, kappa, tol):
+    """The library's square-root inner integral, the dual area's theta-band, at one kappa."""
+    f, bounds = _sqrt_inner(x)
     return integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(tol, True, True)).value
+
+
+def rho_band_inner(x, kappa, tol):
+    """The primal perimeter's inner integral over the rho-band [x/2 - kappa, x/2], at one kappa.
+
+    The library evaluates it as theta_band_inner at the polar point
+    (2*pi - x, pi - kappa); this is the primal form, kept as an independent
+    reference for that map.
+    """
+    def f(t):
+        return (np.sin(x - kappa - t) * np.sin(kappa) * np.sin(t)
+                / np.sqrt(radicand_perimeter(x, kappa, t)))
+
+    return integrate(f, x / 2 - kappa, x / 2, QuadratureSpec(tol, True, True)).value
+
+
+def side_coords_cdf(x, kappa, tol):
+    """The fixed-angle area law by the two-side 2-D integral, independent of the polar map.
+
+    The side Jacobian over eta <= h(xi), with h from SIDE_ETA; the library
+    evaluates this law as 1 minus the two-angle integral at the polar point.
+    """
+    if kappa <= x / 2:
+        return 1.0
+
+    def bounds(us):
+        cos_eta = solved_forms(SolvedFormKind.SIDE_ETA, us, x, kappa)
+        return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0))
+
+    value = distributions._nested(lambda u, v: side_jacobian(u, v, kappa), bounds, 0.0, PI,
+                                  QuadratureSpec(tol))
+    return value / TWO_PI
 
 
 class TestAreaDensity:
@@ -828,6 +864,129 @@ class TestDoubleIntegrals:
             assert abs(a - perimeter_density(float(x))) < 1e-7
 
 
+# The square-root pair's tail: f ~ c / sqrt(d) (1 + TAIL_SLOPE d) at the
+# distance d from 2*pi, with c = 3 pi^2 / (sqrt(2) Gamma(1/4)^4) and the
+# slope read off the perimeter series' derivative (1.99551 at d = 1e-4).
+TAIL_C = 3 * PI ** 2 / (math.sqrt(2) * math.gamma(0.25) ** 4)
+TAIL_SLOPE = 1.99552
+# The polar pairs, each as its shared body and one call of each kind: the
+# dual kind at (x, kappa) = (2.0, 1.6), the primal one at its polar point.
+POLAR_X, POLAR_KAPPA = 2.0, 1.6
+POLAR_PAIRS = [
+    ("_sqrt_inner",
+     lambda x, k: density_via_double_integral(DensityKind.PERIMETER_PRIMAL, x),
+     lambda x, k: density_via_double_integral(DensityKind.AREA_DUAL, x)),
+    ("_smooth_density_inner",
+     lambda x, k: density_via_double_integral(DensityKind.AREA_PRIMAL, x),
+     lambda x, k: density_via_double_integral(DensityKind.PERIMETER_DUAL, x)),
+    ("_sqrt_inner",
+     lambda x, k: elliptic_reduction_gap(EllipticReduction.PERIMETER_GIVEN_SIDE, x, k),
+     lambda x, k: elliptic_reduction_gap(EllipticReduction.AREA_GIVEN_ANGLE, x, k)),
+    ("_cot_arccos",
+     lambda x, k: conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, k),
+     lambda x, k: conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, x, k)),
+    ("_cot_arccos",
+     lambda x, k: region_boundary(ConditionalKind.PERIMETER_GIVEN_SIDE, x, k),
+     lambda x, k: region_boundary(ConditionalKind.AREA_GIVEN_ANGLE, x, k)),
+    ("angle_jacobian",
+     lambda x, k: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, x, k),
+     lambda x, k: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, x, k)),
+]
+
+
+class TestPolarDuality:
+    """Each polar pair is one implementation: sides are pi minus angles, areas 2*pi minus perimeters."""
+
+    def test_polar_map_measures_from_the_true_two_pi(self):
+        true_two_pi = Fraction(TWO_PI) + Fraction(distributions._TWO_PI_SHORTFALL)
+        xs = np.concatenate([np.linspace(PI, TWO_PI, 1001), TWO_PI - np.geomspace(1e-15, 1e-3, 50)])
+        for x in xs:
+            assert _polar(float(x)) == float(true_two_pi - Fraction(float(x))), x
+        assert _polar(TWO_PI) == distributions._TWO_PI_SHORTFALL
+        assert _polar(0.0) == TWO_PI
+
+    def test_band_edge_maps_onto_itself(self):
+        # kappa = x/2: perimeter >= 2c and area <= 2*alpha, with equality
+        # only for degenerate triangles. pi - kappa taken from the float pi
+        # would put the polar point next to the edge instead of on it.
+        rho = np.linspace(0.0, PI, 9)
+        for x in np.linspace(0.05, TWO_PI - 0.05, 401):
+            x = float(x)
+            y, k = distributions._polar_point(x, x / 2)
+            assert k == y / 2, x
+            assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, x / 2) == 0.0, x
+            curve = region_boundary(ConditionalKind.PERIMETER_GIVEN_SIDE, x, x / 2)
+            assert np.all(curve(rho) == 0.0), x
+        assert conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, PI, PI / 2) == 1.0
+
+    def test_area_given_angle_where_both_elements_are_small(self):
+        # There the law depends on x/kappa and is of order 1: 1/2 at
+        # x = kappa, 1/3 at x = kappa/2, from kappa = 1e-3 down. So the band
+        # pair keeps the area form; at the polar point 2*pi - x and
+        # pi - kappa would round x and kappa away (1.0 at (1e-20, 1e-20)).
+        for kappa in (1e-300, 1e-20, 1e-10):
+            for ratio, want in ((1.0, 0.5), (0.5, 1.0 / 3.0)):
+                got = conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, ratio * kappa, kappa)
+                assert abs(got - want) < 1e-12, (kappa, ratio)
+
+    @pytest.mark.parametrize("name, primal, dual", POLAR_PAIRS)
+    def test_both_kinds_reach_one_body(self, monkeypatch, name, primal, dual):
+        calls = []
+        real = getattr(distributions, name)
+
+        def recorded(*args):
+            calls.append([a for a in args if isinstance(a, float)])
+            return real(*args)
+
+        monkeypatch.setattr(distributions, name, recorded)
+        primal(_polar(POLAR_X), PI - POLAR_KAPPA)
+        primal_args = calls[:]
+        calls.clear()
+        dual(POLAR_X, POLAR_KAPPA)
+        assert primal_args and calls
+        # The same point, to the rounding of mapping there and back.
+        assert np.allclose(primal_args[0], calls[0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("x, kappa", [(2.0, 0.6), (PI, 1.2), (5.0, 0.4), (6.2, 3.0)])
+    def test_rho_band_is_the_theta_band_at_the_polar_point(self, x, kappa):
+        want = rho_band_inner(x, kappa, tol=1e-13)
+        got = theta_band_inner(_polar(x), PI - kappa, tol=1e-13)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("x, kappa", [(1.0, 2.0), (2.0, 1.6), (4.0, 2.5), (5.5, 3.0)])
+    def test_side_coords_integral_is_the_mirrored_angle_coords_route(self, x, kappa):
+        want = side_coords_cdf(x, kappa, tol=1e-11)
+        got = conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, x, kappa, tol=1e-11)
+        assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("x", [distributions._BELOW_TWO_PI, TWO_PI - 1e-12, TWO_PI - 1e-8])
+    def test_area_primal_next_to_two_pi(self, x):
+        v = density_via_double_integral(DensityKind.AREA_PRIMAL, x)
+        assert abs(v - area_density(x)) < 1e-8
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-300])
+    def test_area_primal_next_to_zero_answers_or_raises(self, x):
+        try:
+            v = density_via_double_integral(DensityKind.AREA_PRIMAL, x)
+        except ToleranceNotMet:
+            return
+        assert abs(v - area_density(x)) < 1e-8
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-100, 1e-12, 1e-8])
+    def test_square_root_pair_at_its_singular_end(self, delta):
+        def tail(d):
+            return TAIL_C / math.sqrt(d) * (1.0 + TAIL_SLOPE * d)
+
+        v = density_via_double_integral(DensityKind.AREA_DUAL, delta)
+        assert abs(v / tail(delta) - 1.0) <= 1e-12
+        # The primal kind at the float nearest 2*pi - delta below TWO_PI,
+        # against the tail at that float's exact distance from 2*pi.
+        x = min(TWO_PI - delta, distributions._BELOW_TWO_PI)
+        exact = float(Fraction(TWO_PI) - Fraction(x) + Fraction(distributions._TWO_PI_SHORTFALL))
+        v = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, x)
+        assert abs(v / tail(exact) - 1.0) <= 1e-12
+
+
 class TestEllipticReductions:
     def test_perimeter_case_at_pi(self):
         gap = elliptic_reduction_gap(EllipticReduction.PERIMETER_GIVEN_SIDE, PI, PI / 4)
@@ -840,7 +999,7 @@ class TestEllipticReductions:
     def test_vanishes_as_kappa_to_zero(self):
         # Both sides carry a sin(kappa) factor.
         x = PI
-        lhs = sqrt_inner(x, 1e-4, tol=1e-12)
+        lhs = rho_band_inner(x, 1e-4, tol=1e-12)
         assert abs(lhs) < 1e-3
         gap = elliptic_reduction_gap(EllipticReduction.PERIMETER_GIVEN_SIDE, x, 1e-4)
         assert gap < 1e-8
@@ -1172,14 +1331,15 @@ class TestNestedQuadratureStructure:
     def test_edge_probe_cost(self, monkeypatch):
         # The slowest conditional-routes benchmark probe: 1e-3 (relative)
         # past the kappa = x/2 wedge edge, where the Jacobian peaks.
+        # The route runs the two-angle Jacobian at the polar point.
         points = []
-        real = distributions.side_jacobian
+        real = distributions.angle_jacobian
 
         def counted(u, v, kappa):
             points.append(np.broadcast(u, v).size)
             return real(u, v, kappa)
 
-        monkeypatch.setattr(distributions, "side_jacobian", counted)
+        monkeypatch.setattr(distributions, "angle_jacobian", counted)
         conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 0.85, 0.85 / 2 * (1 + 1e-3))
         assert 0 < sum(points) <= 90_000
 
@@ -1241,7 +1401,8 @@ class TestRegionBoundary:
         h = 1e-5
         fd = (conditional_cdf(kind, x + h, kappa, tol=1e-13)
               - conditional_cdf(kind, x - h, kappa, tol=1e-13)) / (2 * h)
-        inner = sqrt_inner(x, kappa, tol=1e-13, dual=kind is ConditionalKind.AREA_GIVEN_ANGLE)
+        band = theta_band_inner if kind is ConditionalKind.AREA_GIVEN_ANGLE else rho_band_inner
+        inner = band(x, kappa, tol=1e-13)
         want = inner / (TWO_PI * math.sin(kappa))
         assert abs(fd - want) <= 1e-7 * abs(want)
 

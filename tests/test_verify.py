@@ -22,3 +22,27 @@ def test_nan_value_fails_its_check(monkeypatch):
     assert math.isnan(legendre.value)
     assert not legendre.ok
     assert checks["AGM vs defining integrals"].ok
+
+
+def test_duality_suite_checks_the_double_integral_against_the_series(monkeypatch):
+    # The double integral runs once per point: its primal kind is the dual
+    # one at the polar point, so comparing the two would compare it with itself.
+    kinds = []
+    real = verify.density_via_double_integral
+
+    def recorded(kind, x, tol=1e-9):
+        kinds.append(kind)
+        return real(kind, x, tol)
+
+    monkeypatch.setattr(verify, "density_via_double_integral", recorded)
+    checks = {c.name: c for c in verify.duality_checks()}
+    assert kinds == [verify.DensityKind.PERIMETER_PRIMAL] * 10
+    assert checks["perimeter double integral vs series"].value < 1e-10
+    assert all(c.ok for c in checks.values())
+
+
+def test_mc_suite_checks_the_dual_sampler_against_the_perimeter_law():
+    checks = {c.name: c for c in verify.mc_checks(10**4, 5)}
+    dual = checks["KS dual area vs mirrored perimeter CDF"]
+    assert dual.bound == checks["KS primal perimeter vs single-integral CDF"].bound
+    assert all(c.ok for c in checks.values())
