@@ -590,7 +590,10 @@ def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) 
     its own density sin(kappa)/2; the inner integral is the conditional
     density for that fixed element. Slower than the closed/1-D forms by
     construction; exists to cross-check them. PERIMETER_PRIMAL and
-    AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at _polar(x). Raises
+    AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at _polar(x). Each
+    integral is accepted at tol * max(1, |value|), a bound that is absolute
+    below 1, so a tiny density carries no relative guarantee: PERIMETER_PRIMAL
+    at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
     ToleranceNotMet where an integral misses its tolerance, and where the
     square-root kinds' radicand rounds to 0 inside a band (at tol 1e-16 or
     tiny x, say).
@@ -897,8 +900,13 @@ def conditional_cdf(
     _polar_point(x, kappa), PERIMETER_GIVEN_SIDE is 1 minus AREA_GIVEN_ANGLE's
     band route and AREA_SIDE_COORDS 1 minus PERIMETER_ANGLE_COORDS's 2-D
     route, so each pair of siblings is still one band integral and one 2-D
-    integral. The two 2-D routes
-    raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
+    integral. The integral routes are accurate to tol * max(1, |value|),
+    which is absolute for a probability, so a tiny one carries no relative
+    guarantee; PERIMETER_GIVEN_SIDE and AREA_SIDE_COORDS, 1 minus a value
+    near 1 there, keep about ulp(1) absolute at best: PERIMETER_GIVEN_SIDE at
+    (1e-4, 2e-5) is 3.8729842e-10, at any tol, where its band integral
+    taken directly gives 3.8729836e-10 (1.4e-7 relative). The 2-D
+    routes raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
     A tol that is not positive (NaN included) raises ValueError on every route.
     """
     _check_x_kappa(x, kappa)

@@ -8,10 +8,11 @@ evaluated by the duplication algorithm (Carlson, Numer. Algorithms
 10:13-26, 1995; DLMF 19.36(i)), which works elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
-endpoint (t = a + u^2 or t = b - u^2) becomes a bounded smooth integrand,
-so no special weighting is needed afterwards. Its two engines, a heap
-for one integral and a batched one for many (_integrate_rows), stop at the
-same width floor and the same per-call panel budget.
+left end (t = a + u^2) becomes a bounded smooth integrand, so no special
+weighting is needed afterwards, and a flagged right end b is the same map
+of t -> f(-t) at -b. Its two engines, a heap for one integral and a
+batched one for many (_integrate_rows), share that one map and stop at
+the same width floor and the same per-call panel budget.
 """
 
 from __future__ import annotations
@@ -115,6 +116,12 @@ def _sharpened(diff, minimum=min):
     return minimum(diff, (200.0 * diff) ** 1.5)
 
 
+# The heap keeps this one-panel kernel rather than evaluating its two
+# children in one _row_panels call. That call was no faster (0.98-1.04x per
+# call of PERIMETER_BISECTOR, AREA_MEDIAN and PERIMETER_GIVEN_SIDE, best of
+# 7 interleaved calls at each seed-1 conditional-routes point, 2-CPU host),
+# and its matrix product sums the 15 terms in another order, which moved
+# those routes' values by up to 3.3e-16.
 def _kronrod_panel(f, a, b):
     """One G7/K15 panel on [a, b]: (K15 value, error estimate)."""
     h = 0.5 * (b - a)
@@ -200,8 +207,8 @@ def integrate(
     err = 0.0
     evals = 0
     failure = None
-    for substituted, end, lo, hi in pieces:
-        piece_f = f if substituted is None else substituted(f, end)
+    for sign, end, lo, hi in pieces:
+        piece_f = f if end is None else _substituted(f if sign > 0 else lambda s: f(-s), end)
         v, e, n, why = _adaptive(piece_f, lo, hi, spec.tol * tol_scale,
                                  _PANEL_BUDGET - evals // 15)
         failure = failure or why
@@ -214,31 +221,38 @@ def integrate(
 
 
 def _pieces(a, b, spec, sqrt=math.sqrt):
-    """The pieces of [a, b] that spec's singular flags call for: (substituted, end, lo, hi).
+    """The pieces of [a, b] that spec's singular flags call for: (sign, end, lo, hi).
 
-    A piece whose substituted is None is [lo, hi] itself; otherwise it is
-    u in [lo, hi] = [0, sqrt(width)] under substituted(f, end). With both
+    A piece whose end is None is [lo, hi] itself. Otherwise it is u in
+    [lo, hi] = [0, sqrt(width)] under _substituted(s -> f(sign s), end):
+    a flagged left end a is end = a with sign 1, and a flagged right end b
+    is the left end end = -b of the mirrored integrand, sign -1. With both
     flags the halves meet at the midpoint. a and b may be arrays, with
     sqrt=np.sqrt.
     """
     if spec.singular_left and spec.singular_right:
         mid = 0.5 * (a + b)
-        return [(_left_substituted, a, 0.0, sqrt(mid - a)),
-                (_right_substituted, b, 0.0, sqrt(b - mid))]
+        return [(1.0, a, 0.0, sqrt(mid - a)), (-1.0, -b, 0.0, sqrt(b - mid))]
     if spec.singular_left:
-        return [(_left_substituted, a, 0.0, sqrt(b - a))]
+        return [(1.0, a, 0.0, sqrt(b - a))]
     if spec.singular_right:
-        return [(_right_substituted, b, 0.0, sqrt(b - a))]
-    return [(None, None, a, b)]
+        return [(-1.0, -b, 0.0, sqrt(b - a))]
+    return [(1.0, None, a, b)]
 
 
-def _left_substituted(f, a):
+def _substituted(f, a):
     """u -> f(t) 2 sqrt(t - a) at t = a + u^2, which maps u in [0, sqrt(b - a)] onto [a, b].
 
     An inverse-square-root singularity of f at a becomes bounded and
     smooth. a may be an array that broadcasts against u. Where u^2 is
     below half an ulp of a, t is the next float above a, so that f is
     never evaluated at a.
+
+    The one endpoint map of both engines. A singular right end b is this
+    map of s -> f(-s) at -b, and every node, Jacobian and value is the
+    one that t = b - u^2 would give, bit for bit: -b + u^2 rounds to
+    -(b - u^2), nextafter(-b, inf) is -nextafter(b, -inf), and s + b
+    rounds as b - t.
 
     The Jacobian 2u is taken as 2 sqrt(t - a) of the node t that f gets:
     t = a + u^2 rounds, and t - a (exact near a, by Sterbenz's lemma)
@@ -253,20 +267,6 @@ def _left_substituted(f, a):
     def g(u):
         t = np.maximum(a + u * u, first)
         return f(t) * (2.0 * np.sqrt(t - a))
-    return g
-
-
-def _right_substituted(f, b):
-    """u -> f(t) 2 sqrt(b - t) at t = b - u^2, which maps u in [0, sqrt(b - a)] onto [a, b].
-
-    The mirror of _left_substituted: t is never b, and the Jacobian is
-    taken at t for the same reason.
-    """
-    last = np.nextafter(b, -np.inf)
-
-    def g(u):
-        t = np.minimum(b - u * u, last)
-        return f(t) * (2.0 * np.sqrt(b - t))
     return g
 
 
@@ -290,8 +290,10 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     abscissae per line and the column i holds each line's row index, by
     which f looks up its per-row parameters. Each row is accepted on its
     own test, spec.tol * max(1, |value|), and honours the
-    singular flags through the u^2 substitutions of integrate. Rows with
-    a == b give 0 and are not evaluated.
+    singular flags through the pieces and the one u^2 map of integrate:
+    each piece's virtual rows carry its sign and end, so that one call
+    f(owner, sign * s) serves every piece of a step. Rows with a == b give
+    0 and are not evaluated.
 
     integrate splits one panel at a time, from a heap. Here a step takes,
     in every row not yet accepted, each panel wider than the floor whose
@@ -329,24 +331,18 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     # integrated side by side with the others; owner[j] is the row.
     pieces = _pieces(a, b, spec, np.sqrt)
     owner = np.tile(np.arange(a.size), len(pieces))
-    lo = np.concatenate([np.broadcast_to(start, a.shape) for _, _, start, _ in pieces])
-    hi = np.concatenate([np.broadcast_to(stop, a.shape) for _, _, _, stop in pieces])
 
-    def piece_values(piece, r, u):
-        substituted, end, _, _ = piece
-        if substituted is None:
-            return f(r, u)
-        return substituted(lambda t: f(r, t), end[r])(u)
+    def column(k):
+        return np.concatenate([np.broadcast_to(piece[k], a.shape) for piece in pieces])
 
-    def g(j, u):
-        if len(pieces) == 1:
-            return piece_values(pieces[0], j, u)
-        y = np.empty(u.shape)
-        for k, piece in enumerate(pieces):
-            at = j[:, 0] // a.size == k
-            if at.any():  # a piece whose rows are all accepted has no panels left
-                y[at] = piece_values(piece, owner[j[at]], u[at])
-        return y
+    lo, hi = column(2), column(3)
+    if pieces[0][1] is None:  # unflagged: one piece, whose virtual rows are the rows
+        g = f
+    else:
+        sign, end = column(0), column(1)
+
+        def g(j, u):
+            return _substituted(lambda s: f(owner[j], sign[j] * s), end[j])(u)
 
     tol = spec.tol * (1.0 / len(pieces))
     rows = lo.size

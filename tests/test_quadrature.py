@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphtri import quadrature
 from sphtri.coords import angle_jacobian, side_jacobian
 from sphtri.errors import Divergent, NonFiniteIntegrand, SphtriError, ToleranceNotMet
 from sphtri.quadrature import (
@@ -378,6 +379,63 @@ class TestIntegrateRows:
 
         total = integrate(outer, 0.0, PI, QuadratureSpec(1e-9))
         assert abs(total.value - 2 * PI) < 1e-7
+
+
+class TestOneEndpointMap:
+    """A flagged right end b is the left-end map of t -> f(-t) at -b, in both engines.
+
+    So a right-flagged integral is the mirrored left-flagged one bit for
+    bit, with the cos(c t) / sqrt(distance to each flagged end) integrands
+    of TestIntegrateRows (row 1 has a = -0.625).
+    """
+
+    C, A, B = TestIntegrateRows.C, TestIntegrateRows.A, TestIntegrateRows.B
+
+    @pytest.mark.parametrize("left", [False, True])
+    @pytest.mark.parametrize("row", [1, 8])  # 8 refines, on [2, 5]
+    def test_integrate(self, left, row):
+        c, a, b = self.C[row], self.A[row], self.B[row]
+
+        def f(t):
+            y = np.cos(c * t) / np.sqrt(b - t)
+            return y / np.sqrt(t - a) if left else y
+
+        right = integrate(f, a, b, QuadratureSpec(1e-12, left, True))
+        mirrored = integrate(lambda s: f(-s), -b, -a, QuadratureSpec(1e-12, True, left))
+        assert right.value.hex() == mirrored.value.hex()
+        assert right.err_estimate.hex() == mirrored.err_estimate.hex()
+        assert right.evaluations == mirrored.evaluations
+
+    @pytest.mark.parametrize("left", [False, True])
+    def test_integrate_rows(self, left):
+        def f(i, t):
+            y = np.cos(self.C[i] * t) / np.sqrt(self.B[i] - t)
+            return y / np.sqrt(t - self.A[i]) if left else y
+
+        right = _integrate_rows(f, self.A, self.B, QuadratureSpec(1e-12, left, True))
+        mirrored = _integrate_rows(lambda i, s: f(i, -s), -self.B, -self.A,
+                                   QuadratureSpec(1e-12, True, left))
+        for got, want in zip(right, mirrored):
+            assert got.tobytes() == want.tobytes()
+
+    def test_both_flags_call_f_once_per_step(self, monkeypatch):
+        # Each _row_panels call is the first evaluation or one step, and it
+        # evaluates the panels of both pieces in a single call of f.
+        panels, calls = [], []
+        row_panels = quadrature._row_panels
+
+        def counted(g, j, a, b):
+            panels.append(j.size)
+            return row_panels(g, j, a, b)
+
+        def f(i, t):
+            calls.append(t.shape[0])
+            return np.cos(self.C[i] * t) / np.sqrt((t - self.A[i]) * (self.B[i] - t))
+
+        monkeypatch.setattr(quadrature, "_row_panels", counted)
+        _integrate_rows(f, self.A, self.B, QuadratureSpec(1e-12, True, True))
+        assert len(panels) > 2
+        assert calls == panels
 
 
 class TestOneAcceptanceRule:

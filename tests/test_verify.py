@@ -46,3 +46,15 @@ def test_mc_suite_checks_the_dual_sampler_against_the_perimeter_law():
     dual = checks["KS dual area vs mirrored perimeter CDF"]
     assert dual.bound == checks["KS primal perimeter vs single-integral CDF"].bound
     assert all(c.ok for c in checks.values())
+
+
+def test_reduction_grids_share_no_integral():
+    # The fixed-side reduction runs the fixed-angle equation at the polar
+    # point (2*pi - x, pi - kappa); no image of its grid may land on the
+    # fixed-angle grid, or the suite's two checks evaluate the same integrals.
+    side = list(verify._admissible_grid(verify.EllipticReduction.PERIMETER_GIVEN_SIDE))
+    angle = np.array(list(verify._admissible_grid(verify.EllipticReduction.AREA_GIVEN_ANGLE)))
+    assert len(side) == len(angle) == 25
+    for x, kappa in side:
+        gaps = np.hypot(angle[:, 0] - (verify.TWO_PI - x), angle[:, 1] - (math.pi - kappa))
+        assert gaps.min() > 0.01
