@@ -99,7 +99,9 @@ def vertices(kind: CoordKind, u, v, kappa: float):
         w = sc * sbe
         C = np.stack(np.broadcast_arrays(sa * cbe + ca * (cc * sbe), ca * w, sa * w))
         C /= np.maximum(np.sqrt(np.sum(C * C, axis=0)), 1e-300)
-    return np.array([1.0, 0.0, 0.0]), np.moveaxis(B, 0, -1), np.moveaxis(C, 0, -1)
+    # The views np.moveaxis(_, 0, -1) gives; C may have fewer axes than B.
+    B, C = (X.transpose(*range(1, X.ndim), 0) for X in (B, C))
+    return np.array([1.0, 0.0, 0.0]), B, C
 
 
 def embedding_point(coords: CoordTriple) -> np.ndarray:

@@ -24,9 +24,11 @@ from .identities import bisector_angles, bisector_threshold
 from .sphere import RngStream
 
 # Rows per block of sample_batch; a block's temporaries (points, column
-# copies, normals) take a few MB. At 10^6 primal triangles on a 2-CPU host,
-# blocks of 2048 to 16384 rows ran within noise of each other; 1024 rows
-# paid more per-call overhead, and 32768 or more were slower and larger.
+# copies, normals) take a few MB. At 10^6 triangles on a 2-CPU host (three
+# sweeps, best of 7), blocks of 4096 to 16384 rows ran within noise of each
+# other (primal 0.26-0.31 s, dual 0.32-0.35 s); 2048 rows were 10-18%
+# slower and 1024 slower still, from per-call overhead; 32768 or more were
+# slower and larger (a traced peak of 26 MB or more, against 19 MB).
 BLOCK = 8192
 
 
@@ -88,11 +90,18 @@ def summary_csv(rows: list[list[str]]) -> str:
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical CDF x -> rank/n over a sample."""
+    """Right-continuous empirical CDF x -> rank/n over a sample.
+
+    Raises ValueError on an empty sample or one that holds a NaN.
+    """
 
     def __init__(self, samples):
         self.sorted = np.sort(np.asarray(samples, dtype=float))
         self.n = len(self.sorted)
+        if self.n == 0:
+            raise ValueError("empirical CDF of an empty sample")
+        if np.isnan(self.sorted[-1]):  # np.sort puts NaN last
+            raise ValueError("empirical CDF of a sample that holds NaN")
 
     def __call__(self, x):
         return np.searchsorted(self.sorted, x, side="right") / self.n

@@ -32,26 +32,33 @@ KINDS = [
 ]
 
 
+def reference_points(rng, n):
+    """n uniform points by the formula that preceded the column sums."""
+    v = rng.generator.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def reference_sample_batch(kind, kappa, n, rng):
     """The whole-batch sampler that preceded the blocked one.
 
-    Every point and every kernel temporary spans all n rows.
+    Every point and every kernel temporary spans all n rows, and the
+    points are normalized with np.linalg.norm.
     """
     if kind not in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE):
         kappa = None
     gen = rng.generator
     coord_u = coord_v = None
     if kind is BatchKind.PRIMAL:
-        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
+        pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
         a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
     elif kind is BatchKind.DUAL:
-        pts = sphere.sample_uniform_points(rng, 3 * n).reshape(n, 3, 3)
+        pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
         A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
         a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
     elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
         A = np.array([1.0, 0.0, 0.0])
         B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
-        C = sphere.sample_uniform_points(rng, n)
+        C = reference_points(rng, n)
         a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
         coord_u, coord_v = al, b
     else:
@@ -181,6 +188,23 @@ class TestBlockedSampler:
         assert_same_samples(primal_batch_1m, want)
 
     @pytest.mark.parametrize("kind,kappa", KINDS)
+    def test_no_norm_nor_moveaxis(self, kind, kappa, monkeypatch):
+        # Points are normalized by column sums and vertices transposed in
+        # place; either numpy helper costs a Python-level round trip a block.
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        monkeypatch.setattr(np, "moveaxis", counted("moveaxis", np.moveaxis))
+        sample_batch(kind, kappa, BLOCK + 1, RngStream(6))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,kappa", KINDS)
     def test_peak_memory_is_outputs_plus_blocks(self, kind, kappa):
         tracemalloc.start()
         try:
@@ -216,6 +240,16 @@ class TestEmpiricalCdf:
         assert e(0.5) == 0.0
         assert e(1.0) == 0.25  # right-continuous
         assert e(4.0) == 1.0
+
+    @pytest.mark.parametrize("sample,cause", [
+        ([], "empty"),
+        (np.empty(0), "empty"),
+        ([0.3, math.nan, 0.1], "NaN"),
+        ([math.nan], "NaN"),
+    ])
+    def test_empty_or_nan_sample_raises(self, sample, cause):
+        with pytest.raises(ValueError, match=cause):
+            EmpiricalCdf(sample)
 
     def test_ks_vs_itself_is_tiny(self):
         data = np.random.default_rng(5).uniform(0, 1, 1000)

@@ -10,6 +10,7 @@ from sphtri.sphere import (
     DEGENERACY_TOL,
     RngStream,
     TriangleMetrics,
+    _columns,
     arc_length,
     dual_vertices,
     lhuilier_excess,
@@ -143,6 +144,33 @@ class TestKernel:
             assert np.max(np.abs(x - y)) < 1e-15
 
 
+class TestColumns:
+    @staticmethod
+    def moveaxis_columns(V):
+        """The form _columns had before it transposed directly."""
+        return tuple(np.ascontiguousarray(np.moveaxis(np.asarray(V, dtype=float), -1, 0)))
+
+    def test_matches_moveaxis_form(self):
+        pts = sample_uniform_points(RngStream(12), 3 * 40).reshape(40, 3, 3)
+        grid = sample_uniform_points(RngStream(13), 5 * 7).reshape(5, 7, 3)
+        for V in (
+            [0.0, 0.6, 0.8],  # a fixed vertex: three scalars
+            np.array([1.0, 0.0, 0.0]),
+            pts[:, 1].copy(),  # (n, 3), contiguous
+            pts[:, 1],  # (n, 3) slice of (m, 3, 3)
+            pts[::3, 2],  # strided rows
+            np.asfortranarray(pts[:, 0]),
+            grid,  # (k, m, 3)
+            grid[:, ::2],
+            pts[:, 0].astype(np.float32),
+        ):
+            got, want = _columns(V), self.moveaxis_columns(V)
+            assert len(got) == len(want) == 3
+            for x, y in zip(got, want):
+                assert type(x) is type(y) and np.shape(x) == np.shape(y)
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
 class TestMetrics:
     def test_octant(self):
         m = TriangleMetrics.from_vertices(*OCTANT)
@@ -181,6 +209,18 @@ class TestMetrics:
         A, B, C = (V.copy() for V in random_vertices(10**4, seed=35))
         TriangleMetrics.from_vertices(A, B, C)  # the batch as drawn is fine
         C[row] = -A[row] if antipodal else A[row]
+        with pytest.raises(DegenerateTriangle):
+            TriangleMetrics.from_vertices(A, B, C)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_nan_vertex_raises(self, axis):
+        # A NaN side is neither below nor above the tolerance band.
+        C = OCTANT[2].copy()
+        C[axis] = math.nan
+        with pytest.raises(DegenerateTriangle):
+            TriangleMetrics.from_vertices(OCTANT[0], OCTANT[1], C)
+        A, B, C = (V.copy() for V in random_vertices(100, seed=36))
+        C[42, axis] = math.nan
         with pytest.raises(DegenerateTriangle):
             TriangleMetrics.from_vertices(A, B, C)
 
