@@ -123,10 +123,10 @@ def sample_batch(
     Generator gives the same values whether n rows are drawn at once or
     in consecutive pieces, so the samples do not depend on the block
     size. DUAL_GIVEN_ANGLE reads the stream as all of rho, then all of
-    theta; it draws each block's theta from a copy of the bit generator
-    advanced past the rho draws, and leaves the stream where one draw of
-    all rho and then all theta would. Peak memory is the outputs (16 bytes
-    per triangle, 32 for the conditional kinds) plus a few MB. DUAL raises
+    theta: it draws every rho into coord_u before the first block, and
+    each block then draws its theta and overwrites its slice of coord_u
+    with the side c. Peak memory is the outputs (16 bytes per triangle,
+    32 for the conditional kinds) plus a few MB. DUAL raises
     DegenerateDual if any block holds a parallel pole pair.
     """
     if n < 1:
@@ -141,20 +141,14 @@ def sample_batch(
     if kind is BatchKind.PRIMAL_GIVEN_SIDE:
         A = np.array([1.0, 0.0, 0.0])
         B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
-    elif kind is BatchKind.DUAL_GIVEN_ANGLE:
-        # The stream is read as all of rho, then all of theta. uniform takes
-        # one 64-bit draw per value, so a copy of the bit generator advanced
-        # by n draws yields the theta draws block by block.
-        gen = rng.generator
-        bits = gen.bit_generator
-        theta_bits = type(bits)()
-        theta_bits.state = bits.state
-        theta_bits.advance(n)
-        theta_gen = np.random.Generator(theta_bits)
 
     sigma, tau = np.empty(n), np.empty(n)
     coord_u = np.empty(n) if conditional else None
     coord_v = np.empty(n) if conditional else None
+    if kind is BatchKind.DUAL_GIVEN_ANGLE:
+        # The stream is read as all of rho, then all of theta: every rho
+        # is drawn here, as random() values that each block scales by pi.
+        rng.generator.random(out=coord_u)
     # Not quadrature._blocked, which maps an input array: each block here
     # draws its own inputs from the stream, in the stream's order.
     for lo in range(0, n, BLOCK):
@@ -173,20 +167,14 @@ def sample_batch(
             a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
             coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
         else:
-            rho = gen.uniform(0.0, math.pi, m)
-            theta = np.arccos(1.0 - 2.0 * theta_gen.uniform(0.0, 1.0, m))  # sin-weighted
+            rho = coord_u[lo:hi] * math.pi  # uniform(0, pi) is 0.0 + pi * random()
+            theta = np.arccos(1.0 - 2.0 * rng.generator.uniform(0.0, 1.0, m))  # sin-weighted
             a, b, c, al, be, ga = sphere.triangle_elements(
                 *vertices(CoordKind.DUAL, rho, theta, kappa)
             )
             coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
         sigma[lo:hi] = al + be + ga - math.pi
         tau[lo:hi] = a + b + c
-    if kind is BatchKind.DUAL_GIVEN_ANGLE:
-        # Leave the stream after the theta draws; advance cleared the
-        # copy's buffered 32-bit half-draw, which uniform never touches.
-        state, kept = theta_bits.state, bits.state
-        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
-        bits.state = state
     return SampleBatch(
         kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id
     )

@@ -438,28 +438,13 @@ _AGM_MAX_ITER = 24
 # The AGM stops once |a - b| <= _AGM_TOL * a; the next mean then lies
 # within _AGM_TOL^2 / 8 (5e-19) of the limit, relative. (A stop at a == b
 # never came for about a quarter of moduli, whose a and b kept trading the
-# last bit.) The test is made once per batch, before the vector steps, on
-# the batch's smallest k' alone: it is the slowest to pass (see _agm_KE).
+# last bit.) On an array the test is made at each step on the smallest k'
+# alone: it is the slowest to pass (see _agm_KE).
 _AGM_TOL = 2e-9
 # Moduli per _agm_KE call in _agm_at. At this size each of the AGM's ten
 # or so temporaries is 64 KB and stays in L2 cache, instead of streaming
 # through memory at every step.
 _AGM_BLOCK = 8192
-
-
-def _agm_steps(kp):
-    """The number of AGM steps from (1, kp) until |a - b| <= _AGM_TOL * a.
-
-    A scalar run of the same arithmetic as _agm_KE, so it stops after the
-    same step as that modulus would in the vector loop; _AGM_MAX_ITER if
-    it never does (kp = 0 or NaN).
-    """
-    a, b = 1.0, kp
-    for n in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_TOL * a:
-            return n
-        a, b = (a + b) * 0.5, math.sqrt(a * b)
-    return _AGM_MAX_ITER
 
 
 def _agm_KE(k2, kp):
@@ -473,17 +458,19 @@ def _agm_KE(k2, kp):
     it makes the same operations in the same order, so that a float
     modulus gives what it gives in an array.
 
-    _agm_at calls it on blocks of _AGM_BLOCK (8192) moduli. The step count
-    is taken once per call, before the loop, from the smallest k': after n
-    steps b/a increases with k' (b/a -> 2 sqrt(b/a) / (1 + b/a) is
-    increasing), so that modulus is the last to pass the stopping test, and
-    the vector steps make no test of their own. Every modulus thus takes
-    the steps its block's slowest one needs, and a step past convergence
-    moves neither K nor E by a bit: array and scalar calls stay equal bit
-    for bit, whatever the block.
+    _agm_at calls it on blocks of _AGM_BLOCK (8192) moduli. On an array
+    the stopping test is made on the element of smallest k' alone: after
+    n steps b/a increases with k' (b/a -> 2 sqrt(b/a) / (1 + b/a) is
+    increasing), so that modulus is the last to pass it. Every modulus
+    thus takes the steps its block's slowest one needs, and a step past
+    convergence moves neither K nor E by a bit: array and scalar calls
+    stay equal bit for bit, whatever the block. An empty array takes no
+    step; a NaN or zero k' takes _AGM_MAX_ITER.
     """
     scalar = isinstance(kp, float)
-    steps = _agm_steps(kp if scalar else float(np.min(kp, initial=1.0)))
+    if not scalar and kp.size == 0:
+        return np.empty_like(kp), np.empty_like(kp)
+    slow = None if scalar else int(np.argmin(kp))  # a flat index: kp may be 2-D
     a = 1.0 if scalar else np.ones_like(kp)
     b = kp
     csum = 0.5 * k2  # sum of 2^(n-1) c_n^2 with c_n = (a_n - b_n)/2; the n = 0 term
@@ -494,7 +481,8 @@ def _agm_KE(k2, kp):
         d *= d
         d *= pow2
         csum += d
-        if n == steps:
+        a0, b0 = (a, b) if scalar else (a.item(slow), b.item(slow))
+        if abs(a0 - b0) <= _AGM_TOL * a0:
             break
         m = a + b
         m *= 0.5

@@ -64,9 +64,12 @@ class TriangleMetrics:
 
         Fields have the broadcast shape (0-d for single vertices); sigma =
         alpha + beta + gamma - pi (Girard) and tau = a + b + c. Raises
-        DegenerateTriangle if any side is within DEGENERACY_TOL of 0 or pi,
-        or is NaN (as from a NaN coordinate).
+        DegenerateTriangle if any coordinate is not finite (an infinite one
+        can leave the sides finite and the angles NaN), or if any side is
+        NaN or within DEGENERACY_TOL of 0 or pi.
         """
+        if not all(np.isfinite(V).all() for V in (A, B, C)):
+            raise DegenerateTriangle("a vertex coordinate is not finite")
         a, b, c, alpha, beta, gamma = triangle_elements(A, B, C)
         # Written as "not inside" so that a NaN side fails it too.
         if any(np.any(~((s >= DEGENERACY_TOL) & (s <= math.pi - DEGENERACY_TOL))) for s in (a, b, c)):

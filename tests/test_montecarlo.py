@@ -167,9 +167,10 @@ class TestBlockedSampler:
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
     def test_dual_given_angle_reads_all_rho_then_all_theta(self, n):
-        # Each block's theta comes from an advanced copy of the bit generator;
-        # the batch and the stream afterwards must be as if all rho and then
-        # all theta were drawn, including a buffered 32-bit half-draw.
+        # Every rho is drawn before the first block and each block draws its
+        # theta after them; the batch and the stream afterwards must be as if
+        # all rho and then all theta were drawn, including a buffered 32-bit
+        # half-draw.
         got_rng, want_rng = RngStream(31, 4), RngStream(31, 4)
         for rng in (got_rng, want_rng):
             rng.generator.integers(0, 2**32, dtype=np.uint32)
@@ -182,6 +183,18 @@ class TestBlockedSampler:
             return gen.integers(0, 2**32, 3, dtype=np.uint32).tobytes() + gen.random(3).tobytes()
 
         assert next_draws(got_rng) == next_draws(want_rng)
+
+    def test_dual_given_angle_on_a_bit_generator_without_advance(self):
+        # MT19937 cannot jump ahead by a given number of draws; the batch
+        # must not need it.
+        got_rng, want_rng = RngStream(31, 4), RngStream(31, 4)
+        for rng in (got_rng, want_rng):
+            rng._gen = np.random.Generator(np.random.MT19937(5))
+        n = 3 * BLOCK + 5
+        got = sample_batch(BatchKind.DUAL_GIVEN_ANGLE, 0.8, n, got_rng)
+        want = reference_sample_batch(BatchKind.DUAL_GIVEN_ANGLE, 0.8, n, want_rng)
+        assert_same_samples(got, want)
+        assert got_rng.generator.random(3).tobytes() == want_rng.generator.random(3).tobytes()
 
     def test_million_matches_whole_batch(self, primal_batch_1m):
         want = reference_sample_batch(BatchKind.PRIMAL, None, 10**6, RngStream(123))

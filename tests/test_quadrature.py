@@ -15,6 +15,7 @@ from sphtri.quadrature import (
     _PANEL_BUDGET,
     QuadratureResult,
     QuadratureSpec,
+    _agm_KE,
     _integrate_rows,
     carlson_rf_rd,
     ellip_E,
@@ -129,6 +130,26 @@ def test_array_calls_equal_scalar_calls(f, at_one):
     assert out.shape == square.shape
     assert np.array_equal(out.ravel(), f(square.ravel()))
     assert f(np.array([])).shape == (0,)
+
+
+def test_agm_on_a_2d_array_equals_scalar_calls():
+    # The stopping test reads the smallest k' by its flat index; here it is
+    # the slowest modulus by far and not at flat index 0.
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.0, 0.9, (7, 9))
+    z[4, 6] = 1.0 - 1e-12
+    k2 = z * z
+    kp = np.sqrt(1.0 - k2)
+    K, E = _agm_KE(k2, kp)
+    assert K.shape == E.shape == z.shape
+    for j in np.ndindex(z.shape):
+        assert (K[j], E[j]) == _agm_KE(float(k2[j]), float(kp[j]))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_agm_on_an_empty_array(shape):
+    K, E = _agm_KE(np.empty(shape), np.empty(shape))
+    assert K.shape == E.shape == shape
 
 
 def test_legendre_relation_grid():

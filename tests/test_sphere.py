@@ -224,6 +224,18 @@ class TestMetrics:
         with pytest.raises(DegenerateTriangle):
             TriangleMetrics.from_vertices(A, B, C)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_infinite_vertex_raises(self, value, axis):
+        # An infinite coordinate can leave every side finite and the angles
+        # NaN, so the side check alone would pass it.
+        A, B, C = (V.copy() for V in random_vertices(100, seed=37))
+        C[17, axis] = value
+        with pytest.raises(DegenerateTriangle):
+            TriangleMetrics.from_vertices(A, B, C)
+        with pytest.raises(DegenerateTriangle):
+            TriangleMetrics.from_vertices(A[17], B[17], C[17])
+
     def test_tolerance_decides_from_the_side(self):
         # A side of 2 DEGENERACY_TOL is a triangle, one of DEGENERACY_TOL / 2 is not.
         A, B, C = OCTANT
