@@ -12,7 +12,6 @@ from .distributions import (
     ConditionalKind,
     DensityCurve,
     DensityKind,
-    EllipticReduction,
     area_cdf,
     area_density,
     conditional_cdf,

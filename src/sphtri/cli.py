@@ -48,14 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--from", dest="lo", type=float)
         sp.add_argument("--to", dest="hi", type=float)
         sp.add_argument("--steps", type=int)
-        sp.add_argument("--tol", type=float,
-                        help="quadrature tolerance (default: the library's; "
-                             "closed forms ignore it)")
         sp.add_argument("--degrees", action="store_true",
                         help="interpret angle inputs as degrees")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         if conditional:
             sp.add_argument("--kappa", type=float, required=True)
+            sp.add_argument("--tol", type=float,
+                            help="tolerance of the integral routes (default: the "
+                                 "library's, 1e-9); density and cdf take none")
 
     sp = sub.add_parser("density", help="area or perimeter density")
     add_common(sp, ["area", "perimeter"])
@@ -117,15 +117,15 @@ def _cmd_curve(args) -> int:
     Laws are looked up by name per call, so that a wrapper rebound on this
     module (benchmark/tracing.py) sees the call; a table built at import would not.
     """
-    tol = {} if args.tol is None else {"tol": args.tol}
     density = args.command == "density"
     if args.command == "conditional":
+        tol = {} if args.tol is None else {"tol": args.tol}
         law = partial(conditional_cdf, ConditionalKind(args.kind),
                       kappa=_angle_in(args.kappa, args.degrees), **tol)
-    elif args.kind == "area":  # the closed forms take no tolerance
+    elif args.kind == "area":
         law = area_density if density else area_cdf
     else:
-        law = partial(perimeter_density if density else perimeter_cdf, **tol)
+        law = perimeter_density if density else perimeter_cdf
     at = _angle_in(args.at, args.degrees)
     if at is not None:
         print(f"{law(at):.17g}")
@@ -157,11 +157,18 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Run the suites and print every line; a suite that raises gives one FAIL line."""
     lines, ok = [], True
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         lines.append(f"== suite: {name} ==")
-        for check in verify.SUITES[name](args.n, args.seed):
+        try:
+            checks = verify.SUITES[name](args.n, args.seed)
+        except (SphtriError, ValueError) as e:
+            lines.append(f"FAIL {name}: {type(e).__name__}: {e}")
+            ok = False
+            continue
+        for check in checks:
             lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.name}: "
                          f"{check.value:.3e} (bound {check.bound:.1e})")
             ok &= check.ok

@@ -117,6 +117,8 @@ def sample_batch(
     PRIMAL_GIVEN_SIDE: A = (1,0,0), B at arc kappa on the equator, C
     uniform. DUAL_GIVEN_ANGLE: fixed angle alpha = kappa, (rho, theta)
     drawn from the dual area element (rho uniform, cos theta uniform).
+    Every kind takes sigma from sphere._excess: the angle sum, or on tiny
+    triangles, where that sum can cancel below 0, the vertex form.
 
     The batch is computed in blocks of BLOCK rows: each block draws its
     points from the stream and writes its slice of the outputs. numpy's
@@ -156,24 +158,22 @@ def sample_batch(
         m = hi - lo
         if kind is BatchKind.PRIMAL:
             pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
-            a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
+            V = pts[:, 0], pts[:, 1], pts[:, 2]
         elif kind is BatchKind.DUAL:
             pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
-            a, b, c, al, be, ga = sphere.triangle_elements(
-                *sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
-            )
+            V = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
         elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
-            C = sphere.sample_uniform_points(rng, m)
-            a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
-            coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
+            V = A, B, sphere.sample_uniform_points(rng, m)
         else:
             rho = coord_u[lo:hi] * math.pi  # uniform(0, pi) is 0.0 + pi * random()
             theta = np.arccos(1.0 - 2.0 * rng.generator.uniform(0.0, 1.0, m))  # sin-weighted
-            a, b, c, al, be, ga = sphere.triangle_elements(
-                *vertices(CoordKind.DUAL, rho, theta, kappa)
-            )
+            V = vertices(CoordKind.DUAL, rho, theta, kappa)
+        a, b, c, al, be, ga = sphere.triangle_elements(*V)
+        if kind is BatchKind.PRIMAL_GIVEN_SIDE:
+            coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
+        elif kind is BatchKind.DUAL_GIVEN_ANGLE:
             coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
-        sigma[lo:hi] = al + be + ga - math.pi
+        sigma[lo:hi] = sphere._excess(*V, al, be, ga)
         tau[lo:hi] = a + b + c
     return SampleBatch(
         kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id

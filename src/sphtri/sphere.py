@@ -62,8 +62,9 @@ class TriangleMetrics:
     def from_vertices(cls, A, B, C) -> TriangleMetrics:
         """Triangles with unit vertices A, B, C: arrays (..., 3) that broadcast.
 
-        Fields have the broadcast shape (0-d for single vertices); sigma =
-        alpha + beta + gamma - pi (Girard) and tau = a + b + c. Raises
+        Fields have the broadcast shape (0-d for single vertices); sigma is
+        Girard's alpha + beta + gamma - pi, or on tiny triangles Van
+        Oosterom and Strackee's form (see _excess), and tau = a + b + c. Raises
         DegenerateTriangle if any coordinate is not finite (an infinite one
         can leave the sides finite and the angles NaN), or if any side is
         NaN or within DEGENERACY_TOL of 0 or pi.
@@ -76,7 +77,8 @@ class TriangleMetrics:
             raise DegenerateTriangle(
                 "two vertices coincide or are antipodal within tolerance, or a side is NaN"
             )
-        return cls(a, b, c, alpha, beta, gamma, alpha + beta + gamma - math.pi, a + b + c)
+        sigma = _excess(A, B, C, alpha, beta, gamma)
+        return cls(a, b, c, alpha, beta, gamma, sigma, a + b + c)
 
 
 @dataclass
@@ -167,6 +169,39 @@ def triangle_elements(A, B, C):
     # A side between two fixed vertices does not vary along the batch.
     shape = np.shape(det)
     return tuple(x if np.shape(x) == shape else np.full(shape, x) for x in out)
+
+
+# Below this Girard's angle sum can cancel to a wrong sign (see _excess).
+_GIRARD_SMALL = 1e-6
+
+
+def _excess(A, B, C, alpha, beta, gamma):
+    """The spherical excess of triangles with unit vertices A, B, C and angles alpha, beta, gamma.
+
+    The vertices are arrays (..., 3) that broadcast to the angles' shape.
+    The excess is Girard's alpha + beta + gamma - pi, except on rows where
+    that sum is below _GIRARD_SMALL. There it cancels: one triangle of a
+    dual batch of 10^5 (seed 8, stream 3) sums to -2.66e-10, where its
+    excess is 2.2626e-15. On those rows Van Oosterom and Strackee's
+    tan(sigma/2) = |A . (B x C)| / (1 + A . B + B . C + C . A)
+    (IEEE Trans. Biomed. Eng. 30, 1983) gives the excess, with the triple
+    product taken as A . ((B - A) x (C - A)) so that a small triangle keeps
+    its relative accuracy. It does so only where the denominator exceeds
+    1: on near-lunes, two sides within 1e-5 of pi, numerator and
+    denominator are both about 1e-11, the formula is 2.3e-5 off, and the
+    angle sum is right. Other rows keep the angle sum's bits.
+    """
+    sigma = alpha + beta + gamma - math.pi
+    if sigma.min() >= _GIRARD_SMALL:  # a NaN row fails this and keeps its NaN below
+        return sigma
+    sigma = np.asarray(sigma)  # the sum's own array, or a 0-d one for a single triangle
+    small = sigma < _GIRARD_SMALL
+    A, B, C = (_columns(np.broadcast_to(V, sigma.shape + (3,))[small]) for V in (A, B, C))
+    BA, CA = [p - q for p, q in zip(B, A)], [p - q for p, q in zip(C, A)]
+    num = np.abs(_dot(A, _cross(BA, CA)))
+    den = 1.0 + _dot(A, B) + _dot(B, C) + _dot(C, A)
+    sigma[small] = np.where(den > 1.0, 2.0 * np.arctan2(num, den), sigma[small])
+    return sigma[()]
 
 
 def dual_vertices(Ap, Bp, Cp):

@@ -15,7 +15,6 @@ from sphtri import verify
 from sphtri.distributions import (
     ConditionalKind,
     DensityKind,
-    EllipticReduction,
     area_cdf,
     area_density,
     conditional_cdf,
@@ -80,7 +79,7 @@ def test_04_normalization():
     area_total = integrate(area_density, 0.0, TWO_PI, QuadratureSpec(1e-10)).value
 
     g = lambda s: np.array(
-        [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9), tol=1e-10)
+        [perimeter_density(min(max(float(v), 1e-12), TWO_PI - 1e-9))
          for v in np.atleast_1d(s)]
     )
     perim_total = integrate(
@@ -97,9 +96,9 @@ def test_05_elliptic_reductions_on_grids():
     t0 = time.perf_counter()
     gaps = {c.name: c.value for c in verify.reduction_checks()}
     dt = time.perf_counter() - t0
-    worst = max(gaps[f"elliptic reduction [{r.value}]"] for r in EllipticReduction)
+    worst = gaps["elliptic reduction"]
     _report(5, "elliptic-integral reductions settle numerically", dt,
-            worst < 1e-8 and dt < 60, f"worst gap={worst:.2e} over {len(gaps)} reductions")
+            worst < 1e-8 and dt < 60, f"worst gap={worst:.2e} over 50 grid points")
 
 
 def test_06_identity_suite():

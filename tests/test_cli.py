@@ -59,8 +59,8 @@ def test_cdf_at(capsys):
     assert float(capsys.readouterr().out) == 1.0
 
 
-def test_cdf_default_tolerance(capsys, tmp_path):
-    # Without --tol the library's own default applies, on both paths.
+def test_perimeter_cdf_at_and_table(capsys, tmp_path):
+    # The series law, on both paths.
     assert run(["cdf", "--kind", "perimeter", "--at", "3"]) == 0
     assert capsys.readouterr().out == f"{perimeter_cdf(3.0):.17g}\n"
     out = tmp_path / "p.csv"
@@ -98,11 +98,13 @@ def test_curve_table_is_the_law_on_the_grid(argv, law, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cdf", "--kind", "perimeter", "--at", "3"],
-    ["cdf", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
-    ["density", "--kind", "perimeter", "--at", "3"],
-    ["density", "--kind", "perimeter", "--from", "1", "--to", "3", "--steps", "3"],
     ["conditional", "--kind", "perimeter_given_side", "--kappa", "1", "--at", "2"],
+    ["conditional", "--kind", "perimeter_given_side", "--kappa", "1",
+     "--from", "1", "--to", "3", "--steps", "3"],
+    ["conditional", "--kind", "area_median", "--kappa", "1.3", "--at", "2"],
+    ["conditional", "--kind", "area_median", "--kappa", "1.3",
+     "--from", "1", "--to", "3", "--steps", "3"],
+    ["conditional", "--kind", "perimeter_angle_coords", "--kappa", "1", "--at", "2"],
 ])
 def test_tol_is_passed_on(argv, capsys):
     # A NaN tolerance reaches QuadratureSpec, which rejects it.
@@ -111,11 +113,11 @@ def test_tol_is_passed_on(argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["cdf", "density"])
-def test_area_closed_forms_ignore_tol(command, capsys):
-    assert run([command, "--kind", "area", "--at", "3"]) == 0
-    plain = capsys.readouterr().out
-    assert run([command, "--kind", "area", "--at", "3", "--tol", "nan"]) == 0
-    assert capsys.readouterr().out == plain
+@pytest.mark.parametrize("kind", ["area", "perimeter"])
+def test_closed_forms_take_no_tol(command, kind, capsys):
+    # Both laws are fixed formulas, so --tol is an unknown flag there.
+    assert run([command, "--kind", kind, "--at", "3", "--tol", "1e-9"]) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lo,hi,steps", [
@@ -205,6 +207,29 @@ def test_verify_failing_check_exits_2(capsys, monkeypatch):
                         lambda n, seed: [verify.Check("always over", 2.0, 1.0)])
     assert run(["verify", "--suite", "elliptic"]) == 2
     assert "FAIL always over: 2.000e+00 (bound 1.0e+00)" in capsys.readouterr().out
+
+
+def test_verify_mc_suite_reports_at_seed_8(capsys):
+    # Its dual batch holds a triangle whose angle sum is -2.66e-10; that
+    # area would put 2*pi - sigma above 2*pi, out of perimeter_cdf's domain.
+    assert run(["verify", "--suite", "mc-vs-analytic", "--n", "10000", "--seed", "8"]) in (0, 2)
+    assert "KS dual area vs mirrored perimeter CDF" in capsys.readouterr().out
+
+
+def test_verify_suite_that_raises_is_a_failure(capsys, monkeypatch):
+    # The raising suite is one FAIL line; the suites after it still run and print.
+    from sphtri import verify
+    from sphtri.errors import ToleranceNotMet
+
+    def raising(n, seed):
+        raise ToleranceNotMet("subdivision budget exhausted")
+
+    monkeypatch.setitem(verify.SUITES, "identities", raising)
+    assert run(["verify", "--suite", "all", "--n", "100"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL identities: ToleranceNotMet: subdivision budget exhausted" in out
+    assert out.count("== suite:") == len(verify.SUITES)
+    assert "PASS Legendre relation" in out
 
 
 def test_library_error_exits_1(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import sphtri
@@ -62,3 +63,10 @@ def test_benchmark_names_exist():
     missing = sorted(f"{module}.{name}" for module, name in names
                      if not hasattr(importlib.import_module(f"sphtri.{module}"), name))
     assert missing == []
+
+
+def test_only_the_quadrature_routes_take_a_tolerance():
+    # The closed forms and the series laws have fixed error bounds: a tol there selects nothing.
+    takes_tol = sorted(name for name in _exports() if callable(obj := getattr(sphtri, name))
+                       and not inspect.isclass(obj) and "tol" in inspect.signature(obj).parameters)
+    assert takes_tol == ["conditional_cdf", "density_via_double_integral"]

@@ -50,7 +50,8 @@ def reference_sample_batch(kind, kappa, n, rng):
     coord_u = coord_v = None
     if kind is BatchKind.PRIMAL:
         pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
-        a, b, c, al, be, ga = sphere.triangle_elements(pts[:, 0], pts[:, 1], pts[:, 2])
+        A, B, C = pts[:, 0], pts[:, 1], pts[:, 2]
+        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
     elif kind is BatchKind.DUAL:
         pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
         A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
@@ -64,9 +65,10 @@ def reference_sample_batch(kind, kappa, n, rng):
     else:
         rho = gen.uniform(0.0, math.pi, n)
         theta = np.arccos(1.0 - 2.0 * gen.uniform(0.0, 1.0, n))
-        a, b, c, al, be, ga = sphere.triangle_elements(*vertices(CoordKind.DUAL, rho, theta, kappa))
+        A, B, C = vertices(CoordKind.DUAL, rho, theta, kappa)
+        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
         coord_u, coord_v = c, be
-    sigma = al + be + ga - math.pi
+    sigma = sphere._excess(A, B, C, al, be, ga)
     tau = a + b + c
     return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id)
 
@@ -105,6 +107,13 @@ class TestSampleBatch:
             b = sample_batch(kind, kappa, 5000, RngStream(1))
             assert np.all((b.sigma >= 0) & (b.sigma <= TWO_PI))
             assert np.all((b.tau >= 0) & (b.tau <= TWO_PI))
+
+    def test_tiny_dual_triangle_keeps_its_sign(self):
+        # Girard's angle sum gives this triangle -2.66e-10; 60-digit mpmath
+        # on its rounded vertices gives 2.2626305e-15.
+        b = sample_batch(BatchKind.DUAL, None, 10**5, RngStream(8, 3))
+        assert abs(b.sigma[35610] / 2.2626e-15 - 1.0) < 1e-3
+        assert b.sigma.min() >= 0.0
 
     def test_given_side_fixes_side(self):
         # Rebuild the construction and measure the fixed side directly.

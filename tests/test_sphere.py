@@ -270,6 +270,17 @@ class TestMetrics:
         sigma = TriangleMetrics.from_vertices(A, B, C).sigma
         assert np.max(np.abs(sigma - sigma_vos)) < 1e-11
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-9])
+    def test_tiny_right_triangle_excess(self, eps):
+        # Legs eps along two orthogonal great circles: the excess is
+        # eps^2/2 (1 + O(eps^2)), where Girard's angle sum keeps only about
+        # 1e-16 absolute.
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.array([math.cos(eps), math.sin(eps), 0.0])
+        C = np.array([math.cos(eps), 0.0, math.sin(eps)])
+        m = TriangleMetrics.from_vertices(A, B, C)
+        assert abs(m.sigma / (eps * eps / 2) - 1.0) < 1e-6
+
     def test_law_of_sines(self):
         # Cleared form: the quotient form amplifies noise when the common
         # ratio is large (thin triangles), the product form is bounded.

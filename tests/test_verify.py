@@ -48,13 +48,17 @@ def test_mc_suite_checks_the_dual_sampler_against_the_perimeter_law():
     assert all(c.ok for c in checks.values())
 
 
-def test_reduction_grids_share_no_integral():
-    # The fixed-side reduction runs the fixed-angle equation at the polar
-    # point (2*pi - x, pi - kappa); no image of its grid may land on the
-    # fixed-angle grid, or the suite's two checks evaluate the same integrals.
-    side = list(verify._admissible_grid(verify.EllipticReduction.PERIMETER_GIVEN_SIDE))
-    angle = np.array(list(verify._admissible_grid(verify.EllipticReduction.AREA_GIVEN_ANGLE)))
-    assert len(side) == len(angle) == 25
-    for x, kappa in side:
-        gaps = np.hypot(angle[:, 0] - (verify.TWO_PI - x), angle[:, 1] - (math.pi - kappa))
-        assert gaps.min() > 0.01
+def test_reduction_grid_holds_the_fixed_side_points(monkeypatch):
+    # The fixed-side reduction is the fixed-angle equation at the polar
+    # point (2*pi - x, pi - kappa), so the one grid must hold the images of
+    # fixed-side points, kappa at fractions of (0, x/2), as well as its own.
+    calls = []
+    monkeypatch.setattr(verify, "elliptic_reduction_gap", lambda x, k: calls.append((x, k)) or 0.0)
+    (check,) = verify.reduction_checks()
+    assert check.name == "elliptic reduction" and check.value == 0.0
+    grid = np.array(calls)
+    assert len(set(calls)) == len(calls) == 50
+    for x in np.linspace(0.6, verify.TWO_PI - 0.6, 5):
+        for frac in (0.1, 0.25, 0.4, 0.6, 0.75):
+            gaps = np.hypot(grid[:, 0] - (verify.TWO_PI - x), grid[:, 1] - (math.pi - frac * x / 2))
+            assert gaps.min() < 1e-12
