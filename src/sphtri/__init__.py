@@ -10,7 +10,6 @@ from .coords import (
 )
 from .distributions import (
     ConditionalKind,
-    DensityCurve,
     DensityKind,
     area_cdf,
     area_density,

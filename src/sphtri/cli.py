@@ -13,11 +13,10 @@ from functools import partial
 
 import numpy as np
 
-from . import montecarlo, verify
+from . import verify
 from .distributions import (
     TWO_PI,
     ConditionalKind,
-    DensityCurve,
     area_cdf,
     area_density,
     conditional_cdf,
@@ -36,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _positive_int(text: str) -> int:
+    """--n: an int of at least 1; text that is no int gets argparse's own message."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="Monte Carlo batch summary")
     sp.add_argument("--kind", required=True, choices=[k.value for k in BatchKind])
     sp.add_argument("--kappa", type=float)
-    sp.add_argument("--n", type=int, default=10**5)
+    sp.add_argument("--n", type=_positive_int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", type=int, default=0)
     sp.add_argument("--degrees", action="store_true")
@@ -75,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
-    sp.add_argument("--n", type=int, default=10000)
+    sp.add_argument("--n", type=_positive_int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     return p
 
@@ -86,7 +96,18 @@ def _angle_in(value: float | None, degrees: bool) -> float | None:
     return math.radians(value) if degrees else value
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_csv(header: list[str], rows, out: str | None) -> None:
+    """The one CSV writer: a header and rows to --out, or to stdout.
+
+    Floats take 17 significant digits (a full round trip, as
+    np.savetxt(fmt="%.17g") writes them), ints str, and None an empty field.
+    """
+    def field(v) -> str:
+        if v is None:
+            return ""
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    text = "".join(",".join(map(field, row)) + "\n" for row in [header, *rows])
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -100,11 +121,14 @@ def _grid(args) -> np.ndarray:
     lo, hi = args.lo, args.hi
     if args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
-    if not (0.0 <= lo < hi <= TWO_PI + 1e-12):
+    if not (0.0 <= lo < hi <= TWO_PI):
         raise _Usage(f"range must satisfy 0 <= from < to <= 2*pi, got [{lo}, {hi}]")
     if args.steps < 2:
         raise _Usage("--steps must be at least 2")
-    return np.linspace(lo, hi, args.steps)
+    xs = np.linspace(lo, hi, args.steps)
+    if np.any(np.diff(xs) <= 0.0):
+        raise _Usage(f"--steps {args.steps} points on [{lo}, {hi}] are not strictly increasing")
+    return xs
 
 
 class _Usage(Exception):
@@ -140,7 +164,7 @@ def _cmd_curve(args) -> int:
         vals = law(np.select([xs <= 0.0, xs >= TWO_PI], [1e-12, TWO_PI - 1e-6], xs))
     else:
         vals = law(xs)
-    _emit(DensityCurve(xs, vals).to_csv_string(), args.out)
+    _write_csv(["x", "value"], zip(xs, vals), args.out)
     return 0
 
 
@@ -151,8 +175,9 @@ def _cmd_sample(args) -> int:
     batch = sample_batch(kind, kappa, args.n, rng)
     # KS columns are only meaningful for the unconditional laws.
     ks = verify.primal_ks(batch) if kind is BatchKind.PRIMAL else (None, None)
-    text = montecarlo.summary_csv([batch.summary_row(*ks)])
-    _emit(text, args.out)
+    _write_csv(["kind", "kappa", "n", "seed", "mean_sigma", "mean_tau", "ks_area", "ks_perimeter"],
+               [[kind.value, batch.kappa, batch.n, args.seed, float(np.mean(batch.sigma)),
+                 float(np.mean(batch.tau)), *ks]], args.out)
     return 0
 
 

@@ -26,10 +26,8 @@ suite pins both properties.
 from __future__ import annotations
 
 import enum
-import io
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,34 +72,6 @@ class ConditionalKind(enum.Enum):
     PERIMETER_BISECTOR = "perimeter_bisector"
     PERIMETER_ANGLE_COORDS = "perimeter_angle_coords"
     AREA_SIDE_COORDS = "area_side_coords"
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """A sampled (x, value) table of a density or CDF, as float arrays."""
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("xs", "values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        xs = self.xs
-        if xs.shape != self.values.shape or xs.ndim != 1:
-            raise ValueError("xs and values must be 1-D of equal length")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-        if xs.size and (xs[0] < -1e-12 or xs[-1] > TWO_PI + 1e-12):
-            raise ValueError("xs must lie within [0, 2*pi]")
-        if np.any(self.values < -1e-12):
-            raise ValueError("curve values must be nonnegative")
-
-    def to_csv_string(self) -> str:
-        """`x,value` rows at full round-trip precision (17 digits), under that header."""
-        buf = io.StringIO()
-        np.savetxt(buf, np.column_stack([self.xs, self.values]), fmt="%.17g",
-                   delimiter=",", header="x,value", comments="")
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +379,8 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
     where the density rises like c/sqrt(2*pi - tau), it is off by up to
     8.3e-4 (at tau ~ 6.21) for 256 and 600 steps alike. perimeter_cdf
     itself evaluates 10^6 sorted samples in about 0.1 s, so a KS distance
-    needs no interpolant; the library no longer uses this grid, which the
-    benchmark keeps as its KS reference.
+    needs no interpolant. The grid is the benchmark's KS reference, to be
+    deleted under ROADMAP item 6.
     """
     xs = np.concatenate([
         np.linspace(0.0, TWO_PI - 0.1, max(steps - 25, 8)),

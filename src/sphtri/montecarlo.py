@@ -8,9 +8,7 @@ is evidence for both.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,39 +52,10 @@ class SampleBatch:
     tau: np.ndarray
     coord_u: np.ndarray | None
     coord_v: np.ndarray | None
-    seed: int
-    stream_id: int
 
     @property
     def n(self) -> int:
         return len(self.sigma)
-
-    def summary_row(
-        self,
-        ks_area: float | None = None,
-        ks_perimeter: float | None = None,
-    ) -> list[str]:
-        return [
-            self.kind.value,
-            "" if self.kappa is None else f"{self.kappa:.17g}",
-            str(self.n),
-            str(self.seed),
-            f"{float(np.mean(self.sigma)):.17g}",
-            f"{float(np.mean(self.tau)):.17g}",
-            "" if ks_area is None else f"{ks_area:.17g}",
-            "" if ks_perimeter is None else f"{ks_perimeter:.17g}",
-        ]
-
-
-SUMMARY_HEADER = ["kind", "kappa", "n", "seed", "mean_sigma", "mean_tau", "ks_area", "ks_perimeter"]
-
-
-def summary_csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 class EmpiricalCdf:
@@ -175,9 +144,7 @@ def sample_batch(
             coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
         sigma[lo:hi] = sphere._excess(*V, al, be, ga)
         tau[lo:hi] = a + b + c
-    return SampleBatch(
-        kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id
-    )
+    return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v)
 
 
 def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray]) -> float:

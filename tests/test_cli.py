@@ -1,22 +1,37 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sphtri import verify
 from sphtri.cli import run
 from sphtri.distributions import (
     ConditionalKind,
-    DensityCurve,
     area_cdf,
     area_density,
     conditional_cdf,
     perimeter_cdf,
     perimeter_density,
 )
+from sphtri.montecarlo import BatchKind, sample_batch
+from sphtri.sphere import RngStream
 
 PI = math.pi
 TWO_PI = 2.0 * PI
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _table(xs, values):
+    """The curve CSV as np.savetxt writes it: `x,value`, then rows at 17 digits."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([xs, values]), fmt="%.17g", delimiter=",",
+               header="x,value", comments="")
+    return buf.getvalue()
 
 
 def test_perimeter_density_at_pi(capsys):
@@ -67,7 +82,7 @@ def test_perimeter_cdf_at_and_table(capsys, tmp_path):
     assert run(["cdf", "--kind", "perimeter", "--from", "1", "--to", "3",
                 "--steps", "3", "--out", str(out)]) == 0
     xs = np.linspace(1.0, 3.0, 3)
-    assert out.read_text() == DensityCurve(xs, perimeter_cdf(xs)).to_csv_string()
+    assert out.read_text() == _table(xs, perimeter_cdf(xs))
 
 
 def _conditional_law(kind, kappa):
@@ -88,13 +103,49 @@ def _conditional_law(kind, kappa):
 ], ids=["density-area", "density-perimeter", "cdf-area", "cdf-perimeter",
         "conditional-perimeter_given_side", "conditional-area_median"])
 def test_curve_table_is_the_law_on_the_grid(argv, law, capsys):
-    # Golden: each table over [0, 2*pi] is DensityCurve(xs, law(xs)), finite throughout.
+    # Golden: each table over [0, 2*pi] is np.savetxt's of law(xs), finite throughout.
     assert run(argv + ["--from", "0", "--to", repr(TWO_PI), "--steps", "9"]) == 0
     out = capsys.readouterr().out
     xs = np.linspace(0.0, TWO_PI, 9)
-    assert out == DensityCurve(xs, law(xs)).to_csv_string()
+    assert out == _table(xs, law(xs))
     values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)[:, 1]
     assert np.all(np.isfinite(values))
+
+
+CURVE_COMMANDS = [
+    ["density", "--kind", "area"],
+    ["density", "--kind", "perimeter"],
+    ["cdf", "--kind", "area"],
+    ["cdf", "--kind", "perimeter"],
+    ["conditional", "--kind", "perimeter_given_side"],
+]
+
+
+@pytest.mark.parametrize("argv", CURVE_COMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
+def test_grid_ends_at_two_pi(argv, capsys):
+    # --degrees converts kappa too: 60 degrees is radians(60) radians.
+    def kappa(degrees):
+        if argv[0] != "conditional":
+            return []
+        return ["--kappa", "60"] if degrees else ["--kappa", repr(math.radians(60))]
+
+    # One float above 2*pi is outside every law's domain: a usage error.
+    assert run(argv + kappa(False) + ["--from", "1", "--to",
+                                      repr(math.nextafter(TWO_PI, 7.0)), "--steps", "3"]) == 1
+    assert "0 <= from < to <= 2*pi" in capsys.readouterr().err
+    # radians(360) is 2*pi exactly, so the degree grid is the radian one.
+    assert run(argv + kappa(True) + ["--from", "0", "--to", "360", "--degrees",
+                                     "--steps", "5"]) == 0
+    degrees = capsys.readouterr().out
+    assert run(argv + kappa(False) + ["--from", "0", "--to", repr(TWO_PI), "--steps", "5"]) == 0
+    assert degrees == capsys.readouterr().out
+
+
+def test_grid_that_does_not_increase_is_a_usage_error(capsys):
+    # Five points between two adjacent floats cannot all differ.
+    assert run(["density", "--kind", "area", "--from", "1", "--to", "1.0000000000000002",
+                "--steps", "5"]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,6 +207,56 @@ def test_sample_summary_schema(capsys, tmp_path):
     fields = lines[1].split(",")
     assert fields[0] == "primal_given_side"
     assert int(fields[2]) == 1000
+
+
+SUMMARY_HEADER = "kind,kappa,n,seed,mean_sigma,mean_tau,ks_area,ks_perimeter\n"
+
+
+def _summary(kind, kappa, n, seed):
+    """The one-row batch summary, formatted here from the library's numbers."""
+    batch = sample_batch(kind, kappa, n, RngStream(seed))
+    ks = verify.primal_ks(batch) if kind is BatchKind.PRIMAL else None
+    fields = [kind.value, "" if kappa is None else f"{kappa:.17g}", str(n), str(seed),
+              f"{float(np.mean(batch.sigma)):.17g}", f"{float(np.mean(batch.tau)):.17g}",
+              *(["", ""] if ks is None else [f"{d:.17g}" for d in ks])]
+    return SUMMARY_HEADER + ",".join(fields) + "\n"
+
+
+@pytest.mark.parametrize("argv,kind,kappa,row_start", [
+    (["--kind", "primal"], BatchKind.PRIMAL, None, "primal,,1000,3,"),
+    (["--kind", "primal_given_side", "--kappa", "1"], BatchKind.PRIMAL_GIVEN_SIDE, 1.0,
+     "primal_given_side,1,1000,3,"),
+], ids=["primal", "primal_given_side"])
+def test_sample_golden(argv, kind, kappa, row_start, capsys):
+    # The primal row fills both KS columns; a conditional one fills kappa and leaves them empty.
+    assert run(["sample", *argv, "--n", "1000", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == _summary(kind, kappa, 1000, 3)
+    row = out.split("\n")[1]
+    assert row.startswith(row_start)
+    ks = row.split(",")[6:]
+    assert all(ks) if kind is BatchKind.PRIMAL else ks == ["", ""]
+
+
+@pytest.mark.parametrize("command", ["sample --kind primal", "verify"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_n_below_one_is_a_usage_error(command, n, capsys):
+    assert run([*command.split(), "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument --n: must be at least 1, got {n}" in err
+
+
+def test_exit_codes_through_the_process_boundary(capsys):
+    # main() turns run()'s code into the process's exit status.
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "sphtri.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+    done = cli("density", "--kind", "area", "--at", "1")
+    assert run(["density", "--kind", "area", "--at", "1"]) == 0
+    assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+    done = cli("verify", "--n", "0")
+    assert done.returncode == 1 and "usage:" in done.stderr
 
 
 def test_byte_identical_reruns(tmp_path):

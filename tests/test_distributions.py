@@ -9,7 +9,6 @@ import pytest
 from sphtri import distributions
 from sphtri.distributions import (
     ConditionalKind,
-    DensityCurve,
     DensityKind,
     area_cdf,
     area_density,
@@ -222,11 +221,10 @@ class TestAreaLawArrays:
         # one adaptive integral a point.
         xs = np.linspace(0.0, TWO_PI, 500)
         start = time.perf_counter()
-        pdf = DensityCurve(xs, area_density(xs))
-        cdf = DensityCurve(xs, area_cdf(xs))
+        pdf, cdf = area_density(xs), area_cdf(xs)
         assert time.perf_counter() - start < 0.05
-        assert pdf.values[250] == area_density(float(xs[250]))
-        assert cdf.values[250] == area_cdf(float(xs[250]))
+        assert pdf[250] == area_density(float(xs[250]))
+        assert cdf[250] == area_cdf(float(xs[250]))
 
 
 class TestPerimeterDensity:
@@ -532,9 +530,9 @@ class TestPerimeterDensityRule:
         # point for the adaptive route.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
-        curve = DensityCurve(xs, perimeter_density(np.maximum(xs, 1e-12)))
+        values = perimeter_density(np.maximum(xs, 1e-12))
         assert time.perf_counter() - start < 0.5
-        assert curve.values[250] == perimeter_density(float(xs[250]))
+        assert values[250] == perimeter_density(float(xs[250]))
 
     def test_million_points_and_scalar_calls_are_fast(self):
         # About 0.11 s for 10^6 points and 5 us a scalar call on a 2-CPU
@@ -616,9 +614,9 @@ class TestPerimeterCdf:
         # integral a point.
         xs = np.linspace(0.0, TWO_PI - 1e-6, 500)
         start = time.perf_counter()
-        curve = DensityCurve(xs, perimeter_cdf(xs))
+        values = perimeter_cdf(xs)
         assert time.perf_counter() - start < 0.5
-        assert curve.values.tobytes() == perimeter_cdf(xs).tobytes()
+        assert values.tobytes() == perimeter_cdf(xs).tobytes()
 
     def test_million_points_and_scalar_calls_are_fast(self):
         # About 0.1 s for 10^6 points and 6 us a scalar call on a 2-CPU host;
@@ -1418,30 +1416,3 @@ class TestRegionBoundary:
         rho = np.linspace(0.0, PI, 9)
         curve = region_boundary(ConditionalKind.PERIMETER_GIVEN_SIDE, x, x / 2)(rho)
         assert np.array_equal(curve, np.zeros_like(rho))
-
-
-class TestDensityCurve:
-    def test_csv_schema_and_precision(self):
-        xs = np.array([0.5, 1.0, 1.5])
-        curve = DensityCurve(xs, area_density(xs))
-        text = curve.to_csv_string()
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,value"
-        assert len(lines) == 4
-        x, v = lines[1].split(",")
-        assert float(x) == 0.5
-        assert float(v) == area_density(0.5)  # 17 digits round-trip
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityCurve((1.0, 1.0), (0.1, 0.2))
-        with pytest.raises(ValueError):
-            DensityCurve((1.0, 2.0), (0.1, -0.2))
-        with pytest.raises(ValueError):
-            DensityCurve((1.0, 9.0), (0.1, 0.2))
-
-    def test_conditional_table(self):
-        xs = [1.0, 2.0, 3.0]
-        curve = DensityCurve(xs, [conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, x, 1.0)
-                                  for x in xs])
-        assert all(0 <= v <= 1 for v in curve.values)

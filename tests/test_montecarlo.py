@@ -10,14 +10,12 @@ from sphtri.distributions import ConditionalKind, area_cdf, conditional_cdf, per
 from sphtri.errors import DegenerateDual
 from sphtri.montecarlo import (
     BLOCK,
-    SUMMARY_HEADER,
     BatchKind,
     EmpiricalCdf,
     SampleBatch,
     ks_distance,
     region_coverage,
     sample_batch,
-    summary_csv,
 )
 from sphtri.sphere import RngStream
 
@@ -70,7 +68,7 @@ def reference_sample_batch(kind, kappa, n, rng):
         coord_u, coord_v = c, be
     sigma = sphere._excess(A, B, C, al, be, ga)
     tau = a + b + c
-    return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v, rng.seed, rng.stream_id)
+    return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v)
 
 
 def reference_ks_distance(emp, analytic):
@@ -154,14 +152,6 @@ class TestSampleBatch:
         b = primal_batch_1m
         se = float(np.std(b.sigma)) / math.sqrt(b.n)
         assert abs(float(np.mean(b.sigma)) - PI / 2) < 3 * se
-
-    def test_summary_csv(self, primal_batch_1m):
-        text = summary_csv([primal_batch_1m.summary_row(0.001, 0.002)])
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(SUMMARY_HEADER)
-        fields = lines[1].split(",")
-        assert fields[0] == "primal"
-        assert int(fields[2]) == primal_batch_1m.n
 
 
 class TestBlockedSampler:
