@@ -215,13 +215,14 @@ def jacobian_fd_check(coords: CoordTriple):
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
     h = 1e-5
-
-    def pt(u, v):
-        return embedding_point(CoordTriple(coords.kind, u, v, coords.kappa))
-
-    u, v = coords.u, coords.v
-    du = (pt(u + h, v) - pt(u - h, v)) / (2.0 * h)
-    dv = (pt(u, v + h) - pt(u, v - h)) / (2.0 * h)
+    # The four shifted points (u +- h, v) and (u, v +- h) in one embedding
+    # call, stacked on a new first axis of u and v's broadcast shape.
+    u, v = np.broadcast_arrays(coords.u, coords.v)
+    us = np.stack([u + h, u - h, u, u])
+    vs = np.stack([v, v, v + h, v - h])
+    p = embedding_point(CoordTriple(coords.kind, us, vs, coords.kappa))
+    du = (p[0] - p[1]) / (2.0 * h)
+    dv = (p[2] - p[3]) / (2.0 * h)
     fd = np.linalg.norm(np.cross(du, dv), axis=-1)
     exact = area_element(coords)
     err = np.abs(fd - exact) / np.abs(exact)

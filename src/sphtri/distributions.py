@@ -36,7 +36,7 @@ from .coords import angle_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import (
-    QuadratureSpec, _agm_KE, _blocked, _check_tol, _integrate_rows,
+    QuadratureSpec, _GroupedSpec, _agm_KE, _blocked, _check_tol, _integrate_rows,
     carlson_rf_rd, ellip_E, ellip_K, integrate,
 )
 
@@ -403,36 +403,52 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 _OUTER_ROWS = 4
 
 
-def _nested(f, bounds, lo: float, hi: float, spec: QuadratureSpec,
-            inner_singular: bool = False) -> float:
-    """Integral over u in [lo, hi] of the integral of f(u, t) dt over bounds(u) = (a, b).
+def _nested(f, bounds, lo, hi, spec: QuadratureSpec, inner_singular: bool = False) -> np.ndarray:
+    """For each k, the integral over u in [lo[k], hi[k]] of the integral of f(k, u, t) dt over bounds(k, u).
 
-    Both integrals run on _integrate_rows (Shampine, J. Comput. Appl.
-    Math. 211, 2008). The outer one is _OUTER_ROWS equal rows of [lo, hi],
-    each held to spec.tol / _OUTER_ROWS as integrate divides its tolerance
-    among pieces, and each carrying spec's singular flags (at a row's
-    interior end a flag only adds a u^2 map). Each outer step makes one
-    inner call, whose rows are all the outer nodes us of that step, held to
-    spec.tol / 10 so that their errors stay below the outer tolerance, with
-    both ends flagged singular when inner_singular. So f(u, t) gets a column
-    of nodes u against rows of abscissae t, and bounds(us) takes a 1-D
-    array and returns floats or arrays that broadcast against it.
+    lo is a 1-D array, one element k per x of an array call (a float call
+    passes one), and hi a float or an array like lo. Both integrals run on _integrate_rows
+    (Shampine, J. Comput. Appl. Math. 211, 2008). The outer rows are
+    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], hi[k]], each held
+    to spec.tol / _OUTER_ROWS as integrate divides its tolerance among
+    pieces, and each carrying spec's singular flags (at a row's interior
+    end a flag only adds a u^2 map). Each outer step makes one inner call,
+    whose rows are all the (k, u) nodes of that step, held to spec.tol / 10
+    so that their errors stay below the outer tolerance, with both ends
+    flagged singular when inner_singular. So f(k, u, t) gets columns of
+    indices k and nodes u against rows of abscissae t, and bounds(k, us)
+    takes 1-D arrays and returns floats or arrays that broadcast against
+    them. Each k is a budget group of both calls: it gets the panels its
+    scalar call would, whatever the others spend.
 
     Each step of either integral quarters the panels it refines (see
     _integrate_rows): AREA_SIDE_COORDS 1e-3 past the wedge edge at
     x = 0.85, the slowest benchmark probe, evaluates 12,960 Jacobian
     points as the two-angle integral at its polar point.
     """
-    inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
-    outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
+    n = lo.size
+    inner_tol = spec.tol / 10.0
 
-    def outer(_, us):
+    def outer(i, us):
+        k = np.repeat(i.ravel() // _OUTER_ROWS, us.shape[1])
         flat = us.ravel()
-        a, b = (np.broadcast_to(v, flat.shape) for v in bounds(flat))
-        return _integrate_rows(lambda i, t: f(flat[i], t), a, b, inner_spec)[0].reshape(us.shape)
+        a, b = (np.full(flat.shape, v) for v in bounds(k, flat))
+        inner_spec = _GroupedSpec(inner_tol, inner_singular, inner_singular, groups=k)
+        return _integrate_rows(lambda r, t: f(k[r], flat[r], t), a, b,
+                               inner_spec)[0].reshape(us.shape)
 
-    edges = np.linspace(lo, hi, _OUTER_ROWS + 1)
-    return float(_integrate_rows(outer, edges[:-1], edges[1:], outer_spec)[0].sum())
+    # np.linspace(lo, hi, _OUTER_ROWS + 1) of each x, in its arithmetic.
+    edges = np.arange(_OUTER_ROWS + 1) * ((hi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    outer_spec = _GroupedSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right,
+                              groups=np.repeat(np.arange(n), _OUTER_ROWS))
+    values = _integrate_rows(outer, edges[:, :-1].ravel(), edges[:, 1:].ravel(), outer_spec)[0]
+    return values.reshape(n, _OUTER_ROWS).sum(axis=1)
+
+
+def _radicand(half, sx, kappa, rho):
+    """radicand_perimeter from x/2 and sin(x/2), which broadcast against kappa and rho."""
+    return 4.0 * np.sin(half - rho) * np.sin(half - kappa) * sx * np.sin(rho + kappa - half)
 
 
 def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
@@ -444,38 +460,53 @@ def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
     pi - kappa, pi - rho) flips two of its four factors, so the dual-area
     radicand in theta is the primal-perimeter one in rho.
     """
-    rho = np.asarray(rho, dtype=float)
-    return (4.0 * np.sin(x / 2 - rho) * np.sin(x / 2 - kappa) * math.sin(x / 2)
-            * np.sin(rho + kappa - x / 2))
+    return _radicand(x / 2, math.sin(x / 2), kappa, np.asarray(rho, dtype=float))
 
 
-def _sqrt_inner(x: float):
-    """Inner integral of the square-root double integrals, at the dual area x: (f, bounds).
+def _sqrt_inner(x: np.ndarray):
+    """Inner integral of the square-root double integrals, at the dual areas x: (f, bounds).
 
     It integrates -sin(x - kappa - t) sin(kappa) sin(t) / sqrt(radicand) dt
     over the theta-band [x/2, pi - kappa + x/2], whose ends a quadrature
     must flag as singular. The primal perimeter's rho-band [x/2 - kappa, x/2]
     is its polar image, so PERIMETER_PRIMAL runs it at _polar(x); this form
-    takes x itself at the singular end x -> 0. f and bounds take floats or arrays.
+    takes x itself at the singular end x -> 0. x is a 1-D array; f(k, kappa, t)
+    and bounds(k, kappa) take the index k of x, with x/2 and sin(x/2) of
+    each x computed here once and gathered by k.
     """
-    def f(k, t):
-        rad = radicand_perimeter(x, k, t)
+    half = 0.5 * x
+    sx = np.sin(half)
+
+    def f(k, kappa, t):
+        h = half[k]
+        rad = _radicand(h, sx[k], kappa, t)
         # The radicand can round to 0 or below at a node next to a band end,
         # and underflows at tiny x; the integrand is then not resolved.
         if not rad.min() > 0.0:  # NaN fails too
-            raise ToleranceNotMet(f"the radicand at x = {x!r} rounds to 0 inside the band")
-        return -np.sin(x - k - t) * np.sin(k) * np.sin(t) / np.sqrt(rad)
+            at = float(x[np.broadcast_to(k, rad.shape)[~(rad > 0.0)][0]])
+            raise ToleranceNotMet(f"the radicand at x = {at!r} rounds to 0 inside the band")
+        return -np.sin(x[k] - kappa - t) * np.sin(kappa) * np.sin(t) / np.sqrt(rad)
 
-    return f, lambda k: (x / 2, math.pi - (k - x / 2))
+    def bounds(k, kappa):
+        h = half[k]
+        return h, math.pi - (kappa - h)
+
+    return f, bounds
 
 
-def elliptic_reduction_gap(x: float, kappa: float) -> float:
+def elliptic_reduction_gap(x, kappa):
     """|quadrature - elliptic closed form| of the fixed-angle inner integral, 0 < x/2 < kappa < pi.
 
         Integral_{x/2}^{pi-kappa+x/2} -sin(x-kappa-theta) sin(kappa) sin(theta)
             / sqrt(radicand) d theta
       = [E(cos(kappa/2)) - sin^2((x-kappa)/2) K(cos(kappa/2))]
             / sqrt(sin(x/2) sin(kappa - x/2)) * sin(kappa)
+
+    x and kappa are floats or arrays that broadcast; two floats give a
+    float. The integrals at all points are the rows of one _integrate_rows
+    call, at tol 1e-11 with both ends flagged, and each point gets the
+    panel budget of its own call. Raises ValueError when any point lies
+    outside the domain.
 
     The fixed-side reduction, the rho-integral over [x/2 - kappa, x/2] for
     0 < kappa < x/2 < pi against E(sin(kappa/2)) and K(sin(kappa/2)), is
@@ -484,74 +515,88 @@ def elliptic_reduction_gap(x: float, kappa: float) -> float:
     No symbolic proof of this evaluation is known; driving the gap below
     tolerance on a grid is the numerical settlement.
     """
-    if not 0.0 < x / 2 < kappa < math.pi:
+    x, kappa = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(kappa, dtype=float))
+    shape = x.shape
+    x, kappa = x.ravel(), kappa.ravel()
+    if not np.all((0.0 < x / 2) & (x / 2 < kappa) & (kappa < math.pi)):
         raise ValueError("requires 0 < x/2 < kappa < pi")
-    z = math.cos(kappa / 2)
-    rhs = ((ellip_E(z) - math.sin((x - kappa) / 2) ** 2 * ellip_K(z))
-           / math.sqrt(math.sin(x / 2) * math.sin(kappa - x / 2)) * math.sin(kappa))
+    z = np.cos(kappa / 2)
+    rhs = ((ellip_E(z) - np.sin((x - kappa) / 2) ** 2 * ellip_K(z))
+           / np.sqrt(np.sin(x / 2) * np.sin(kappa - x / 2)) * np.sin(kappa))
     f, bounds = _sqrt_inner(x)
-    lhs = integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(1e-11, True, True)).value
-    return abs(lhs - rhs)
+    rows = np.arange(x.size)
+    a, b = bounds(rows, kappa)
+    lhs = _integrate_rows(lambda r, t: f(r, kappa[r], t), a, b,
+                          _GroupedSpec(1e-11, True, True, groups=rows))[0]
+    gap = np.abs(lhs - rhs)
+    return float(gap[0]) if not shape else gap.reshape(shape)
 
 
-def _smooth_density_inner(x: float):
-    """Inner integral of the arctan-form double integrals, at the dual perimeter x: (f, bounds).
+def _smooth_density_inner(x: np.ndarray):
+    """Inner integral of the arctan-form double integrals, at the dual perimeters x: (f, bounds).
 
     It runs over rho in [0, x/2] with s = sin(x/2 - rho), taken in
     t = rho / (x/2) over [0, 1], with every sine divided by sin(x/2),
     because at tiny x the squares of the sines underflow; where sin(x/2) is
     0 that raises OutOfDomain. The primal area's theta-form is its polar
     image, so AREA_PRIMAL runs it at _polar(x). The sin(kappa) density
-    weight of the fixed element is folded in, so the outer integral is unweighted.
+    weight of the fixed element is folded in, so the outer integral is
+    unweighted. x is a 1-D array, taken by index as in _sqrt_inner.
     """
-    sx = math.sin(x / 2)
-    if sx == 0.0:
-        raise OutOfDomain(f"sin(x/2) is 0 at x = {x!r}")
-    weight = (x / 2) / sx  # d rho / dt, over the 1/sin(x/2) that the divided sines leave out
+    half = 0.5 * x
+    sx = np.sin(half)
+    if not sx.all():
+        raise OutOfDomain(f"sin(x/2) is 0 at x = {float(x[sx == 0.0][0])!r}")
+    weight = half / sx  # d rho / dt, over the 1/sin(x/2) that the divided sines leave out
 
-    def f(k, t):
-        ck = np.cos(k)
-        s, st = np.sin(x / 2 * (1.0 - t)) / sx, np.sin(x / 2 * t) / sx
+    def f(k, kappa, t):
+        h, s_x = half[k], sx[k]
+        ck = np.cos(kappa)
+        s, st = np.sin(h * (1.0 - t)) / s_x, np.sin(h * t) / s_x
         d = (1.0 - ck) + (1.0 + ck) * s ** 2
-        return np.sin(k) * ((1.0 - ck) * (1.0 + ck) * weight) * s * st / d ** 2
+        return np.sin(kappa) * ((1.0 - ck) * (1.0 + ck) * weight[k]) * s * st / d ** 2
 
-    return f, lambda k: (0.0, 1.0)
+    return f, lambda k, kappa: (0.0, 1.0)
 
 
-def density_via_double_integral(kind: DensityKind, x: float, tol: float = 1e-9) -> float:
+def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     """The unconditional density by nested quadrature of its exact double integral.
 
-    The outer variable is the fixed element (side or angle), weighted by
-    its own density sin(kappa)/2; the inner integral is the conditional
-    density for that fixed element. Slower than the closed/1-D forms by
-    construction; exists to cross-check them. PERIMETER_PRIMAL and
-    AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at _polar(x). Each
+    x is a float or an array in (0, 2*pi); a float gives a float and an
+    array an array of its shape. The outer variable is the fixed element
+    (side or angle), weighted by its own density sin(kappa)/2; the inner
+    integral is the conditional density for that fixed element. Slower
+    than the closed/1-D forms by construction; exists to cross-check them.
+    PERIMETER_PRIMAL and AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at
+    _polar(x). An array runs as one _nested call whose outer rows are
+    (x, quarter), and each x gets the panel budget of its own call. Each
     integral is accepted at tol * max(1, |value|), a bound that is absolute
     below 1, so a tiny density carries no relative guarantee: PERIMETER_PRIMAL
     at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
-    ToleranceNotMet where an integral misses its tolerance, and where the
-    square-root kinds' radicand rounds to 0 inside a band (at tol 1e-16 or
-    tiny x, say).
+    ToleranceNotMet where an integral at any x misses its tolerance, and
+    where the square-root kinds' radicand rounds to 0 inside a band (at
+    tol 1e-16 or tiny x, say).
     """
-    if not 0.0 < x < TWO_PI:
-        raise ValueError("x must lie strictly inside (0, 2*pi)")
+    x = _law_argument(x, "x", ends=False)
+    xs = np.array(x, dtype=float).ravel()
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_PRIMAL:
-        x = _polar(x)
+        xs = _polar(xs)
     # The inner integral of the two square-root kinds itself diverges like
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL:
-        f, bounds = _sqrt_inner(x)
-        lo, scale, ends = x / 2, 1.0 / (4.0 * math.pi), (True, False)
+        f, bounds = _sqrt_inner(xs)
+        lo, scale, ends = xs / 2, 1.0 / (4.0 * math.pi), (True, False)
     else:
-        f, bounds = _smooth_density_inner(x)
-        lo, scale, ends = 0.0, 1.0 / (2.0 * math.pi), (False, False)
+        f, bounds = _smooth_density_inner(xs)
+        lo, scale, ends = np.zeros_like(xs), 1.0 / (2.0 * math.pi), (False, False)
     # Both inner ends are flagged for every kind. The square-root kinds'
     # radicand vanishes at both band ends. The smooth kinds' integrand peaks
     # next to t = 1 as x nears 2*pi, which the unmapped rule missed by 1.5e-6
     # (AREA_PRIMAL at x = 1e-4).
-    return scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
+    values = scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
+    return float(values[0]) if isinstance(x, float) else values.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -826,13 +871,13 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
     if kappa >= x / 2:
         return 0.0
 
-    def bounds(us):  # the boundary psi = h(phi); h = 0 gives 0
+    def bounds(_, us):  # the boundary psi = h(phi); h = 0 gives 0
         cos_psi = solved_forms(SolvedFormKind.ANGLE_PSI, us, x, kappa)
         return 0.0, np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
-    value = _nested(lambda u, v: angle_jacobian(u, v, kappa), bounds, 0.0, math.pi,
+    value = _nested(lambda _, u, v: angle_jacobian(u, v, kappa), bounds, np.zeros(1), math.pi,
                     QuadratureSpec(tol))
-    return value / TWO_PI
+    return float(value[0]) / TWO_PI
 
 
 def conditional_cdf(

@@ -68,36 +68,42 @@ class SolvedFormKind(enum.Enum):
 
 
 def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
-    """Residuals of all six identities for one triangle or a batch of them."""
+    """Residuals of all six identities for one triangle or a batch of them.
+
+    Each sine and cosine that two identities share is taken once.
+    """
     a, b, c = m.a, m.b, m.c
     al, be, ga = m.alpha, m.beta, m.gamma
     sig, tau = m.sigma, m.tau
+    sin_b, sin_c, cos_b, cos_c = np.sin(b), np.sin(c), np.cos(b), np.cos(c)
+    sin_al, sin_be, cos_al, cos_be = np.sin(al), np.sin(be), np.cos(al), np.cos(be)
+    sin_sig2, sin_tau2 = np.sin(sig / 2), np.sin(tau / 2)
 
     r1 = abs(
         np.sin(al - sig / 2) * np.sin(b / 2) * np.sin(c / 2)
-        - np.cos(b / 2) * np.cos(c / 2) * np.sin(sig / 2)
+        - np.cos(b / 2) * np.cos(c / 2) * sin_sig2
     )
     r2 = abs(
-        np.sin(b) * np.sin(c) * np.cos(al)
-        - np.sin(tau - c) * np.sin(b)
-        - (np.cos(tau - c) - np.cos(c)) * np.cos(b)
+        sin_b * sin_c * cos_al
+        - np.sin(tau - c) * sin_b
+        - (np.cos(tau - c) - cos_c) * cos_b
     )
     r3 = abs(
         np.sin(tau / 2 - c) * np.cos(al / 2) * np.cos(be / 2)
-        - np.sin(al / 2) * np.sin(be / 2) * np.sin(tau / 2)
+        - np.sin(al / 2) * np.sin(be / 2) * sin_tau2
     )
     r4 = abs(
-        -np.sin(al) * np.sin(be) * np.cos(c)
-        - np.sin(sig - al) * np.sin(be)
-        - (np.cos(sig - al) - np.cos(al)) * np.cos(be)
+        -sin_al * sin_be * cos_c
+        - np.sin(sig - al) * sin_be
+        - (np.cos(sig - al) - cos_al) * cos_be
     )
     r5 = abs(
-        np.sin(sig / 2) * (1 + np.cos(a) + np.cos(b) + np.cos(c))
-        - np.cos(sig / 2) * np.sin(a) * np.sin(b) * np.sin(ga)
+        sin_sig2 * (1 + np.cos(a) + cos_b + cos_c)
+        - np.cos(sig / 2) * np.sin(a) * sin_b * np.sin(ga)
     )
     r6 = abs(
-        np.sin(tau / 2) * (np.cos(al) + np.cos(be) + np.cos(ga) - 1)
-        - np.cos(tau / 2) * np.sin(al) * np.sin(be) * np.sin(c)
+        sin_tau2 * (cos_al + cos_be + np.cos(ga) - 1)
+        - np.cos(tau / 2) * sin_al * sin_be * sin_c
     )
     return IdentityResiduals(r1, r2, r3, r4, r5, r6)
 

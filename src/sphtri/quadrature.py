@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,8 @@ del _weights_g
 
 
 # Panels one call of integrate or _integrate_rows may evaluate, as
-# QUADPACK's limit (Piessens et al., 1983); the first panel of each piece
+# QUADPACK's limit (Piessens et al., 1983), or one group of rows of an
+# _integrate_rows call (see _GroupedSpec); the first panel of each piece
 # or row is always evaluated. An inner call of distributions._nested
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
@@ -98,6 +99,19 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _check_tol(self.tol)
+
+
+@dataclass(frozen=True)
+class _GroupedSpec(QuadratureSpec):
+    """A spec for _integrate_rows whose rows fall in groups, each with its own panel budget.
+
+    groups[r] is the group of row r, an int from 0 up. The array calls of
+    the double integrals and of the elliptic reduction make each x a
+    group, so that an x raises ToleranceNotMet where its scalar call would,
+    and never because its neighbours spent its panels.
+    """
+
+    groups: np.ndarray = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -319,7 +333,9 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     failing row's best estimate attached, when a row that misses its
     tolerance has only panels at the width floor left to split, or when a
     step would take the call past _PANEL_BUDGET panels. Both limits are
-    those of integrate.
+    those of integrate. A _GroupedSpec gives its rows groups, and the
+    budget is then each group's: a step fails only when it would take a
+    group past _PANEL_BUDGET.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -330,10 +346,12 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     # Piece k of _pieces is the block of virtual rows j = k * a.size + row,
     # integrated side by side with the others; owner[j] is the row.
     pieces = _pieces(a, b, spec, np.sqrt)
-    owner = np.tile(np.arange(a.size), len(pieces))
+    # np.concatenate and np.full, not np.tile and np.broadcast_to, whose
+    # Python-level code took 8% of a double integral's time.
+    owner = np.concatenate([np.arange(a.size)] * len(pieces))
 
     def column(k):
-        return np.concatenate([np.broadcast_to(piece[k], a.shape) for piece in pieces])
+        return np.concatenate([np.full(a.shape, piece[k]) for piece in pieces])
 
     lo, hi = column(2), column(3)
     if pieces[0][1] is None:  # unflagged: one piece, whose virtual rows are the rows
@@ -346,6 +364,9 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
 
     tol = spec.tol * (1.0 / len(pieces))
     rows = lo.size
+    # The budget group of each virtual row: one for the call, unless spec gives the rows groups.
+    groups = getattr(spec, "groups", None)
+    group = np.zeros(rows, np.intp) if groups is None else groups[owner]
     # The sums of the accepted virtual rows; the panels of the others, as
     # [pa, pb] of virtual row j with its K15 value and error estimate.
     value, error = np.zeros(rows), np.zeros(rows)
@@ -354,7 +375,7 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
         return np.zeros(a.size), np.zeros(a.size)
     pa, pb = lo[j], hi[j]
     floor = (hi - lo) * _FLOOR
-    spent = j.size
+    used = np.bincount(group[j], minlength=group.max() + 1)  # panels evaluated, per group
     val, err = _row_panels(g, j, pa, pb)
 
     def fail(r, why):
@@ -362,7 +383,8 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
         total = (value + np.bincount(j, val, rows))[mine].sum()
         total_err = (error + np.bincount(j, err, rows))[mine].sum()
         raise ToleranceNotMet(f"row {owner[r]}: {why} (err ~ {total_err:.3e})",
-                              QuadratureResult(float(total), float(total_err), 15 * spent))
+                              QuadratureResult(float(total), float(total_err),
+                                               15 * int(used[group[r]])))
 
     while True:
         total = np.bincount(j, val, rows)
@@ -382,15 +404,17 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
         if stuck.any():
             fail(int(np.argmax(stuck)), "no panel wider than the floor left to split")
         pick = np.flatnonzero(mark)
-        if spent + 4 * pick.size > _PANEL_BUDGET:
-            fail(int(j[pick[0]]), f"panel budget of {_PANEL_BUDGET} exhausted")
+        cj = np.concatenate([j[pick]] * 4)
+        after = used + np.bincount(group[cj], minlength=used.size)
+        if after.max() > _PANEL_BUDGET:  # only a group that splits now can pass its budget
+            fail(int(cj[np.argmax(after[group[cj]] > _PANEL_BUDGET)]),
+                 f"panel budget of {_PANEL_BUDGET} exhausted")
+        used = after
         A, B = pa[pick], pb[pick]
         mid = 0.5 * (A + B)
         q1, q3 = 0.5 * (A + mid), 0.5 * (mid + B)
         ca, cb = np.concatenate([A, q1, mid, q3]), np.concatenate([q1, mid, q3, B])
-        cj = np.tile(j[pick], 4)
         cval, cerr = _row_panels(g, cj, ca, cb)
-        spent += cj.size
         keep = ~mark
         j, pa, pb, val, err = (np.concatenate([v[keep], c]) for v, c in
                                ((j, cj), (pa, ca), (pb, cb), (val, cval), (err, cerr)))

@@ -110,29 +110,30 @@ def elliptic_checks() -> list[Check]:
 def reduction_checks() -> list[Check]:
     """The elliptic reduction against its defining integral, on one grid of 5 x and 10 kappa.
 
-    kappa runs over fractions of the admissible range (x/2, pi) at each x.
+    The grid is one array call. kappa runs over fractions of the
+    admissible range (x/2, pi) at each x.
     The fixed-side reduction is the same equation at the polar point
     (2*pi - x, pi - kappa), which takes fraction f of its range (0, x/2)
     to 1 - f of this one and the x grid onto itself, so this one grid
     holds the fixed-side points too.
     """
-    fractions = (0.15, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.85, 0.9)
-    gaps = (elliptic_reduction_gap(float(x), float(x / 2 + f * (math.pi - x / 2)))
-            for x in np.linspace(0.6, TWO_PI - 0.6, 5) for f in fractions)
+    fractions = np.array([0.15, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.85, 0.9])
+    x = np.linspace(0.6, TWO_PI - 0.6, 5)[:, None]
+    gaps = elliptic_reduction_gap(x, x / 2 + fractions * (math.pi - x / 2))
     return [Check("elliptic reduction", _worst(gaps), 1e-8)]
 
 
 def duality_checks() -> list[Check]:
     """The primal perimeter double integral against the perimeter series, and two exact values.
 
-    The double integral is the dual area's at the polar point, and the
-    series was fitted from the 1-D AGM integral, so the two are
-    independent. The series was fitted to neither exact value: f(pi), and
-    c in sqrt(d) f(2*pi - d) -> c.
+    The double integral runs at its 10 points in one array call. It is
+    the dual area's at the polar point, and the series was fitted from
+    the 1-D AGM integral, so the two are independent. The series was
+    fitted to neither exact value: f(pi), and c in sqrt(d) f(2*pi - d) -> c.
     """
-    gaps = [abs(density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
-                - perimeter_density(float(x)))
-            for x in np.linspace(0.5, TWO_PI - 0.5, 10)]
+    xs = np.linspace(0.5, TWO_PI - 0.5, 10)
+    gaps = np.abs(density_via_double_integral(DensityKind.PERIMETER_PRIMAL, xs, tol=1e-8)
+                  - perimeter_density(xs))
     x = TWO_PI - 1e-12
     delta = 2.0 * math.sin(x / 2)  # the distance to the true 2*pi
     c = 3 * math.pi ** 2 / (math.sqrt(2) * math.gamma(0.25) ** 4)

@@ -301,6 +301,26 @@ def test_conditional_outside_2d_route_domain_exits_1(capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["identities", "jacobians", "elliptic", "reductions", "duality"])
+def test_verify_reruns_in_process_are_byte_identical(suite, capsys):
+    # The parser is built once a process; a second run through it prints the same bytes.
+    outs = []
+    for _ in range(2):
+        assert run(["verify", "--suite", suite]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith(f"== suite: {suite} ==")
+
+
+def test_parser_is_built_once(capsys):
+    import sphtri.cli as cli
+
+    before = cli._build_parser.cache_info()
+    assert run(["density", "--kind", "area", "--at", "1"]) == 0
+    assert run(["cdf", "--kind", "area", "--at", "1"]) == 0
+    after = cli._build_parser.cache_info()
+    assert after.misses <= 1 and after.hits - before.hits >= 1
+
+
 def test_verify_failing_check_exits_2(capsys, monkeypatch):
     from sphtri import verify
 

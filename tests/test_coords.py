@@ -156,13 +156,33 @@ class TestJacobianCheck:
 
     @pytest.mark.parametrize("kind", list(CoordKind))
     def test_array_triple_equals_scalar_calls(self, kind):
-        for us, vs, k in grid_by_kappa():
-            got = jacobian_fd_check(CoordTriple(kind, us, vs, k))
-            assert isinstance(got, np.ndarray) and got.shape == us.shape
-            for g, u, v in zip(got, us, vs):
-                want = jacobian_fd_check(CoordTriple(kind, float(u), float(v), k))
+        # The grid at each kappa, then u and v of different shapes that
+        # broadcast: 4 u with one float v, and an open grid.
+        us, vs = np.linspace(0.4, 2.6, 4), np.linspace(0.5, 2.5, 3)
+        for u, v, k in [*grid_by_kappa(), (us, 1.1, 1.2), (us[:, None], vs[None, :], 1.2)]:
+            got = jacobian_fd_check(CoordTriple(kind, u, v, k))
+            bu, bv = np.broadcast_arrays(u, v)
+            assert isinstance(got, np.ndarray) and got.shape == bu.shape
+            for g, a, b in zip(got.ravel(), bu.ravel(), bv.ravel()):
+                want = jacobian_fd_check(CoordTriple(kind, float(a), float(b), k))
                 assert isinstance(want, float)
                 assert abs(g - want) < 1e-9
+
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_one_embedding_call_equals_four(self, kind):
+        # The verify suite's 10 x 10 grid at one of its kappas, against the
+        # finite difference of four embedding calls, one per shifted point.
+        u, v = np.meshgrid(*[np.linspace(0.15, PI - 0.15, 10)] * 2, indexing="ij")
+        k, h = float(np.linspace(0.3, PI - 0.3, 5)[1]), 1e-5
+
+        def pt(a, b):
+            return embedding_point(CoordTriple(kind, a, b, k))
+
+        du = (pt(u + h, v) - pt(u - h, v)) / (2.0 * h)
+        dv = (pt(u, v + h) - pt(u, v - h)) / (2.0 * h)
+        exact = area_element(CoordTriple(kind, u, v, k))
+        want = np.abs(np.linalg.norm(np.cross(du, dv), axis=-1) - exact) / np.abs(exact)
+        np.testing.assert_array_equal(jacobian_fd_check(CoordTriple(kind, u, v, k)), want)
 
     @pytest.mark.parametrize("kind", list(CoordKind))
     def test_grid(self, kind):

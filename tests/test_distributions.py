@@ -28,7 +28,7 @@ from sphtri.distributions import (
 )
 from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
-from sphtri.quadrature import _BLOCK, QuadratureSpec, ellip_E, ellip_K, integrate
+from sphtri.quadrature import _BLOCK, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -37,8 +37,9 @@ PERIM_AT_PI = 3.0 * math.sqrt(2.0) / 32.0
 
 def theta_band_inner(x, kappa, tol):
     """The library's square-root inner integral, the dual area's theta-band, at one kappa."""
-    f, bounds = _sqrt_inner(x)
-    return integrate(lambda t: f(kappa, t), *bounds(kappa), QuadratureSpec(tol, True, True)).value
+    f, bounds = _sqrt_inner(np.array([x]))  # x is its index 0
+    spec = QuadratureSpec(tol, True, True)
+    return integrate(lambda t: f(0, kappa, t), *bounds(0, kappa), spec).value
 
 
 def rho_band_inner(x, kappa, tol):
@@ -64,13 +65,13 @@ def side_coords_cdf(x, kappa, tol):
     if kappa <= x / 2:
         return 1.0
 
-    def bounds(us):
+    def bounds(_, us):
         cos_eta = solved_forms(SolvedFormKind.SIDE_ETA, us, x, kappa)
         return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0))
 
-    value = distributions._nested(lambda u, v: side_jacobian(u, v, kappa), bounds, 0.0, PI,
-                                  QuadratureSpec(tol))
-    return value / TWO_PI
+    value = distributions._nested(lambda _, u, v: side_jacobian(u, v, kappa), bounds,
+                                  np.zeros(1), PI, QuadratureSpec(tol))
+    return float(value[0]) / TWO_PI
 
 
 class TestAreaDensity:
@@ -890,7 +891,9 @@ class TestPolarDuality:
         real = getattr(distributions, name)
 
         def recorded(*args):
-            calls.append([a for a in args if isinstance(a, float)])
+            # The floats, and the one-element x array of a double integral's float call.
+            calls.append([float(np.ravel(a)[0]) for a in args
+                          if isinstance(a, (float, np.ndarray)) and np.size(a) == 1])
             return real(*args)
 
         monkeypatch.setattr(distributions, name, recorded)
@@ -953,6 +956,90 @@ class TestPolarDuality:
         exact = float(Fraction(TWO_PI) - Fraction(x) + Fraction(distributions._TWO_PI_SHORTFALL))
         v = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, x)
         assert abs(v / tail(exact) - 1.0) <= 1e-12
+
+
+# The reduction grid of verify.reduction_checks: 5 x, 10 fractions of (x/2, pi).
+REDUCTION_X = np.linspace(0.6, TWO_PI - 0.6, 5)[:, None]
+REDUCTION_KAPPA = REDUCTION_X / 2 + np.array([0.15, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.85,
+                                              0.9]) * (PI - REDUCTION_X / 2)
+
+
+class TestArrayX:
+    """density_via_double_integral and elliptic_reduction_gap take arrays of x as their floats."""
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_double_integral_array_equals_scalar_calls(self, kind):
+        xs = np.array([0.3, 1.7, PI, 4.4, 6.0])
+        got = density_via_double_integral(kind, xs, tol=1e-9)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        for g, x in zip(got, xs):
+            assert abs(g - density_via_double_integral(kind, float(x), tol=1e-9)) <= 1e-9
+        grid = density_via_double_integral(kind, xs.reshape(5, 1))
+        assert grid.shape == (5, 1) and np.array_equal(grid[:, 0], got)
+
+    def test_reduction_grid_equals_scalar_calls(self):
+        got = elliptic_reduction_gap(REDUCTION_X, REDUCTION_KAPPA)
+        assert got.shape == REDUCTION_KAPPA.shape == (5, 10)
+        x = np.broadcast_to(REDUCTION_X, REDUCTION_KAPPA.shape)
+        for g, xi, k in zip(got.ravel(), x.ravel(), REDUCTION_KAPPA.ravel()):
+            assert abs(g - elliptic_reduction_gap(float(xi), float(k))) <= 1e-15
+        assert got.max() < 1e-8
+
+    def test_a_float_gives_a_float(self):
+        for x in (2.0, np.float64(2.0), np.array(2.0)):
+            assert type(density_via_double_integral(DensityKind.AREA_DUAL, x)) is float
+            assert type(elliptic_reduction_gap(x, 1.6)) is float
+        assert density_via_double_integral(DensityKind.AREA_DUAL, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, TWO_PI, -1.0, math.nan])
+    def test_one_x_out_of_domain_raises(self, bad):
+        for kind in DensityKind:
+            with pytest.raises(ValueError):
+                density_via_double_integral(kind, np.array([2.0, bad, 3.0]))
+        with pytest.raises(ValueError):
+            elliptic_reduction_gap(np.array([2.0, 2.0]), np.array([1.6, 0.9]))  # kappa < x/2
+        with pytest.raises(ValueError):
+            elliptic_reduction_gap(np.array([2.0, bad]), 1.6)
+
+    def test_radicand_check_names_its_x(self):
+        # Row 1's node t = 1.5 is the band end x/2 of x = 3.0, where the radicand is 0.
+        f, _ = _sqrt_inner(np.array([2.0, 3.0]))
+        with pytest.raises(ToleranceNotMet, match="radicand at x = 3.0 "):
+            f(np.array([[0], [1]]), np.full((2, 1), 1.6), np.array([[1.2, 1.3], [1.5, 1.6]]))
+
+    def test_an_x_that_misses_raises_for_the_whole_array(self):
+        # AREA_PRIMAL at 1e-9 exhausts the panel budget of its own call; the
+        # array raises too, with the same estimate, rather than return the 2.0 entry.
+        with pytest.raises(ToleranceNotMet) as alone:
+            density_via_double_integral(DensityKind.AREA_PRIMAL, 1e-9)
+        for xs in ([2.0, 1e-9], [1e-9, 2.0]):
+            with pytest.raises(ToleranceNotMet, match="panel budget") as info:
+                density_via_double_integral(DensityKind.AREA_PRIMAL, np.array(xs))
+            assert info.value.result == alone.value.result
+
+    def test_each_x_gets_its_own_panel_budget(self, monkeypatch):
+        # At 2.2e-8 and 2.5e-8 an inner call of AREA_PRIMAL evaluates 9,808 and
+        # 7,848 panels: together more than one budget, each within its own.
+        xs = np.array([2.2e-8, 2.5e-8])
+        want = [density_via_double_integral(DensityKind.AREA_PRIMAL, float(x)) for x in xs]
+        panels = []
+        real = distributions._integrate_rows
+
+        def counted(f, a, b, spec):
+            count = [0]
+
+            def g(i, t):
+                count[0] += t.shape[0]
+                return f(i, t)
+            try:
+                return real(g, a, b, spec)
+            finally:
+                panels.append(count[0])
+
+        monkeypatch.setattr(distributions, "_integrate_rows", counted)
+        got = density_via_double_integral(DensityKind.AREA_PRIMAL, xs)
+        assert max(panels) > _PANEL_BUDGET
+        assert np.all(np.abs(got - want) <= 1e-9)
 
 
 class TestEllipticReductions:

@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from sphtri import verify
+from sphtri import distributions, verify
 
 
 def test_nan_value_fails_its_check(monkeypatch):
@@ -25,18 +26,19 @@ def test_nan_value_fails_its_check(monkeypatch):
 
 
 def test_duality_suite_checks_the_double_integral_against_the_series(monkeypatch):
-    # The double integral runs once per point: its primal kind is the dual
-    # one at the polar point, so comparing the two would compare it with itself.
-    kinds = []
+    # The double integral runs in one array call of the primal kind at 10
+    # points, and not of the dual kind too: the primal kind is the dual one
+    # at the polar point, so comparing the two would compare it with itself.
+    calls = []
     real = verify.density_via_double_integral
 
     def recorded(kind, x, tol=1e-9):
-        kinds.append(kind)
+        calls.append((kind, np.shape(x)))
         return real(kind, x, tol)
 
     monkeypatch.setattr(verify, "density_via_double_integral", recorded)
     checks = {c.name: c for c in verify.duality_checks()}
-    assert kinds == [verify.DensityKind.PERIMETER_PRIMAL] * 10
+    assert calls == [(verify.DensityKind.PERIMETER_PRIMAL, (10,))]
     assert checks["perimeter double integral vs series"].value < 1e-10
     assert all(c.ok for c in checks.values())
 
@@ -53,12 +55,45 @@ def test_reduction_grid_holds_the_fixed_side_points(monkeypatch):
     # point (2*pi - x, pi - kappa), so the one grid must hold the images of
     # fixed-side points, kappa at fractions of (0, x/2), as well as its own.
     calls = []
-    monkeypatch.setattr(verify, "elliptic_reduction_gap", lambda x, k: calls.append((x, k)) or 0.0)
+
+    def recorded(x, k):
+        calls.append(np.broadcast_arrays(x, k))
+        return np.zeros(np.broadcast(x, k).shape)
+
+    monkeypatch.setattr(verify, "elliptic_reduction_gap", recorded)
     (check,) = verify.reduction_checks()
     assert check.name == "elliptic reduction" and check.value == 0.0
-    grid = np.array(calls)
-    assert len(set(calls)) == len(calls) == 50
+    assert len(calls) == 1  # one array call
+    grid = np.column_stack([v.ravel() for v in calls[0]])
+    assert len(set(map(tuple, grid))) == len(grid) == 50
     for x in np.linspace(0.6, verify.TWO_PI - 0.6, 5):
         for frac in (0.1, 0.25, 0.4, 0.6, 0.75):
             gaps = np.hypot(grid[:, 0] - (verify.TWO_PI - x), grid[:, 1] - (math.pi - frac * x / 2))
             assert gaps.min() < 1e-12
+
+
+@pytest.mark.parametrize("suite", ["duality", "reductions"])
+def test_integral_suites_make_one_engine_call(monkeypatch, suite):
+    # Each suite's integrals are the rows of one _integrate_rows call (the
+    # outer one of the double integrals, whose inner calls it makes), and
+    # neither runs the heap.
+    def refused(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    outermost, depth = [], [0]
+    real = distributions._integrate_rows
+
+    def counted(f, a, b, spec):
+        if not depth[0]:
+            outermost.append(np.size(a))
+        depth[0] += 1
+        try:
+            return real(f, a, b, spec)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(distributions, "integrate", refused)
+    monkeypatch.setattr(distributions, "_integrate_rows", counted)
+    assert all(c.ok for c in verify.SUITES[suite](0, 0))
+    # The duality suite's 10 x make 4 outer rows each; the reduction grid's 50 points one row each.
+    assert outermost == [40 if suite == "duality" else 50]
