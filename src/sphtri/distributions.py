@@ -9,8 +9,9 @@ redundant routes exist on purpose: agreement between them (and with the
 Monte Carlo oracle in ``montecarlo``) is the defense against
 transcription errors in the long formulas. Copies of one formula are not
 such redundancy: each region law's boundary curve is written once, in
-region_boundary and its two helpers, and both its conditional CDF route
-and the Monte Carlo region test use it.
+region_boundary and its two helpers, which the Monte Carlo region test
+uses; the conditional CDF routes are the measure under it, in closed form
+or by quadrature.
 
 Polar duality is written once too: the polar triangle has sides pi minus
 the angles and area 2*pi minus the perimeter, so where two routes are one
@@ -334,38 +335,44 @@ def _perimeter_cdf_integrand(x, v):
     """The perimeter CDF's integrand at t = x/2 (1 - v^2), times dt/dv = x v.
 
     Broadcasts x against v. Swapping the order of integration in the CDF
-    of perimeter_density leaves an inner integral in closed form:
+    of perimeter_density leaves an inner integral in closed form, the
+    fixed-side perimeter law _side_law at (x, t):
 
-        F(x) = (1/2pi) Integral_0^{x/2} sin t {E(k) [K(k') - F(theta1, k')]
-               - K(k) [(K(k') - E(k')) - (F(theta1, k') - E(theta1, k'))]} dt
+        F(x) = (1/2) Integral_0^{x/2} sin t P(tau <= x | c = t) dt.
 
-    with moduli k = sin(t/2), k' = cos(t/2) and
-    sin(theta1) = cos((x-t)/2) / cos(t/2). Every elliptic integral is
-    written through Carlson's forms, whose arguments then take product
-    forms free of cancellation: cos^2(theta1) = sin(x/2 - t) sin(x/2) / k'^2
-    and 1 - k'^2 sin^2(theta1) = sin^2((x-t)/2). The bracket vanishes like
-    sqrt(x/2 - t) at t = x/2, which the substitution makes smooth in v.
-
-    No law calls it: it is the paper's integral, kept as the source of the
-    series' coefficients and the tests' oracle. Its bracket over pi is the
-    fixed-side perimeter law P(tau <= x | c = t).
+    The law vanishes like sqrt(x/2 - t) at t = x/2, which the substitution
+    makes smooth in v. No law calls it: it is the paper's integral, kept as
+    the source of the series' coefficients and the tests' oracle.
     """
     t = 0.5 * x * (1.0 - v * v)
-    k2 = np.sin(0.5 * t) ** 2
-    kp = np.cos(0.5 * t)
-    kp2 = kp * kp
-    s = np.cos(0.5 * (x - t)) / kp
-    c2 = np.sin(0.5 * x - t) * np.sin(0.5 * x) / kp2
-    d2 = np.sin(0.5 * (x - t)) ** 2
-    zero = np.zeros_like(c2)
-    # One duplication for the three argument pairs: modulus k (complete),
-    # modulus k' (complete) and modulus k' at amplitude theta1.
-    rf, rd = carlson_rf_rd(np.stack([zero, zero, c2]), np.stack([kp2 + zero, k2 + zero, d2]), 1.0)
-    K_k = rf[0]
-    E_k = rf[0] - (k2 / 3.0) * rd[0]
-    k_minus_f = rf[1] - s * rf[2]  # K(k') - F(theta1, k')
-    second = (kp2 / 3.0) * (rd[1] - s ** 3 * rd[2])  # (K - E)(k') - (F - E)(theta1, k')
-    return np.sin(t) * (E_k * k_minus_f - K_k * second) / TWO_PI * (x * v)
+    return np.sin(t) * _side_law(*_side_arguments(x, t, np.sin, np.cos)) * (0.5 * x * v)
+
+
+def _side_arguments(x, kappa, sin=math.sin, cos=math.cos):
+    """_side_law's arguments at the fixed-side point (x, kappa); arrays take sin=np.sin, cos=np.cos."""
+    k, kp = sin(0.5 * kappa), cos(0.5 * kappa)
+    d = sin(0.5 * (x - kappa))
+    return k * k, kp, cos(0.5 * (x - kappa)) / kp, sin(0.5 * x - kappa) * sin(0.5 * x) / (kp * kp), d * d
+
+
+def _side_law(k2, kp, s, c2, d2):
+    """The fixed-side perimeter law P(tau <= x | c = kappa) in elliptic integrals,
+
+        {E(k) [K(k') - F(theta1, k')] - K(k) [(K - E)(k') - (F - E)(theta1, k')]} / pi
+      = 1/2 - [E(k) F(theta1, k') - K(k) (F - E)(theta1, k')] / pi
+
+    by Legendre's relation E(k) K(k') + E(k') K(k) - K(k) K(k') = pi/2
+    (DLMF 19.7.1), with k = sin(kappa/2), k' = cos(kappa/2) and
+    s = sin(theta1) = cos((x - kappa)/2) / k'. K(k) and E(k) come from one
+    AGM on k2 = k^2 and k', F(theta1, k') = s R_F(c2, d2, 1) and
+    (F - E)(theta1, k') = (k'^2/3) s^3 R_D(c2, d2, 1) from one Carlson
+    duplication, where c2 = cos^2(theta1) = sin(x/2 - kappa) sin(x/2) / k'^2
+    and d2 = 1 - k'^2 s^2 = sin^2((x - kappa)/2) come in these product
+    forms, free of cancellation. Floats or arrays, with the same operations.
+    """
+    K, E = _agm_KE(k2, kp)
+    rf, rd = carlson_rf_rd(c2, d2, 1.0)
+    return 0.5 - s * (E * rf - K * (kp * kp / 3.0) * (s * s) * rd) / math.pi
 
 
 def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -573,9 +580,9 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     integral is accepted at tol * max(1, |value|), a bound that is absolute
     below 1, so a tiny density carries no relative guarantee: PERIMETER_PRIMAL
     at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
-    ToleranceNotMet where an integral at any x misses its tolerance, and
-    where the square-root kinds' radicand rounds to 0 inside a band (at
-    tol 1e-16 or tiny x, say).
+    ToleranceNotMet, naming that x, where an integral at any x misses its
+    tolerance, and where the square-root kinds' radicand rounds to 0
+    inside a band (at tol 1e-16 or tiny x, say).
     """
     x = _law_argument(x, "x", ends=False)
     xs = np.array(x, dtype=float).ravel()
@@ -595,14 +602,19 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     # radicand vanishes at both band ends. The smooth kinds' integrand peaks
     # next to t = 1 as x nears 2*pi, which the unmapped rule missed by 1.5e-6
     # (AREA_PRIMAL at x = 1e-4).
-    values = scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
+    try:
+        values = scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
+    except ToleranceNotMet as err:  # each x is a budget group: name the x that missed
+        if err.group is None:
+            raise
+        raise ToleranceNotMet(f"at x = {float(np.ravel(x)[err.group])!r}: {err}", err.result) from None
     return float(values[0]) if isinstance(x, float) else values.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
 # Region boundary curves. Each region law's CDF is the measure of the region
-# on one side of a curve; the conditional routes integrate the curve and
-# montecarlo.region_coverage tests samples against it.
+# on one side of a curve; the conditional routes take the measure, and
+# montecarlo.region_coverage tests samples against the curve.
 
 
 def _cot_arccos(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -668,9 +680,9 @@ def region_boundary(
 
     Outside the range of its argument over which the boundary runs, f is 0
     or pi, so that the same comparison still decides membership. The
-    conditional CDF routes integrate the same curves. At kappa = 0 the
-    perimeter curves take their limit, pi up to x/2 and 0 above it (where
-    x/2 is 0, the empty region's). x outside [0, 2*pi], kappa outside
+    conditional CDF routes are the measures under the same curves. At
+    kappa = 0 the perimeter curves take their limit, pi up to x/2 and 0
+    above it (where x/2 is 0, the empty region's). x outside [0, 2*pi], kappa outside
     [0, pi] and other kinds raise ValueError.
     """
     _check_x_kappa(x, kappa)
@@ -776,26 +788,29 @@ def _cond_perimeter_given_angle(x: float, kappa: float) -> float:
     return (x - 2.0 * band) / TWO_PI
 
 
-def _cond_band(x: float, kappa: float, tol: float) -> float:
-    """The fixed-angle area law; at _polar_point(x, kappa), 1 minus the fixed-side perimeter law.
+def _cond_perimeter_given_side(x: float, kappa: float) -> float:
+    if kappa >= x / 2:  # tau >= 2c always
+        return 0.0
+    args = _side_arguments(x, kappa)
+    # The law is at most P(b <= x/2) = sin^2(x/4) <= d2; where d2 underflows, so does the law.
+    return _side_law(*args) if args[4] > 0.0 else 0.0
 
-    The boundary curve is pi below the band [x/2, pi - kappa + x/2], 0
-    above it and pi minus _cot_arccos on it, so the CDF is
-    (pi (1 - cos lo) + Integral_lo^hi curve(t) sin t dt) / (2 pi). This
-    form takes x and kappa themselves where both are small and the law is
-    of order 1. Where the perimeter law's x and kappa are small it is of
-    order x^2, and the rounding of its polar point moves it by about 1e-16.
+
+def _cond_area_given_angle(x: float, kappa: float) -> float:
+    """1 minus _side_law at _polar_point(x, kappa), its arguments written from x and kappa themselves.
+
+    At the polar point k = cos(kappa/2), k' = sin(kappa/2), s = sin((x - kappa)/2) / k',
+    c2 = [sin(kappa - x/2) / k'] [sin(x/2) / k'] and d2 = cos^2((x - kappa)/2). No square of
+    k' is formed, so they keep x/kappa where both are small and the law depends on that
+    ratio; 2*pi - x and pi - kappa would round it away.
     """
     if kappa <= x / 2:  # area <= 2*alpha always
         return 1.0
-    lo, hi = x / 2, math.pi - (kappa - x / 2)
-    base = math.pi * (1.0 - math.cos(lo))
-    if hi <= lo:  # kappa = pi can round hi below x/2
-        return base / TWO_PI
-    band = _cot_arccos(x, kappa)
-    inner = integrate(lambda t: (math.pi - band(t)) * np.sin(t), lo, hi,
-                      QuadratureSpec(tol, True, True)).value
-    return (base + inner) / TWO_PI
+    if kappa < 1e-300:  # the law is a function of x/kappa there; 2^600 scales both exactly
+        x, kappa = x * 2.0 ** 600, kappa * 2.0 ** 600
+    k, kp, d = math.cos(0.5 * kappa), math.sin(0.5 * kappa), math.cos(0.5 * (x - kappa))
+    return 1.0 - _side_law(k * k, kp, math.sin(0.5 * (x - kappa)) / kp,
+                           (math.sin(kappa - 0.5 * x) / kp) * (math.sin(0.5 * x) / kp), d * d)
 
 
 def median_region_cos(x: float, kappa: float, theta) -> np.ndarray:
@@ -863,7 +878,8 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
     two-side route. The Jacobian is integrated over [0, h(u)] and then over
     u in [0, pi] by _nested, so the boundary h(u) comes from one array call
     of solved_forms per outer step. A call that integrates took a median
-    2.3 ms on the seed-1 conditional-routes benchmark points (2-CPU host).
+    1.7 ms on the seed-1 conditional-routes benchmark points (best of 5,
+    2-CPU host).
     Nearer kappa = 0 or pi than COORDS_KAPPA_EDGE the Jacobian's peak
     narrows like kappa (or pi - kappa): there the quadrature ran for
     seconds or returned wrong values.
@@ -889,18 +905,21 @@ def conditional_cdf(
     the side c; PERIMETER_GIVEN_ANGLE / PERIMETER_BISECTOR /
     AREA_SIDE_COORDS / AREA_GIVEN_ANGLE on the angle alpha;
     PERIMETER_GIVEN_SIDE on c. Routes sharing a conditioning variable
-    agree; that redundancy is asserted by the test suite. At
-    _polar_point(x, kappa), PERIMETER_GIVEN_SIDE is 1 minus AREA_GIVEN_ANGLE's
-    band route and AREA_SIDE_COORDS 1 minus PERIMETER_ANGLE_COORDS's 2-D
-    route, so each pair of siblings is still one band integral and one 2-D
-    integral. The integral routes are accurate to tol * max(1, |value|),
-    which is absolute for a probability, so a tiny one carries no relative
-    guarantee; PERIMETER_GIVEN_SIDE and AREA_SIDE_COORDS, 1 minus a value
-    near 1 there, keep about ulp(1) absolute at best: PERIMETER_GIVEN_SIDE at
-    (1e-4, 2e-5) is 3.8729842e-10, at any tol, where its band integral
-    taken directly gives 3.8729836e-10 (1.4e-7 relative). The 2-D
-    routes raise OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi.
-    A tol that is not positive (NaN included) raises ValueError on every route.
+    agree; that redundancy is asserted by the test suite.
+
+    PERIMETER_GIVEN_SIDE is the elliptic closed form _side_law, and
+    AREA_GIVEN_ANGLE 1 minus it at _polar_point(x, kappa); AREA_SIDE_COORDS
+    is 1 minus PERIMETER_ANGLE_COORDS's 2-D route there. So each pair of
+    siblings is one closed form and one 2-D integral. Like the arctan
+    pair, the elliptic kinds run no quadrature and ignore tol: they are
+    within 1.1e-15 absolute of 50-digit mpmath on a 45 x 47 grid and next
+    to the kappa = x/2 edge, where the band integral they replace missed
+    by up to 1.2e-10. The integral routes are accurate to
+    tol * max(1, |value|). Both bounds are absolute, so a tiny probability
+    carries no relative guarantee: PERIMETER_GIVEN_SIDE at (1e-4, 2e-5) is
+    3.8729758e-10, 1.9e-6 relative from mpmath. The 2-D routes raise
+    OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi. A tol that
+    is not positive (NaN included) raises ValueError on every route.
     """
     _check_x_kappa(x, kappa)
     _check_tol(tol)
@@ -914,9 +933,9 @@ def conditional_cdf(
     elif kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
         val = _cond_perimeter_given_angle(x, kappa)
     elif kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        val = 1.0 - _cond_band(*_polar_point(x, kappa), tol)
+        val = _cond_perimeter_given_side(x, kappa)
     elif kind is ConditionalKind.AREA_GIVEN_ANGLE:
-        val = _cond_band(x, kappa, tol)
+        val = _cond_area_given_angle(x, kappa)
     elif kind is ConditionalKind.AREA_MEDIAN:
         val = _cond_area_median(x, kappa, tol)
     elif kind is ConditionalKind.PERIMETER_BISECTOR:

@@ -32,9 +32,12 @@ class NonFiniteIntegrand(SphtriError):
 class ToleranceNotMet(SphtriError):
     """A quadrature could not confirm its result to the requested tolerance.
 
-    The best available estimate is attached as ``result``.
+    The best available estimate is attached as ``result``; ``group`` is
+    the budget group of the row that failed in a grouped batch call (each
+    x of an array call of a double integral), or None.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, group=None):
         super().__init__(message)
         self.result = result
+        self.group = group

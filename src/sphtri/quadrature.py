@@ -3,9 +3,9 @@
 The complete integrals K and E are evaluated by the arithmetic-geometric-
 mean iteration, which converges quadratically and reaches machine
 precision in under ten steps. Carlson's symmetric forms R_F and R_D, in
-which the perimeter CDF's integral writes its incomplete integrals, are
+which the fixed-side perimeter law writes its incomplete integrals, are
 evaluated by the duplication algorithm (Carlson, Numer. Algorithms
-10:13-26, 1995; DLMF 19.36(i)), which works elementwise on arrays.
+10:13-26, 1995; DLMF 19.36(i)), on floats or elementwise on arrays.
 The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 left end (t = a + u^2) becomes a bounded smooth integrand, so no special
@@ -132,10 +132,10 @@ def _sharpened(diff, minimum=min):
 
 # The heap keeps this one-panel kernel rather than evaluating its two
 # children in one _row_panels call. That call was no faster (0.98-1.04x per
-# call of PERIMETER_BISECTOR, AREA_MEDIAN and PERIMETER_GIVEN_SIDE, best of
-# 7 interleaved calls at each seed-1 conditional-routes point, 2-CPU host),
-# and its matrix product sums the 15 terms in another order, which moved
-# those routes' values by up to 3.3e-16.
+# call of PERIMETER_BISECTOR, AREA_MEDIAN and the band integral that
+# PERIMETER_GIVEN_SIDE then was, best of 7 interleaved calls at each seed-1
+# conditional-routes point, 2-CPU host), and its matrix product sums the
+# 15 terms in another order, which moved those routes' values by up to 3.3e-16.
 def _kronrod_panel(f, a, b):
     """One G7/K15 panel on [a, b]: (K15 value, error estimate)."""
     h = 0.5 * (b - a)
@@ -322,10 +322,10 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     touch it again.
 
     For a single integral the heap is faster, which is why the engines
-    stay two: the 1-D conditional routes ran about 3.5x slower as one-row
-    calls of this engine (41 -> 147 us for PERIMETER_GIVEN_SIDE and
-    56 -> 180 us for PERIMETER_BISECTOR, median over the seed-1
-    conditional-routes benchmark points, 2-CPU host).
+    stay two: the 1-D conditional routes that integrate ran about 3.5x
+    slower as one-row calls of this engine (56 -> 180 us for
+    PERIMETER_BISECTOR, median over the seed-1 conditional-routes
+    benchmark points, 2-CPU host).
 
     Returns (values, error estimates), arrays of a's length. Raises
     ValueError for non-finite or reversed bounds, NonFiniteIntegrand when a
@@ -384,7 +384,7 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
         total_err = (error + np.bincount(j, err, rows))[mine].sum()
         raise ToleranceNotMet(f"row {owner[r]}: {why} (err ~ {total_err:.3e})",
                               QuadratureResult(float(total), float(total_err),
-                                               15 * int(used[group[r]])))
+                                               15 * int(used[group[r]])), int(group[r]))
 
     while True:
         total = np.bincount(j, val, rows)
@@ -578,44 +578,53 @@ def ellip_E(zeta):
 
 
 # ---------------------------------------------------------------------------
-# Carlson's symmetric forms, which give the perimeter CDF's integral its
+# Carlson's symmetric forms, which give the fixed-side perimeter law its
 # incomplete integrals.
 
 _CARLSON_TOL = 1e-16  # relative truncation error of the duplication series
 _CARLSON_MAX_ITER = 60  # each step shrinks the spread of x, y, z fourfold
+_CARLSON_Q = ((3.0 * _CARLSON_TOL) ** (-1 / 6), (0.25 * _CARLSON_TOL) ** (-1 / 6))  # of R_F and R_D
 
 
 def carlson_rf_rd(x, y, z):
     """Carlson's R_F(x, y, z) and R_D(x, y, z) by one shared duplication.
 
     Both forms duplicate the same (x, y, z) sequence, so one loop serves
-    the pair; R_D adds the running sum of its z-terms. Broadcasts over
-    arrays. Requires x, y >= 0 and z > 0 with x + y > 0.
+    the pair; R_D adds the running sum of its z-terms. Requires x, y >= 0
+    and z > 0 with x + y > 0. Three floats run on Python floats, as in
+    _agm_KE; otherwise the arguments broadcast as arrays, and every
+    element takes the steps its slowest one needs, so an array element can
+    differ from its float call in the last bits.
     """
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
-    if not (np.all(x >= 0.0) and np.all(y >= 0.0) and np.all(z > 0.0) and np.all(x + y > 0.0)):
+    scalar = isinstance(x, float) and isinstance(y, float) and isinstance(z, float)
+    sqrt, big = (math.sqrt, max) if scalar else (np.sqrt, np.maximum)
+    if not scalar:
+        x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    ok = (x >= 0.0) & (y >= 0.0) & (z > 0.0) & (x + y > 0.0)  # NaN fails too
+    if not (ok if scalar else ok.all()):
         raise ValueError("need x, y >= 0, z > 0 and x + y > 0")
     a_f = (x + y + z) / 3.0
     a_d = (x + y + 3.0 * z) / 5.0
     fx, fy, dx, dy = a_f - x, a_f - y, a_d - x, a_d - y  # A_0 - x_0 and A_0 - y_0
     # Iterate until 4^-m Q < A_m; the series error is then below _CARLSON_TOL.
-    q_f = (3.0 * _CARLSON_TOL) ** (-1 / 6) * np.maximum(np.maximum(abs(fx), abs(fy)), abs(a_f - z))
-    q_d = (0.25 * _CARLSON_TOL) ** (-1 / 6) * np.maximum(np.maximum(abs(dx), abs(dy)), abs(a_d - z))
-    tail = np.zeros_like(a_f)
+    q_f = _CARLSON_Q[0] * big(big(abs(fx), abs(fy)), abs(a_f - z))
+    q_d = _CARLSON_Q[1] * big(big(abs(dx), abs(dy)), abs(a_d - z))
+    tail = 0.0
     p = 1.0  # 4^-m
     for _ in range(_CARLSON_MAX_ITER):
-        if np.all(p * q_f < a_f) and np.all(p * q_d < a_d):
+        done = (p * q_f < a_f) & (p * q_d < a_d)
+        if done if scalar else done.all():
             break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
-        tail += p / (sz * (z + lam))
+        tail = tail + p / (sz * (z + lam))
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         a_f, a_d = 0.25 * (a_f + lam), 0.25 * (a_d + lam)
         p *= 0.25
     X, Y = p * fx / a_f, p * fy / a_f
     Z = -(X + Y)
     e2, e3 = X * Y - Z * Z, X * Y * Z
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a_f)
     X, Y = p * dx / a_d, p * dy / a_d
     Z = -(X + Y) / 3.0
     xy, z2 = X * Y, Z * Z
@@ -623,7 +632,7 @@ def carlson_rf_rd(x, y, z):
     e4, e5 = 3.0 * (xy - z2) * z2, xy * z2 * Z
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
               - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    rd = p * series / (a_d * np.sqrt(a_d)) + 3.0 * tail
-    if rf.ndim == 0:
+    rd = p * series / (a_d * sqrt(a_d)) + 3.0 * tail
+    if scalar or rf.ndim == 0:
         return float(rf), float(rd)
     return rf, rd

@@ -196,7 +196,15 @@ def _excess(A, B, C, alpha, beta, gamma):
         return sigma
     sigma = np.asarray(sigma)  # the sum's own array, or a 0-d one for a single triangle
     small = sigma < _GIRARD_SMALL
-    A, B, C = (_columns(np.broadcast_to(V, sigma.shape + (3,))[small]) for V in (A, B, C))
+    rows = np.nonzero(small) if sigma.ndim else ()
+
+    def picked(V):  # V's x, y, z on those rows, by index; a fixed (3,) vertex gives three scalars
+        V = np.asarray(V, dtype=float)
+        if V.ndim == 1:
+            return tuple(V)
+        return tuple((V if V.shape[:-1] == sigma.shape else np.broadcast_to(V, sigma.shape + (3,)))[rows].T)
+
+    A, B, C = picked(A), picked(B), picked(C)
     BA, CA = [p - q for p, q in zip(B, A)], [p - q for p, q in zip(C, A)]
     num = np.abs(_dot(A, _cross(BA, CA)))
     den = 1.0 + _dot(A, B) + _dot(B, C) + _dot(C, A)

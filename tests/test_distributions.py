@@ -56,6 +56,64 @@ def rho_band_inner(x, kappa, tol):
     return integrate(f, x / 2 - kappa, x / 2, QuadratureSpec(tol, True, True)).value
 
 
+def cond_band(x, kappa, tol):
+    """The fixed-angle area law by quadrature over its band curve: the closed form's oracle.
+
+    The boundary curve is pi below the band [x/2, pi - kappa + x/2], 0
+    above it and pi minus _cot_arccos on it, so the CDF is
+    (pi (1 - cos lo) + Integral_lo^hi curve(t) sin t dt) / (2 pi). At
+    _polar_point(x, kappa) it is 1 minus the fixed-side perimeter law. Both
+    laws were this integral before their elliptic closed form; next to the
+    kappa = x/2 edge it misses by up to 1.2e-10 (see TestSideLawClosedForm).
+    """
+    if kappa <= x / 2:  # area <= 2*alpha always
+        return 1.0
+    lo, hi = x / 2, PI - (kappa - x / 2)
+    base = PI * (1.0 - math.cos(lo))
+    if hi <= lo:  # kappa = pi can round hi below x/2
+        return base / TWO_PI
+    band = distributions._cot_arccos(x, kappa)
+    inner = integrate(lambda t: (PI - band(t)) * np.sin(t), lo, hi, QuadratureSpec(tol, True, True))
+    return (base + inner.value) / TWO_PI
+
+
+def band_oracle(kind, x, kappa, tol=1e-13):
+    """PERIMETER_GIVEN_SIDE or AREA_GIVEN_ANGLE by cond_band, clipped to [0, 1] as the library clips."""
+    if kind is ConditionalKind.AREA_GIVEN_ANGLE:
+        value = cond_band(x, kappa, tol)
+    else:
+        value = 1.0 - cond_band(*distributions._polar_point(x, kappa), tol)
+    return min(1.0, max(0.0, value))
+
+
+def mpmath_side_law(kind, x, kappa):
+    """PERIMETER_GIVEN_SIDE or AREA_GIVEN_ANGLE at the floats (x, kappa) by 50-digit mpmath.
+
+    The fixed-side perimeter law in mpmath's Legendre integrals, with k =
+    sin(kappa/2), k' = cos(kappa/2) and sin(theta1) = cos((x - kappa)/2) / k',
+    {E(k) [K(k') - F(theta1, k')] - K(k) [(K - E)(k') - (F - E)(theta1, k')]} / pi;
+    the fixed-angle area law is 1 minus it at the exact polar point.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, kappa = mpmath.mpf(x), mpmath.mpf(kappa)
+        if kind is ConditionalKind.AREA_GIVEN_ANGLE:
+            if kappa <= x / 2:
+                return 1.0
+            x, kappa, sign, base = 2 * mpmath.pi - x, mpmath.pi - kappa, -1, 1
+        elif kappa >= x / 2:
+            return 0.0
+        else:
+            sign, base = 1, 0
+        m, mc = mpmath.sin(kappa / 2) ** 2, mpmath.cos(kappa / 2) ** 2
+        theta1 = mpmath.asin(mpmath.cos((x - kappa) / 2) / mpmath.cos(kappa / 2))
+        K, E = mpmath.ellipk(m), mpmath.ellipe(m)
+        Kc, Ec = mpmath.ellipk(mc), mpmath.ellipe(mc)
+        F, Et = mpmath.ellipf(theta1, mc), mpmath.ellipe(theta1, mc)
+        law = (E * (Kc - F) - K * ((Kc - Ec) - (F - Et))) / mpmath.pi
+        return float(base + sign * law)
+
+
 def side_coords_cdf(x, kappa, tol):
     """The fixed-angle area law by the two-side 2-D integral, independent of the polar map.
 
@@ -838,7 +896,7 @@ POLAR_PAIRS = [
     ("_smooth_density_inner",
      lambda x, k: density_via_double_integral(DensityKind.AREA_PRIMAL, x),
      lambda x, k: density_via_double_integral(DensityKind.PERIMETER_DUAL, x)),
-    ("_cot_arccos",
+    ("_side_law",
      lambda x, k: conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, k),
      lambda x, k: conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, x, k)),
     ("_cot_arccos",
@@ -1016,6 +1074,19 @@ class TestArrayX:
             with pytest.raises(ToleranceNotMet, match="panel budget") as info:
                 density_via_double_integral(DensityKind.AREA_PRIMAL, np.array(xs))
             assert info.value.result == alone.value.result
+
+    @pytest.mark.parametrize("kind, xs, tol, at", [
+        (DensityKind.AREA_DUAL, [3.0, 2.0], 1e-16, 2.0),
+        (DensityKind.AREA_PRIMAL, [2.0, 1e-9], 1e-9, 1e-9),  # the caller's x, not its polar image
+    ])
+    def test_a_miss_names_its_x(self, kind, xs, tol, at):
+        # The engine fails in an inner call; the error names the x of that
+        # call's group, not its inner row, and keeps that x's estimate.
+        with pytest.raises(ToleranceNotMet, match=f"^at x = {at!r}: ") as info:
+            density_via_double_integral(kind, np.array(xs), tol=tol)
+        with pytest.raises(ToleranceNotMet) as alone:
+            density_via_double_integral(kind, at, tol=tol)
+        assert info.value.result == alone.value.result
 
     def test_each_x_gets_its_own_panel_budget(self, monkeypatch):
         # At 2.2e-8 and 2.5e-8 an inner call of AREA_PRIMAL evaluates 9,808 and
@@ -1334,6 +1405,84 @@ def test_2d_route_edge_matrix(kind, x, kappa):
     if value is not None:
         want = conditional_cdf(EDGE_SIBLINGS[kind], x, kappa, tol=1e-12)
         assert abs(value - want) < 1e-8
+
+
+SIDE_LAW_KINDS = (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE)
+# Next to the kappa = x/2 edge the band oracle is the one that misses:
+# AREA_GIVEN_ANGLE at (pi, pi/2 + ulp) by 1.16e-10 and PERIMETER_GIVEN_SIDE
+# at (2.2021, x/2 (1 - 1e-9)) by 1.4e-13 at tol 1e-13.
+WEDGE_POINTS = [
+    (ConditionalKind.AREA_GIVEN_ANGLE, PI, math.nextafter(PI / 2, 4.0)),
+    (ConditionalKind.PERIMETER_GIVEN_SIDE, 2.2021, 2.2021 / 2 * (1 - 1e-9)),
+]
+
+
+class TestSideLawClosedForm:
+    """PERIMETER_GIVEN_SIDE and AREA_GIVEN_ANGLE in elliptic closed form, against their band integral."""
+
+    def test_matches_the_band_oracle(self):
+        # The 2-D routes' edge matrix and a 41 x 41 interior grid. A point
+        # where the two differ by more than 1e-13 is settled by mpmath:
+        # there the closed form is measured within 5.9e-16 of it.
+        points = sorted({p.values[1:] for p in _edge_matrix()})
+        points += [(float(x), float(k)) for x in np.linspace(0.05, TWO_PI - 0.05, 41)
+                   for k in np.linspace(0.02, PI - 0.02, 41)]
+        misses = []
+        for kind in SIDE_LAW_KINDS:
+            for x, kappa in points:
+                got = conditional_cdf(kind, x, kappa)
+                if abs(got - band_oracle(kind, x, kappa)) > 1e-13:
+                    misses.append((kind, x, kappa, got))
+        assert len(misses) < 20, misses
+        for kind, x, kappa, got in misses:
+            assert abs(got - mpmath_side_law(kind, x, kappa)) <= 1e-15, (kind, x, kappa)
+
+    @pytest.mark.parametrize("kind, x, kappa", WEDGE_POINTS)
+    def test_wedge_points_against_mpmath(self, kind, x, kappa):
+        assert abs(conditional_cdf(kind, x, kappa) - mpmath_side_law(kind, x, kappa)) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_area_given_angle_where_half_kappa_underflows(self):
+        # At (5e-324, 5e-324) kappa/2 and sin(kappa/2) are 0; the law is 1/2
+        # at x = kappa, as at (1e-300, 1e-300) and (1e-20, 1e-20).
+        for x in (5e-324, 1e-300, 1e-20):
+            assert conditional_cdf(ConditionalKind.AREA_GIVEN_ANGLE, x, x) == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_perimeter_given_side_where_its_squares_underflow(self):
+        # The law is at most sin^2(x/4); where sin^2((x - kappa)/2) underflows
+        # it is 0.0, and Carlson's arguments would both be 0.
+        for x in (2e-323, 1e-310, 2.2e-308, 1e-300, 1e-200):
+            for kappa in (0.0, 5e-324, x / 4, x / 2 * (1 - 1e-9)):
+                assert conditional_cdf(ConditionalKind.PERIMETER_GIVEN_SIDE, x, kappa) == 0.0
+
+    def test_no_quadrature_and_no_traced_elliptic_call(self, monkeypatch):
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return refused
+
+        for name in ("integrate", "_integrate_rows", "ellip_K", "ellip_E"):
+            monkeypatch.setattr(distributions, name, refuse(name))
+        for kind in SIDE_LAW_KINDS:
+            for x, kappa in ((0.5, 0.2), (2.0, 0.6), (2.0, 1.6), (5.0, 2.9), (1e-20, 1e-20),
+                             (PI, PI / 2), (6.2, 1e-9), (0.3, 0.0), (1.0, PI)):
+                assert 0.0 <= conditional_cdf(kind, x, kappa) <= 1.0
+
+    def test_scalar_calls_are_fast(self):
+        # About 10 us a call on a 2-CPU host where it integrates, against
+        # 45 us for the band integral it replaced; the best of three runs
+        # guards against a slow spell.
+        points = [(float(x), float(k)) for x in np.linspace(0.5, 5.8, 10) for k in (0.2, 1.1, 2.9)]
+        for kind in SIDE_LAW_KINDS:
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                for _ in range(10):
+                    for x, kappa in points:
+                        conditional_cdf(kind, x, kappa)
+                best = min(best, (time.perf_counter() - start) / (10 * len(points)))
+            assert best <= 30e-6, kind
 
 
 ONE_D_ROUTES = (

@@ -573,7 +573,40 @@ class TestCarlson:
             assert abs(f - ref_f) <= 1e-13 * max(1.0, abs(ref_f))
             assert abs(e - ref_e) <= 1e-13 * max(1.0, abs(ref_e))
 
+    @staticmethod
+    def float_triples():
+        # Arguments like the fixed-side perimeter law's (cos^2 theta1,
+        # 1 - k'^2 sin^2 theta1, 1), complete ones (x = 0) and y down to 1e-20.
+        rng = np.random.default_rng(7)
+        n = 300
+        x = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
+        y = 10.0 ** rng.uniform(-20.0, 0.5, n)
+        z = np.where(rng.uniform(size=n) < 0.5, 1.0, rng.uniform(0.05, 2.0, n))
+        return x, y, z
+
+    def test_float_path_is_the_array_call(self):
+        # Three floats run on Python floats; in an array every element takes
+        # the steps its slowest one needs, so the two can differ in the last
+        # bits (measured at most 4.9e-16 relative).
+        x, y, z = self.float_triples()
+        rf_a, rd_a = carlson_rf_rd(x, y, z)
+        for i in range(x.size):
+            rf, rd = carlson_rf_rd(float(x[i]), float(y[i]), float(z[i]))
+            assert type(rf) is float and type(rd) is float
+            assert abs(rf - rf_a[i]) <= 1e-15 * rf_a[i] and abs(rd - rd_a[i]) <= 1e-15 * rd_a[i]
+
+    def test_float_path_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x, y, z = self.float_triples()
+        with mpmath.workdps(40):
+            for args in zip(x.tolist(), y.tolist(), z.tolist()):
+                rf, rd = carlson_rf_rd(*args)
+                ref_f, ref_d = float(mpmath.elliprf(*args)), float(mpmath.elliprd(*args))
+                assert abs(rf - ref_f) <= 1e-15 * ref_f and abs(rd - ref_d) <= 1e-15 * ref_d, args
+
     def test_domain(self):
+        with pytest.raises(ValueError):
+            carlson_rf_rd(math.nan, 1.0, 1.0)
         with pytest.raises(ValueError):
             carlson_rf_rd(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):

@@ -281,6 +281,20 @@ class TestMetrics:
         m = TriangleMetrics.from_vertices(A, B, C)
         assert abs(m.sigma / (eps * eps / 2) - 1.0) < 1e-6
 
+    def test_tiny_triangles_in_every_vertex_layout(self):
+        # _excess takes its tiny rows by index from each vertex: a fixed (3,)
+        # vertex, a full array, and one that broadcasts from (1, 3). Right
+        # triangles with legs eps (along y) and 1e-7 (along z): excess eps 1e-7 / 2.
+        eps = np.array([1e-4, 1e-7, 1e-9])
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.stack([np.cos(eps), np.sin(eps), np.zeros(3)], axis=1)
+        C = np.array([[math.cos(1e-7), 0.0, math.sin(1e-7)]])
+        want = TriangleMetrics.from_vertices(np.tile(A, (3, 1)), B, np.tile(C, (3, 1))).sigma
+        assert np.max(np.abs(want / (eps * 1e-7 / 2) - 1.0)) < 1e-6
+        assert np.array_equal(TriangleMetrics.from_vertices(A, B, C).sigma, want)
+        stacked = TriangleMetrics.from_vertices(A, np.stack([B, B]), C).sigma  # shape (2, 3)
+        assert np.array_equal(stacked, np.stack([want, want]))
+
     def test_law_of_sines(self):
         # Cleared form: the quotient form amplifies noise when the common
         # ratio is large (thin triangles), the product form is bounded.
