@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,14 +37,17 @@ from .coords import angle_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
 from .errors import OutOfDomain, ToleranceNotMet
 from .quadrature import (
-    QuadratureSpec, _GroupedSpec, _agm_KE, _blocked, _check_tol, _integrate_rows,
+    QuadratureSpec, _agm_KE, _blocked, _check_tol, _integrate_rows,
     carlson_rf_rd, ellip_E, ellip_K, integrate,
 )
 
 TWO_PI = 2.0 * math.pi
 _BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 _TWO_PI_SHORTFALL = 2.4492935982947064e-16  # the true 2*pi - TWO_PI
-COORDS_KAPPA_EDGE = 1e-2  # the 2-D Jacobian routes need kappa this far from 0 and pi
+# The 2-D Jacobian routes need kappa this far from 0 and pi. Nearer, the
+# Jacobian's peak narrows like kappa (or pi - kappa), and the quadrature
+# ran for seconds or returned wrong values.
+COORDS_KAPPA_EDGE = 1e-2
 
 
 def _polar(x):
@@ -387,7 +390,7 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
     8.3e-4 (at tau ~ 6.21) for 256 and 600 steps alike. perimeter_cdf
     itself evaluates 10^6 sorted samples in about 0.1 s, so a KS distance
     needs no interpolant. The grid is the benchmark's KS reference, to be
-    deleted under ROADMAP item 6.
+    deleted under ROADMAP item 9.
     """
     xs = np.concatenate([
         np.linspace(0.0, TWO_PI - 0.1, max(steps - 25, 8)),
@@ -440,34 +443,30 @@ def _nested(f, bounds, lo, hi, spec: QuadratureSpec, inner_singular: bool = Fals
         k = np.repeat(i.ravel() // _OUTER_ROWS, us.shape[1])
         flat = us.ravel()
         a, b = (np.full(flat.shape, v) for v in bounds(k, flat))
-        inner_spec = _GroupedSpec(inner_tol, inner_singular, inner_singular, groups=k)
+        inner_spec = QuadratureSpec(inner_tol, inner_singular, inner_singular)
         return _integrate_rows(lambda r, t: f(k[r], flat[r], t), a, b,
-                               inner_spec)[0].reshape(us.shape)
+                               inner_spec, k)[0].reshape(us.shape)
 
     # np.linspace(lo, hi, _OUTER_ROWS + 1) of each x, in its arithmetic.
     edges = np.arange(_OUTER_ROWS + 1) * ((hi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
     edges[:, -1] = hi
-    outer_spec = _GroupedSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right,
-                              groups=np.repeat(np.arange(n), _OUTER_ROWS))
-    values = _integrate_rows(outer, edges[:, :-1].ravel(), edges[:, 1:].ravel(), outer_spec)[0]
+    outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
+    values = _integrate_rows(outer, edges[:, :-1].ravel(), edges[:, 1:].ravel(), outer_spec,
+                             np.repeat(np.arange(n), _OUTER_ROWS))[0]
     return values.reshape(n, _OUTER_ROWS).sum(axis=1)
 
 
 def _radicand(half, sx, kappa, rho):
-    """radicand_perimeter from x/2 and sin(x/2), which broadcast against kappa and rho."""
-    return 4.0 * np.sin(half - rho) * np.sin(half - kappa) * sx * np.sin(rho + kappa - half)
-
-
-def radicand_perimeter(x: float, kappa, rho) -> np.ndarray:
-    """The square-root kinds' radicand, in factored (product-of-sines) form.
+    """The square-root kinds' radicand at x, from half = x/2 and sx = sin(x/2), in factored form.
 
     Equals sin^2(kappa) sin^2(rho) - [cos(kappa) cos(rho) - cos(x - kappa - rho)]^2,
     but without the cancellation that the difference of squares suffers
     near its endpoint zeros. The polar map (x, kappa, rho) -> (2*pi - x,
     pi - kappa, pi - rho) flips two of its four factors, so the dual-area
-    radicand in theta is the primal-perimeter one in rho.
+    radicand in theta is the primal-perimeter one in rho. half and sx
+    broadcast against kappa and rho.
     """
-    return _radicand(x / 2, math.sin(x / 2), kappa, np.asarray(rho, dtype=float))
+    return 4.0 * np.sin(half - rho) * np.sin(half - kappa) * sx * np.sin(rho + kappa - half)
 
 
 def _sqrt_inner(x: np.ndarray):
@@ -534,7 +533,7 @@ def elliptic_reduction_gap(x, kappa):
     rows = np.arange(x.size)
     a, b = bounds(rows, kappa)
     lhs = _integrate_rows(lambda r, t: f(r, kappa[r], t), a, b,
-                          _GroupedSpec(1e-11, True, True, groups=rows))[0]
+                          QuadratureSpec(1e-11, True, True), rows)[0]
     gap = np.abs(lhs - rhs)
     return float(gap[0]) if not shape else gap.reshape(shape)
 
@@ -582,8 +581,11 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
     ToleranceNotMet, naming that x, where an integral at any x misses its
     tolerance, and where the square-root kinds' radicand rounds to 0
-    inside a band (at tol 1e-16 or tiny x, say).
+    inside a band (at tol 1e-16 or tiny x, say), and ValueError for a kind
+    that is not a DensityKind.
     """
+    if not isinstance(kind, DensityKind):
+        raise ValueError(f"unknown density kind {kind!r}")
     x = _law_argument(x, "x", ends=False)
     xs = np.array(x, dtype=float).ravel()
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_PRIMAL:
@@ -854,12 +856,7 @@ def _cond_area_median(x: float, kappa: float, tol: float) -> float:
 
 
 def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
-    """The fixed-angle perimeter law by the bisector construction: an integral over rho.
-
-    rho runs from the bisector threshold to pi. At _polar_point(x, kappa)
-    it is 1 minus _cond_area_median, a different integral over theta, so
-    it is kept rather than mapped onto that route; see _cond_area_median.
-    """
+    """The fixed-angle perimeter law by the bisector construction, an integral over rho."""
     thres = bisector_threshold(x, kappa)
     sine = _bisector_sine(x, kappa)
 
@@ -874,15 +871,11 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
 def _cond_2d(x: float, kappa: float, tol: float) -> float:
     """The two-angle route of the fixed-side perimeter law, by nested Jacobian-weighted quadrature.
 
-    At _polar_point(x, kappa) it is 1 minus the fixed-angle area law's
-    two-side route. The Jacobian is integrated over [0, h(u)] and then over
-    u in [0, pi] by _nested, so the boundary h(u) comes from one array call
-    of solved_forms per outer step. A call that integrates took a median
+    The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
+    by _nested, so the boundary h(u) comes from one array call of
+    solved_forms per outer step. A call that integrates took a median
     1.7 ms on the seed-1 conditional-routes benchmark points (best of 5,
     2-CPU host).
-    Nearer kappa = 0 or pi than COORDS_KAPPA_EDGE the Jacobian's peak
-    narrows like kappa (or pi - kappa): there the quadrature ran for
-    seconds or returned wrong values.
     """
     if kappa >= x / 2:
         return 0.0
@@ -896,56 +889,82 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
     return float(value[0]) / TWO_PI
 
 
+class ConditionalLaw(NamedTuple):
+    """A conditional kind's row of CONDITIONAL_LAWS."""
+
+    element: str  # the fixed element kappa: "side" (the side c) or "angle" (the angle alpha)
+    statistic: str  # "sigma" (area) or "tau" (perimeter), as montecarlo.SampleBatch names them
+    partner: ConditionalKind  # P(x, kappa) = 1 - P_partner(_polar_point(x, kappa))
+    closed_form: ConditionalKind  # the closed-form route of the same law; itself for a closed form
+    route: Callable[..., float]  # (x, kappa) for a closed form, (x, kappa, tol) for an integral
+
+    @property
+    def curve_takes_u(self) -> bool:
+        """Whether region_boundary's curve takes SampleBatch.coord_u, not coord_v."""
+        return (self.statistic == "sigma") == (self.element == "side")
+
+
+def _coords_kappa(kappa: float) -> float:
+    """kappa, if the 2-D routes take it: the caller's, checked before the polar map moves it."""
+    if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
+        raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
+                          f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
+    return kappa
+
+
+# Each kind once: closed forms, then integral routes; each group two side laws, then their partners.
+CONDITIONAL_LAWS: dict[ConditionalKind, ConditionalLaw] = {
+    ConditionalKind.AREA_GIVEN_SIDE: ConditionalLaw(
+        "side", "sigma", ConditionalKind.PERIMETER_GIVEN_ANGLE, ConditionalKind.AREA_GIVEN_SIDE,
+        _cond_area_given_side),
+    ConditionalKind.PERIMETER_GIVEN_SIDE: ConditionalLaw(
+        "side", "tau", ConditionalKind.AREA_GIVEN_ANGLE, ConditionalKind.PERIMETER_GIVEN_SIDE,
+        _cond_perimeter_given_side),
+    ConditionalKind.PERIMETER_GIVEN_ANGLE: ConditionalLaw(
+        "angle", "tau", ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE,
+        _cond_perimeter_given_angle),
+    ConditionalKind.AREA_GIVEN_ANGLE: ConditionalLaw(
+        "angle", "sigma", ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE,
+        _cond_area_given_angle),
+    ConditionalKind.AREA_MEDIAN: ConditionalLaw(
+        "side", "sigma", ConditionalKind.PERIMETER_BISECTOR, ConditionalKind.AREA_GIVEN_SIDE,
+        _cond_area_median),
+    ConditionalKind.PERIMETER_ANGLE_COORDS: ConditionalLaw(
+        "side", "tau", ConditionalKind.AREA_SIDE_COORDS, ConditionalKind.PERIMETER_GIVEN_SIDE,
+        lambda x, kappa, tol: _cond_2d(x, _coords_kappa(kappa), tol)),
+    ConditionalKind.PERIMETER_BISECTOR: ConditionalLaw(
+        "angle", "tau", ConditionalKind.AREA_MEDIAN, ConditionalKind.PERIMETER_GIVEN_ANGLE,
+        _cond_perimeter_bisector),
+    ConditionalKind.AREA_SIDE_COORDS: ConditionalLaw(
+        "angle", "sigma", ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.AREA_GIVEN_ANGLE,
+        lambda x, kappa, tol: 1.0 - _cond_2d(*_polar_point(x, _coords_kappa(kappa)), tol)),
+}
+
+
 def conditional_cdf(
     kind: ConditionalKind, x: float, kappa: float, tol: float = 1e-9
 ) -> float:
-    """P{statistic <= x | fixed element = kappa} for each analytic route.
+    """P{statistic <= x | fixed element = kappa} by the route of kind.
 
-    AREA_GIVEN_SIDE / AREA_MEDIAN / PERIMETER_ANGLE_COORDS condition on
-    the side c; PERIMETER_GIVEN_ANGLE / PERIMETER_BISECTOR /
-    AREA_SIDE_COORDS / AREA_GIVEN_ANGLE on the angle alpha;
-    PERIMETER_GIVEN_SIDE on c. Routes sharing a conditioning variable
-    agree; that redundancy is asserted by the test suite.
-
-    PERIMETER_GIVEN_SIDE is the elliptic closed form _side_law, and
-    AREA_GIVEN_ANGLE 1 minus it at _polar_point(x, kappa); AREA_SIDE_COORDS
-    is 1 minus PERIMETER_ANGLE_COORDS's 2-D route there. So each pair of
-    siblings is one closed form and one 2-D integral. Like the arctan
-    pair, the elliptic kinds run no quadrature and ignore tol: they are
-    within 1.1e-15 absolute of 50-digit mpmath on a 45 x 47 grid and next
-    to the kappa = x/2 edge, where the band integral they replace missed
-    by up to 1.2e-10. The integral routes are accurate to
+    CONDITIONAL_LAWS gives each kind's fixed element, statistic, polar
+    partner and closed form, which the tests hold every route to. A closed
+    form runs no quadrature and ignores tol; the elliptic pair (_side_law)
+    is within 1.1e-15 absolute of 50-digit mpmath on a 45 x 47 grid and
+    next to the kappa = x/2 edge. The integral routes are accurate to
     tol * max(1, |value|). Both bounds are absolute, so a tiny probability
     carries no relative guarantee: PERIMETER_GIVEN_SIDE at (1e-4, 2e-5) is
     3.8729758e-10, 1.9e-6 relative from mpmath. The 2-D routes raise
-    OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi. A tol that
-    is not positive (NaN included) raises ValueError on every route.
+    OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi. An unknown
+    kind, and a tol that is not positive (NaN included), raise ValueError.
     """
+    law = CONDITIONAL_LAWS.get(kind)
+    if law is None:
+        raise ValueError(f"unknown conditional kind {kind!r}")
     _check_x_kappa(x, kappa)
     _check_tol(tol)
     if x <= 0.0:
         return 0.0
     if x >= TWO_PI:
         return 1.0
-
-    if kind is ConditionalKind.AREA_GIVEN_SIDE:
-        val = _cond_area_given_side(x, kappa)
-    elif kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
-        val = _cond_perimeter_given_angle(x, kappa)
-    elif kind is ConditionalKind.PERIMETER_GIVEN_SIDE:
-        val = _cond_perimeter_given_side(x, kappa)
-    elif kind is ConditionalKind.AREA_GIVEN_ANGLE:
-        val = _cond_area_given_angle(x, kappa)
-    elif kind is ConditionalKind.AREA_MEDIAN:
-        val = _cond_area_median(x, kappa, tol)
-    elif kind is ConditionalKind.PERIMETER_BISECTOR:
-        val = _cond_perimeter_bisector(x, kappa, tol)
-    else:  # the 2-D routes; kappa is checked before the polar map moves it
-        if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
-            raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
-                              f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
-        if kind is ConditionalKind.PERIMETER_ANGLE_COORDS:
-            val = _cond_2d(x, kappa, tol)
-        else:
-            val = 1.0 - _cond_2d(*_polar_point(x, kappa), tol)
+    val = law.route(x, kappa) if law.closed_form is kind else law.route(x, kappa, tol)
     return min(1.0, max(0.0, val))

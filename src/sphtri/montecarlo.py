@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sphere
 from .coords import CoordKind, vertices
-from .distributions import ConditionalKind, region_boundary
+from .distributions import CONDITIONAL_LAWS, ConditionalKind, region_boundary
 from .identities import bisector_angles, bisector_threshold
 from .sphere import RngStream
 
@@ -98,8 +98,11 @@ def sample_batch(
     each block then draws its theta and overwrites its slice of coord_u
     with the side c. Peak memory is the outputs (16 bytes per triangle,
     32 for the conditional kinds) plus a few MB. DUAL raises
-    DegenerateDual if any block holds a parallel pole pair.
+    DegenerateDual if any block holds a parallel pole pair. A kind that is
+    not a BatchKind raises ValueError.
     """
+    if not isinstance(kind, BatchKind):
+        raise ValueError(f"unknown batch kind {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
     conditional = kind in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE)
@@ -162,15 +165,8 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     return float(max(d_plus, d_minus))
 
 
-# The region laws: conditional kind -> (the batch kind that samples it, the
-# statistic attribute it bounds).
-REGION_SETUP = {
-    ConditionalKind.AREA_GIVEN_SIDE: (BatchKind.PRIMAL_GIVEN_SIDE, "sigma"),
-    ConditionalKind.PERIMETER_GIVEN_SIDE: (BatchKind.PRIMAL_GIVEN_SIDE, "tau"),
-    ConditionalKind.PERIMETER_GIVEN_ANGLE: (BatchKind.DUAL_GIVEN_ANGLE, "tau"),
-    ConditionalKind.AREA_GIVEN_ANGLE: (BatchKind.DUAL_GIVEN_ANGLE, "sigma"),
-    ConditionalKind.PERIMETER_BISECTOR: (BatchKind.DUAL_GIVEN_ANGLE, "tau"),
-}
+# The batch kind that samples the laws given each element of distributions.CONDITIONAL_LAWS.
+GIVEN_BATCH = {"side": BatchKind.PRIMAL_GIVEN_SIDE, "angle": BatchKind.DUAL_GIVEN_ANGLE}
 
 _GUARD = 1e-9
 
@@ -184,25 +180,24 @@ def region_coverage(
 ) -> int:
     """Count of samples violating the region characterization of a law.
 
-    Samples the matching conditional batch and checks that the points
-    with statistic <= limit fall on the admissible side of the boundary
-    curve (within a guard band of 1e-9), and the others on the opposite
-    side. Returns the number of violations (0 when the curve formula and
-    the sampler agree).
+    Samples the batch of the law's fixed element and checks that the
+    points with statistic <= limit fall on the admissible side of the
+    region_boundary curve (within a guard band of 1e-9), and the others on
+    the opposite side. Returns the number of violations (0 when the curve
+    formula and the sampler agree). A kind without a region boundary
+    raises ValueError before any sampling.
     """
-    if kind not in REGION_SETUP:
-        raise ValueError(f"no region characterization for {kind}")
-    batch_kind, stat_name = REGION_SETUP[kind]
-    batch = sample_batch(batch_kind, kappa, n, rng)
-    stat = getattr(batch, stat_name)
-    inside = stat <= limit
+    curve = region_boundary(kind, limit, kappa)
+    law = CONDITIONAL_LAWS[kind]
+    batch = sample_batch(GIVEN_BATCH[law.element], kappa, n, rng)
+    inside = getattr(batch, law.statistic) <= limit
 
     if kind is ConditionalKind.PERIMETER_BISECTOR:
         # Per-sample bisector decomposition of the sampled triangles.
         be = batch.coord_v  # beta
         theta, rho = bisector_angles(kappa, be, batch.sigma + math.pi - kappa - be)
         thres = bisector_threshold(limit, kappa)
-        lower = region_boundary(kind, limit, kappa)(rho)
+        lower = curve(rho)
         upper = math.pi - lower
         in_band = (
             (rho >= thres - _GUARD)
@@ -212,11 +207,10 @@ def region_coverage(
         out_band = (rho <= thres + _GUARD) | (theta <= lower + _GUARD) | (theta >= upper - _GUARD)
         return int(np.sum(inside & ~in_band) + np.sum(~inside & ~out_band))
 
-    if kind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
-        xcoord, ycoord = batch.coord_u, batch.coord_v
-    else:
-        xcoord, ycoord = batch.coord_v, batch.coord_u
-    curve = region_boundary(kind, limit, kappa)(xcoord)
-    above = ycoord > curve + _GUARD
-    below = ycoord < curve - _GUARD
+    xcoord, ycoord = batch.coord_u, batch.coord_v
+    if not law.curve_takes_u:
+        xcoord, ycoord = ycoord, xcoord
+    bound = curve(xcoord)
+    above = ycoord > bound + _GUARD
+    below = ycoord < bound - _GUARD
     return int(np.sum(inside & above) + np.sum(~inside & below))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,7 @@ del _weights_g
 
 # Panels one call of integrate or _integrate_rows may evaluate, as
 # QUADPACK's limit (Piessens et al., 1983), or one group of rows of an
-# _integrate_rows call (see _GroupedSpec); the first panel of each piece
+# _integrate_rows call (see its groups argument); the first panel of each piece
 # or row is always evaluated. An inner call of distributions._nested
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
@@ -99,19 +99,6 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _check_tol(self.tol)
-
-
-@dataclass(frozen=True)
-class _GroupedSpec(QuadratureSpec):
-    """A spec for _integrate_rows whose rows fall in groups, each with its own panel budget.
-
-    groups[r] is the group of row r, an int from 0 up. The array calls of
-    the double integrals and of the elliptic reduction make each x a
-    group, so that an x raises ToleranceNotMet where its scalar call would,
-    and never because its neighbours spent its panels.
-    """
-
-    groups: np.ndarray = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -292,7 +279,7 @@ def _substituted(f, a):
 _MARK = 0.25
 
 
-def _integrate_rows(f, a, b, spec=QuadratureSpec()):
+def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     """Integral of f(r, t) dt over [a[r], b[r]] for every row r of the 1-D arrays a and b.
 
     The batched form of integrate for nested quadrature
@@ -333,9 +320,9 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
     failing row's best estimate attached, when a row that misses its
     tolerance has only panels at the width floor left to split, or when a
     step would take the call past _PANEL_BUDGET panels. Both limits are
-    those of integrate. A _GroupedSpec gives its rows groups, and the
-    budget is then each group's: a step fails only when it would take a
-    group past _PANEL_BUDGET.
+    those of integrate. groups[r], ints from 0 up, is the budget group of
+    row r, and None makes the rows one group. The budget is each group's:
+    a step fails only when it would take a group past _PANEL_BUDGET.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -364,8 +351,6 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec()):
 
     tol = spec.tol * (1.0 / len(pieces))
     rows = lo.size
-    # The budget group of each virtual row: one for the call, unless spec gives the rows groups.
-    groups = getattr(spec, "groups", None)
     group = np.zeros(rows, np.intp) if groups is None else groups[owner]
     # The sums of the accepted virtual rows; the panels of the others, as
     # [pa, pb] of virtual row j with its K15 value and error estimate.

@@ -19,6 +19,7 @@ import numpy as np
 
 from .coords import CoordKind, CoordTriple, jacobian_fd_check
 from .distributions import (
+    CONDITIONAL_LAWS,
     TWO_PI,
     ConditionalKind,
     DensityKind,
@@ -37,7 +38,7 @@ from .identities import (
     median_relation_residual,
 )
 from .montecarlo import (
-    REGION_SETUP, BatchKind, EmpiricalCdf, SampleBatch, ks_distance, region_coverage,
+    GIVEN_BATCH, BatchKind, EmpiricalCdf, SampleBatch, ks_distance, region_coverage,
     sample_batch,
 )
 from .quadrature import QuadratureSpec, ellip_E, ellip_K, integrate
@@ -167,21 +168,21 @@ def mc_checks(n: int, seed: int) -> list[Check]:
         Check("KS dual area vs mirrored perimeter CDF", ks_dual, ks_bound),
     ]
     m = 10**5
-    for ckind, (bkind, stat) in REGION_SETUP.items():
-        if ckind is ConditionalKind.PERIMETER_BISECTOR:  # the perimeter-given-angle law again
-            continue
+    laws = {ckind: law for ckind, law in CONDITIONAL_LAWS.items() if law.closed_form is ckind}
+    for ckind, law in laws.items():
         ratios = []
         for kappa in np.linspace(0.5, math.pi - 0.5, 3):
-            cb = sample_batch(bkind, float(kappa), m, RngStream(seed, 7))
-            vals = getattr(cb, stat)
+            cb = sample_batch(GIVEN_BATCH[law.element], float(kappa), m, RngStream(seed, 7))
+            vals = getattr(cb, law.statistic)
             for x in np.linspace(0.8, TWO_PI - 0.8, 3):
                 p = conditional_cdf(ckind, float(x), float(kappa))
                 frac = float(np.mean(vals <= x))
                 se = math.sqrt(max(p * (1 - p), 1e-12) / m)
                 ratios.append(abs(frac - p) / (3 * se))
         checks.append(Check(f"conditional fractions [{ckind.value}] / 3se", _worst(ratios), 1.0))
+    # The four laws' regions and the bisector construction's, the one integral route with its own.
     viol = sum(region_coverage(ckind, 1.2, 3.0, 10**5, RngStream(seed, 11))
-               for ckind in REGION_SETUP)
+               for ckind in (*laws, ConditionalKind.PERIMETER_BISECTOR))
     checks.append(Check("region coverage violations", float(viol), 1.0))
     return checks
 

@@ -19,20 +19,27 @@ from sphtri.distributions import (
     perimeter_cdf,
     perimeter_cdf_grid,
     perimeter_density,
-    radicand_perimeter,
     region_boundary,
 )
 from sphtri.coords import side_jacobian
 from sphtri.distributions import (
-    _perimeter_cdf_integrand, _perimeter_density_integrand, _polar, _sqrt_inner,
+    CONDITIONAL_LAWS, _perimeter_cdf_integrand, _perimeter_density_integrand, _polar, _radicand,
+    _sqrt_inner,
 )
 from sphtri.errors import OutOfDomain, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
+from sphtri.montecarlo import sample_batch
 from sphtri.quadrature import _BLOCK, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
+from sphtri.sphere import RngStream
 
 PI = math.pi
 TWO_PI = 2.0 * PI
 PERIM_AT_PI = 3.0 * math.sqrt(2.0) / 32.0
+# The 2-D Jacobian routes; the other kinds run one integral or none.
+TWO_D_ROUTES = (ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.AREA_SIDE_COORDS)
+ONE_D_ROUTES = tuple(kind for kind in ConditionalKind if kind not in TWO_D_ROUTES)
+# PERIMETER_GIVEN_SIDE and AREA_GIVEN_ANGLE, the elliptic closed form _side_law.
+ELLIPTIC_KINDS = tuple(CONDITIONAL_LAWS[kind].closed_form for kind in TWO_D_ROUTES)
 
 
 def theta_band_inner(x, kappa, tol):
@@ -51,7 +58,7 @@ def rho_band_inner(x, kappa, tol):
     """
     def f(t):
         return (np.sin(x - kappa - t) * np.sin(kappa) * np.sin(t)
-                / np.sqrt(radicand_perimeter(x, kappa, t)))
+                / np.sqrt(_radicand(x / 2, math.sin(x / 2), kappa, t)))
 
     return integrate(f, x / 2 - kappa, x / 2, QuadratureSpec(tol, True, True)).value
 
@@ -325,7 +332,8 @@ class TestPerimeterDensity:
                     np.sin(kappa) ** 2 * np.sin(rho) ** 2
                     - (np.cos(kappa) * np.cos(rho) - np.cos(tau - kappa - rho)) ** 2
                 )
-                assert np.max(np.abs(radicand_perimeter(tau, kappa, rho) - lit)) < 1e-12
+                got = _radicand(tau / 2, math.sin(tau / 2), kappa, rho)
+                assert np.max(np.abs(got - lit)) < 1e-12
 
     def test_integrand_radical_identity(self):
         # cos^2(t/2) - cos^2((tau-t)/2) == sin(tau/2 - t) sin(tau/2).
@@ -964,16 +972,20 @@ class TestPolarDuality:
         assert np.allclose(primal_args[0], calls[0], rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    def test_median_route_is_the_mirrored_bisector_route(self, tol):
-        # Two different integrals, theta over [0, pi] against rho over
-        # [threshold, pi], of one law: AREA_MEDIAN(x, kappa) is
-        # 1 - PERIMETER_BISECTOR at the polar point. Measured worst gaps on
-        # this grid: 6.0e-13 at tol 1e-9, 7.8e-16 at tol 1e-12.
+    @pytest.mark.parametrize("kind", [k for k, law in CONDITIONAL_LAWS.items()
+                                      if law.element == "side"])
+    def test_each_kind_is_one_minus_its_partner(self, kind, tol):
+        # P_kind(x, kappa) is 1 - P_partner at the polar point, for each
+        # pair of CONDITIONAL_LAWS. AREA_MEDIAN and PERIMETER_BISECTOR are
+        # two different integrals, theta over [0, pi] against rho over
+        # [threshold, pi]; their measured worst gaps on this grid are 6.0e-13
+        # at tol 1e-9 and 7.8e-16 at tol 1e-12. The other pairs' are below 1e-15.
+        partner = CONDITIONAL_LAWS[kind].partner
         for x in np.linspace(0.05, TWO_PI - 0.05, 15):
             for kappa in np.linspace(0.05, PI - 0.05, 9):
-                a = conditional_cdf(ConditionalKind.AREA_MEDIAN, float(x), float(kappa), tol=tol)
-                b = conditional_cdf(ConditionalKind.PERIMETER_BISECTOR,
-                                    *distributions._polar_point(float(x), float(kappa)), tol=tol)
+                a = conditional_cdf(kind, float(x), float(kappa), tol=tol)
+                b = conditional_cdf(partner, *distributions._polar_point(float(x), float(kappa)),
+                                    tol=tol)
                 assert abs(a - (1.0 - b)) <= 10 * tol, (x, kappa)
 
     @pytest.mark.parametrize("x, kappa", [(2.0, 0.6), (PI, 1.2), (5.0, 0.4), (6.2, 3.0)])
@@ -1096,14 +1108,14 @@ class TestArrayX:
         panels = []
         real = distributions._integrate_rows
 
-        def counted(f, a, b, spec):
+        def counted(f, a, b, spec, groups=None):
             count = [0]
 
             def g(i, t):
                 count[0] += t.shape[0]
                 return f(i, t)
             try:
-                return real(g, a, b, spec)
+                return real(g, a, b, spec, groups)
             finally:
                 panels.append(count[0])
 
@@ -1274,24 +1286,14 @@ class TestConditionalCdf:
             v = conditional_cdf(kind, x, 1.0, tol=1e-7)
             assert -1e-12 <= v <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("kind", [
-        ConditionalKind.AREA_GIVEN_SIDE,
-        ConditionalKind.PERIMETER_GIVEN_ANGLE,
-        ConditionalKind.PERIMETER_GIVEN_SIDE,
-        ConditionalKind.AREA_GIVEN_ANGLE,
-        ConditionalKind.AREA_MEDIAN,
-        ConditionalKind.PERIMETER_BISECTOR,
-    ])
+    @pytest.mark.parametrize("kind", ONE_D_ROUTES)
     def test_monotone_fast_kinds(self, kind):
         for kappa in np.linspace(0.4, PI - 0.4, 5):
             vals = [conditional_cdf(kind, float(x), float(kappa), tol=1e-9)
                     for x in np.linspace(0.0, TWO_PI, 50)]
             assert all(b >= a - 1e-8 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("kind", [
-        ConditionalKind.PERIMETER_ANGLE_COORDS,
-        ConditionalKind.AREA_SIDE_COORDS,
-    ])
+    @pytest.mark.parametrize("kind", TWO_D_ROUTES)
     def test_monotone_2d_kinds(self, kind):
         for kappa in np.linspace(0.5, PI - 0.5, 5):
             vals = [conditional_cdf(kind, float(x), float(kappa), tol=1e-6)
@@ -1336,10 +1338,7 @@ class TestConditionalCdf:
                 b = conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, float(x), k, tol=1e-7)
                 assert abs(a - b) < 1e-5
 
-    @pytest.mark.parametrize("kind", [
-        ConditionalKind.PERIMETER_ANGLE_COORDS,
-        ConditionalKind.AREA_SIDE_COORDS,
-    ])
+    @pytest.mark.parametrize("kind", TWO_D_ROUTES)
     @pytest.mark.parametrize("kappa", [0.0, 1e-8, 1e-3, PI - 1e-3, PI])
     def test_2d_routes_raise_near_kappa_edges(self, kind, kappa):
         # Unguarded, the nested quadrature takes seconds here (kappa = 1e-3)
@@ -1350,15 +1349,12 @@ class TestConditionalCdf:
                 conditional_cdf(kind, x, kappa)
             assert time.perf_counter() - t0 < 1.0
 
-    @pytest.mark.parametrize("kind, sibling", [
-        (ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.PERIMETER_GIVEN_SIDE),
-        (ConditionalKind.AREA_SIDE_COORDS, ConditionalKind.AREA_GIVEN_ANGLE),
-    ])
+    @pytest.mark.parametrize("kind", TWO_D_ROUTES)
     @pytest.mark.parametrize("kappa", [1e-2, PI - 1e-2])
-    def test_2d_routes_agree_at_domain_edges(self, kind, sibling, kappa):
+    def test_2d_routes_agree_at_domain_edges(self, kind, kappa):
         for x in np.linspace(0.05, 6.28, 12):
             a = conditional_cdf(kind, float(x), kappa)
-            b = conditional_cdf(sibling, float(x), kappa)
+            b = conditional_cdf(CONDITIONAL_LAWS[kind].closed_form, float(x), kappa)
             assert abs(a - b) < 1e-8
 
     def test_closed_form_duality(self):
@@ -1376,18 +1372,39 @@ class TestConditionalCdf:
             conditional_cdf(ConditionalKind.AREA_GIVEN_SIDE, 1.0, PI + 0.1)
 
 
+def test_the_table_of_conditional_laws():
+    # One row per kind. The partner map is an involution that swaps the fixed
+    # element and the statistic, and each kind shares both with its closed
+    # form, which is its own closed form; so the partners' closed forms are
+    # partners too.
+    assert set(CONDITIONAL_LAWS) == set(ConditionalKind)
+    for kind, law in CONDITIONAL_LAWS.items():
+        partner, closed = CONDITIONAL_LAWS[law.partner], CONDITIONAL_LAWS[law.closed_form]
+        assert partner.partner is kind
+        assert {law.element, partner.element} == {"side", "angle"}
+        assert {law.statistic, partner.statistic} == {"sigma", "tau"}
+        assert (closed.element, closed.statistic) == (law.element, law.statistic)
+        assert closed.closed_form is law.closed_form
+        assert partner.closed_form is closed.partner
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conditional_cdf("area_given_side", 2.0, 1.5),
+    lambda: density_via_double_integral("area_primal", 2.0),
+    lambda: sample_batch("primal", None, 10, RngStream(0)),
+], ids=["conditional_cdf", "density_via_double_integral", "sample_batch"])
+def test_an_unknown_kind_raises(call):
+    # A kind's value in place of the kind itself ran another kind's route.
+    with pytest.raises(ValueError, match="unknown"):
+        call()
+
+
 # The edge matrix of the 2-D routes: 1e-3 and 1e-6 (relative) either side
 # of the kappa = x/2 wedge edge, where their work peaks, and both ends of
-# their kappa domain. Each call answers as its 1-D sibling does or raises
+# their kappa domain. Each call answers as its closed form does or raises
 # ToleranceNotMet, and in either case within 2 s.
-EDGE_SIBLINGS = {
-    ConditionalKind.PERIMETER_ANGLE_COORDS: ConditionalKind.PERIMETER_GIVEN_SIDE,
-    ConditionalKind.AREA_SIDE_COORDS: ConditionalKind.AREA_GIVEN_ANGLE,
-}
-
-
 def _edge_matrix():
-    for kind in EDGE_SIBLINGS:
+    for kind in TWO_D_ROUTES:
         for x in (0.05, 0.3, 0.85, 2.0, PI, 5.0, 6.2):
             for kappa in (x / 2 * (1 - 1e-3), x / 2 * (1 + 1e-3), x / 2 * (1 - 1e-6),
                           x / 2 * (1 + 1e-6), 1e-2, PI - 1e-2):
@@ -1403,11 +1420,10 @@ def test_2d_route_edge_matrix(kind, x, kappa):
         value = None
     assert time.perf_counter() - t0 < 2.0
     if value is not None:
-        want = conditional_cdf(EDGE_SIBLINGS[kind], x, kappa, tol=1e-12)
+        want = conditional_cdf(CONDITIONAL_LAWS[kind].closed_form, x, kappa, tol=1e-12)
         assert abs(value - want) < 1e-8
 
 
-SIDE_LAW_KINDS = (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE)
 # Next to the kappa = x/2 edge the band oracle is the one that misses:
 # AREA_GIVEN_ANGLE at (pi, pi/2 + ulp) by 1.16e-10 and PERIMETER_GIVEN_SIDE
 # at (2.2021, x/2 (1 - 1e-9)) by 1.4e-13 at tol 1e-13.
@@ -1428,7 +1444,7 @@ class TestSideLawClosedForm:
         points += [(float(x), float(k)) for x in np.linspace(0.05, TWO_PI - 0.05, 41)
                    for k in np.linspace(0.02, PI - 0.02, 41)]
         misses = []
-        for kind in SIDE_LAW_KINDS:
+        for kind in ELLIPTIC_KINDS:
             for x, kappa in points:
                 got = conditional_cdf(kind, x, kappa)
                 if abs(got - band_oracle(kind, x, kappa)) > 1e-13:
@@ -1464,7 +1480,7 @@ class TestSideLawClosedForm:
 
         for name in ("integrate", "_integrate_rows", "ellip_K", "ellip_E"):
             monkeypatch.setattr(distributions, name, refuse(name))
-        for kind in SIDE_LAW_KINDS:
+        for kind in ELLIPTIC_KINDS:
             for x, kappa in ((0.5, 0.2), (2.0, 0.6), (2.0, 1.6), (5.0, 2.9), (1e-20, 1e-20),
                              (PI, PI / 2), (6.2, 1e-9), (0.3, 0.0), (1.0, PI)):
                 assert 0.0 <= conditional_cdf(kind, x, kappa) <= 1.0
@@ -1474,7 +1490,7 @@ class TestSideLawClosedForm:
         # 45 us for the band integral it replaced; the best of three runs
         # guards against a slow spell.
         points = [(float(x), float(k)) for x in np.linspace(0.5, 5.8, 10) for k in (0.2, 1.1, 2.9)]
-        for kind in SIDE_LAW_KINDS:
+        for kind in ELLIPTIC_KINDS:
             best = math.inf
             for _ in range(3):
                 start = time.perf_counter()
@@ -1483,16 +1499,6 @@ class TestSideLawClosedForm:
                         conditional_cdf(kind, x, kappa)
                 best = min(best, (time.perf_counter() - start) / (10 * len(points)))
             assert best <= 30e-6, kind
-
-
-ONE_D_ROUTES = (
-    ConditionalKind.AREA_GIVEN_SIDE,
-    ConditionalKind.PERIMETER_GIVEN_ANGLE,
-    ConditionalKind.PERIMETER_GIVEN_SIDE,
-    ConditionalKind.AREA_GIVEN_ANGLE,
-    ConditionalKind.AREA_MEDIAN,
-    ConditionalKind.PERIMETER_BISECTOR,
-)
 
 
 class TestNestedQuadratureStructure:
@@ -1507,14 +1513,14 @@ class TestNestedQuadratureStructure:
         rows, outer_steps = [], []
         real_rows = distributions._integrate_rows
 
-        def counted_rows(f, a, b, spec):
+        def counted_rows(f, a, b, spec, groups=None):
             rows.append(np.size(a))
             if len(rows) == 1:  # the outer integral: count the steps of its integrand
                 def stepped(i, t):
                     outer_steps.append(t.shape)
                     return f(i, t)
-                return real_rows(stepped, a, b, spec)
-            return real_rows(f, a, b, spec)
+                return real_rows(stepped, a, b, spec, groups)
+            return real_rows(f, a, b, spec, groups)
 
         monkeypatch.setattr(distributions, "integrate", refuse("integrate"))
         monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
@@ -1566,12 +1572,12 @@ def curve_cdf(kind, x, kappa):
         ends = [lo] + sorted(b for b in breaks if lo < b < PI) + [PI]
         return sum(integrate(g, a, b, spec).value for a, b in zip(ends, ends[1:]))
 
-    if kind in (ConditionalKind.AREA_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
+    if kind is ConditionalKind.PERIMETER_BISECTOR:
+        return pieces(lambda r: np.cos(f(r)), bisector_threshold(x, kappa), []) / PI
+    if CONDITIONAL_LAWS[kind].curve_takes_u:  # the uniform one: theta given c, rho given alpha
         return pieces(lambda t: 1.0 - np.cos(f(t)), 0.0, [x / 2]) / TWO_PI
-    if kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.AREA_GIVEN_ANGLE):
-        breaks = [x / 2 - kappa, x / 2, PI - kappa + x / 2]
-        return pieces(lambda t: f(t) * np.sin(t), 0.0, breaks) / TWO_PI
-    return pieces(lambda r: np.cos(f(r)), bisector_threshold(x, kappa), []) / PI
+    breaks = [x / 2 - kappa, x / 2, PI - kappa + x / 2]
+    return pieces(lambda t: f(t) * np.sin(t), 0.0, breaks) / TWO_PI
 
 
 REGION_KINDS = (

@@ -70,3 +70,18 @@ def test_only_the_quadrature_routes_take_a_tolerance():
     takes_tol = sorted(name for name in _exports() if callable(obj := getattr(sphtri, name))
                        and not inspect.isclass(obj) and "tol" in inspect.signature(obj).parameters)
     assert takes_tol == ["conditional_cdf", "density_via_double_integral"]
+
+
+def test_only_distributions_writes_a_table_of_conditional_kinds():
+    # distributions.CONDITIONAL_LAWS is the one map from each conditional kind
+    # to its element, statistic, partner and route; another module's dict
+    # literal keyed by ConditionalKind members would be a second copy of it.
+    def is_member(node):
+        return isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id == "ConditionalKind"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "ConditionalKind")
+
+    copies = sorted(path.name for path in SRC.glob("*.py") if path.name != "distributions.py"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Dict) and any(map(is_member, node.keys)))
+    assert copies == []

@@ -83,12 +83,12 @@ def test_integral_suites_make_one_engine_call(monkeypatch, suite):
     outermost, depth = [], [0]
     real = distributions._integrate_rows
 
-    def counted(f, a, b, spec):
+    def counted(f, a, b, spec, groups=None):
         if not depth[0]:
             outermost.append(np.size(a))
         depth[0] += 1
         try:
-            return real(f, a, b, spec)
+            return real(f, a, b, spec, groups)
         finally:
             depth[0] -= 1
 
