@@ -8,10 +8,11 @@ fixed side or fixed angle through several independent routes. The
 redundant routes exist on purpose: agreement between them (and with the
 Monte Carlo oracle in ``montecarlo``) is the defense against
 transcription errors in the long formulas. Copies of one formula are not
-such redundancy: each region law's boundary curve is written once, in
-region_boundary and its two helpers, which the Monte Carlo region test
-uses; the conditional CDF routes are the measure under it, in closed form
-or by quadrature.
+such redundancy: region_boundary writes the two area curves and the
+bisector curve once, and takes each perimeter curve from its polar
+partner's area curve; the Monte Carlo region test uses them, and the
+conditional CDF routes are the measure under them, in closed form or by
+quadrature.
 
 Polar duality is written once too: the polar triangle has sides pi minus
 the angles and area 2*pi minus the perimeter, so where two routes are one
@@ -581,8 +582,9 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
     ToleranceNotMet, naming that x, where an integral at any x misses its
     tolerance, and where the square-root kinds' radicand rounds to 0
-    inside a band (at tol 1e-16 or tiny x, say), and ValueError for a kind
-    that is not a DensityKind.
+    inside a band (at tol 1e-16, tiny x or AREA_DUAL's x = 6.283185307179,
+    5.9e-13 below 2*pi, say), and ValueError for a kind that is not a
+    DensityKind.
     """
     if not isinstance(kind, DensityKind):
         raise ValueError(f"unknown density kind {kind!r}")
@@ -675,7 +677,8 @@ def region_boundary(
     the angle alpha = kappa.
 
     - AREA_GIVEN_SIDE and AREA_GIVEN_ANGLE: the region is rho <= f(theta).
-    - PERIMETER_GIVEN_SIDE and PERIMETER_GIVEN_ANGLE: it is theta <= f(rho).
+    - PERIMETER_GIVEN_SIDE and PERIMETER_GIVEN_ANGLE: it is theta <= f(rho), not written
+      here: f(rho) = pi - g(pi - rho), g the partner's curve at _polar_point(x, kappa).
     - PERIMETER_BISECTOR, in the coordinates of identities.bisector_decompose:
       it is the band f(rho) <= theta <= pi - f(rho) with
       rho >= bisector_threshold(x, kappa).
@@ -684,13 +687,17 @@ def region_boundary(
     or pi, so that the same comparison still decides membership. The
     conditional CDF routes are the measures under the same curves. At
     kappa = 0 the perimeter curves take their limit, pi up to x/2 and 0
-    above it (where x/2 is 0, the empty region's). x outside [0, 2*pi], kappa outside
-    [0, pi] and other kinds raise ValueError.
+    above it (where x/2 is 0, the empty region's), from the area curves' exact kappa = pi
+    limit. x outside [0, 2*pi], kappa outside [0, pi] and other kinds raise ValueError.
     """
     _check_x_kappa(x, kappa)
-    sx = math.sin(x / 2)
+    if kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
+        # The polar image of the partner's area region.
+        f = region_boundary(CONDITIONAL_LAWS[kind].partner, *_polar_point(x, kappa))
+        return lambda t: math.pi - f(math.pi - np.asarray(t, dtype=float))
     if kind is ConditionalKind.AREA_GIVEN_SIDE:
-        tk = math.tan(kappa / 2)
+        sx = math.sin(x / 2)
+        tk = math.tan(kappa / 2) if kappa < math.pi else math.inf  # exact: tan(pi/2) is 1.6e16
 
         def curve(theta):
             theta = np.asarray(theta, dtype=float)
@@ -698,20 +705,6 @@ def region_boundary(
                 t = sx / (tk * np.sin(theta - x / 2))
                 mid = 2.0 * np.arctan(t)
             return np.where(theta < x / 2, math.pi, np.nan_to_num(mid, nan=math.pi))
-
-        return curve
-
-    if kind is ConditionalKind.PERIMETER_GIVEN_ANGLE:
-        tk = math.tan(kappa / 2)
-        ck = 1.0 / tk if tk > 0.0 else math.inf
-        if math.isinf(ck) or sx == 0.0:  # the kappa -> 0 limit, pi up to x/2, or x/2 = 0
-            return lambda rho: np.where(np.asarray(rho, dtype=float) <= x / 2, math.pi, 0.0)
-
-        def curve(rho):
-            rho = np.asarray(rho, dtype=float)
-            with np.errstate(over="ignore"):  # a subnormal sx gives +-inf, so +-pi
-                mid = 2.0 * np.arctan(ck * np.sin(x / 2 - rho) / sx)
-            return np.where(rho > x / 2, 0.0, mid)
 
         return curve
 
@@ -725,9 +718,6 @@ def region_boundary(
 
         return curve
 
-    if kind is ConditionalKind.PERIMETER_GIVEN_SIDE:  # the polar image of the area region
-        f = region_boundary(ConditionalKind.AREA_GIVEN_ANGLE, *_polar_point(x, kappa))
-        return lambda t: math.pi - f(math.pi - np.asarray(t, dtype=float))
     if kind is not ConditionalKind.AREA_GIVEN_ANGLE:
         raise ValueError(f"no region boundary for {kind}")
     if kappa <= x / 2:  # area <= 2*alpha: the region is everything

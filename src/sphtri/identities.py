@@ -51,7 +51,8 @@ class IdentityResiduals:
 
     def max(self) -> float:
         """Largest residual over the six identities and every triangle."""
-        return float(max(np.max(r) for r in self.as_tuple()))
+        # np.max, not the builtin max, which drops a NaN that comes after a number.
+        return float(np.max([np.max(r) for r in self.as_tuple()]))
 
 
 @dataclass(frozen=True)

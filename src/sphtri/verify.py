@@ -154,7 +154,11 @@ def primal_ks(batch: SampleBatch) -> tuple[float, float]:
 
 
 def mc_checks(n: int, seed: int) -> list[Check]:
-    """Monte Carlo batches against the analytic and conditional laws."""
+    """Monte Carlo batches against the analytic and conditional laws.
+
+    The conditional laws draw one batch per (element, kappa), on stream
+    (seed, 7), and each law of that element reads it.
+    """
     batch = sample_batch(BatchKind.PRIMAL, None, max(n, 10**5), RngStream(seed))
     ks_bound = 0.003 * math.sqrt(10**6 / batch.n)
     ks_area, ks_perimeter = primal_ks(batch)
@@ -169,17 +173,20 @@ def mc_checks(n: int, seed: int) -> list[Check]:
     ]
     m = 10**5
     laws = {ckind: law for ckind, law in CONDITIONAL_LAWS.items() if law.closed_form is ckind}
-    for ckind, law in laws.items():
-        ratios = []
-        for kappa in np.linspace(0.5, math.pi - 0.5, 3):
-            cb = sample_batch(GIVEN_BATCH[law.element], float(kappa), m, RngStream(seed, 7))
+    ratios = {ckind: [] for ckind in laws}
+    for element, kappa in itertools.product(GIVEN_BATCH, np.linspace(0.5, math.pi - 0.5, 3)):
+        cb = sample_batch(GIVEN_BATCH[element], float(kappa), m, RngStream(seed, 7))
+        for ckind, law in laws.items():
+            if law.element != element:
+                continue
             vals = getattr(cb, law.statistic)
             for x in np.linspace(0.8, TWO_PI - 0.8, 3):
                 p = conditional_cdf(ckind, float(x), float(kappa))
                 frac = float(np.mean(vals <= x))
                 se = math.sqrt(max(p * (1 - p), 1e-12) / m)
-                ratios.append(abs(frac - p) / (3 * se))
-        checks.append(Check(f"conditional fractions [{ckind.value}] / 3se", _worst(ratios), 1.0))
+                ratios[ckind].append(abs(frac - p) / (3 * se))
+    checks += [Check(f"conditional fractions [{ckind.value}] / 3se", _worst(r), 1.0)
+               for ckind, r in ratios.items()]
     # The four laws' regions and the bisector construction's, the one integral route with its own.
     viol = sum(region_coverage(ckind, 1.2, 3.0, 10**5, RngStream(seed, 11))
                for ckind in (*laws, ConditionalKind.PERIMETER_BISECTOR))

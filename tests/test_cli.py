@@ -49,10 +49,13 @@ def test_area_density_table(capsys, tmp_path):
     assert len(lines) == 6
 
 
-def test_invalid_range_exits_1(capsys):
-    assert run(["density", "--kind", "area", "--from", "7", "--to", "1",
-                "--steps", "10"]) == 1
-    assert "range" in capsys.readouterr().err
+@pytest.mark.parametrize("grid, message", [
+    (["--from", "7", "--to", "1", "--steps", "10"], "range"),
+    (["--from", "0", "--to", "1", "--steps", "1"], "--steps must be at least 2"),
+], ids=["range", "steps"])
+def test_invalid_grid_exits_1(grid, message, capsys):
+    assert run(["density", "--kind", "area", *grid]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_missing_grid_flags_exits_1(capsys):
@@ -239,11 +242,15 @@ def test_sample_golden(argv, kind, kappa, row_start, capsys):
 
 
 @pytest.mark.parametrize("command", ["sample --kind primal", "verify"])
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_n_below_one_is_a_usage_error(command, n, capsys):
+@pytest.mark.parametrize("n, message", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("abc", "invalid int value: 'abc'"),
+], ids=["0", "-3", "abc"])
+def test_bad_n_is_a_usage_error(command, n, message, capsys):
     assert run([*command.split(), "--n", n]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and f"argument --n: must be at least 1, got {n}" in err
+    assert err.startswith("usage:") and f"argument --n: {message}" in err
 
 
 def test_exit_codes_through_the_process_boundary(capsys):

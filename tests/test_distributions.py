@@ -834,12 +834,19 @@ class TestDoubleIntegrals:
             density_via_double_integral(DensityKind.PERIMETER_DUAL, 5e-324)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kind", [DensityKind.PERIMETER_PRIMAL, DensityKind.AREA_DUAL])
-    def test_unreachable_tolerance(self, kind):
+    @pytest.mark.parametrize("kind, x, tol, message", [
+        (DensityKind.PERIMETER_PRIMAL, 2.0, 1e-16, None),
+        (DensityKind.AREA_DUAL, 2.0, 1e-16, None),
+        # 5.9e-13 below 2*pi the radicand rounds to 0 at the default tol too.
+        (DensityKind.AREA_DUAL, 6.283185307179, 1e-9,
+         "the radicand at x = 6.283185307179 rounds to 0 inside the band"),
+    ], ids=["DensityKind.PERIMETER_PRIMAL", "DensityKind.AREA_DUAL", "AREA_DUAL-next-to-2pi"])
+    def test_unreachable_tolerance(self, kind, x, tol, message):
         # The inner integrals refine into the band ends until t = end -+ u^2
         # rounds onto an end, or the radicand rounds to 0 next to one.
-        with pytest.raises(ToleranceNotMet):
-            density_via_double_integral(kind, 2.0, tol=1e-16)
+        with pytest.raises(ToleranceNotMet) as info:
+            density_via_double_integral(kind, x, tol)
+        assert message is None or str(info.value) == message
 
     @pytest.mark.parametrize("kind, tol", [(DensityKind.PERIMETER_PRIMAL, 1e-14),
                                            (DensityKind.AREA_DUAL, 1e-13)])
@@ -1649,6 +1656,15 @@ class TestRegionBoundary:
             want = np.where(rho < x / 2, PI, 0.0)
             assert np.array_equal(region_boundary(kind, x, 0.0)(rho), want)
             assert abs(curve_cdf(kind, x, 0.0) - conditional_cdf(kind, x, 0.0)) < 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_area_given_side_at_kappa_pi_is_the_limit_curve(self):
+        # pi below x/2 and 0 above it: the exact limit, which the perimeter
+        # given an angle reads at the polar point of kappa = 0.
+        theta = np.linspace(0.0, PI, 9)
+        for x in (0.5, 2.0, 5.0):
+            want = np.where(theta < x / 2, PI, 0.0)
+            assert np.array_equal(region_boundary(ConditionalKind.AREA_GIVEN_SIDE, x, PI)(theta), want)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [2.0, 1e-323, 1e-310])

@@ -6,6 +6,7 @@ import pytest
 
 from sphtri.errors import DegenerateTriangle, OutOfDomain
 from sphtri.identities import (
+    IdentityResiduals,
     SolvedFormKind,
     bisector_decompose,
     bisector_relation_residual,
@@ -46,6 +47,11 @@ class TestResiduals:
     def test_random_sweep(self):
         _, m = random_triangle_batch(10**4)
         assert identity_residuals(m).max() < 1e-10
+
+    def test_max_keeps_a_nan(self):
+        # The builtin max would drop the NaN that comes after 1e-16.
+        r = IdentityResiduals(1e-16, math.nan, 0.0, 0.0, 0.0, 0.0)
+        assert math.isnan(r.max())
 
     def test_detects_inconsistency(self):
         m = replace(OCTANT, sigma=OCTANT.sigma + 1e-3)

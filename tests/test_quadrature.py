@@ -501,6 +501,24 @@ class TestOneAcceptanceRule:
             assert min(len(calls), 2) == steps
 
 
+def _step(t):
+    """A unit step 3.3e-14 into [1, 1 + 1e-13]."""
+    return np.where(t < 1.0 + 3.3e-14, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("engine", [
+    lambda spec: integrate(_step, 1.0, 1.0 + 1e-13, spec),
+    lambda spec: _integrate_rows(lambda i, t: _step(t), np.ones(1), np.full(1, 1.0 + 1e-13), spec),
+], ids=["integrate", "_integrate_rows"])
+def test_width_floor_stops_both_engines(engine):
+    # Every panel next to the step narrows to the width floor before the
+    # error reaches 1e-30. Both engines stop there with the same estimate,
+    # 1e-13 - 3.3e-14 as the panels resolve it.
+    with pytest.raises(ToleranceNotMet, match="no panel wider than the floor left to split") as info:
+        engine(QuadratureSpec(1e-30))
+    assert info.value.result.value == pytest.approx(6.689056776485204e-14, rel=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(alpha, beta):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sphtri import distributions, verify
+from sphtri import distributions, montecarlo, verify
 
 
 def test_nan_value_fails_its_check(monkeypatch):
@@ -23,6 +24,25 @@ def test_nan_value_fails_its_check(monkeypatch):
     assert math.isnan(legendre.value)
     assert not legendre.ok
     assert checks["AGM vs defining integrals"].ok
+
+
+def test_nan_identity_residual_fails_its_check(monkeypatch):
+    # One NaN in the second identity's residuals must reach the check, not be
+    # folded away by a max over the six identities that skips it.
+    identity_residuals = verify.identity_residuals
+
+    def with_one_nan(m):
+        r = identity_residuals(m)
+        cosine = r.perimeter_cosine.copy()
+        cosine[3] = math.nan
+        return replace(r, perimeter_cosine=cosine)
+
+    monkeypatch.setattr(verify, "identity_residuals", with_one_nan)
+    checks = {c.name: c for c in verify.identity_checks(100, 0)}
+    residuals = checks["identity residuals"]
+    assert math.isnan(residuals.value)
+    assert not residuals.ok
+    assert checks["median relation"].ok and checks["bisector relation"].ok
 
 
 def test_duality_suite_checks_the_double_integral_against_the_series(monkeypatch):
@@ -48,6 +68,28 @@ def test_mc_suite_checks_the_dual_sampler_against_the_perimeter_law():
     dual = checks["KS dual area vs mirrored perimeter CDF"]
     assert dual.bound == checks["KS primal perimeter vs single-integral CDF"].bound
     assert all(c.ok for c in checks.values())
+
+
+def test_mc_suite_draws_each_conditional_batch_once(monkeypatch):
+    # Both laws of an element read one batch per kappa on stream 7: with the
+    # primal and dual batches and the region checks' five, 13 draws in all.
+    draws = []
+    sample_batch = montecarlo.sample_batch
+
+    def recorded(kind, kappa, n, rng):
+        draws.append((kind, kappa, rng.stream_id))
+        return sample_batch(kind, kappa, n, rng)
+
+    monkeypatch.setattr(verify, "sample_batch", recorded)
+    monkeypatch.setattr(montecarlo, "sample_batch", recorded)  # region_coverage's draws
+    assert all(c.ok for c in verify.mc_checks(10**4, 0))
+    assert len(draws) == 13
+    conditional = [d for d in draws if d[2] == 7]
+    assert len(set(conditional)) == len(conditional) == 6
+    assert {kind for kind, _, _ in conditional} == set(verify.GIVEN_BATCH.values())
+    # region_coverage draws its own batch: five calls, two distinct batches.
+    region = [d for d in draws if d[2] == 11]
+    assert len(region) == 5 and len(set(region)) == 2
 
 
 def test_reduction_grid_holds_the_fixed_side_points(monkeypatch):
