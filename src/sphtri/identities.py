@@ -109,10 +109,6 @@ def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
     return IdentityResiduals(r1, r2, r3, r4, r5, r6)
 
 
-def _clamp(x: float) -> float:
-    return max(-1.0, min(1.0, x))
-
-
 def median_decompose(m: TriangleMetrics) -> CevianDecomposition:
     """Median from C to the midpoint P of side c.
 
@@ -187,13 +183,19 @@ def bisector_threshold(tau: float, alpha: float) -> float:
     near-degenerate corner (tau near 2 pi, alpha near pi) keeps full precision:
     the quotient becomes (e - d) / (e + d - d e). Scalar only: on floats numpy
     costs about ten times what math does, which would show in the bisector route.
+    Raises ValueError for tau outside [0, 2 pi] or alpha outside [0, pi], NaN
+    included.
     """
+    if not 0.0 <= tau <= 2.0 * math.pi:  # NaN fails too
+        raise ValueError("tau must lie in [0, 2*pi]")
+    if not 0.0 <= alpha <= math.pi:
+        raise ValueError("alpha must lie in [0, pi]")
     d = 2.0 * math.cos(tau / 4) ** 2
     e = math.cos(alpha / 2) ** 2 / (1.0 + math.sin(alpha / 2))
     den = e + d - d * e
     if den <= 0.0:
         return math.pi
-    return math.acos(_clamp((e - d) / den))
+    return math.acos(max(-1.0, min(1.0, (e - d) / den)))
 
 
 def median_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:

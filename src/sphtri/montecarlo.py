@@ -180,12 +180,16 @@ def region_coverage(
 ) -> int:
     """Count of samples violating the region characterization of a law.
 
-    Samples the batch of the law's fixed element and checks that the
-    points with statistic <= limit fall on the admissible side of the
-    region_boundary curve (within a guard band of 1e-9), and the others on
-    the opposite side. Returns the number of violations (0 when the curve
-    formula and the sampler agree). A kind without a region boundary
-    raises ValueError before any sampling.
+    Samples the batch of the law's fixed element and takes each point's
+    signed margin to the region_boundary curve, positive inside the
+    region: curve(x) - y for a curve kind, with (x, y) the batch's
+    coordinates in the order of law.curve_takes_u, and for the bisector the
+    least of rho - bisector_threshold, theta - f(rho) and
+    pi - f(rho) - theta. A point with statistic <= limit and a margin below
+    -1e-9 is a violation, as is one with a larger statistic and a margin
+    above 1e-9 (the guard band). Returns the number of violations (0 when
+    the curve formula and the sampler agree). A kind without a region
+    boundary raises ValueError before any sampling.
     """
     curve = region_boundary(kind, limit, kappa)
     law = CONDITIONAL_LAWS[kind]
@@ -196,21 +200,12 @@ def region_coverage(
         # Per-sample bisector decomposition of the sampled triangles.
         be = batch.coord_v  # beta
         theta, rho = bisector_angles(kappa, be, batch.sigma + math.pi - kappa - be)
-        thres = bisector_threshold(limit, kappa)
         lower = curve(rho)
-        upper = math.pi - lower
-        in_band = (
-            (rho >= thres - _GUARD)
-            & (theta >= lower - _GUARD)
-            & (theta <= upper + _GUARD)
-        )
-        out_band = (rho <= thres + _GUARD) | (theta <= lower + _GUARD) | (theta >= upper - _GUARD)
-        return int(np.sum(inside & ~in_band) + np.sum(~inside & ~out_band))
-
-    xcoord, ycoord = batch.coord_u, batch.coord_v
-    if not law.curve_takes_u:
-        xcoord, ycoord = ycoord, xcoord
-    bound = curve(xcoord)
-    above = ycoord > bound + _GUARD
-    below = ycoord < bound - _GUARD
-    return int(np.sum(inside & above) + np.sum(~inside & below))
+        margin = np.minimum(rho - bisector_threshold(limit, kappa),
+                            np.minimum(theta - lower, math.pi - lower - theta))
+    else:
+        xcoord, ycoord = batch.coord_u, batch.coord_v
+        if not law.curve_takes_u:
+            xcoord, ycoord = ycoord, xcoord
+        margin = curve(xcoord) - ycoord
+    return int(np.sum(inside & (margin < -_GUARD)) + np.sum(~inside & (margin > _GUARD)))

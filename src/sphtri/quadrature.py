@@ -10,9 +10,10 @@ The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 left end (t = a + u^2) becomes a bounded smooth integrand, so no special
 weighting is needed afterwards, and a flagged right end b is the same map
-of t -> f(-t) at -b. Its two engines, a heap for one integral and a
-batched one for many (_integrate_rows), share that one map and stop at
-the same width floor and the same per-call panel budget.
+of t -> f(-t) at -b. Its two engines share that one map and stop at the
+same width floor and the same per-call panel budget: integrate keeps the
+panels of all pieces of one integral in one heap, and _integrate_rows
+evaluates many integrals in batches.
 """
 
 from __future__ import annotations
@@ -135,47 +136,6 @@ def _kronrod_panel(f, a, b):
     return k, _sharpened(abs(k - g))
 
 
-def _adaptive(f, a, b, tol, budget):
-    """Adaptive bisection on [a, b] in at most budget panels: (value, err, evaluations, failure).
-
-    failure is None, or why the tolerance was not met; the estimate is then the best reached.
-    """
-    if a == b:
-        return 0.0, 0.0, 0, None
-    val, err = _kronrod_panel(f, a, b)
-    evals = 15
-    last_split = 15 * (budget - 2)  # the evaluations after which a split goes past budget
-    floor = (b - a) * _FLOOR
-
-    # Heap of (-err, counter, a, b, value, err).
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    total = val
-    total_err = err
-    while total_err > tol * max(1.0, abs(total)):
-        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if (pb - pa) <= abs(pb + pa) * _FLOOR + floor:
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, perr))
-            counter += 1
-            # Nothing left that may be split.
-            if all(item[0] == 0.0 for item in heap):
-                return total, total_err, evals, "no panel wider than the floor left to split"
-            continue
-        if evals > last_split:
-            return total, total_err, evals, f"panel budget of {_PANEL_BUDGET} exhausted"
-        mid = 0.5 * (pa + pb)
-        lval, lerr = _kronrod_panel(f, pa, mid)
-        rval, rerr = _kronrod_panel(f, mid, pb)
-        evals += 30
-        total += lval + rval - pval
-        total_err += lerr + rerr - perr
-        counter += 1
-        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
-        counter += 1
-        heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr))
-    return total, total_err, evals, None
-
-
 def integrate(
     f: Callable,
     a: float,
@@ -188,37 +148,60 @@ def integrate(
     values. Flagged endpoints are assumed to carry at worst an
     inverse-square-root singularity, removed exactly by the u^2
     substitution before adaptive refinement; the integrand is never
-    evaluated at the endpoints themselves. Raises ToleranceNotMet when
-    only panels at the width floor are left to split or a split would take
-    the call past _PANEL_BUDGET panels; a piece after the one that failed
-    still runs, on what is left of the budget, so that the attached result
-    estimates the whole integral. Raises NonFiniteIntegrand when a panel
-    sums to NaN or infinity, and ValueError for non-finite bounds.
+    evaluated at the endpoints themselves. The pieces that the flags call
+    for share one heap of panels, so the whole integral is held to
+    spec.tol and the call to one panel budget. Raises ToleranceNotMet,
+    with the estimate of the whole integral attached, when only panels at
+    the width floor are left to split or a split would take the call past
+    _PANEL_BUDGET panels. Raises NonFiniteIntegrand when a panel sums to
+    NaN or infinity, and ValueError for non-finite bounds.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
 
-    pieces = _pieces(a, b, spec)
-    tol_scale = 1.0 / len(pieces)
-    value = 0.0
-    err = 0.0
-    evals = 0
-    failure = None
-    for sign, end, lo, hi in pieces:
-        piece_f = f if end is None else _substituted(f if sign > 0 else lambda s: f(-s), end)
-        v, e, n, why = _adaptive(piece_f, lo, hi, spec.tol * tol_scale,
-                                 _PANEL_BUDGET - evals // 15)
-        failure = failure or why
-        value += v
-        err += e
-        evals += n
-    if failure:
-        raise ToleranceNotMet(f"{failure} (err ~ {err:.3e})", QuadratureResult(value, err, evals))
-    return QuadratureResult(value, err, evals)
+    # Heap of (-err, counter, lo, hi, value, err, integrand, floor): each
+    # panel carries its piece's integrand and that piece's width floor.
+    heap = []
+    total = total_err = 0.0
+    for sign, end, lo, hi in _pieces(a, b, spec):
+        if lo == hi:
+            continue
+        g = f if end is None else _substituted(f if sign > 0 else lambda s: f(-s), end)
+        val, err = _kronrod_panel(g, lo, hi)
+        heap.append((-err, len(heap), lo, hi, val, err, g, (hi - lo) * _FLOOR))
+        total += val
+        total_err += err
+    heapq.heapify(heap)
+    counter = len(heap)
+    evals = 15 * counter
+    why = None
+    while total_err > spec.tol * max(1.0, abs(total)):
+        neg, _, lo, hi, val, err, g, floor = heapq.heappop(heap)
+        if neg == 0.0:  # the least key is 0.0: every panel left is at the floor or exact
+            why = "no panel wider than the floor left to split"
+            break
+        if (hi - lo) <= abs(hi + lo) * _FLOOR + floor:
+            heapq.heappush(heap, (0.0, counter, lo, hi, val, err, g, floor))
+            counter += 1
+            continue
+        if evals > 15 * (_PANEL_BUDGET - 2):  # a split now would go past the budget
+            why = f"panel budget of {_PANEL_BUDGET} exhausted"
+            break
+        mid = 0.5 * (lo + hi)
+        lval, lerr = _kronrod_panel(g, lo, mid)
+        rval, rerr = _kronrod_panel(g, mid, hi)
+        evals += 30
+        total += lval + rval - val
+        total_err += lerr + rerr - err
+        heapq.heappush(heap, (-lerr, counter, lo, mid, lval, lerr, g, floor))
+        heapq.heappush(heap, (-rerr, counter + 1, mid, hi, rval, rerr, g, floor))
+        counter += 2
+    result = QuadratureResult(total, total_err, evals)
+    if why:
+        raise ToleranceNotMet(f"{why} (err ~ {total_err:.3e})", result)
+    return result
 
 
 def _pieces(a, b, spec, sqrt=math.sqrt):

@@ -178,6 +178,13 @@ class TestBisector:
         # Octant: threshold numerator cos(3*pi/4) + sin(pi/4) vanishes.
         assert abs(bisector_threshold(3 * PI / 2, PI / 2) - PI / 2) < 1e-12
 
+    @pytest.mark.parametrize("tau, alpha", [(math.nan, 1.0), (1.0, math.nan), (-0.1, 1.0),
+                                            (2 * PI + 1e-9, 1.0), (1.0, -0.1), (1.0, PI + 1e-9)])
+    def test_threshold_rejects_arguments_out_of_range(self, tau, alpha):
+        # The clamp of the cosine drops a NaN, so an unchecked NaN gave acos(1) = 0.
+        with pytest.raises(ValueError):
+            bisector_threshold(tau, alpha)
+
 
 class TestSolvedForms:
     def test_angle_psi_octant(self):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphtri import sphere
+from sphtri import montecarlo, sphere
 from sphtri.coords import CoordKind, vertices
 from sphtri.distributions import (
     CONDITIONAL_LAWS, ConditionalKind, area_cdf, conditional_cdf, perimeter_cdf,
@@ -334,15 +334,30 @@ def test_conditional_point_at_pi_with_million_samples():
 
 
 class TestRegionCoverage:
-    @pytest.mark.parametrize("kind,kappa,limit", [
+    LAWS = [  # the acceptance suite's five region laws
         (ConditionalKind.AREA_GIVEN_SIDE, 1.2, 2.0),
         (ConditionalKind.PERIMETER_GIVEN_SIDE, 1.2, 3.0),
         (ConditionalKind.PERIMETER_GIVEN_ANGLE, 1.2, 3.0),
         (ConditionalKind.AREA_GIVEN_ANGLE, 1.9, 2.0),
         (ConditionalKind.PERIMETER_BISECTOR, 1.2, 3.0),
-    ])
+    ]
+
+    @pytest.mark.parametrize("kind,kappa,limit", LAWS)
     def test_no_violations(self, kind, kappa, limit):
         assert region_coverage(kind, kappa, limit, 10**5, RngStream(99)) == 0
+
+    @pytest.mark.parametrize("shift, counts", [(0.05, [45, 137, 39, 165, 29]),
+                                               (-0.05, [76, 113, 44, 165, 44])])
+    def test_counts_the_points_of_a_shifted_curve(self, monkeypatch, shift, counts):
+        # Against the curve of limit + shift, each point whose statistic lies
+        # between limit and limit + shift falls on the wrong side, and is
+        # counted. Every other test sees 0 violations.
+        boundary = montecarlo.region_boundary
+        monkeypatch.setattr(montecarlo, "region_boundary",
+                            lambda kind, x, kappa: boundary(kind, x + shift, kappa))
+        got = [region_coverage(kind, kappa, limit, 10**4, RngStream(809))
+               for kind, kappa, limit in self.LAWS]
+        assert got == counts
 
     def test_trivial_full_region(self):
         assert region_coverage(ConditionalKind.AREA_GIVEN_SIDE, 1.0, TWO_PI, 10**5, RngStream(99)) == 0

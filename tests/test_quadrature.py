@@ -189,9 +189,18 @@ class TestIntegrate:
         )
         assert abs(r.value - ellip_K(z)) < 1e-10
 
-    def test_empty_interval(self):
-        r = integrate(np.sin, 1.0, 1.0)
-        assert r.value == 0.0
+    @pytest.mark.parametrize("left, right", [(False, False), (True, False), (False, True),
+                                             (True, True)])
+    def test_empty_interval(self, left, right):
+        # A piece of zero width is not evaluated.
+        r = integrate(np.sin, 1.0, 1.0, QuadratureSpec(1e-10, left, right))
+        assert r == QuadratureResult(0.0, 0.0, 0)
+
+    def test_adjacent_floats_with_both_flags(self):
+        # The midpoint rounds to an end, so one of the two pieces has zero width.
+        r = integrate(np.cos, 1.0, math.nextafter(1.0, 2.0), QuadratureSpec(1e-10, True, True))
+        assert r.evaluations == 15
+        assert 0.0 < r.value < 1e-15
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -217,7 +226,7 @@ class TestIntegrate:
 
     def test_unmet_tolerance_estimates_the_whole_integral(self):
         # Both flags split [0, 1] at 1/2. The left piece exhausts the budget as
-        # it does alone; the right piece still runs and adds its ln 2.
+        # it does alone, and the right piece, seeded in the same heap, adds its ln 2.
         both = QuadratureSpec(singular_left=True, singular_right=True)
         with pytest.raises(ToleranceNotMet) as whole:
             integrate(lambda t: 1.0 / t, 0.0, 1.0, both)
@@ -484,6 +493,19 @@ class TestOneAcceptanceRule:
         assert (first.err_estimate > accept) == (c > 15.0)
         assert integrate(f, 0.0, 1.0, QuadratureSpec(accept)).evaluations == 15
         assert integrate(f, 0.0, 1.0, QuadratureSpec(refine)).evaluations > 15
+
+    @pytest.mark.parametrize("tol, evaluations", [(1e-12, 1050), (1e-9, 750)])
+    def test_integrate_with_both_flags(self, tol, evaluations):
+        # The two pieces are held to tol together, not to tol / 2 each: the
+        # estimate of this lopsided integrand, whose right piece carries the
+        # oscillation, takes more than half of the whole allowance.
+        def f(t):
+            return (1.0 + np.cos(40.0 * t) * (t > 0.2)) / np.sqrt((t + 0.625) * (1.0 - t))
+
+        r = integrate(f, -0.625, 1.0, QuadratureSpec(tol, True, True))
+        allowed = tol * max(1.0, abs(r.value))
+        assert 0.5 * allowed < r.err_estimate <= allowed
+        assert r.evaluations == evaluations
 
     @pytest.mark.parametrize("c", [150.0, 1.0])
     def test_integrate_rows(self, c):
