@@ -37,15 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    """--n: an int of at least 1; text that is no int gets argparse's own message."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(least: int):
+    """The type of --n (least 1), --seed and --stream (least 0).
+
+    Text that is no int gets argparse's own message, and argparse names
+    the flag in front of either message.
+    """
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return parse
 
 
 @cache
@@ -83,16 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="Monte Carlo batch summary")
     sp.add_argument("--kind", required=True, choices=[k.value for k in BatchKind])
     sp.add_argument("--kappa", type=float)
-    sp.add_argument("--n", type=_positive_int, default=10**5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--stream", type=int, default=0)
+    sp.add_argument("--n", type=_int_at_least(1), default=10**5)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--stream", type=_int_at_least(0), default=0)
     sp.add_argument("--degrees", action="store_true")
     sp.add_argument("--out")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
-    sp.add_argument("--n", type=_positive_int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_int_at_least(1), default=10000)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     return p
 
 

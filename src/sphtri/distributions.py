@@ -49,6 +49,15 @@ _TWO_PI_SHORTFALL = 2.4492935982947064e-16  # the true 2*pi - TWO_PI
 # Jacobian's peak narrows like kappa (or pi - kappa), and the quadrature
 # ran for seconds or returned wrong values.
 COORDS_KAPPA_EDGE = 1e-2
+# AREA_PRIMAL and PERIMETER_DUAL need x this far from their hard end, 0
+# and 2*pi. Their inner integral falls from pi to 0 within about x of
+# kappa = pi (at x = 1e-7: 3.09 at pi - 1e-6, 1.11 at pi - 1e-7, 0 at
+# pi - 1e-8), and the outer panels there can miss that step. On log grids
+# of x from 1e-9, at tol from 1e-4 to 1e-12, they missed area_density with
+# no error raised by up to 8.8e-4 at tol 1e-6 and 7.6e-6 at tol 1e-9, and
+# by more than 10 tol up to x = 1.42e-5 (at tol 1.2e-6); from the edge up,
+# by at most 7.3 tol.
+SMOOTH_KINDS_EDGE = 2e-5
 
 
 def _polar(x):
@@ -420,10 +429,11 @@ def _nested(f, bounds, lo, hi, spec: QuadratureSpec, inner_singular: bool = Fals
     lo is a 1-D array, one element k per x of an array call (a float call
     passes one), and hi a float or an array like lo. Both integrals run on _integrate_rows
     (Shampine, J. Comput. Appl. Math. 211, 2008). The outer rows are
-    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], hi[k]], each held
-    to spec.tol / _OUTER_ROWS as integrate divides its tolerance among
-    pieces, and each carrying spec's singular flags (at a row's interior
-    end a flag only adds a u^2 map). Each outer step makes one inner call,
+    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], hi[k]]. The
+    quarters are separate rows, each accepted on its own test, so each is
+    held to spec.tol / _OUTER_ROWS, and together they are held to about spec.tol.
+    Each carries spec's singular flags (at a row's interior end a flag
+    only adds a u^2 map). Each outer step makes one inner call,
     whose rows are all the (k, u) nodes of that step, held to spec.tol / 10
     so that their errors stay below the outer tolerance, with both ends
     flagged singular when inner_singular. So f(k, u, t) gets columns of
@@ -583,13 +593,20 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     ToleranceNotMet, naming that x, where an integral at any x misses its
     tolerance, and where the square-root kinds' radicand rounds to 0
     inside a band (at tol 1e-16, tiny x or AREA_DUAL's x = 6.283185307179,
-    5.9e-13 below 2*pi, say), and ValueError for a kind that is not a
-    DensityKind.
+    5.9e-13 below 2*pi, say). Raises OutOfDomain, naming that x, where
+    AREA_PRIMAL's x or PERIMETER_DUAL's 2*pi - x is below SMOOTH_KINDS_EDGE,
+    2e-5: nearer that hard end these two returned wrong values with no error.
+    Raises ValueError for a kind that is not a DensityKind.
     """
     if not isinstance(kind, DensityKind):
         raise ValueError(f"unknown density kind {kind!r}")
     x = _law_argument(x, "x", ends=False)
     xs = np.array(x, dtype=float).ravel()
+    if kind is DensityKind.AREA_PRIMAL or kind is DensityKind.PERIMETER_DUAL:
+        end = xs if kind is DensityKind.AREA_PRIMAL else _polar(xs)  # distance to the hard end
+        if not (end >= SMOOTH_KINDS_EDGE).all():
+            raise OutOfDomain(f"{kind.value} needs x at least {SMOOTH_KINDS_EDGE} from its hard "
+                              f"end, got x = {float(xs[~(end >= SMOOTH_KINDS_EDGE)][0])!r}")
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_PRIMAL:
         xs = _polar(xs)
     # The inner integral of the two square-root kinds itself diverges like

@@ -10,7 +10,8 @@ The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 left end (t = a + u^2) becomes a bounded smooth integrand, so no special
 weighting is needed afterwards, and a flagged right end b is the same map
-of t -> f(-t) at -b. Its two engines share that one map and stop at the
+of t -> f(-t) at -b. Its two engines share that one map, hold the
+pieces of a flagged integral to one tolerance together, and stop at the
 same width floor and the same per-call panel budget: integrate keeps the
 panels of all pieces of one integral in one heap, and _integrate_rows
 evaluates many integrals in batches.
@@ -70,10 +71,9 @@ del _weights_g
 # or row is always evaluated. An inner call of distributions._nested
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
-# each kind the largest call used 3,328, 4.9 times under the budget. The
-# double integrals need up to 3,228 from 1e-6 of their ends, and 9,808 at
-# 2.2e-8: PERIMETER_DUAL next to 2*pi, which is AREA_PRIMAL next to 0. At
-# 1e-8 from those ends both exhaust it.
+# each kind the largest call used 2,004, 8.2 times under the budget. The
+# double integrals need up to 2,652 at the default tol (AREA_PRIMAL at its
+# edge, x = 2e-5), and AREA_PRIMAL at x = 5e-5 and tol 3e-15 needs 12,584.
 _PANEL_BUDGET = 1 << 14
 # A panel narrower than _FLOOR times its position, plus _FLOOR times the
 # width of its piece, is not split. Without the second term the heap chased
@@ -118,12 +118,12 @@ def _sharpened(diff, minimum=min):
     return minimum(diff, (200.0 * diff) ** 1.5)
 
 
-# The heap keeps this one-panel kernel rather than evaluating its two
-# children in one _row_panels call. That call was no faster (0.98-1.04x per
-# call of PERIMETER_BISECTOR, AREA_MEDIAN and the band integral that
-# PERIMETER_GIVEN_SIDE then was, best of 7 interleaved calls at each seed-1
-# conditional-routes point, 2-CPU host), and its matrix product sums the
-# 15 terms in another order, which moved those routes' values by up to 3.3e-16.
+# The heap keeps this one-panel kernel rather than _row_panels. Each panel
+# as a one-row _row_panels call made AREA_MEDIAN and PERIMETER_BISECTOR
+# 1.59-1.67x slower (median of 20 interleaved passes over the seed-1
+# conditional-routes points, 2-CPU host). The two children of a split in one
+# call were no faster (0.96-0.98x), and its matrix product sums the 15 terms
+# in another order, which moved those routes' values by up to 3.3e-16.
 def _kronrod_panel(f, a, b):
     """One G7/K15 panel on [a, b]: (K15 value, error estimate)."""
     h = 0.5 * (b - a)
@@ -272,12 +272,13 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     one call f(i, t) (Shampine, "Vectorized adaptive quadrature in
     MATLAB", J. Comput. Appl. Math. 211, 2008). There t has one panel's 15
     abscissae per line and the column i holds each line's row index, by
-    which f looks up its per-row parameters. Each row is accepted on its
-    own test, spec.tol * max(1, |value|), and honours the
+    which f looks up its per-row parameters. Each row honours the
     singular flags through the pieces and the one u^2 map of integrate:
     each piece's virtual rows carry its sign and end, so that one call
-    f(owner, sign * s) serves every piece of a step. Rows with a == b give
-    0 and are not evaluated.
+    f(owner, sign * s) serves every piece of a step. As in integrate, a
+    row is accepted on the sum of its pieces, at spec.tol * max(1, |value|),
+    and the panels it splits may lie in either piece. Rows with a == b
+    give 0 and are not evaluated.
 
     integrate splits one panel at a time, from a heap. Here a step takes,
     in every row not yet accepted, each panel wider than the floor whose
@@ -292,10 +293,10 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     touch it again.
 
     For a single integral the heap is faster, which is why the engines
-    stay two: the 1-D conditional routes that integrate ran about 3.5x
-    slower as one-row calls of this engine (56 -> 180 us for
-    PERIMETER_BISECTOR, median over the seed-1 conditional-routes
-    benchmark points, 2-CPU host).
+    stay two: the 1-D conditional routes that integrate ran 2.1x
+    (AREA_MEDIAN) and 2.6x (PERIMETER_BISECTOR) slower as one-row calls
+    of this engine (median of 20 interleaved passes over the seed-1
+    conditional-routes points, 2-CPU host).
 
     Returns (values, error estimates), arrays of a's length. Raises
     ValueError for non-finite or reversed bounds, NonFiniteIntegrand when a
@@ -332,50 +333,48 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
         def g(j, u):
             return _substituted(lambda s: f(owner[j], sign[j] * s), end[j])(u)
 
-    tol = spec.tol * (1.0 / len(pieces))
-    rows = lo.size
+    n, rows = a.size, lo.size
     group = np.zeros(rows, np.intp) if groups is None else groups[owner]
-    # The sums of the accepted virtual rows; the panels of the others, as
+    # The sums of the accepted rows; the panels of the others, as
     # [pa, pb] of virtual row j with its K15 value and error estimate.
-    value, error = np.zeros(rows), np.zeros(rows)
+    value, error = np.zeros(n), np.zeros(n)
     j = np.flatnonzero(lo < hi)
     if not j.size:
-        return np.zeros(a.size), np.zeros(a.size)
+        return value, error
     pa, pb = lo[j], hi[j]
     floor = (hi - lo) * _FLOOR
     used = np.bincount(group[j], minlength=group.max() + 1)  # panels evaluated, per group
     val, err = _row_panels(g, j, pa, pb)
 
-    def fail(r, why):
-        mine = owner == owner[r]
-        total = (value + np.bincount(j, val, rows))[mine].sum()
-        total_err = (error + np.bincount(j, err, rows))[mine].sum()
-        raise ToleranceNotMet(f"row {owner[r]}: {why} (err ~ {total_err:.3e})",
-                              QuadratureResult(float(total), float(total_err),
+    def fail(r, why):  # row r, which is its own first virtual row, is still open
+        raise ToleranceNotMet(f"row {r}: {why} (err ~ {total_err[r]:.3e})",
+                              QuadratureResult(float(total[r]), float(total_err[r]),
                                                15 * int(used[group[r]])), int(group[r]))
 
     while True:
-        total = np.bincount(j, val, rows)
-        total_err = np.bincount(j, err, rows)
-        done = total_err <= tol * np.maximum(1.0, np.abs(total))  # a NaN error stays open
+        # Each piece is summed first, then a row adds its pieces.
+        total = np.bincount(owner, np.bincount(j, val, rows), n)
+        total_err = np.bincount(owner, np.bincount(j, err, rows), n)
+        done = total_err <= spec.tol * np.maximum(1.0, np.abs(total))  # a NaN error stays open
         value[done] += total[done]
         error[done] += total_err[done]
-        still = ~done[j]
+        still = ~done[owner[j]]
         j, pa, pb, val, err = j[still], pa[still], pb[still], val[still], err[still]
         if not j.size:
-            return np.bincount(owner, value, a.size), np.bincount(owner, error, a.size)
+            return value, error
+        r = owner[j]
         room = pb - pa > np.abs(pb + pa) * _FLOOR + floor[j]
-        worst = np.zeros(rows)
-        np.maximum.at(worst, j[room], err[room])
-        mark = room & (err >= _MARK * worst[j])
-        stuck = (np.bincount(j, mark, rows) == 0) & ~done
+        worst = np.zeros(n)
+        np.maximum.at(worst, r[room], err[room])
+        mark = room & (err >= _MARK * worst[r])
+        stuck = (np.bincount(r, mark, n) == 0) & ~done
         if stuck.any():
             fail(int(np.argmax(stuck)), "no panel wider than the floor left to split")
         pick = np.flatnonzero(mark)
         cj = np.concatenate([j[pick]] * 4)
         after = used + np.bincount(group[cj], minlength=used.size)
         if after.max() > _PANEL_BUDGET:  # only a group that splits now can pass its budget
-            fail(int(cj[np.argmax(after[group[cj]] > _PANEL_BUDGET)]),
+            fail(int(owner[cj[np.argmax(after[group[cj]] > _PANEL_BUDGET)]]),
                  f"panel budget of {_PANEL_BUDGET} exhausted")
         used = after
         A, B = pa[pick], pb[pick]

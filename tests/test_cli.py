@@ -253,6 +253,20 @@ def test_bad_n_is_a_usage_error(command, n, message, capsys):
     assert err.startswith("usage:") and f"argument --n: {message}" in err
 
 
+@pytest.mark.parametrize("argv", ["sample --kind primal --seed", "sample --kind primal --stream",
+                                  "verify --seed"])
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be at least 0, got -1"),
+    ("abc", "invalid int value: 'abc'"),
+], ids=["-1", "abc"])
+def test_bad_seed_or_stream_is_a_usage_error(argv, value, message, capsys):
+    # A usage error (exit 1) that names its flag, not verify's exit 2 of a
+    # failed check or numpy's message from the sampler.
+    assert run([*argv.split(), value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {argv.split()[-1]}: {message}" in err
+
+
 def test_exit_codes_through_the_process_boundary(capsys):
     # main() turns run()'s code into the process's exit status.
     def cli(*argv):

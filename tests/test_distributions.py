@@ -23,10 +23,10 @@ from sphtri.distributions import (
 )
 from sphtri.coords import side_jacobian
 from sphtri.distributions import (
-    CONDITIONAL_LAWS, _perimeter_cdf_integrand, _perimeter_density_integrand, _polar, _radicand,
-    _sqrt_inner,
+    CONDITIONAL_LAWS, SMOOTH_KINDS_EDGE, _perimeter_cdf_integrand, _perimeter_density_integrand,
+    _polar, _radicand, _sqrt_inner,
 )
-from sphtri.errors import OutOfDomain, ToleranceNotMet
+from sphtri.errors import OutOfDomain, SphtriError, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
 from sphtri.montecarlo import sample_batch
 from sphtri.quadrature import _BLOCK, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
@@ -851,8 +851,10 @@ class TestDoubleIntegrals:
     @pytest.mark.parametrize("kind, tol", [(DensityKind.PERIMETER_PRIMAL, 1e-14),
                                            (DensityKind.AREA_DUAL, 1e-13)])
     def test_tight_tolerance_answers_or_raises_tolerance_not_met(self, kind, tol):
-        # Points of a tolerance sweep where one half of an inner row (both
-        # ends flagged) is accepted steps before the other.
+        # A point of a tolerance sweep at these tolerances' limit: the inner
+        # rows (both ends flagged) refine into the band ends, where the
+        # radicand's rounding leaves noise, so PERIMETER_PRIMAL exhausts its
+        # budget and AREA_DUAL answers. A wrong value is the one outcome barred.
         x = 2.88395993245731
         try:
             v = density_via_double_integral(kind, x, tol)
@@ -883,10 +885,35 @@ class TestDoubleIntegrals:
         # AREA_PRIMAL's theta-integrand peaks next to theta = x/2 at small x;
         # the inner rule resolves the peak only with that end flagged.
         x = float(x)
+        if x < SMOOTH_KINDS_EDGE:
+            for kind, at in ((DensityKind.AREA_PRIMAL, x), (DensityKind.PERIMETER_DUAL, TWO_PI - x)):
+                with pytest.raises(OutOfDomain):
+                    density_via_double_integral(kind, at)
+            return
         v = density_via_double_integral(DensityKind.AREA_PRIMAL, x)
         assert abs(v - area_density(x)) < 1e-8
         v = density_via_double_integral(DensityKind.PERIMETER_DUAL, TWO_PI - x)
         assert abs(v - area_density(x)) < 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("kind", [DensityKind.AREA_PRIMAL, DensityKind.PERIMETER_DUAL])
+    def test_smooth_kinds_answer_within_ten_tol_or_raise(self, kind, tol):
+        # A log grid of distances d from the hard end, x = d for AREA_PRIMAL
+        # and 2*pi - d for PERIMETER_DUAL. Every d answers within 10 tol or
+        # raises, and at and above the edge one array call answers at every d.
+        ds = np.geomspace(1e-9, 1e-3, 49)
+        xs = ds if kind is DensityKind.AREA_PRIMAL else TWO_PI - ds
+        for d, x in zip(ds, xs):
+            if d >= SMOOTH_KINDS_EDGE:
+                continue
+            try:
+                v = density_via_double_integral(kind, float(x), tol)
+            except SphtriError:
+                continue
+            assert abs(v - area_density(float(d))) <= 10 * tol
+        near = ds >= SMOOTH_KINDS_EDGE
+        got = density_via_double_integral(kind, xs[near], tol)
+        assert np.all(np.abs(got - area_density(ds[near])) <= 10 * tol)
 
     def test_duality_grid(self):
         for x in np.linspace(0.5, TWO_PI - 0.5, 10):
@@ -1014,11 +1041,12 @@ class TestPolarDuality:
 
     @pytest.mark.parametrize("x", [1e-8, 1e-300])
     def test_area_primal_next_to_zero_answers_or_raises(self, x):
-        try:
-            v = density_via_double_integral(DensityKind.AREA_PRIMAL, x)
-        except ToleranceNotMet:
-            return
-        assert abs(v - area_density(x)) < 1e-8
+        # Below SMOOTH_KINDS_EDGE, in the caller's x, not in its polar image.
+        with pytest.raises(OutOfDomain, match=f"got x = {x!r}$"):
+            density_via_double_integral(DensityKind.AREA_PRIMAL, x)
+        with pytest.raises(OutOfDomain):
+            density_via_double_integral(DensityKind.PERIMETER_DUAL,
+                                        min(TWO_PI - x, distributions._BELOW_TWO_PI))
 
     @pytest.mark.parametrize("delta", [1e-300, 1e-100, 1e-12, 1e-8])
     def test_square_root_pair_at_its_singular_end(self, delta):
@@ -1085,18 +1113,21 @@ class TestArrayX:
             f(np.array([[0], [1]]), np.full((2, 1), 1.6), np.array([[1.2, 1.3], [1.5, 1.6]]))
 
     def test_an_x_that_misses_raises_for_the_whole_array(self):
-        # AREA_PRIMAL at 1e-9 exhausts the panel budget of its own call; the
-        # array raises too, with the same estimate, rather than return the 2.0 entry.
+        # PERIMETER_PRIMAL at 2.0 and tol 1e-14 exhausts the panel budget of
+        # its own call, and at 1.0 it answers; the array raises too, with the
+        # same estimate, rather than return the 1.0 entry.
+        kind = DensityKind.PERIMETER_PRIMAL
+        assert math.isfinite(density_via_double_integral(kind, 1.0, 1e-14))
         with pytest.raises(ToleranceNotMet) as alone:
-            density_via_double_integral(DensityKind.AREA_PRIMAL, 1e-9)
-        for xs in ([2.0, 1e-9], [1e-9, 2.0]):
+            density_via_double_integral(kind, 2.0, 1e-14)
+        for xs in ([1.0, 2.0], [2.0, 1.0]):
             with pytest.raises(ToleranceNotMet, match="panel budget") as info:
-                density_via_double_integral(DensityKind.AREA_PRIMAL, np.array(xs))
+                density_via_double_integral(kind, np.array(xs), 1e-14)
             assert info.value.result == alone.value.result
 
     @pytest.mark.parametrize("kind, xs, tol, at", [
         (DensityKind.AREA_DUAL, [3.0, 2.0], 1e-16, 2.0),
-        (DensityKind.AREA_PRIMAL, [2.0, 1e-9], 1e-9, 1e-9),  # the caller's x, not its polar image
+        (DensityKind.PERIMETER_PRIMAL, [1.0, 2.0], 1e-14, 2.0),  # the caller's x, not its polar image
     ])
     def test_a_miss_names_its_x(self, kind, xs, tol, at):
         # The engine fails in an inner call; the error names the x of that
@@ -1108,10 +1139,10 @@ class TestArrayX:
         assert info.value.result == alone.value.result
 
     def test_each_x_gets_its_own_panel_budget(self, monkeypatch):
-        # At 2.2e-8 and 2.5e-8 an inner call of AREA_PRIMAL evaluates 9,808 and
-        # 7,848 panels: together more than one budget, each within its own.
-        xs = np.array([2.2e-8, 2.5e-8])
-        want = [density_via_double_integral(DensityKind.AREA_PRIMAL, float(x)) for x in xs]
+        # At 5e-5 and 1e-4 and tol 3e-15 an inner call of AREA_PRIMAL evaluates
+        # 12,584 and 6,256 panels: together more than one budget, each within its own.
+        xs, tol = np.array([5e-5, 1e-4]), 3e-15
+        want = [density_via_double_integral(DensityKind.AREA_PRIMAL, float(x), tol) for x in xs]
         panels = []
         real = distributions._integrate_rows
 
@@ -1127,7 +1158,7 @@ class TestArrayX:
                 panels.append(count[0])
 
         monkeypatch.setattr(distributions, "_integrate_rows", counted)
-        got = density_via_double_integral(DensityKind.AREA_PRIMAL, xs)
+        got = density_via_double_integral(DensityKind.AREA_PRIMAL, xs, tol)
         assert max(panels) > _PANEL_BUDGET
         assert np.all(np.abs(got - want) <= 1e-9)
 

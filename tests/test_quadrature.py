@@ -494,18 +494,37 @@ class TestOneAcceptanceRule:
         assert integrate(f, 0.0, 1.0, QuadratureSpec(accept)).evaluations == 15
         assert integrate(f, 0.0, 1.0, QuadratureSpec(refine)).evaluations > 15
 
+    @staticmethod
+    def lopsided(t):
+        """Both ends singular; the right piece carries the oscillation."""
+        return (1.0 + np.cos(40.0 * t) * (t > 0.2)) / np.sqrt((t + 0.625) * (1.0 - t))
+
     @pytest.mark.parametrize("tol, evaluations", [(1e-12, 1050), (1e-9, 750)])
     def test_integrate_with_both_flags(self, tol, evaluations):
         # The two pieces are held to tol together, not to tol / 2 each: the
-        # estimate of this lopsided integrand, whose right piece carries the
-        # oscillation, takes more than half of the whole allowance.
-        def f(t):
-            return (1.0 + np.cos(40.0 * t) * (t > 0.2)) / np.sqrt((t + 0.625) * (1.0 - t))
-
-        r = integrate(f, -0.625, 1.0, QuadratureSpec(tol, True, True))
+        # estimate of this lopsided integrand takes more than half of the
+        # whole allowance.
+        r = integrate(self.lopsided, -0.625, 1.0, QuadratureSpec(tol, True, True))
         allowed = tol * max(1.0, abs(r.value))
         assert 0.5 * allowed < r.err_estimate <= allowed
         assert r.evaluations == evaluations
+
+    @pytest.mark.parametrize("tol, evaluations, share", [(1e-12, 1110, 0.3), (1e-9, 810, 0.15)])
+    def test_integrate_rows_with_both_flags(self, tol, evaluations, share):
+        # The batched engine too accepts the row on the sum of its pieces.
+        # Pieces held to tol / 2 each take 1,170 evaluations at 1e-12, with
+        # an estimate of 0.04 of the allowance.
+        sizes = []
+
+        def f(i, t):
+            sizes.append(t.size)
+            return self.lopsided(t)
+
+        values, errors = _integrate_rows(f, np.array([-0.625]), np.ones(1),
+                                         QuadratureSpec(tol, True, True))
+        allowed = tol * max(1.0, abs(values[0]))
+        assert share * allowed < errors[0] <= allowed
+        assert sum(sizes) == evaluations
 
     @pytest.mark.parametrize("c", [150.0, 1.0])
     def test_integrate_rows(self, c):
