@@ -130,9 +130,7 @@ def _write_csv(header: list[str], rows, out: str | None) -> None:
 def _grid(args) -> np.ndarray:
     if args.lo is None or args.hi is None or args.steps is None:
         raise _Usage("need either --at or all of --from/--to/--steps")
-    lo, hi = args.lo, args.hi
-    if args.degrees:
-        lo, hi = math.radians(lo), math.radians(hi)
+    lo, hi = _angle_in(args.lo, args.degrees), _angle_in(args.hi, args.degrees)
     if not (0.0 <= lo < hi <= TWO_PI):
         raise _Usage(f"range must satisfy 0 <= from < to <= 2*pi, got [{lo}, {hi}]")
     if args.steps < 2:

@@ -414,7 +414,7 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # The double integrals, by nested quadrature.
 
 
-# Equal rows of [lo, hi] that _nested's outer integral starts from, so that
+# Equal rows of [lo, pi] that _nested's outer integral starts from, so that
 # the stragglers of different outer panels refine side by side. The 2-D
 # routes and double integrals at the seed-5 conditional-routes benchmark
 # points took a median 0.19 s with 4 rows, 0.25 s with 2, 0.29 s with 8 and
@@ -423,13 +423,13 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 _OUTER_ROWS = 4
 
 
-def _nested(f, bounds, lo, hi, spec: QuadratureSpec, inner_singular: bool = False) -> np.ndarray:
-    """For each k, the integral over u in [lo[k], hi[k]] of the integral of f(k, u, t) dt over bounds(k, u).
+def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -> np.ndarray:
+    """For each k, the integral over u in [lo[k], pi] of the integral of f(k, u, t) dt over bounds(k, u).
 
     lo is a 1-D array, one element k per x of an array call (a float call
-    passes one), and hi a float or an array like lo. Both integrals run on _integrate_rows
-    (Shampine, J. Comput. Appl. Math. 211, 2008). The outer rows are
-    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], hi[k]]. The
+    passes one); u, a side or an angle, ends at pi. Both integrals run on
+    _integrate_rows (Shampine, J. Comput. Appl. Math. 211, 2008). The outer rows are
+    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], pi]. The
     quarters are separate rows, each accepted on its own test, so each is
     held to spec.tol / _OUTER_ROWS, and together they are held to about spec.tol.
     Each carries spec's singular flags (at a row's interior end a flag
@@ -448,19 +448,18 @@ def _nested(f, bounds, lo, hi, spec: QuadratureSpec, inner_singular: bool = Fals
     points as the two-angle integral at its polar point.
     """
     n = lo.size
-    inner_tol = spec.tol / 10.0
+    inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
 
     def outer(i, us):
         k = np.repeat(i.ravel() // _OUTER_ROWS, us.shape[1])
         flat = us.ravel()
         a, b = (np.full(flat.shape, v) for v in bounds(k, flat))
-        inner_spec = QuadratureSpec(inner_tol, inner_singular, inner_singular)
         return _integrate_rows(lambda r, t: f(k[r], flat[r], t), a, b,
                                inner_spec, k)[0].reshape(us.shape)
 
-    # np.linspace(lo, hi, _OUTER_ROWS + 1) of each x, in its arithmetic.
-    edges = np.arange(_OUTER_ROWS + 1) * ((hi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
-    edges[:, -1] = hi
+    # np.linspace(lo, pi, _OUTER_ROWS + 1) of each x, in its arithmetic.
+    edges = np.arange(_OUTER_ROWS + 1) * ((math.pi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
+    edges[:, -1] = math.pi
     outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
     values = _integrate_rows(outer, edges[:, :-1].ravel(), edges[:, 1:].ravel(), outer_spec,
                              np.repeat(np.arange(n), _OUTER_ROWS))[0]
@@ -624,7 +623,7 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     # next to t = 1 as x nears 2*pi, which the unmapped rule missed by 1.5e-6
     # (AREA_PRIMAL at x = 1e-4).
     try:
-        values = scale * _nested(f, bounds, lo, math.pi, QuadratureSpec(tol, *ends), True)
+        values = scale * _nested(f, bounds, lo, QuadratureSpec(tol, *ends), True)
     except ToleranceNotMet as err:  # each x is a budget group: name the x that missed
         if err.group is None:
             raise
@@ -639,12 +638,12 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
 
 
 def _cot_arccos(x: float, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> arccos(clip(A + B cot t, -1, 1)), the fixed-side perimeter boundary.
+    """t -> arccos(clip(A + B cot t, -1, 1)); pi minus it bounds the fixed-angle area region.
 
-    A = sin(x - kappa)/sin(kappa) and B = (cos(x - kappa) - cos(kappa))/sin(kappa);
-    pi minus the same curve bounds the fixed-angle area law. Unmasked: valid
-    on the band where the curve lies strictly inside (0, pi). kappa must
-    not be 0.
+    A = sin(x - kappa)/sin(kappa) and B = (cos(x - kappa) - cos(kappa))/sin(kappa).
+    Only region_boundary's AREA_GIVEN_ANGLE curve uses it; the fixed-side
+    perimeter curve is that curve's polar image. Unmasked: valid on the
+    band where the curve lies strictly inside (0, pi). kappa must not be 0.
     """
     sk = math.sin(kappa)
     A = math.sin(x - kappa) / sk
@@ -706,6 +705,8 @@ def region_boundary(
     kappa = 0 the perimeter curves take their limit, pi up to x/2 and 0
     above it (where x/2 is 0, the empty region's), from the area curves' exact kappa = pi
     limit. x outside [0, 2*pi], kappa outside [0, pi] and other kinds raise ValueError.
+    The perimeter curves take x as 2*pi - x: PERIMETER_GIVEN_ANGLE's at (1e-10, 1) is
+    2.14159059 at rho = 0, not pi - 1, and from x = 3e-16 down both are 0 everywhere.
     """
     _check_x_kappa(x, kappa)
     if kind in (ConditionalKind.PERIMETER_GIVEN_SIDE, ConditionalKind.PERIMETER_GIVEN_ANGLE):
@@ -891,7 +892,7 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
         cos_psi = solved_forms(SolvedFormKind.ANGLE_PSI, us, x, kappa)
         return 0.0, np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
-    value = _nested(lambda _, u, v: angle_jacobian(u, v, kappa), bounds, np.zeros(1), math.pi,
+    value = _nested(lambda _, u, v: angle_jacobian(u, v, kappa), bounds, np.zeros(1),
                     QuadratureSpec(tol))
     return float(value[0]) / TWO_PI
 

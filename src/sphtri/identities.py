@@ -181,10 +181,12 @@ def bisector_threshold(tau: float, alpha: float) -> float:
     cos(rho_thres) = -(cos(tau/2) + sin(alpha/2)) / (1 + cos(tau/2) sin(alpha/2)),
     evaluated through d = 1 + cos(tau/2) and e = 1 - sin(alpha/2) so that the
     near-degenerate corner (tau near 2 pi, alpha near pi) keeps full precision:
-    the quotient becomes (e - d) / (e + d - d e). Scalar only: on floats numpy
-    costs about ten times what math does, which would show in the bisector route.
-    Raises ValueError for tau outside [0, 2 pi] or alpha outside [0, pi], NaN
-    included.
+    the quotient becomes (e - d) / (e + d - d e), whose denominator is at least
+    9.4e-33. At (2 pi, pi) it is 0/0 exactly, and rounding gives acos(-0.6) =
+    2.2143; no src caller gets there (conditional_cdf answers 1 at x >= 2 pi,
+    and the samplers reject an angle of pi). Scalar only: on floats numpy costs
+    about ten times what math does, which would show in the bisector route.
+    Raises ValueError for tau outside [0, 2 pi] or alpha outside [0, pi], NaN included.
     """
     if not 0.0 <= tau <= 2.0 * math.pi:  # NaN fails too
         raise ValueError("tau must lie in [0, 2*pi]")
@@ -193,8 +195,6 @@ def bisector_threshold(tau: float, alpha: float) -> float:
     d = 2.0 * math.cos(tau / 4) ** 2
     e = math.cos(alpha / 2) ** 2 / (1.0 + math.sin(alpha / 2))
     den = e + d - d * e
-    if den <= 0.0:
-        return math.pi
     return math.acos(max(-1.0, min(1.0, (e - d) / den)))
 
 

@@ -245,6 +245,8 @@ def _substituted(f, a):
     is noise, and refinement that reaches such panels chases it: the
     batched engine then met its tolerance 2.9e-7 away from
     cos(c t) / sqrt((t - a)(b - t)) integrated exactly, at a = -0.625.
+    A flagged interval one ulp wide has every node at a + ulp: 1/sqrt|t - 0.5|
+    on [1, 1 + 2^-52] gives 6.28e-16, twice 3.14e-16, inside the tolerance.
     """
     first = np.nextafter(a, np.inf)
 
@@ -495,22 +497,19 @@ def _agm_at(zeta, part: int):
 
     The one modulus check of ellip_K and ellip_E: zeta must lie in [0, 1],
     so NaN raises too. A modulus of no dimensions gives a Python float and
-    a bool, run on floats; an array gives arrays in its shape, and
-    _agm_KE runs on blocks of _AGM_BLOCK of its moduli. Moduli within
-    1e-15 of 1, where K diverges and E = 1, enter the AGM as 0.
+    a bool, an array gives arrays in its shape; _blocked runs either, an
+    array in blocks of _AGM_BLOCK moduli. Moduli within 1e-15 of 1, where
+    K diverges and E = 1, enter the AGM as 0.
     """
-    if np.ndim(zeta) == 0:
-        z = float(zeta)
-        if not 0.0 <= z <= 1.0:
-            raise ValueError("modulus must lie in [0, 1]")
-        one = z >= 1.0 - 1e-15
-        z2 = 0.0 if one else z * z
-        return _agm_KE(z2, math.sqrt(1.0 - z2))[part], one
     z = np.asarray(zeta, dtype=float)
-    if not np.all((z >= 0.0) & (z <= 1.0)):
+    z = float(z) if z.ndim == 0 else z  # a float is checked in Python, at a fifth of the cost
+    if not (0.0 <= z <= 1.0 if isinstance(z, float) else ((z >= 0.0) & (z <= 1.0)).all()):
         raise ValueError("modulus must lie in [0, 1]")
 
-    def block(zb):
+    def block(zb):  # a float on math, an array on numpy, as in _agm_KE
+        if isinstance(zb, float):
+            z2 = 0.0 if zb >= 1.0 - 1e-15 else zb * zb
+            return _agm_KE(z2, math.sqrt(1.0 - z2))[part]
         z2 = np.where(zb >= 1.0 - 1e-15, 0.0, zb)
         z2 *= z2
         kp = 1.0 - z2
@@ -527,7 +526,7 @@ def ellip_K(zeta):
     any modulus is within 1e-15 of 1 (logarithmic divergence).
     """
     K, one = _agm_at(zeta, 0)
-    if one if isinstance(K, float) else one.any():
+    if np.any(one):
         raise Divergent("K diverges at modulus 1")
     return K
 

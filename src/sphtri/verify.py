@@ -23,6 +23,7 @@ from .distributions import (
     TWO_PI,
     ConditionalKind,
     DensityKind,
+    _polar,
     area_cdf,
     conditional_cdf,
     density_via_double_integral,
@@ -136,7 +137,7 @@ def duality_checks() -> list[Check]:
     gaps = np.abs(density_via_double_integral(DensityKind.PERIMETER_PRIMAL, xs, tol=1e-8)
                   - perimeter_density(xs))
     x = TWO_PI - 1e-12
-    delta = 2.0 * math.sin(x / 2)  # the distance to the true 2*pi
+    delta = _polar(x)  # the distance to the true 2*pi
     c = 3 * math.pi ** 2 / (math.sqrt(2) * math.gamma(0.25) ** 4)
     return [
         Check("perimeter double integral vs series", _worst(gaps), 1e-7),
@@ -165,7 +166,7 @@ def mc_checks(n: int, seed: int) -> list[Check]:
     # The dual sampler builds its triangles from poles, so its area against
     # the perimeter law tests polar duality independently of the routes.
     dual = sample_batch(BatchKind.DUAL, None, batch.n, RngStream(seed, 3))
-    ks_dual = ks_distance(EmpiricalCdf(dual.sigma), lambda s: 1.0 - perimeter_cdf(TWO_PI - s))
+    ks_dual = ks_distance(EmpiricalCdf(dual.sigma), lambda s: 1.0 - perimeter_cdf(_polar(s)))
     checks = [
         Check("KS primal area vs analytic CDF", ks_area, ks_bound),
         Check("KS primal perimeter vs single-integral CDF", ks_perimeter, ks_bound),

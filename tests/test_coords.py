@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphtri import coords
 from sphtri.coords import (
     CoordKind,
     CoordTriple,
@@ -110,6 +111,20 @@ class TestEmbed:
     def test_boundary_rejected(self):
         with pytest.raises(NoSuchTriangle):
             embed(CoordTriple(CoordKind.ANGLE, 0.0, 1.0, 1.0))
+        with pytest.raises(NoSuchTriangle, match="strictly interior"):
+            jacobian_fd_check(CoordTriple(CoordKind.ANGLE, 0.0, 1.0, 1.0))
+        # At the closed square's edge u = 0 the dual's B and C both fall on A.
+        with pytest.raises(NoSuchTriangle, match="colinear"):
+            embedding_point(CoordTriple(CoordKind.DUAL, 0.0, 1.0, 1.0))
+
+    def test_a_wrong_construction_raises(self, monkeypatch):
+        # embed measures what vertices built; no interior triple has failed
+        # that check, so a construction for the wrong kappa stands in.
+        right = coords.vertices
+        monkeypatch.setattr(coords, "vertices",
+                            lambda kind, u, v, kappa: right(kind, u, v, kappa + 0.1))
+        with pytest.raises(NoSuchTriangle, match="constraints unsatisfiable"):
+            embed(CoordTriple(CoordKind.PRIMAL, 1.0, 1.0, 1.0))
 
 
 class TestAreaElement:

@@ -135,7 +135,7 @@ def side_coords_cdf(x, kappa, tol):
         return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0))
 
     value = distributions._nested(lambda _, u, v: side_jacobian(u, v, kappa), bounds,
-                                  np.zeros(1), PI, QuadratureSpec(tol))
+                                  np.zeros(1), QuadratureSpec(tol))
     return float(value[0]) / TWO_PI
 
 

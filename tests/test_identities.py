@@ -120,6 +120,11 @@ class TestMedian:
     def test_degenerate(self):
         with pytest.raises(DegenerateTriangle):
             median_decompose(replace(OCTANT, c=0.0))
+        # Three points of one great circle: the median from C has rho = 0.
+        flat = TriangleMetrics.from_vertices([1.0, 0.0, 0.0], [math.cos(1.0), math.sin(1.0), 0.0],
+                                             [math.cos(0.5), math.sin(0.5), 0.0])
+        with pytest.raises(DegenerateTriangle, match="median degenerate"):
+            median_decompose(flat)
 
 
 class TestBisector:
@@ -174,6 +179,12 @@ class TestBisector:
             assert abs(d.rho - rho_geo) < 1e-9
             assert abs(d.theta - theta_geo) < 1e-9
 
+    def test_degenerate(self):
+        # beta = 0 and gamma = 1.6 give cos(theta) = (1 - cos 1.6) / (2 cos(pi/3)) > 1.
+        m = TriangleMetrics(1.0, 1.0, 1.0, 2 * PI / 3, 0.0, 1.6, 0.1, 3.0)
+        with pytest.raises(DegenerateTriangle, match="theta at 0 or pi"):
+            bisector_decompose(m)
+
     def test_threshold_formula(self):
         # Octant: threshold numerator cos(3*pi/4) + sin(pi/4) vanishes.
         assert abs(bisector_threshold(3 * PI / 2, PI / 2) - PI / 2) < 1e-12
@@ -226,6 +237,10 @@ class TestSolvedForms:
             solved_forms(SolvedFormKind.SIDE_ETA, 0.0, 1.0, 1.0)  # cot(0) diverges
         with pytest.raises(OutOfDomain):
             solved_forms(SolvedFormKind.SIDE_ETA, np.array([1.0, 0.0]), 1.0, 1.0)
+        with pytest.raises(OutOfDomain, match="vanishes"):
+            solved_forms(SolvedFormKind.SIDE_ETA, 1.0, 2.0, 1.0)  # kappa == sigma/2
+        with pytest.raises(OutOfDomain, match="outside"):
+            solved_forms(SolvedFormKind.ANGLE_PSI, math.nan, 3.0, 1.0)
 
     @pytest.mark.parametrize("kind, stat, kappa", [(SolvedFormKind.ANGLE_PSI, 3.9, 0.7),
                                                    (SolvedFormKind.SIDE_ETA, 1.0, 1.4)])
