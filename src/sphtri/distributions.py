@@ -424,7 +424,7 @@ _OUTER_ROWS = 4
 
 
 def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -> np.ndarray:
-    """For each k, the integral over u in [lo[k], pi] of the integral of f(k, u, t) dt over bounds(k, u).
+    """For each k, the integral over u in [lo[k], pi] of the integral of f(k, p, t) dt over bounds(k, u).
 
     lo is a 1-D array, one element k per x of an array call (a float call
     passes one); u, a side or an angle, ends at pi. Both integrals run on
@@ -436,26 +436,35 @@ def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -
     only adds a u^2 map). Each outer step makes one inner call,
     whose rows are all the (k, u) nodes of that step, held to spec.tol / 10
     so that their errors stay below the outer tolerance, with both ends
-    flagged singular when inner_singular. So f(k, u, t) gets columns of
-    indices k and nodes u against rows of abscissae t, and bounds(k, us)
-    takes 1-D arrays and returns floats or arrays that broadcast against
-    them. Each k is a budget group of both calls: it gets the panels its
-    scalar call would, whatever the others spend.
+    flagged singular when inner_singular. bounds(k, us) takes the 1-D
+    arrays of a step's nodes, once per outer step, and returns (a, b, p):
+    the inner bounds, floats or arrays that broadcast against us, and p,
+    an array whose last axes run as the bounds' (us itself, or the
+    constants of a row's change of variable stacked on a first axis).
+    Bounds of shape (pieces, nodes) cut each node's integral into pieces,
+    integrated as separate rows and summed, each held to 1/pieces of the
+    node's tolerance, as the outer quarters are. f(k, p, t) gets, against
+    rows of abscissae t, columns of the indices k and of p at those rows.
+    Each k is a budget group of both calls: it gets the panels its scalar
+    call would, whatever the others spend.
 
     Each step of either integral quarters the panels it refines (see
     _integrate_rows): AREA_SIDE_COORDS 1e-3 past the wedge edge at
-    x = 0.85, the slowest benchmark probe, evaluates 12,960 Jacobian
-    points as the two-angle integral at its polar point.
+    x = 0.85, the slowest benchmark probe, evaluates 14,235 Jacobian
+    points in 12 steps as the two-angle integral at its polar point.
     """
     n = lo.size
-    inner_spec = QuadratureSpec(spec.tol / 10.0, inner_singular, inner_singular)
 
     def outer(i, us):
         k = np.repeat(i.ravel() // _OUTER_ROWS, us.shape[1])
-        flat = us.ravel()
-        a, b = (np.full(flat.shape, v) for v in bounds(k, flat))
-        return _integrate_rows(lambda r, t: f(k[r], flat[r], t), a, b,
-                               inner_spec, k)[0].reshape(us.shape)
+        a, b, p = bounds(k, us.ravel())
+        shape = np.broadcast(a, b, k).shape  # (nodes,) or (pieces, nodes)
+        a, b = np.full(shape, a).ravel(), np.full(shape, b).ravel()
+        pieces = a.size // k.size
+        rows, p = np.concatenate([k] * pieces), p.reshape(p.shape[:p.ndim - len(shape)] + a.shape)
+        inner_spec = QuadratureSpec(spec.tol / (10.0 * pieces), inner_singular, inner_singular)
+        values = _integrate_rows(lambda r, t: f(rows[r], p[..., r], t), a, b, inner_spec, rows)[0]
+        return values.reshape(pieces, k.size).sum(axis=0).reshape(us.shape)
 
     # np.linspace(lo, pi, _OUTER_ROWS + 1) of each x, in its arithmetic.
     edges = np.arange(_OUTER_ROWS + 1) * ((math.pi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
@@ -488,7 +497,8 @@ def _sqrt_inner(x: np.ndarray):
     is its polar image, so PERIMETER_PRIMAL runs it at _polar(x); this form
     takes x itself at the singular end x -> 0. x is a 1-D array; f(k, kappa, t)
     and bounds(k, kappa) take the index k of x, with x/2 and sin(x/2) of
-    each x computed here once and gathered by k.
+    each x computed here once and gathered by k, and bounds hands kappa on
+    to f as _nested's p.
     """
     half = 0.5 * x
     sx = np.sin(half)
@@ -505,7 +515,7 @@ def _sqrt_inner(x: np.ndarray):
 
     def bounds(k, kappa):
         h = half[k]
-        return h, math.pi - (kappa - h)
+        return h, math.pi - (kappa - h), kappa
 
     return f, bounds
 
@@ -541,7 +551,7 @@ def elliptic_reduction_gap(x, kappa):
            / np.sqrt(np.sin(x / 2) * np.sin(kappa - x / 2)) * np.sin(kappa))
     f, bounds = _sqrt_inner(x)
     rows = np.arange(x.size)
-    a, b = bounds(rows, kappa)
+    a, b, _ = bounds(rows, kappa)
     lhs = _integrate_rows(lambda r, t: f(r, kappa[r], t), a, b,
                           QuadratureSpec(1e-11, True, True), rows)[0]
     gap = np.abs(lhs - rhs)
@@ -572,7 +582,7 @@ def _smooth_density_inner(x: np.ndarray):
         d = (1.0 - ck) + (1.0 + ck) * s ** 2
         return np.sin(kappa) * ((1.0 - ck) * (1.0 + ck) * weight[k]) * s * st / d ** 2
 
-    return f, lambda k, kappa: (0.0, 1.0)
+    return f, lambda k, kappa: (0.0, 1.0, kappa)
 
 
 def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
@@ -879,21 +889,71 @@ def _cond_perimeter_bisector(x: float, kappa: float, tol: float) -> float:
 def _cond_2d(x: float, kappa: float, tol: float) -> float:
     """The two-angle route of the fixed-side perimeter law, by nested Jacobian-weighted quadrature.
 
-    The Jacobian is integrated over [0, h(u)] and then over u in [0, pi]
-    by _nested, so the boundary h(u) comes from one array call of
-    solved_forms per outer step. A call that integrates took a median
-    1.7 ms on the seed-1 conditional-routes benchmark points (best of 5,
-    2-CPU host).
+    The Jacobian is integrated over psi in [0, h(phi)] and then over phi in
+    [0, pi] by _nested, both in tanh-stretched variables (Vinokur,
+    J. Comput. Phys. 50, 1983), so that G7/K15 panels of equal width in
+    the new variable resolve the two boundary layers:
+
+    - The inner integral at phi = u is cut at psi = m = min(u, h) into
+      the pieces [0, m] and [m, h], which _nested integrates as separate
+      rows. Next to the corners (0, 0) and (0, pi) the Jacobian is
+      homogeneous of degree -1, about sin^2(kappa) u v / (u^2 +
+      2 cos(kappa) u v + v^2)^(3/2) at (0, 0): it peaks within about u of
+      a corner, and as kappa nears pi the peak narrows to a ridge along
+      psi = phi about u sin(kappa) wide. A piece of length l runs over s
+      in [0, 1] with psi = start + l w(s), w(s) = [1 + tanh(beta (2s - 1))
+      / tanh(beta)] / 2, which clusters nodes at both of its ends; beta =
+      max(log1p(l / (sin(kappa) min(u, pi - u))) / 2, 0.05) makes the
+      first panel there about u sin(kappa) wide.
+    - The outer integral runs over s in [0, pi] with
+      u = pi [1 + tanh(b0 (s/pi - 1)) / tanh(b0)], which clusters nodes
+      at u = 0, where h falls from pi to 0 within about u* =
+      2 atan(sin(x/2 - kappa) / sin(x/2)), the node where h = pi/2:
+      b0 = log1p(pi / u*) / 2. As kappa nears x/2, u* shrinks to 0.
+
+    Both maps are written as sinh / cosh products, with their derivatives
+    through sech^2, so nothing cancels where tanh saturates. bounds takes
+    h(u) from one array call of solved_forms per outer step and returns
+    each piece's map constants with it; an empty piece is not evaluated.
+    A call that integrates took a median 0.74 ms (PERIMETER_ANGLE_COORDS)
+    and 0.74 ms (AREA_SIDE_COORDS), at most 1.6 ms, on the seed-1
+    conditional-routes benchmark points, against 0.89, 0.89 and 2.7 ms
+    unstretched (best of 30, 2-CPU host). 1e-9 (relative) from the wedge
+    edge kappa = x/2 the unstretched routes were up to 2.0e-5 off. Without
+    the cut at psi = phi a row could pass its test on panels whose nodes
+    all missed the ridge: 1.4e-8 off at x = 6.2, 1e-9 below the edge.
     """
     if kappa >= x / 2:
         return 0.0
+    sin_k = math.sin(kappa)
+    # u* < pi, so b0 > log(2) / 2: a floor such as the inner map's 0.05 would never bind.
+    b0 = 0.5 * math.log1p(math.pi / (2.0 * math.atan(math.sin(x / 2 - kappa) / math.sin(x / 2))))
+    u_scale, du_scale = math.pi / math.sinh(b0), b0 / math.tanh(b0)
 
-    def bounds(_, us):  # the boundary psi = h(phi); h = 0 gives 0
-        cos_psi = solved_forms(SolvedFormKind.ANGLE_PSI, us, x, kappa)
-        return 0.0, np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    def bounds(_, s):
+        z = (b0 / math.pi) * s
+        c = np.cosh(z - b0)
+        u = u_scale * np.sinh(z) / c  # u(s), and du/ds below
+        cos_psi = solved_forms(SolvedFormKind.ANGLE_PSI, u, x, kappa)
+        h = np.arccos(np.clip(cos_psi, -1.0, 1.0))  # the boundary psi = h(phi)
+        m = np.minimum(u, h)
+        start, length = np.stack([np.zeros_like(m), m]), np.stack([m, h - m])  # the two pieces
+        with np.errstate(divide="ignore", invalid="ignore"):  # u rounded to pi: h is 0 there
+            beta = np.maximum(0.5 * np.log1p(length / (sin_k * np.minimum(u, math.pi - u))), 0.05)
+        # psi = start + scale sinh(2 beta s) / cosh(beta (2s - 1)), and
+        # d psi/ds du/ds = weight / cosh^2(beta (2s - 1)).
+        scale = length / (2.0 * np.sinh(beta))
+        weight = length * beta * du_scale / (np.tanh(beta) * c * c)
+        return 0.0, np.where(length > 0.0, 1.0, 0.0), np.stack([np.stack([u, u]), start, beta,
+                                                                scale, weight])
 
-    value = _nested(lambda _, u, v: angle_jacobian(u, v, kappa), bounds, np.zeros(1),
-                    QuadratureSpec(tol))
+    def f(_, p, s):
+        u, start, beta, scale, weight = p
+        z = 2.0 * beta * s
+        c = np.cosh(z - beta)
+        return angle_jacobian(u, start + scale * np.sinh(z) / c, kappa) * (weight / (c * c))
+
+    value = _nested(f, bounds, np.zeros(1), QuadratureSpec(tol))
     return float(value[0]) / TWO_PI
 
 

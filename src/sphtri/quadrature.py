@@ -287,12 +287,12 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     error estimate is at least _MARK of the row's largest, and splits it
     into four equal panels: two bisection levels in one step, so that an
     inner call of _nested reaches the depth of the Jacobians' corner peaks
-    in half the steps. On the 2-D routes and double integrals of the seed-7
-    conditional-routes benchmark points, four parts took 910 steps and
-    683,280 Jacobian evaluations, two parts 1,690 steps and 623,460, and
-    eight parts 738 steps and 1,180,560. A row that passes its test is
-    summed and dropped from the working arrays, so later steps never
-    touch it again.
+    in half the steps. On the 2-D routes (then unstretched) and double
+    integrals of the seed-7 conditional-routes benchmark points, four
+    parts took 910 steps and 683,280 Jacobian evaluations, two parts 1,690
+    steps and 623,460, and eight parts 738 steps and 1,180,560. A row that
+    passes its test is summed and dropped from the working arrays, so
+    later steps never touch it again.
 
     For a single integral the heap is faster, which is why the engines
     stay two: the 1-D conditional routes that integrate ran 2.1x

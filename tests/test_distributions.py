@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphtri import distributions
+from sphtri import distributions, quadrature
 from sphtri.distributions import (
     ConditionalKind,
     DensityKind,
@@ -46,7 +46,8 @@ def theta_band_inner(x, kappa, tol):
     """The library's square-root inner integral, the dual area's theta-band, at one kappa."""
     f, bounds = _sqrt_inner(np.array([x]))  # x is its index 0
     spec = QuadratureSpec(tol, True, True)
-    return integrate(lambda t: f(0, kappa, t), *bounds(0, kappa), spec).value
+    a, b, _ = bounds(0, kappa)
+    return integrate(lambda t: f(0, kappa, t), a, b, spec).value
 
 
 def rho_band_inner(x, kappa, tol):
@@ -132,7 +133,7 @@ def side_coords_cdf(x, kappa, tol):
 
     def bounds(_, us):
         cos_eta = solved_forms(SolvedFormKind.SIDE_ETA, us, x, kappa)
-        return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0))
+        return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0)), us
 
     value = distributions._nested(lambda _, u, v: side_jacobian(u, v, kappa), bounds,
                                   np.zeros(1), QuadratureSpec(tol))
@@ -1462,6 +1463,28 @@ def test_2d_route_edge_matrix(kind, x, kappa):
         assert abs(value - want) < 1e-8
 
 
+# 1e-9 and 1e-7 (relative) either side of the wedge edge, where the outer
+# integral must resolve h falling from pi to 0 within about that distance
+# of phi = 0: with an unstretched outer variable 8 of the 1e-9 points away
+# from the x-ends returned values up to 2.0e-5 off. At the x-ends (x = 0.05
+# and 6.2, 6.26), where the polar point's kappa nears pi, an inner map that
+# did not cut the rows at psi = phi missed the Jacobian's ridge there by up
+# to 2.0e-7 (PERIMETER_ANGLE_COORDS at x = 6.26, 1e-9 below the edge).
+@pytest.mark.parametrize("kind", TWO_D_ROUTES, ids=lambda k: k.value)
+@pytest.mark.parametrize("x", [0.05, 0.3, 0.85, 2.0, PI, 5.0, 6.2, 6.26])
+@pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9, 1 - 1e-7, 1 + 1e-7],
+                         ids=["below", "above", "below-1e-7", "above-1e-7"])
+def test_2d_route_at_the_wedge_edge(kind, x, side):
+    kappa = x / 2 * side
+    want = conditional_cdf(CONDITIONAL_LAWS[kind].closed_form, x, kappa)
+    for tol in (1e-9, 1e-12):
+        try:
+            value = conditional_cdf(kind, x, kappa, tol=tol)
+        except ToleranceNotMet:
+            continue
+        assert abs(value - want) < 1e-8, tol
+
+
 # Next to the kappa = x/2 edge the band oracle is the one that misses:
 # AREA_GIVEN_ANGLE at (pi, pi/2 + ulp) by 1.16e-10 and PERIMETER_GIVEN_SIDE
 # at (2.2021, x/2 (1 - 1e-9)) by 1.4e-13 at tol 1e-13.
@@ -1562,34 +1585,78 @@ class TestNestedQuadratureStructure:
 
         monkeypatch.setattr(distributions, "integrate", refuse("integrate"))
         monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
-        calls = [lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6),
-                 lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6)]
-        calls += [lambda kind=kind: density_via_double_integral(kind, 2.0) for kind in DensityKind]
-        for call in calls:
+        # The 2-D routes cut each node's inner integral into two pieces at psi = phi.
+        calls = [(2, lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6)),
+                 (2, lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6))]
+        calls += [(1, lambda kind=kind: density_via_double_integral(kind, 2.0))
+                  for kind in DensityKind]
+        for pieces, call in calls:
             rows.clear()
             outer_steps.clear()
             call()
             outer, inner = rows[0], rows[1:]
             assert outer == distributions._OUTER_ROWS == 4
             assert len(inner) == len(outer_steps)  # one inner call per outer step
-            # An inner call's rows are the 15 Kronrod nodes of each outer panel of the step.
-            assert inner == [m * 15 for m, _ in outer_steps]
-            assert inner[0] == 60
+            # An inner call's rows are the pieces at the 15 Kronrod nodes of
+            # each outer panel of the step.
+            assert inner == [pieces * m * 15 for m, _ in outer_steps]
+            assert inner[0] == pieces * 60
 
     def test_edge_probe_cost(self, monkeypatch):
         # The slowest conditional-routes benchmark probe: 1e-3 (relative)
         # past the kappa = x/2 wedge edge, where the Jacobian peaks.
-        # The route runs the two-angle Jacobian at the polar point.
-        points = []
-        real = distributions.angle_jacobian
+        # The route runs the two-angle Jacobian at the polar point. Its
+        # stretched variables take 12 steps of the engine (each the first
+        # panels or one refinement of an inner or outer call) and 14,235
+        # points; unstretched it took 34 steps and 12,960 points.
+        points, steps = [], []
+        real, real_panels = distributions.angle_jacobian, quadrature._row_panels
 
         def counted(u, v, kappa):
             points.append(np.broadcast(u, v).size)
             return real(u, v, kappa)
 
+        def counted_panels(*args):
+            steps.append(1)
+            return real_panels(*args)
+
         monkeypatch.setattr(distributions, "angle_jacobian", counted)
+        monkeypatch.setattr(quadrature, "_row_panels", counted_panels)
         conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 0.85, 0.85 / 2 * (1 + 1e-3))
         assert 0 < sum(points) <= 90_000
+        assert 0 < len(steps) <= 20
+
+    def test_2d_boundary_once_per_outer_step(self, monkeypatch):
+        # bounds takes h(phi) and the map constants at all of an outer
+        # step's nodes in one solved_forms call; the inner integrand reads
+        # them by row and never calls it.
+        sizes, outer_nodes, calls = [], [], []
+        real_forms, real_rows = distributions.solved_forms, distributions._integrate_rows
+
+        def counted_forms(kind, x, *args):
+            sizes.append(np.size(x))
+            return real_forms(kind, x, *args)
+
+        def counted_rows(f, a, b, spec, groups=None):
+            calls.append(1)
+            if len(calls) == 1:  # the outer integral: record each step's nodes
+                def stepped(i, t):
+                    outer_nodes.append(t.size)
+                    return f(i, t)
+                return real_rows(stepped, a, b, spec, groups)
+            return real_rows(f, a, b, spec, groups)
+
+        monkeypatch.setattr(distributions, "solved_forms", counted_forms)
+        monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
+        steps = []
+        for kind, x, kappa in ((ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6),
+                               (ConditionalKind.AREA_SIDE_COORDS, 0.85, 0.85 / 2 * (1 + 1e-3))):
+            for record in (sizes, outer_nodes, calls):
+                record.clear()
+            conditional_cdf(kind, x, kappa)
+            assert sizes == outer_nodes
+            steps.append(len(outer_nodes))
+        assert steps[0] >= 1 and steps[1] > 1
 
     def test_one_dimensional_routes_skip_the_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
