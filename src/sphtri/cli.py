@@ -1,14 +1,18 @@
 """Command-line interface: evaluate laws on grids, sample batches, run verification.
 
 Exit codes: 0 success, 1 usage error, 2 verification-suite failure.
-All output is deterministic given the flags (and seed, where one applies).
+All output is deterministic given the flags (and seed, where one applies),
+except the suites' wall times in `verify --json`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+import time
+from dataclasses import asdict
 from functools import cache, partial
 
 import numpy as np
@@ -99,6 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     sp.add_argument("--n", type=_int_at_least(1), default=10000)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--json", action="store_true",
+                    help="print a JSON list with one record per check: suite, name, "
+                         "value, bound, ok and elapsed_s (the suite's wall time)")
     return p
 
 
@@ -192,22 +199,31 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Run the suites and print every line; a suite that raises gives one FAIL line."""
-    lines, ok = [], True
+    """Run the suites and print every line, or with --json one record per check.
+
+    A suite that raises gives one FAIL line, and one record with ok false,
+    no name, value or bound, and the error under "error".
+    """
+    lines, records, ok = [], [], True
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         lines.append(f"== suite: {name} ==")
+        start = time.perf_counter()
         try:
-            checks = verify.SUITES[name](args.n, args.seed)
+            checks = verify.run_suite(name, args.n, args.seed)
         except (SphtriError, ValueError) as e:
             lines.append(f"FAIL {name}: {type(e).__name__}: {e}")
+            records.append({"suite": name, "name": None, "value": None, "bound": None,
+                            "ok": False, "elapsed_s": time.perf_counter() - start,
+                            "error": f"{type(e).__name__}: {e}"})
             ok = False
             continue
         for check in checks:
             lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.name}: "
                          f"{check.value:.3e} (bound {check.bound:.1e})")
+            records.append({"suite": name, **asdict(check), "ok": check.ok})
             ok &= check.ok
-    print("\n".join(lines))
+    print(json.dumps(records, indent=1) if args.json else "\n".join(lines))
     return 0 if ok else 2
 
 

@@ -417,9 +417,11 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # Equal rows of [lo, pi] that _nested's outer integral starts from, so that
 # the stragglers of different outer panels refine side by side. The 2-D
 # routes and double integrals at the seed-5 conditional-routes benchmark
-# points took a median 0.19 s with 4 rows, 0.25 s with 2, 0.29 s with 8 and
-# 0.29 s with 1, against 0.33 s with integrate's heap as the outer engine
-# (2-CPU host, six runs each).
+# points took a median 0.072 s with 4 rows, 0.070 s with 2, 0.112 s with 8
+# and 0.092 s with 1 (2-CPU host, six runs each), but with 2 rows their
+# slowest call took 2.8 ms against 1.9 ms with 4 (best of 7, seeds 1 and 5).
+# With G7/K15 panels, integrate's heap as the outer engine took 1.7 times
+# as long as 4 rows.
 _OUTER_ROWS = 4
 
 
@@ -450,8 +452,8 @@ def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -
 
     Each step of either integral quarters the panels it refines (see
     _integrate_rows): AREA_SIDE_COORDS 1e-3 past the wedge edge at
-    x = 0.85, the slowest benchmark probe, evaluates 14,235 Jacobian
-    points in 12 steps as the two-angle integral at its polar point.
+    x = 0.85, the slowest benchmark probe, evaluates 18,543 Jacobian
+    points in 7 steps as the two-angle integral at its polar point.
     """
     n = lo.size
 
@@ -598,7 +600,7 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     (x, quarter), and each x gets the panel budget of its own call. Each
     integral is accepted at tol * max(1, |value|), a bound that is absolute
     below 1, so a tiny density carries no relative guarantee: PERIMETER_PRIMAL
-    at x = 1e-8 is 5.952e-27, 1.1e-5 relative from x^3/168. Raises
+    at x = 1e-8 is 5.9522e-27, 2.4e-5 relative from x^3/168. Raises
     ToleranceNotMet, naming that x, where an integral at any x misses its
     tolerance, and where the square-root kinds' radicand rounds to 0
     inside a band (at tol 1e-16, tiny x or AREA_DUAL's x = 6.283185307179,
@@ -891,7 +893,7 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
 
     The Jacobian is integrated over psi in [0, h(phi)] and then over phi in
     [0, pi] by _nested, both in tanh-stretched variables (Vinokur,
-    J. Comput. Phys. 50, 1983), so that G7/K15 panels of equal width in
+    J. Comput. Phys. 50, 1983), so that G10/K21 panels of equal width in
     the new variable resolve the two boundary layers:
 
     - The inner integral at phi = u is cut at psi = m = min(u, h) into
@@ -915,10 +917,12 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
     through sech^2, so nothing cancels where tanh saturates. bounds takes
     h(u) from one array call of solved_forms per outer step and returns
     each piece's map constants with it; an empty piece is not evaluated.
-    A call that integrates took a median 0.74 ms (PERIMETER_ANGLE_COORDS)
-    and 0.74 ms (AREA_SIDE_COORDS), at most 1.6 ms, on the seed-1
-    conditional-routes benchmark points, against 0.89, 0.89 and 2.7 ms
-    unstretched (best of 30, 2-CPU host). 1e-9 (relative) from the wedge
+    A call that integrates took a median 0.59 ms (PERIMETER_ANGLE_COORDS)
+    and 0.62 ms (AREA_SIDE_COORDS), at most 1.7 ms, on the seed-1
+    conditional-routes benchmark points, against 0.71, 0.71 and 1.8 ms
+    with G7/K15 panels (best of 30, 2-CPU host, two runs each). With
+    G7/K15 panels the unstretched routes took 1.2 times as long at the
+    median and 1.7 times at the slowest point. 1e-9 (relative) from the wedge
     edge kappa = x/2 the unstretched routes were up to 2.0e-5 off. Without
     the cut at psi = phi a row could pass its test on panels whose nodes
     all missed the ridge: 1.4e-8 off at x = 6.2, 1e-9 below the edge.

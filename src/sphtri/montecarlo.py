@@ -153,16 +153,10 @@ def sample_batch(
 def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-norm distance between an empirical CDF and an analytic one."""
     F = np.asarray(analytic(emp.sorted), dtype=float)
-    d = np.arange(1.0, emp.n + 1)  # i / n - F(x_i)
-    d /= emp.n
-    d -= F
-    d_plus = np.max(d)
-    del d  # so that the second range can reuse its memory
-    d = np.arange(0.0, emp.n)  # F(x_i) - (i - 1) / n
-    d /= emp.n
-    np.subtract(F, d, out=d)
-    d_minus = np.max(d)
-    return float(max(d_plus, d_minus))
+    e = np.arange(0.0, emp.n)  # e_i = F(x_i) - (i - 1) / n, and i / n - F(x_i) = 1 / n - e_i
+    e /= emp.n
+    np.subtract(F, e, out=e)
+    return float(max(1.0 / emp.n - np.min(e), np.max(e)))
 
 
 # The batch kind that samples the laws given each element of distributions.CONDITIONAL_LAWS.

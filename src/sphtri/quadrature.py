@@ -6,7 +6,8 @@ precision in under ten steps. Carlson's symmetric forms R_F and R_D, in
 which the fixed-side perimeter law writes its incomplete integrals, are
 evaluated by the duplication algorithm (Carlson, Numer. Algorithms
 10:13-26, 1995; DLMF 19.36(i)), on floats or elementwise on arrays.
-The general integrator is adaptive Gauss-Kronrod (G7/K15) with an optional
+The general integrator is adaptive Gauss-Kronrod (G10/K21, as QUADPACK's
+QAGS; Piessens et al., 1983) with an optional
 u^2 endpoint substitution: an inverse-square-root singularity at a flagged
 left end (t = a + u^2) becomes a bounded smooth integrand, so no special
 weighting is needed afterwards, and a flagged right end b is the same map
@@ -28,41 +29,48 @@ import numpy as np
 
 from .errors import Divergent, NonFiniteIntegrand, ToleranceNotMet
 
-# Kronrod-15 nodes on [-1, 1] (positive half) and the matching Kronrod and
-# embedded Gauss-7 weights.
+# Kronrod-21 nodes on [-1, 1] (positive half, the centre last) and the
+# matching Kronrod weights; the embedded Gauss-10 rule takes the odd
+# positions of _XK, with the weights _WG, and has no node at the centre.
 _XK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
     0.000000000000000000000000000000000,
 ])
 _WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
 ])
 _WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
 
-_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
-_WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_weights_g = np.zeros(15)
-_weights_g[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-_WEIGHTS_G = _weights_g
-del _weights_g
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # 21 ascending nodes
+_MID = _XK.size - 1  # the centre's index in _NODES
+# The K21 weights of the pair sums of _rule_sums, whose last, the centre's
+# value taken twice, has half the centre's weight.
+_WK_PAIRS = np.concatenate([_WK[:-1], [0.5 * _WK[-1]]])
 
 
 # Panels one call of integrate or _integrate_rows may evaluate, as
@@ -71,9 +79,9 @@ del _weights_g
 # or row is always evaluated. An inner call of distributions._nested
 # carries the nodes of several outer panels: at the conditional-routes
 # benchmark points of five seeds, the wedge-edge matrix and 25 densities of
-# each kind the largest call used 2,004, 8.2 times under the budget. The
-# double integrals need up to 2,652 at the default tol (AREA_PRIMAL at its
-# edge, x = 2e-5), and AREA_PRIMAL at x = 5e-5 and tol 3e-15 needs 12,584.
+# each kind the largest call used 2,114, 7.8 times under the budget. The
+# double integrals need up to 3,072 at the default tol (AREA_PRIMAL at its
+# edge, x = 2e-5), and AREA_PRIMAL at x = 5e-5 and tol 3e-15 needs 10,108.
 _PANEL_BUDGET = 1 << 14
 # A panel narrower than _FLOOR times its position, plus _FLOOR times the
 # width of its piece, is not split. Without the second term the heap chased
@@ -110,9 +118,9 @@ class QuadratureResult:
 
 
 def _sharpened(diff, minimum=min):
-    """QUADPACK-style error estimate from diff = |K15 - G7|.
+    """QUADPACK-style error estimate from diff = |K21 - G10|.
 
-    For smooth panels diff grossly overestimates the K15 error. minimum is
+    For smooth panels diff grossly overestimates the K21 error. minimum is
     min for a float and np.minimum for an array of panels.
     """
     return minimum(diff, (200.0 * diff) ** 1.5)
@@ -120,20 +128,30 @@ def _sharpened(diff, minimum=min):
 
 # The heap keeps this one-panel kernel rather than _row_panels. Each panel
 # as a one-row _row_panels call made AREA_MEDIAN and PERIMETER_BISECTOR
-# 1.59-1.67x slower (median of 20 interleaved passes over the seed-1
-# conditional-routes points, 2-CPU host). The two children of a split in one
-# call were no faster (0.96-0.98x), and its matrix product sums the 15 terms
-# in another order, which moved those routes' values by up to 3.3e-16.
+# 1.56-1.65x slower, with the same values (median of 20 interleaved passes
+# over the seed-1 conditional-routes points, 2-CPU host). The two children
+# of a split in one call were no faster (0.99-1.01x), and its matrix product
+# moved those routes' values by up to 2.2e-16.
 def _kronrod_panel(f, a, b):
-    """One G7/K15 panel on [a, b]: (K15 value, error estimate)."""
+    """One G10/K21 panel on [a, b]: (K21 value, error estimate)."""
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + h * _NODES
-    y = np.asarray(f(x), dtype=float)
-    k = h * float(np.dot(_WEIGHTS_K, y))
+    kronrod, gauss = _rule_sums(np.asarray(f(x), dtype=float))
+    k = h * float(kronrod)
     if not math.isfinite(k):
         raise NonFiniteIntegrand(f"integrand sums to {k} on [{a!r}, {b!r}]")
-    g = h * float(np.dot(_WEIGHTS_G, y))
-    return k, _sharpened(abs(k - g))
+    return k, _sharpened(abs(k - h * float(gauss)))
+
+
+def _rule_sums(y):
+    """The K21 and G10 sums of y, the values at _NODES along its last axis.
+
+    Each node pair -x, x is added first, so values mirrored about the
+    centre give the same sums bit for bit. No weight is 0, so an infinite
+    value gives an infinite sum and no 0 * inf.
+    """
+    pairs = y[..., :_MID + 1] + y[..., :_MID - 1:-1]
+    return pairs @ _WK_PAIRS, pairs[..., 1:_MID:2] @ _WG
 
 
 def integrate(
@@ -175,7 +193,7 @@ def integrate(
         total_err += err
     heapq.heapify(heap)
     counter = len(heap)
-    evals = 15 * counter
+    evals = _NODES.size * counter
     why = None
     while total_err > spec.tol * max(1.0, abs(total)):
         neg, _, lo, hi, val, err, g, floor = heapq.heappop(heap)
@@ -186,13 +204,13 @@ def integrate(
             heapq.heappush(heap, (0.0, counter, lo, hi, val, err, g, floor))
             counter += 1
             continue
-        if evals > 15 * (_PANEL_BUDGET - 2):  # a split now would go past the budget
+        if evals > _NODES.size * (_PANEL_BUDGET - 2):  # a split now would go past the budget
             why = f"panel budget of {_PANEL_BUDGET} exhausted"
             break
         mid = 0.5 * (lo + hi)
         lval, lerr = _kronrod_panel(g, lo, mid)
         rval, rerr = _kronrod_panel(g, mid, hi)
-        evals += 30
+        evals += 2 * _NODES.size
         total += lval + rval - val
         total_err += lerr + rerr - err
         heapq.heappush(heap, (-lerr, counter, lo, mid, lval, lerr, g, floor))
@@ -259,8 +277,8 @@ def _substituted(f, a):
 # A step splits, in each row not yet accepted, every panel wider than the
 # floor whose error estimate is at least this fraction of the largest such
 # estimate in the row. At 0.1 and at 0.5 the 2-D routes and double integrals
-# of the seed-7 conditional-routes benchmark points made the same Jacobian
-# evaluations to within 0.5%, and their steps moved by 5%.
+# of the seed-7 conditional-routes benchmark points made the same integrand
+# evaluations to within 0.1%, and their steps moved by under 1%.
 _MARK = 0.25
 
 
@@ -270,9 +288,9 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     The batched form of integrate for nested quadrature
     (distributions._nested runs both of its integrals on it, with one
     inner call per outer step over all of that step's nodes): each
-    refinement step evaluates the new G7/K15 panels of every row in
+    refinement step evaluates the new G10/K21 panels of every row in
     one call f(i, t) (Shampine, "Vectorized adaptive quadrature in
-    MATLAB", J. Comput. Appl. Math. 211, 2008). There t has one panel's 15
+    MATLAB", J. Comput. Appl. Math. 211, 2008). There t has one panel's 21
     abscissae per line and the column i holds each line's row index, by
     which f looks up its per-row parameters. Each row honours the
     singular flags through the pieces and the one u^2 map of integrate:
@@ -287,16 +305,17 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     error estimate is at least _MARK of the row's largest, and splits it
     into four equal panels: two bisection levels in one step, so that an
     inner call of _nested reaches the depth of the Jacobians' corner peaks
-    in half the steps. On the 2-D routes (then unstretched) and double
-    integrals of the seed-7 conditional-routes benchmark points, four
-    parts took 910 steps and 683,280 Jacobian evaluations, two parts 1,690
-    steps and 623,460, and eight parts 738 steps and 1,180,560. A row that
-    passes its test is summed and dropped from the working arrays, so
-    later steps never touch it again.
+    in half the steps. On the 2-D routes and double integrals of the
+    seed-7 conditional-routes benchmark points, four parts took 360 steps
+    and 549,612 integrand evaluations, two parts 526 steps and 456,183,
+    and eight parts 306 steps and 842,625; two parts made that pass 15%
+    slower (best of 5, 2-CPU host). A row that passes its test is summed
+    and dropped from the working arrays, so later steps never touch it
+    again.
 
     For a single integral the heap is faster, which is why the engines
-    stay two: the 1-D conditional routes that integrate ran 2.1x
-    (AREA_MEDIAN) and 2.6x (PERIMETER_BISECTOR) slower as one-row calls
+    stay two: the 1-D conditional routes that integrate ran 2.9x
+    (AREA_MEDIAN) and 3.1x (PERIMETER_BISECTOR) slower as one-row calls
     of this engine (median of 20 interleaved passes over the seed-1
     conditional-routes points, 2-CPU host).
 
@@ -338,7 +357,7 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     n, rows = a.size, lo.size
     group = np.zeros(rows, np.intp) if groups is None else groups[owner]
     # The sums of the accepted rows; the panels of the others, as
-    # [pa, pb] of virtual row j with its K15 value and error estimate.
+    # [pa, pb] of virtual row j with its K21 value and error estimate.
     value, error = np.zeros(n), np.zeros(n)
     j = np.flatnonzero(lo < hi)
     if not j.size:
@@ -351,7 +370,8 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
     def fail(r, why):  # row r, which is its own first virtual row, is still open
         raise ToleranceNotMet(f"row {r}: {why} (err ~ {total_err[r]:.3e})",
                               QuadratureResult(float(total[r]), float(total_err[r]),
-                                               15 * int(used[group[r]])), int(group[r]))
+                                               _NODES.size * int(used[group[r]])),
+                              int(group[r]))
 
     while True:
         # Each piece is summed first, then a row adds its pieces.
@@ -390,16 +410,16 @@ def _integrate_rows(f, a, b, spec=QuadratureSpec(), groups=None):
 
 
 def _row_panels(g, j, a, b):
-    """G7/K15 panels [a[k], b[k]] of the virtual rows j[k]: (K15 values, error estimates)."""
+    """G10/K21 panels [a[k], b[k]] of the virtual rows j[k]: (K21 values, error estimates)."""
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _NODES
-    y = np.asarray(g(j[:, None], x), dtype=float)
-    k = h * (y @ _WEIGHTS_K)
+    kronrod, gauss = _rule_sums(np.asarray(g(j[:, None], x), dtype=float))
+    k = h * kronrod
     bad = ~np.isfinite(k)
     if bad.any():
         i = int(np.argmax(bad))
         raise NonFiniteIntegrand(f"integrand sums to {k[i]} on [{float(a[i])!r}, {float(b[i])!r}]")
-    diff = np.abs(k - h * (y @ _WEIGHTS_G))
+    diff = np.abs(k - h * gauss)
     return k, _sharpened(diff, np.minimum)
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import subprocess
@@ -372,6 +373,31 @@ def test_verify_suite_that_raises_is_a_failure(capsys, monkeypatch):
     assert "FAIL identities: ToleranceNotMet: subdivision budget exhausted" in out
     assert out.count("== suite:") == len(verify.SUITES)
     assert "PASS Legendre relation" in out
+
+
+def test_verify_json_has_one_record_per_check(capsys, monkeypatch):
+    # The records carry what the text lines print, at full precision, and
+    # the suite's wall time; a suite that raises is one failed record.
+    from sphtri.errors import ToleranceNotMet
+
+    assert run(["verify", "--suite", "elliptic"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert run(["verify", "--suite", "elliptic", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in records] == ["elliptic"] * 2
+    assert text[1:] == [f"PASS {r['name']}: {r['value']:.3e} (bound {r['bound']:.1e})"
+                        for r in records]
+    assert all(r["ok"] is True for r in records)
+    assert records[0]["elapsed_s"] == records[1]["elapsed_s"] > 0.0
+
+    def raising(n, seed):
+        raise ToleranceNotMet("subdivision budget exhausted")
+
+    monkeypatch.setitem(verify.SUITES, "elliptic", raising)
+    assert run(["verify", "--suite", "elliptic", "--json"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ToleranceNotMet: subdivision budget exhausted"
+    assert record["name"] is None and record["ok"] is False and record["elapsed_s"] >= 0.0
 
 
 def test_library_error_exits_1(capsys, monkeypatch):

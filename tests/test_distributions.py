@@ -29,7 +29,7 @@ from sphtri.distributions import (
 from sphtri.errors import OutOfDomain, SphtriError, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
 from sphtri.montecarlo import sample_batch
-from sphtri.quadrature import _BLOCK, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
+from sphtri.quadrature import _BLOCK, _NODES, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
 from sphtri.sphere import RngStream
 
 PI = math.pi
@@ -1115,13 +1115,13 @@ class TestArrayX:
 
     def test_an_x_that_misses_raises_for_the_whole_array(self):
         # PERIMETER_PRIMAL at 2.0 and tol 1e-14 exhausts the panel budget of
-        # its own call, and at 1.0 it answers; the array raises too, with the
-        # same estimate, rather than return the 1.0 entry.
+        # its own call, and at 0.5 it answers; the array raises too, with the
+        # same estimate, rather than return the 0.5 entry.
         kind = DensityKind.PERIMETER_PRIMAL
-        assert math.isfinite(density_via_double_integral(kind, 1.0, 1e-14))
+        assert math.isfinite(density_via_double_integral(kind, 0.5, 1e-14))
         with pytest.raises(ToleranceNotMet) as alone:
             density_via_double_integral(kind, 2.0, 1e-14)
-        for xs in ([1.0, 2.0], [2.0, 1.0]):
+        for xs in ([0.5, 2.0], [2.0, 0.5]):
             with pytest.raises(ToleranceNotMet, match="panel budget") as info:
                 density_via_double_integral(kind, np.array(xs), 1e-14)
             assert info.value.result == alone.value.result
@@ -1140,9 +1140,9 @@ class TestArrayX:
         assert info.value.result == alone.value.result
 
     def test_each_x_gets_its_own_panel_budget(self, monkeypatch):
-        # At 5e-5 and 1e-4 and tol 3e-15 an inner call of AREA_PRIMAL evaluates
-        # 12,584 and 6,256 panels: together more than one budget, each within its own.
-        xs, tol = np.array([5e-5, 1e-4]), 3e-15
+        # At 5e-5 and 6e-5 and tol 3e-15 an inner call of AREA_PRIMAL evaluates
+        # 10,108 and 6,984 panels: together more than one budget, each within its own.
+        xs, tol = np.array([5e-5, 6e-5]), 3e-15
         want = [density_via_double_integral(DensityKind.AREA_PRIMAL, float(x), tol) for x in xs]
         panels = []
         real = distributions._integrate_rows
@@ -1597,18 +1597,19 @@ class TestNestedQuadratureStructure:
             outer, inner = rows[0], rows[1:]
             assert outer == distributions._OUTER_ROWS == 4
             assert len(inner) == len(outer_steps)  # one inner call per outer step
-            # An inner call's rows are the pieces at the 15 Kronrod nodes of
+            # An inner call's rows are the pieces at the Kronrod nodes of
             # each outer panel of the step.
-            assert inner == [pieces * m * 15 for m, _ in outer_steps]
-            assert inner[0] == pieces * 60
+            assert inner == [pieces * m * _NODES.size for m, _ in outer_steps]
+            assert inner[0] == pieces * distributions._OUTER_ROWS * _NODES.size
 
     def test_edge_probe_cost(self, monkeypatch):
         # The slowest conditional-routes benchmark probe: 1e-3 (relative)
         # past the kappa = x/2 wedge edge, where the Jacobian peaks.
         # The route runs the two-angle Jacobian at the polar point. Its
-        # stretched variables take 12 steps of the engine (each the first
-        # panels or one refinement of an inner or outer call) and 14,235
-        # points; unstretched it took 34 steps and 12,960 points.
+        # stretched variables take 7 steps of the engine (each the first
+        # panels or one refinement of an inner or outer call) and 18,543
+        # points; with G7/K15 panels they took 12 steps and 14,235 points,
+        # and unstretched 34 steps and 12,960 points.
         points, steps = [], []
         real, real_panels = distributions.angle_jacobian, quadrature._row_panels
 
@@ -1624,7 +1625,7 @@ class TestNestedQuadratureStructure:
         monkeypatch.setattr(quadrature, "_row_panels", counted_panels)
         conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 0.85, 0.85 / 2 * (1 + 1e-3))
         assert 0 < sum(points) <= 90_000
-        assert 0 < len(steps) <= 20
+        assert 0 < len(steps) <= 8
 
     def test_2d_boundary_once_per_outer_step(self, monkeypatch):
         # bounds takes h(phi) and the map constants at all of an outer

@@ -245,7 +245,7 @@ class TestSolvedForms:
     @pytest.mark.parametrize("kind, stat, kappa", [(SolvedFormKind.ANGLE_PSI, 3.9, 0.7),
                                                    (SolvedFormKind.SIDE_ETA, 1.0, 1.4)])
     def test_array_matches_floats(self, kind, stat, kappa):
-        # The 2-D routes evaluate a panel's 15 nodes in one array call.
+        # The 2-D routes evaluate a panel's 21 nodes in one array call.
         x = np.concatenate([np.linspace(1e-9, PI - 1e-9, 50), [PI / 2]]).reshape(3, 17)
         got = solved_forms(kind, x, stat, kappa)
         assert got.shape == x.shape

@@ -159,12 +159,38 @@ def test_legendre_relation_grid():
         assert abs(res - PI / 2) < 1e-12
 
 
+class TestRule:
+    """The G10/K21 panel of both engines, summed as _rule_sums folds it."""
+
+    def test_nodes_are_symmetric(self):
+        assert _NODES.size == 21 and np.all(np.diff(_NODES) > 0.0)
+        assert np.array_equal(_NODES, -_NODES[::-1])
+
+    def test_weights_sum_to_two(self):
+        assert abs(2.0 * quadrature._WK[:-1].sum() + quadrature._WK[-1] - 2.0) < 1e-15
+        assert abs(2.0 * quadrature._WG.sum() - 2.0) < 1e-15
+
+    def test_gauss_part_is_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        assert np.max(np.abs(_NODES[1::2] - x)) < 1e-15
+        assert np.max(np.abs(np.concatenate([quadrature._WG, quadrature._WG[::-1]]) - w)) < 1e-15
+
+    @pytest.mark.parametrize("k", range(34))
+    def test_degrees_of_exactness(self, k):
+        # K21 integrates x^k over [-1, 1] exactly up to k = 31 and G10 up to
+        # k = 19; an odd power folds to 0 exactly at any degree.
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod, gauss = quadrature._rule_sums(_NODES ** k)
+        assert (abs(kronrod - exact) < 1e-15) == (k <= 31 or k % 2 == 1)
+        assert (abs(gauss - exact) < 1e-15) == (k <= 19 or k % 2 == 1)
+
+
 class TestIntegrate:
     def test_sine(self):
         r = integrate(np.sin, 0.0, PI, QuadratureSpec(1e-13))
         assert abs(r.value - 2.0) < 1e-12
         assert r.err_estimate >= 0
-        assert r.evaluations >= 15
+        assert r.evaluations >= _NODES.size
 
     def test_inverse_sqrt_left(self):
         spec = QuadratureSpec(1e-12, singular_left=True)
@@ -199,7 +225,7 @@ class TestIntegrate:
     def test_adjacent_floats_with_both_flags(self):
         # The midpoint rounds to an end, so one of the two pieces has zero width.
         r = integrate(np.cos, 1.0, math.nextafter(1.0, 2.0), QuadratureSpec(1e-10, True, True))
-        assert r.evaluations == 15
+        assert r.evaluations == _NODES.size
         assert 0.0 < r.value < 1e-15
 
     def test_bad_bounds(self):
@@ -215,18 +241,22 @@ class TestIntegrate:
         assert isinstance(info.value.result, QuadratureResult)
         assert abs(info.value.result.value - (1.0 - math.e / 3)) < 0.01
 
-    @pytest.mark.parametrize("f", [lambda t: 1.0 / t, lambda t: np.sin(1.0 / t) / t])
+    @pytest.mark.parametrize("f", [lambda t: np.tan(0.5 * PI * t), lambda t: np.sin(1.0 / t) / t])
     def test_non_integrable_hits_the_panel_budget(self, f):
         # The integrands of TestIntegrateRows.test_non_integrable_row_hits_the_panel_budget.
+        # tan(pi t / 2) diverges like 1/(1 - t) at t = 1. 1/t on [0, 1] is no
+        # case here: the heap resolves it down to the width floor (10,101
+        # evaluations), while the batched engine exhausts its budget.
         t0 = time.perf_counter()
         with pytest.raises(ToleranceNotMet, match="panel budget") as info:
             integrate(f, 0.0, 1.0)
         assert time.perf_counter() - t0 < 1.0
-        assert info.value.result.evaluations <= 15 * _PANEL_BUDGET
+        assert info.value.result.evaluations <= _NODES.size * _PANEL_BUDGET
 
     def test_unmet_tolerance_estimates_the_whole_integral(self):
-        # Both flags split [0, 1] at 1/2. The left piece exhausts the budget as
-        # it does alone, and the right piece, seeded in the same heap, adds its ln 2.
+        # Both flags split [0, 1] at 1/2. The left piece ends at the width
+        # floor, as it does alone; the right piece, seeded in the same heap,
+        # adds its ln 2 while the call runs on to the panel budget.
         both = QuadratureSpec(singular_left=True, singular_right=True)
         with pytest.raises(ToleranceNotMet) as whole:
             integrate(lambda t: 1.0 / t, 0.0, 1.0, both)
@@ -234,7 +264,7 @@ class TestIntegrate:
             integrate(lambda t: 1.0 / t, 0.0, 0.5, QuadratureSpec(singular_left=True))
         gap = whole.value.result.value - left.value.result.value
         assert abs(gap - math.log(2.0)) < 1e-9
-        assert whole.value.result.evaluations <= 15 * _PANEL_BUDGET
+        assert whole.value.result.evaluations <= _NODES.size * _PANEL_BUDGET
 
     def test_nan_integrand_raises(self):
         with pytest.raises(NonFiniteIntegrand):
@@ -316,15 +346,16 @@ class TestIntegrateRows:
         values, _ = _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(1e-12))
         assert values[0] == 2.0
         assert len(seen) > 3
-        assert np.count_nonzero(np.concatenate(seen) == 0) == 15
+        assert np.count_nonzero(np.concatenate(seen) == 0) == _NODES.size
 
     def test_marked_panels_split_in_quarters(self):
         panels = []
 
         def f(i, t):
             # The panel [centre - half width, centre + half width] of each line.
-            half = (t[:, -1] - t[:, 7]) / _NODES[-1]
-            panels.append(np.stack([t[:, 7] - half, t[:, 7] + half], axis=1))
+            mid = t[:, _NODES.size // 2]
+            half = (t[:, -1] - mid) / _NODES[-1]
+            panels.append(np.stack([mid - half, mid + half], axis=1))
             return 1.0 / (1e-6 + (t - 0.3) ** 2)
 
         _integrate_rows(f, np.zeros(1), np.ones(1), QuadratureSpec(1e-12))
@@ -382,13 +413,14 @@ class TestIntegrateRows:
         assert isinstance(info.value.result, QuadratureResult)
         assert abs(info.value.result.value - (1.0 - math.e / 3)) < 0.01
 
-    @pytest.mark.parametrize("f", [lambda i, t: 1.0 / t, lambda i, t: np.sin(1.0 / t) / t])
+    @pytest.mark.parametrize("f", [lambda i, t: np.tan(0.5 * PI * t),
+                                   lambda i, t: np.sin(1.0 / t) / t])
     def test_non_integrable_row_hits_the_panel_budget(self, f):
         t0 = time.perf_counter()
         with pytest.raises(ToleranceNotMet, match="panel budget") as info:
             _integrate_rows(f, np.zeros(2), np.ones(2))
         assert time.perf_counter() - t0 < 1.0
-        assert info.value.result.evaluations <= 15 * _PANEL_BUDGET
+        assert info.value.result.evaluations <= _NODES.size * _PANEL_BUDGET
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -463,7 +495,7 @@ class TestOneEndpointMap:
             return np.cos(self.C[i] * t) / np.sqrt((t - self.A[i]) * (self.B[i] - t))
 
         monkeypatch.setattr(quadrature, "_row_panels", counted)
-        _integrate_rows(f, self.A, self.B, QuadratureSpec(1e-12, True, True))
+        _integrate_rows(f, self.A, self.B, QuadratureSpec(1e-15, True, True))
         assert len(panels) > 2
         assert calls == panels
 
@@ -471,8 +503,8 @@ class TestOneEndpointMap:
 class TestOneAcceptanceRule:
     """integrate and _integrate_rows accept on err <= tol * max(1, |value|).
 
-    So the tolerance is absolute for a value below 1 (c = 1 gives 1/15
-    below) and relative above it (c = 150 gives 10), where an estimate
+    So the tolerance is absolute for a value below 1 (c = 1 gives 1/21
+    below) and relative above it (c = 210 gives 10), where an estimate
     larger than tol itself passes.
     """
 
@@ -482,24 +514,24 @@ class TestOneAcceptanceRule:
         scale = max(1.0, abs(value))
         return 1.01 * err / scale, 0.99 * err / scale
 
-    @pytest.mark.parametrize("c", [150.0, 1.0])
+    @pytest.mark.parametrize("c", [210.0, 1.0])
     def test_integrate(self, c):
         def f(t):
-            return c * t ** 14  # beyond the degree 13 that G7 integrates exactly
+            return c * t ** 20  # beyond the degree 19 that G10 integrates exactly
 
         first = integrate(f, 0.0, 1.0, QuadratureSpec(1.0))
-        assert first.evaluations == 15 and first.err_estimate > 0.0
+        assert first.evaluations == _NODES.size and first.err_estimate > 0.0
         accept, refine = self.tols(first.err_estimate, first.value)
-        assert (first.err_estimate > accept) == (c > 15.0)
-        assert integrate(f, 0.0, 1.0, QuadratureSpec(accept)).evaluations == 15
-        assert integrate(f, 0.0, 1.0, QuadratureSpec(refine)).evaluations > 15
+        assert (first.err_estimate > accept) == (c > 21.0)
+        assert integrate(f, 0.0, 1.0, QuadratureSpec(accept)).evaluations == _NODES.size
+        assert integrate(f, 0.0, 1.0, QuadratureSpec(refine)).evaluations > _NODES.size
 
     @staticmethod
     def lopsided(t):
         """Both ends singular; the right piece carries the oscillation."""
         return (1.0 + np.cos(40.0 * t) * (t > 0.2)) / np.sqrt((t + 0.625) * (1.0 - t))
 
-    @pytest.mark.parametrize("tol, evaluations", [(1e-12, 1050), (1e-9, 750)])
+    @pytest.mark.parametrize("tol, evaluations", [(1e-12, 1218), (1e-9, 924)])
     def test_integrate_with_both_flags(self, tol, evaluations):
         # The two pieces are held to tol together, not to tol / 2 each: the
         # estimate of this lopsided integrand takes more than half of the
@@ -509,11 +541,12 @@ class TestOneAcceptanceRule:
         assert 0.5 * allowed < r.err_estimate <= allowed
         assert r.evaluations == evaluations
 
-    @pytest.mark.parametrize("tol, evaluations, share", [(1e-12, 1110, 0.3), (1e-9, 810, 0.15)])
+    @pytest.mark.parametrize("tol, evaluations, share", [(1e-11, 1134, 0.3), (1e-9, 882, 0.15)])
     def test_integrate_rows_with_both_flags(self, tol, evaluations, share):
         # The batched engine too accepts the row on the sum of its pieces.
-        # Pieces held to tol / 2 each take 1,170 evaluations at 1e-12, with
-        # an estimate of 0.04 of the allowance.
+        # Pieces held to tol / 2 each take 1,302 evaluations at 1e-11 and 966
+        # at 1e-9, with estimates of 0.023 and 0.036 of the allowance. (At
+        # 1e-12 both ways take 1,302, with the same estimate.)
         sizes = []
 
         def f(i, t):
@@ -526,13 +559,13 @@ class TestOneAcceptanceRule:
         assert share * allowed < errors[0] <= allowed
         assert sum(sizes) == evaluations
 
-    @pytest.mark.parametrize("c", [150.0, 1.0])
+    @pytest.mark.parametrize("c", [210.0, 1.0])
     def test_integrate_rows(self, c):
         calls = []
 
         def f(i, t):  # row 1 is a constant, accepted on its first panel at every tol here
             calls.append(i.size)
-            return np.where(i == 0, c * t ** 14, 1.0)
+            return np.where(i == 0, c * t ** 20, 1.0)
 
         values, errors = _integrate_rows(f, np.zeros(2), np.ones(2), QuadratureSpec(1.0))
         accept, refine = self.tols(errors[0], values[0])
