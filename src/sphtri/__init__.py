@@ -53,12 +53,9 @@ from .montecarlo import (
     sample_batch,
 )
 from .quadrature import (
-    QuadratureResult,
-    QuadratureSpec,
     carlson_rf_rd,
     ellip_E,
     ellip_K,
-    integrate,
 )
 from .sphere import (
     RngStream,

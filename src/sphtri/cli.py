@@ -201,8 +201,10 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     """Run the suites and print every line, or with --json one record per check.
 
-    A suite that raises gives one FAIL line, and one record with ok false,
-    no name, value or bound, and the error under "error".
+    Each suite is timed once, here, and each of its records carries that
+    wall time as elapsed_s. A suite that raises gives one FAIL line, and
+    one record with ok false, no name, value or bound, and the error
+    under "error".
     """
     lines, records, ok = [], [], True
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
@@ -210,18 +212,20 @@ def _cmd_verify(args) -> int:
         lines.append(f"== suite: {name} ==")
         start = time.perf_counter()
         try:
-            checks = verify.run_suite(name, args.n, args.seed)
+            checks, error = verify.SUITES[name](args.n, args.seed), None
         except (SphtriError, ValueError) as e:
-            lines.append(f"FAIL {name}: {type(e).__name__}: {e}")
+            checks, error = [], f"{type(e).__name__}: {e}"
+        elapsed_s = time.perf_counter() - start
+        if error is not None:
+            lines.append(f"FAIL {name}: {error}")
             records.append({"suite": name, "name": None, "value": None, "bound": None,
-                            "ok": False, "elapsed_s": time.perf_counter() - start,
-                            "error": f"{type(e).__name__}: {e}"})
+                            "ok": False, "elapsed_s": elapsed_s, "error": error})
             ok = False
-            continue
         for check in checks:
             lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.name}: "
                          f"{check.value:.3e} (bound {check.bound:.1e})")
-            records.append({"suite": name, **asdict(check), "ok": check.ok})
+            records.append({"suite": name, **asdict(check), "elapsed_s": elapsed_s,
+                            "ok": check.ok})
             ok &= check.ok
     print(json.dumps(records, indent=1) if args.json else "\n".join(lines))
     return 0 if ok else 2

@@ -45,9 +45,13 @@ from .quadrature import (
 TWO_PI = 2.0 * math.pi
 _BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 _TWO_PI_SHORTFALL = 2.4492935982947064e-16  # the true 2*pi - TWO_PI
-# The 2-D Jacobian routes need kappa this far from 0 and pi. Nearer, the
-# Jacobian's peak narrows like kappa (or pi - kappa), and the quadrature
-# ran for seconds or returned wrong values.
+# The 2-D Jacobian routes need kappa this far from 0 and pi (their rows'
+# kappa_edge). Nearer, the Jacobian's peak narrows like kappa (or pi -
+# kappa), and the quadrature ran for seconds or returned wrong values. At
+# the edge itself, on x in {0.05, 0.3, 0.85, 2, pi, 5, 6.2, 6.26}, both
+# routes are within 3.4e-12 of their closed forms at tol 1e-9 to 1e-11; at
+# tol 1e-12 one of the 32 calls raises ToleranceNotMet, and at 1e-13 four
+# raise and two miss by up to 12.6 tol. So the edge serves tol >= 1e-11.
 COORDS_KAPPA_EDGE = 1e-2
 # AREA_PRIMAL and PERIMETER_DUAL need x this far from their hard end, 0
 # and 2*pi. Their inner integral falls from pi to 0 within about x of
@@ -400,7 +404,7 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
     8.3e-4 (at tau ~ 6.21) for 256 and 600 steps alike. perimeter_cdf
     itself evaluates 10^6 sorted samples in about 0.1 s, so a KS distance
     needs no interpolant. The grid is the benchmark's KS reference, to be
-    deleted under ROADMAP item 9.
+    deleted under ROADMAP item 8.
     """
     xs = np.concatenate([
         np.linspace(0.0, TWO_PI - 0.1, max(steps - 25, 8)),
@@ -969,19 +973,14 @@ class ConditionalLaw(NamedTuple):
     partner: ConditionalKind  # P(x, kappa) = 1 - P_partner(_polar_point(x, kappa))
     closed_form: ConditionalKind  # the closed-form route of the same law; itself for a closed form
     route: Callable[..., float]  # (x, kappa) for a closed form, (x, kappa, tol) for an integral
+    # conditional_cdf raises OutOfDomain for kappa within this of 0 or pi; the
+    # 2-D routes' COORDS_KAPPA_EDGE serves tol >= 1e-11.
+    kappa_edge: float = 0.0
 
     @property
     def curve_takes_u(self) -> bool:
         """Whether region_boundary's curve takes SampleBatch.coord_u, not coord_v."""
         return (self.statistic == "sigma") == (self.element == "side")
-
-
-def _coords_kappa(kappa: float) -> float:
-    """kappa, if the 2-D routes take it: the caller's, checked before the polar map moves it."""
-    if not COORDS_KAPPA_EDGE <= kappa <= math.pi - COORDS_KAPPA_EDGE:
-        raise OutOfDomain(f"the 2-D Jacobian routes need kappa in [{COORDS_KAPPA_EDGE}, "
-                          f"pi - {COORDS_KAPPA_EDGE}], got {kappa!r}")
-    return kappa
 
 
 # Each kind once: closed forms, then integral routes; each group two side laws, then their partners.
@@ -1003,13 +1002,13 @@ CONDITIONAL_LAWS: dict[ConditionalKind, ConditionalLaw] = {
         _cond_area_median),
     ConditionalKind.PERIMETER_ANGLE_COORDS: ConditionalLaw(
         "side", "tau", ConditionalKind.AREA_SIDE_COORDS, ConditionalKind.PERIMETER_GIVEN_SIDE,
-        lambda x, kappa, tol: _cond_2d(x, _coords_kappa(kappa), tol)),
+        _cond_2d, COORDS_KAPPA_EDGE),
     ConditionalKind.PERIMETER_BISECTOR: ConditionalLaw(
         "angle", "tau", ConditionalKind.AREA_MEDIAN, ConditionalKind.PERIMETER_GIVEN_ANGLE,
         _cond_perimeter_bisector),
     ConditionalKind.AREA_SIDE_COORDS: ConditionalLaw(
         "angle", "sigma", ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.AREA_GIVEN_ANGLE,
-        lambda x, kappa, tol: 1.0 - _cond_2d(*_polar_point(x, _coords_kappa(kappa)), tol)),
+        lambda x, kappa, tol: 1.0 - _cond_2d(*_polar_point(x, kappa), tol), COORDS_KAPPA_EDGE),
 }
 
 
@@ -1025,9 +1024,10 @@ def conditional_cdf(
     next to the kappa = x/2 edge. The integral routes are accurate to
     tol * max(1, |value|). Both bounds are absolute, so a tiny probability
     carries no relative guarantee: PERIMETER_GIVEN_SIDE at (1e-4, 2e-5) is
-    3.8729758e-10, 1.9e-6 relative from mpmath. The 2-D routes raise
-    OutOfDomain for kappa within COORDS_KAPPA_EDGE of 0 or pi. An unknown
-    kind, and a tol that is not positive (NaN included), raise ValueError.
+    3.8729758e-10, 1.9e-6 relative from mpmath. Each route's kappa domain
+    comes from its row: for 0 < x < 2*pi a kappa within kappa_edge of 0 or
+    pi raises OutOfDomain. An unknown kind, and a tol that is not positive
+    (NaN included), raise ValueError.
     """
     law = CONDITIONAL_LAWS.get(kind)
     if law is None:
@@ -1038,5 +1038,8 @@ def conditional_cdf(
         return 0.0
     if x >= TWO_PI:
         return 1.0
+    if not law.kappa_edge <= kappa <= math.pi - law.kappa_edge:
+        raise OutOfDomain(f"{kind.value} needs kappa in [{law.kappa_edge}, "
+                          f"pi - {law.kappa_edge}], got {kappa!r}")
     val = law.route(x, kappa) if law.closed_form is kind else law.route(x, kappa, tol)
     return min(1.0, max(0.0, val))

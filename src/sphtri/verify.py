@@ -2,10 +2,10 @@
 
 Each suite returns a list of ``Check``s; a check passes when its value is
 below its bound. ``SUITES`` maps the suite names to functions of
-``(n, seed)``: ``sphtri verify`` runs them through ``run_suite``, which
-gives each check the suite's wall time, and the acceptance tests take
-the values of the reductions, identities and jacobians suites from here
-and hold them to their own bounds. Suites that draw no samples ignore
+``(n, seed)``: ``sphtri verify`` runs each suite it is asked for and
+times it, and the acceptance tests take the values of the reductions,
+identities and jacobians suites from here and hold them to their own
+bounds. Suites that draw no samples ignore
 ``n`` and ``seed``.
 """
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,16 +49,11 @@ from .sphere import RngStream, TriangleMetrics, sample_uniform_points
 
 @dataclass(frozen=True)
 class Check:
-    """One named value, held to an upper bound.
-
-    elapsed_s is the wall time in seconds of the suite that made the
-    check, as run_suite measures it; None for a check not made there.
-    """
+    """One named value, held to an upper bound."""
 
     name: str
     value: float
     bound: float
-    elapsed_s: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -211,10 +205,3 @@ SUITES: dict[str, Callable[[int, int], list[Check]]] = {
     "mc-vs-analytic": mc_checks,
 }
 
-
-def run_suite(name: str, n: int, seed: int) -> list[Check]:
-    """The checks of SUITES[name] at (n, seed), each with the suite's wall time as elapsed_s."""
-    start = time.perf_counter()
-    checks = SUITES[name](n, seed)
-    elapsed = time.perf_counter() - start
-    return [replace(check, elapsed_s=elapsed) for check in checks]

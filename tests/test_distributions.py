@@ -24,7 +24,7 @@ from sphtri.distributions import (
 from sphtri.coords import side_jacobian
 from sphtri.distributions import (
     CONDITIONAL_LAWS, SMOOTH_KINDS_EDGE, _perimeter_cdf_integrand, _perimeter_density_integrand,
-    _polar, _radicand, _sqrt_inner,
+    _polar, _polar_point, _radicand, _sqrt_inner,
 )
 from sphtri.errors import OutOfDomain, SphtriError, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
@@ -40,6 +40,9 @@ TWO_D_ROUTES = (ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.AREA_SID
 ONE_D_ROUTES = tuple(kind for kind in ConditionalKind if kind not in TWO_D_ROUTES)
 # PERIMETER_GIVEN_SIDE and AREA_GIVEN_ANGLE, the elliptic closed form _side_law.
 ELLIPTIC_KINDS = tuple(CONDITIONAL_LAWS[kind].closed_form for kind in TWO_D_ROUTES)
+# The kinds whose row narrows kappa's domain, and the closed forms, whose rows do not.
+EDGED_KINDS = tuple(kind for kind, law in CONDITIONAL_LAWS.items() if law.kappa_edge > 0.0)
+CLOSED_FORMS = tuple(kind for kind, law in CONDITIONAL_LAWS.items() if law.closed_form is kind)
 
 
 def theta_band_inner(x, kappa, tol):
@@ -1377,24 +1380,47 @@ class TestConditionalCdf:
                 b = conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, float(x), k, tol=1e-7)
                 assert abs(a - b) < 1e-5
 
-    @pytest.mark.parametrize("kind", TWO_D_ROUTES)
-    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 1e-3, PI - 1e-3, PI])
-    def test_2d_routes_raise_near_kappa_edges(self, kind, kappa):
-        # Unguarded, the nested quadrature takes seconds here (kappa = 1e-3)
-        # or returns values off by up to 0.99 (kappa = 1e-8).
+    @pytest.mark.parametrize("kind", EDGED_KINDS)
+    @pytest.mark.parametrize("at_pi", [False, True])
+    @pytest.mark.parametrize("share", [0.0, 1e-6, 0.1, 0.99, 1.0 - 1e-9])
+    def test_2d_routes_raise_near_kappa_edges(self, kind, at_pi, share):
+        # kappa is share * kappa_edge from 0 or pi, inside the row's edge.
+        # Unguarded, the 2-D routes' nested quadrature takes seconds at
+        # kappa = 1e-3 or returns values off by up to 0.99 at kappa = 1e-8.
+        # x = 0 and 2*pi answer before the kappa check, as on every route.
+        edge = CONDITIONAL_LAWS[kind].kappa_edge
+        kappa = PI - share * edge if at_pi else share * edge
         for x in (0.5, 3.0, 6.0):
             t0 = time.perf_counter()
             with pytest.raises(OutOfDomain):
                 conditional_cdf(kind, x, kappa)
             assert time.perf_counter() - t0 < 1.0
+        assert conditional_cdf(kind, 0.0, kappa) == 0.0
+        assert conditional_cdf(kind, TWO_PI, kappa) == 1.0
 
-    @pytest.mark.parametrize("kind", TWO_D_ROUTES)
-    @pytest.mark.parametrize("kappa", [1e-2, PI - 1e-2])
-    def test_2d_routes_agree_at_domain_edges(self, kind, kappa):
+    @pytest.mark.parametrize("kind", EDGED_KINDS)
+    @pytest.mark.parametrize("at_pi", [False, True])
+    def test_2d_routes_agree_at_domain_edges(self, kind, at_pi):
+        law = CONDITIONAL_LAWS[kind]
+        kappa = PI - law.kappa_edge if at_pi else law.kappa_edge
         for x in np.linspace(0.05, 6.28, 12):
             a = conditional_cdf(kind, float(x), kappa)
-            b = conditional_cdf(CONDITIONAL_LAWS[kind].closed_form, float(x), kappa)
+            b = conditional_cdf(law.closed_form, float(x), kappa)
             assert abs(a - b) < 1e-8
+
+    @pytest.mark.parametrize("kind", CLOSED_FORMS)
+    def test_closed_forms_answer_at_kappa_ends(self, kind):
+        # Their rows set no edge. At kappa = 0 and pi each answers in [0, 1],
+        # 1e-9 from its value 1e-9 inside, and is its partner's complement at
+        # the polar point.
+        law = CONDITIONAL_LAWS[kind]
+        assert law.kappa_edge == 0.0
+        for kappa, inside in ((0.0, 1e-9), (PI, PI - 1e-9)):
+            for x in (0.5, 3.0, 6.0):
+                v = conditional_cdf(kind, x, kappa)
+                assert 0.0 <= v <= 1.0
+                assert abs(v - conditional_cdf(kind, x, inside)) < 1e-9
+                assert abs(v - 1.0 + conditional_cdf(law.partner, *_polar_point(x, kappa))) < 1e-15
 
     def test_closed_form_duality(self):
         # Fixed-angle perimeter law is the mirrored fixed-side area law.
@@ -1425,6 +1451,8 @@ def test_the_table_of_conditional_laws():
         assert (closed.element, closed.statistic) == (law.element, law.statistic)
         assert closed.closed_form is law.closed_form
         assert partner.closed_form is closed.partner
+    # The edge tests read their kinds from the rows; so far only the 2-D routes narrow kappa.
+    assert EDGED_KINDS == TWO_D_ROUTES
 
 
 @pytest.mark.parametrize("call", [
