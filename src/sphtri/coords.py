@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSuchTriangle
-from .sphere import TriangleMetrics
+from .errors import NoSuchTriangle, OutOfDomain
+from .sphere import TriangleMetrics, _columns, _cross, _norm
 
 _EMBED_TOL = 1e-9
 
@@ -104,6 +104,18 @@ def vertices(kind: CoordKind, u, v, kappa: float):
     return np.array([1.0, 0.0, 0.0]), B, C
 
 
+def _embedding_columns(kind: CoordKind, u, v, kappa: float):
+    """The x, y, z columns of embedding_point at (u, v), unchecked for the square."""
+    _, B, C = vertices(kind, u, v, kappa)
+    if _DEFINING[kind][2] == "c":  # a fixed side: the free vertex
+        return _columns(C)
+    P = _cross(_columns(B), _columns(C))
+    n = _norm(P)
+    if np.any(n < 1e-12):
+        raise NoSuchTriangle("B and C colinear; side plane undefined")
+    return tuple(p / n for p in P)
+
+
 def embedding_point(coords: CoordTriple) -> np.ndarray:
     """The measure-carrying point of the embedding map at (u, v), shape (..., 3).
 
@@ -111,14 +123,7 @@ def embedding_point(coords: CoordTriple) -> np.ndarray:
     the great circle through B and C; raises NoSuchTriangle where B and C
     are within 1e-12 of colinear. Defined on the closed parameter square.
     """
-    _, B, C = vertices(coords.kind, coords.u, coords.v, coords.kappa)
-    if _DEFINING[coords.kind][2] == "c":  # a fixed side: the free vertex
-        return C
-    P = np.cross(B, C)
-    n = np.linalg.norm(P, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
-        raise NoSuchTriangle("B and C colinear; side plane undefined")
-    return P / n
+    return np.stack(_embedding_columns(coords.kind, coords.u, coords.v, coords.kappa), axis=-1)
 
 
 def defining_parameters(kind: CoordKind, m: TriangleMetrics) -> tuple[float, float, float]:
@@ -210,20 +215,27 @@ def jacobian_fd_check(coords: CoordTriple):
     Central differences of step 1e-5 of the embedding map over the two
     varying parameters give the surface Jacobian |dP/du x dP/dv|
     independently of the closed forms. An array for array coordinates,
-    else a float.
+    else a float. Raises NoSuchTriangle off the open square, and
+    OutOfDomain, naming the point, where u or v lies within the step of
+    0 or pi, as the stencil would then leave the square.
     """
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
     h = 1e-5
+    u, v = np.broadcast_arrays(coords.u, coords.v)
     # The four shifted points (u +- h, v) and (u, v +- h) in one embedding
     # call, stacked on a new first axis of u and v's broadcast shape.
-    u, v = np.broadcast_arrays(coords.u, coords.v)
     us = np.stack([u + h, u - h, u, u])
     vs = np.stack([v, v, v + h, v - h])
-    p = embedding_point(CoordTriple(coords.kind, us, vs, coords.kappa))
-    du = (p[0] - p[1]) / (2.0 * h)
-    dv = (p[2] - p[3]) / (2.0 * h)
-    fd = np.linalg.norm(np.cross(du, dv), axis=-1)
+    outside = np.any((us < 0.0) | (us > math.pi) | (vs < 0.0) | (vs > math.pi), axis=0)
+    if np.any(outside):
+        i = np.flatnonzero(outside)[0]
+        raise OutOfDomain(f"(u, v) = ({float(u.flat[i])!r}, {float(v.flat[i])!r}) lies within "
+                          f"the step {h} of the square's edge")
+    p = _embedding_columns(coords.kind, us, vs, coords.kappa)
+    du = [(x[0] - x[1]) / (2.0 * h) for x in p]
+    dv = [(x[2] - x[3]) / (2.0 * h) for x in p]
+    fd = _norm(_cross(du, dv))
     exact = area_element(coords)
     err = np.abs(fd - exact) / np.abs(exact)
     return err if np.ndim(err) else float(err)

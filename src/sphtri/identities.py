@@ -9,6 +9,15 @@ detectors).
 
 The residuals and cevian decompositions also take a ``TriangleMetrics`` of
 equal-shape arrays, one element per triangle, and return arrays.
+
+A sine or cosine that more than one function here takes of the same
+metrics or decomposition is taken once, batch-wide: the first function
+that needs it keeps it in the object's private memo (see _shared), and
+the others read it there. Each is the expression every one of them would
+evaluate alone, so sharing changes no bit of any result. Checking a batch
+with the residuals, both decompositions and both relations, as
+``sphtri verify --suite identities`` does, takes each distinct
+transcendental once.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +72,39 @@ class CevianDecomposition:
     rho: float
     theta: float
 
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+
+# The values that more than one function takes of one TriangleMetrics (the
+# half angles and cosines) or of one CevianDecomposition (sin rho, sin theta).
+_SHARED = {
+    "cos_a": lambda m: np.cos(m.a),
+    "cos_b": lambda m: np.cos(m.b),
+    "cos_beta": lambda m: np.cos(m.beta),
+    "cos_gamma": lambda m: np.cos(m.gamma),
+    "sin_c2": lambda m: np.sin(m.c / 2),
+    "cos_c2": lambda m: np.cos(m.c / 2),
+    "sin_alpha2": lambda m: np.sin(m.alpha / 2),
+    "cos_alpha2": lambda m: np.cos(m.alpha / 2),
+    "sin_sigma2": lambda m: np.sin(m.sigma / 2),
+    "cos_sigma2": lambda m: np.cos(m.sigma / 2),
+    "sin_tau2": lambda m: np.sin(m.tau / 2),
+    "cos_tau2": lambda m: np.cos(m.tau / 2),
+    "sin_rho": lambda dec: np.sin(dec.rho),
+    "sin_theta": lambda dec: np.sin(dec.theta),
+}
+
+
+def _shared(obj, *names):
+    """The _SHARED values of the given names for obj, each computed on first use."""
+    memo = obj._memo
+    for name in names:
+        if name not in memo:
+            memo[name] = _SHARED[name](obj)
+    return tuple(memo[name] for name in names)
+
 
 class SolvedFormKind(enum.Enum):
     ANGLE_PSI = "angle_psi"
@@ -71,18 +114,22 @@ class SolvedFormKind(enum.Enum):
 def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
     """Residuals of all six identities for one triangle or a batch of them.
 
-    Each sine and cosine that two identities share is taken once.
+    Each sine and cosine is taken once: those that two identities share
+    here, and those the cevian functions also take, once for the batch.
     """
     a, b, c = m.a, m.b, m.c
     al, be, ga = m.alpha, m.beta, m.gamma
     sig, tau = m.sigma, m.tau
-    sin_b, sin_c, cos_b, cos_c = np.sin(b), np.sin(c), np.cos(b), np.cos(c)
-    sin_al, sin_be, cos_al, cos_be = np.sin(al), np.sin(be), np.cos(al), np.cos(be)
-    sin_sig2, sin_tau2 = np.sin(sig / 2), np.sin(tau / 2)
+    cos_a, cos_b, cos_be, cos_ga = _shared(m, "cos_a", "cos_b", "cos_beta", "cos_gamma")
+    sin_c2, cos_c2, sin_al2, cos_al2 = _shared(m, "sin_c2", "cos_c2", "sin_alpha2", "cos_alpha2")
+    sin_sig2, cos_sig2, sin_tau2, cos_tau2 = _shared(m, "sin_sigma2", "cos_sigma2", "sin_tau2",
+                                                     "cos_tau2")
+    sin_b, sin_c, cos_c = np.sin(b), np.sin(c), np.cos(c)
+    sin_al, sin_be, cos_al = np.sin(al), np.sin(be), np.cos(al)
 
     r1 = abs(
-        np.sin(al - sig / 2) * np.sin(b / 2) * np.sin(c / 2)
-        - np.cos(b / 2) * np.cos(c / 2) * sin_sig2
+        np.sin(al - sig / 2) * np.sin(b / 2) * sin_c2
+        - np.cos(b / 2) * cos_c2 * sin_sig2
     )
     r2 = abs(
         sin_b * sin_c * cos_al
@@ -90,8 +137,8 @@ def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
         - (np.cos(tau - c) - cos_c) * cos_b
     )
     r3 = abs(
-        np.sin(tau / 2 - c) * np.cos(al / 2) * np.cos(be / 2)
-        - np.sin(al / 2) * np.sin(be / 2) * sin_tau2
+        np.sin(tau / 2 - c) * cos_al2 * np.cos(be / 2)
+        - sin_al2 * np.sin(be / 2) * sin_tau2
     )
     r4 = abs(
         -sin_al * sin_be * cos_c
@@ -99,12 +146,12 @@ def identity_residuals(m: TriangleMetrics) -> IdentityResiduals:
         - (np.cos(sig - al) - cos_al) * cos_be
     )
     r5 = abs(
-        sin_sig2 * (1 + np.cos(a) + cos_b + cos_c)
-        - np.cos(sig / 2) * np.sin(a) * sin_b * np.sin(ga)
+        sin_sig2 * (1 + cos_a + cos_b + cos_c)
+        - cos_sig2 * np.sin(a) * sin_b * np.sin(ga)
     )
     r6 = abs(
-        sin_tau2 * (cos_al + cos_be + np.cos(ga) - 1)
-        - np.cos(tau / 2) * sin_al * sin_be * sin_c
+        sin_tau2 * (cos_al + cos_be + cos_ga - 1)
+        - cos_tau2 * sin_al * sin_be * sin_c
     )
     return IdentityResiduals(r1, r2, r3, r4, r5, r6)
 
@@ -123,20 +170,35 @@ def median_decompose(m: TriangleMetrics) -> CevianDecomposition:
     """
     if np.any((m.c >= math.pi - 1e-12) | (m.c <= 1e-12)):
         raise DegenerateTriangle("midpoint of side c undefined")
-    cos_rho = np.clip((np.cos(m.a) + np.cos(m.b)) / (2.0 * np.cos(m.c / 2)), -1.0, 1.0)
+    cos_a, cos_b, cos_c2, sin_c2 = _shared(m, "cos_a", "cos_b", "cos_c2", "sin_c2")
+    cos_rho = np.clip((cos_a + cos_b) / (2.0 * cos_c2), -1.0, 1.0)
     rho = np.arccos(cos_rho)
     sin_rho = np.sin(rho)
     if np.any(sin_rho < 1e-12):
         raise DegenerateTriangle("median degenerate (rho at 0 or pi)")
-    cos_theta = (np.cos(m.a) - np.cos(m.b)) / (2.0 * np.sin(m.c / 2) * sin_rho)
+    cos_theta = (cos_a - cos_b) / (2.0 * sin_c2 * sin_rho)
     # sin(theta) from the excess relation, for quadrant-safe recovery.
-    sin_theta = (
-        np.tan(m.sigma / 2)
-        * (np.cos(m.c / 2) + cos_rho)
-        / (np.sin(m.c / 2) * sin_rho)
-    )
-    theta = np.arctan2(sin_theta, cos_theta)
-    return CevianDecomposition(rho, theta)
+    sin_theta = np.tan(m.sigma / 2) * (cos_c2 + cos_rho) / (sin_c2 * sin_rho)
+    dec = CevianDecomposition(rho, np.arctan2(sin_theta, cos_theta))
+    dec._memo["sin_rho"] = sin_rho
+    return dec
+
+
+def _bisector(cos_beta, cos_gamma, cos_alpha2, sin_alpha2):
+    """(theta, rho, sin theta) of bisector_angles from the cosines it takes."""
+    # cos rho is divided in place below, so it takes alpha's axes too (as views).
+    cos_beta, cos_gamma, _ = np.broadcast_arrays(cos_beta, cos_gamma, cos_alpha2)
+    theta = np.arccos(np.clip((cos_beta - cos_gamma) / (2.0 * cos_alpha2), -1.0, 1.0))
+    cos_rho = -(cos_beta + cos_gamma)
+    # In place from here (the temporary first in the product, so that numpy
+    # reuses it), so that keeping sin theta holds no more arrays at once than
+    # bisector_angles did without it.
+    del cos_beta, cos_gamma
+    sin_theta = np.sin(theta)
+    with np.errstate(over="ignore"):
+        cos_rho /= np.maximum(sin_theta, 1e-300) * (2.0 * sin_alpha2)
+    cos_rho = np.clip(cos_rho, -1.0, 1.0)
+    return theta, np.arccos(cos_rho), sin_theta
 
 
 def bisector_angles(alpha, beta, gamma):
@@ -145,13 +207,8 @@ def bisector_angles(alpha, beta, gamma):
     The angles are floats or arrays that broadcast. sin(theta) is floored at
     1e-300 in rho's denominator only, so a degenerate triangle gives no 0/0.
     """
-    theta = np.arccos(np.clip(
-        (np.cos(beta) - np.cos(gamma)) / (2.0 * np.cos(alpha / 2)), -1.0, 1.0
-    ))
-    with np.errstate(over="ignore"):
-        cos_rho = -(np.cos(beta) + np.cos(gamma)) / (2.0 * np.sin(alpha / 2)
-                                                     * np.maximum(np.sin(theta), 1e-300))
-    return theta, np.arccos(np.clip(cos_rho, -1.0, 1.0))
+    theta, rho, _ = _bisector(np.cos(beta), np.cos(gamma), np.cos(alpha / 2), np.sin(alpha / 2))
+    return theta, rho
 
 
 def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
@@ -169,10 +226,13 @@ def bisector_decompose(m: TriangleMetrics) -> CevianDecomposition:
     """
     if np.any((m.alpha <= 1e-12) | (m.alpha >= math.pi - 1e-12)):
         raise DegenerateTriangle("bisector of a degenerate angle")
-    theta, rho = bisector_angles(m.alpha, m.beta, m.gamma)
-    if np.any(np.sin(theta) < 1e-12):
+    cosines = _shared(m, "cos_beta", "cos_gamma", "cos_alpha2", "sin_alpha2")
+    theta, rho, sin_theta = _bisector(*cosines)
+    if np.any(sin_theta < 1e-12):
         raise DegenerateTriangle("bisector degenerate (theta at 0 or pi)")
-    return CevianDecomposition(rho, theta)
+    dec = CevianDecomposition(rho, theta)
+    dec._memo["sin_theta"] = sin_theta
+    return dec
 
 
 def bisector_threshold(tau: float, alpha: float) -> float:
@@ -200,17 +260,22 @@ def bisector_threshold(tau: float, alpha: float) -> float:
 
 def median_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:
     """Cleared-form residual of the median/excess relation."""
+    sin_sig2, cos_sig2, sin_c2, cos_c2 = _shared(m, "sin_sigma2", "cos_sigma2", "sin_c2", "cos_c2")
+    (sin_rho,) = _shared(dec, "sin_rho")
     return abs(
-        np.sin(m.sigma / 2) * (np.cos(m.c / 2) + np.cos(dec.rho))
-        - np.cos(m.sigma / 2) * np.sin(m.c / 2) * np.sin(dec.rho) * np.sin(dec.theta)
+        sin_sig2 * (cos_c2 + np.cos(dec.rho))
+        - cos_sig2 * sin_c2 * sin_rho * np.sin(dec.theta)
     )
 
 
 def bisector_relation_residual(m: TriangleMetrics, dec: CevianDecomposition) -> float:
     """Cleared-form residual of the bisector/perimeter relation."""
+    sin_tau2, cos_tau2, sin_al2, cos_al2 = _shared(m, "sin_tau2", "cos_tau2", "sin_alpha2",
+                                                   "cos_alpha2")
+    (sin_theta,) = _shared(dec, "sin_theta")
     return abs(
-        np.sin(m.tau / 2) * (np.sin(m.alpha / 2) + np.cos(dec.rho) * np.sin(dec.theta))
-        + np.cos(m.tau / 2) * np.cos(m.alpha / 2) * np.sin(dec.rho) * np.sin(dec.theta)
+        sin_tau2 * (sin_al2 + np.cos(dec.rho) * sin_theta)
+        + cos_tau2 * cos_al2 * np.sin(dec.rho) * sin_theta
     )
 
 

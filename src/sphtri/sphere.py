@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,12 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TriangleMetrics:
-    """Sides, angles, excess and perimeter: floats, or arrays of one per triangle."""
+    """Sides, angles, excess and perimeter: floats, or arrays of one per triangle.
+
+    Metrics are read-only once built: identities keeps the sines and cosines
+    it takes of the fields in _memo, so a field array changed in place would
+    leave them stale. dataclasses.replace builds new metrics with an empty memo.
+    """
 
     a: float | np.ndarray
     b: float | np.ndarray
@@ -79,6 +85,11 @@ class TriangleMetrics:
             )
         sigma = _excess(A, B, C, alpha, beta, gamma)
         return cls(a, b, c, alpha, beta, gamma, sigma, a + b + c)
+
+    @cached_property
+    def _memo(self) -> dict:
+        # Not a dataclass field, so fields(), astuple(), == and repr see the eight elements only.
+        return {}
 
 
 @dataclass
@@ -140,6 +151,11 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _norm(u):
+    """The length of column vector u, summed in np.linalg.norm's order."""
+    return np.sqrt(_dot(u, u))
+
+
 def triangle_elements(A, B, C):
     """Sides and angles for vertex arrays of shape (..., 3) that broadcast.
 
@@ -154,12 +170,12 @@ def triangle_elements(A, B, C):
     """
     A, B, C = _columns(A), _columns(B), _columns(C)
     n_ab, n_bc, n_ca = _cross(A, B), _cross(B, C), _cross(C, A)
-    a = np.arctan2(np.sqrt(_dot(n_bc, n_bc)), _dot(B, C))
-    b = np.arctan2(np.sqrt(_dot(n_ca, n_ca)), _dot(C, A))
-    c = np.arctan2(np.sqrt(_dot(n_ab, n_ab)), _dot(A, B))
+    a = np.arctan2(_norm(n_bc), _dot(B, C))
+    b = np.arctan2(_norm(n_ca), _dot(C, A))
+    c = np.arctan2(_norm(n_ab), _dot(A, B))
     del A, B, C  # free the column copies before the angle temporaries
     w = _cross(n_ab, n_ca)
-    det = np.sqrt(_dot(w, w))
+    det = _norm(w)
     out = (
         a, b, c,
         np.arctan2(det, -_dot(n_ab, n_ca)),
@@ -194,21 +210,27 @@ def _excess(A, B, C, alpha, beta, gamma):
     sigma = alpha + beta + gamma - math.pi
     if sigma.min() >= _GIRARD_SMALL:  # a NaN row fails this and keeps its NaN below
         return sigma
-    sigma = np.asarray(sigma)  # the sum's own array, or a 0-d one for a single triangle
-    small = sigma < _GIRARD_SMALL
-    rows = np.nonzero(small) if sigma.ndim else ()
+    # The sum's own array, or a 0-d one for a single triangle; C order, so that
+    # flat is a view of it, through which the rows are written.
+    sigma = np.asarray(sigma, order="C")
+    flat = sigma.reshape(-1)
+    rows = np.flatnonzero(flat < _GIRARD_SMALL)
 
-    def picked(V):  # V's x, y, z on those rows, by index; a fixed (3,) vertex gives three scalars
+    def picked(V):  # V's [x, y, z] on those rows as Python floats; a fixed (3,) vertex repeats
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
-            return tuple(V)
-        return tuple((V if V.shape[:-1] == sigma.shape else np.broadcast_to(V, sigma.shape + (3,)))[rows].T)
+            return [V.tolist()] * len(rows)
+        if V.shape[:-1] != sigma.shape:
+            V = np.broadcast_to(V, sigma.shape + (3,))
+        return V.reshape(-1, 3)[rows].tolist()
 
-    A, B, C = picked(A), picked(B), picked(C)
-    BA, CA = [p - q for p, q in zip(B, A)], [p - q for p, q in zip(C, A)]
-    num = np.abs(_dot(A, _cross(BA, CA)))
-    den = 1.0 + _dot(A, B) + _dot(B, C) + _dot(C, A)
-    sigma[small] = np.where(den > 1.0, 2.0 * np.arctan2(num, den), sigma[small])
+    # A few rows a block: on floats, as numpy calls on arrays this short cost more than the sums.
+    out = []
+    for a, b, c, s in zip(picked(A), picked(B), picked(C), flat[rows].tolist()):
+        ba, ca = [p - q for p, q in zip(b, a)], [p - q for p, q in zip(c, a)]
+        den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a)
+        out.append(2.0 * math.atan2(abs(_dot(a, _cross(ba, ca))), den) if den > 1.0 else s)
+    flat[rows] = out
     return sigma[()]
 
 
@@ -224,7 +246,7 @@ def dual_vertices(Ap, Bp, Cp):
     Ap, Bp, Cp = _columns(Ap), _columns(Bp), _columns(Cp)
     out = []
     for w in (_cross(Bp, Cp), _cross(Ap, Cp), _cross(Ap, Bp)):
-        n = np.sqrt(_dot(w, w))
+        n = _norm(w)
         if np.any(n < DEGENERACY_TOL):
             raise DegenerateDual("pole pair parallel or antiparallel within tolerance")
         v = np.stack(w)

@@ -72,10 +72,14 @@ def identity_checks(n: int, seed: int) -> list[Check]:
     """Identity and cevian-relation residuals on n random primal triangles."""
     pts = sample_uniform_points(RngStream(seed), 3 * n).reshape(n, 3, 3)
     m = TriangleMetrics.from_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
+    del pts  # m holds no view of it: free it before the residuals' temporaries
+    # The residuals first: their six arrays are reduced and freed before the
+    # cevian functions run, which read the sines and cosines they share.
+    worst = identity_residuals(m).max()
     med = median_relation_residual(m, median_decompose(m))
     bis = bisector_relation_residual(m, bisector_decompose(m))
     return [
-        Check("identity residuals", identity_residuals(m).max(), 1e-10),
+        Check("identity residuals", worst, 1e-10),
         Check("median relation", float(np.max(med)), 1e-10),
         Check("bisector relation", float(np.max(bis)), 1e-10),
     ]

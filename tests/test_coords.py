@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sphtri.coords import (
     jacobian_fd_check,
     vertices,
 )
-from sphtri.errors import NoSuchTriangle
+from sphtri.errors import NoSuchTriangle, OutOfDomain
 from sphtri.sphere import TriangleMetrics
 
 PI = math.pi
@@ -198,6 +199,16 @@ class TestJacobianCheck:
         exact = area_element(CoordTriple(kind, u, v, k))
         want = np.abs(np.linalg.norm(np.cross(du, dv), axis=-1) - exact) / np.abs(exact)
         np.testing.assert_array_equal(jacobian_fd_check(CoordTriple(kind, u, v, k)), want)
+
+    @pytest.mark.parametrize("kind", list(CoordKind))
+    @pytest.mark.parametrize("edge", [1e-6, PI - 1e-6])
+    def test_point_within_the_step_of_the_edge_raises(self, kind, edge):
+        # The stencil of step 1e-5 would leave the square there; the error names the point.
+        for u, v in ((edge, 1.0), (1.0, edge)):
+            with pytest.raises(OutOfDomain, match=re.escape(f"({u!r}, {v!r})")):
+                jacobian_fd_check(CoordTriple(kind, u, v, 1.0))
+        with pytest.raises(OutOfDomain, match=re.escape(f"({edge!r}, 1.0)")):
+            jacobian_fd_check(CoordTriple(kind, np.array([1.0, 2.0, edge]), 1.0, 1.0))
 
     @pytest.mark.parametrize("kind", list(CoordKind))
     def test_grid(self, kind):

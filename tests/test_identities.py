@@ -4,10 +4,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from sphtri import verify
 from sphtri.errors import DegenerateTriangle, OutOfDomain
 from sphtri.identities import (
     IdentityResiduals,
     SolvedFormKind,
+    bisector_angles,
     bisector_decompose,
     bisector_relation_residual,
     bisector_threshold,
@@ -24,6 +26,7 @@ from sphtri.sphere import (
 )
 
 PI = math.pi
+ELEMENTS = ("a", "b", "c", "alpha", "beta", "gamma", "sigma", "tau")
 
 OCTANT = TriangleMetrics.from_vertices(*np.eye(3))
 
@@ -179,6 +182,17 @@ class TestBisector:
             assert abs(d.rho - rho_geo) < 1e-9
             assert abs(d.theta - theta_geo) < 1e-9
 
+    def test_angles_broadcast_as_the_floats(self):
+        # alpha carries an axis that beta and gamma lack; each element is the float call's.
+        alpha, beta, gamma = np.array([[0.5], [1.0], [2.9]]), np.array([0.3, 1.2, 1.4, 2.0]), 1.3
+        theta, rho = bisector_angles(alpha, beta, gamma)
+        assert theta.shape == rho.shape == (3, 4)
+        for (i, j), t in np.ndenumerate(theta):
+            assert (t, rho[i, j]) == bisector_angles(float(alpha[i, 0]), float(beta[j]), gamma)
+        _, m = random_triangle_batch(10**3, seed=57)
+        d = bisector_decompose(m)
+        np.testing.assert_array_equal(bisector_angles(m.alpha, m.beta, m.gamma), (d.theta, d.rho))
+
     def test_degenerate(self):
         # beta = 0 and gamma = 1.6 give cos(theta) = (1 - cos 1.6) / (2 cos(pi/3)) > 1.
         m = TriangleMetrics(1.0, 1.0, 1.0, 2 * PI / 3, 0.0, 1.6, 0.1, 3.0)
@@ -293,3 +307,80 @@ class TestArrayPath:
         func(m)  # the batch as drawn is fine
         with pytest.raises(DegenerateTriangle):
             func(replace(m, **{field: bad}))
+
+
+def unshared(m):
+    """The residuals, then each decomposition's (rho, theta) and relation residual, with
+    every formula taking each sine and cosine it needs itself: the reference for the
+    values the functions of identities share, which must give the same bits.
+    """
+    a, b, c, al, be, ga, sig, tau = (getattr(m, name) for name in ELEMENTS)
+    sin, cos = np.sin, np.cos
+    residuals = (
+        abs(sin(al - sig / 2) * sin(b / 2) * sin(c / 2) - cos(b / 2) * cos(c / 2) * sin(sig / 2)),
+        abs(sin(b) * sin(c) * cos(al) - sin(tau - c) * sin(b) - (cos(tau - c) - cos(c)) * cos(b)),
+        abs(sin(tau / 2 - c) * cos(al / 2) * cos(be / 2)
+            - sin(al / 2) * sin(be / 2) * sin(tau / 2)),
+        abs(-sin(al) * sin(be) * cos(c) - sin(sig - al) * sin(be)
+            - (cos(sig - al) - cos(al)) * cos(be)),
+        abs(sin(sig / 2) * (1 + cos(a) + cos(b) + cos(c))
+            - cos(sig / 2) * sin(a) * sin(b) * sin(ga)),
+        abs(sin(tau / 2) * (cos(al) + cos(be) + cos(ga) - 1)
+            - cos(tau / 2) * sin(al) * sin(be) * sin(c)),
+    )
+    cos_rho = np.clip((cos(a) + cos(b)) / (2.0 * cos(c / 2)), -1.0, 1.0)
+    rho = np.arccos(cos_rho)
+    cos_theta = (cos(a) - cos(b)) / (2.0 * sin(c / 2) * sin(rho))
+    sin_theta = np.tan(sig / 2) * (cos(c / 2) + cos_rho) / (sin(c / 2) * sin(rho))
+    theta = np.arctan2(sin_theta, cos_theta)
+    median = (rho, theta, abs(sin(sig / 2) * (cos(c / 2) + cos(rho))
+                              - cos(sig / 2) * sin(c / 2) * sin(rho) * sin(theta)))
+    theta = np.arccos(np.clip((cos(be) - cos(ga)) / (2.0 * cos(al / 2)), -1.0, 1.0))
+    rho = np.arccos(np.clip(-(cos(be) + cos(ga)) / (2.0 * sin(al / 2) * sin(theta)), -1.0, 1.0))
+    bisector = (rho, theta, abs(sin(tau / 2) * (sin(al / 2) + cos(rho) * sin(theta))
+                                + cos(tau / 2) * cos(al / 2) * sin(rho) * sin(theta)))
+    return (*residuals, *median, *bisector)
+
+
+class TestSharedValues:
+    """Values shared between the functions through the memos change no bit of a result."""
+
+    @pytest.mark.parametrize("identities_first", [True, False])
+    def test_either_call_order_gives_the_unshared_values(self, identities_first):
+        _, m = random_triangle_batch(10**4, seed=83)
+        want = unshared(m)
+        if identities_first:
+            res = identity_residuals(m)
+        med, bis = median_decompose(m), bisector_decompose(m)
+        relations = median_relation_residual(m, med), bisector_relation_residual(m, bis)
+        if not identities_first:
+            res = identity_residuals(m)
+        got = (*res.as_tuple(), med.rho, med.theta, relations[0], bis.rho, bis.theta, relations[1])
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", [1, 606])
+    def test_identity_suite_values_are_those_of_unshared_calls(self, seed):
+        _, m = random_triangle_batch(10**4, seed)  # the suite's triangles
+        values = unshared(m)
+        want = [max(np.max(r) for r in values[:6]), np.max(values[8]), np.max(values[11])]
+        assert [c.value for c in verify.identity_checks(10**4, seed)] == want
+        if seed == 1:  # the values from before the sharing
+            assert want == [2.2551405187698492e-15, 2.663320952667192e-14, 1.6571206212789846e-13]
+
+    @pytest.mark.parametrize("field", ELEMENTS)
+    def test_replaced_metrics_read_nothing_stale(self, field):
+        _, m = random_triangle_batch(10**3, seed=85)
+        identity_residuals(m)  # m's memo now holds every shared value
+        median_relation_residual(m, median_decompose(m))
+        bisector_relation_residual(m, bisector_decompose(m))
+        changed = replace(m, **{field: getattr(m, field) * (1.0 - 1e-7)})
+        fresh = TriangleMetrics(**{name: getattr(changed, name) for name in ELEMENTS})
+        got, want = identity_residuals(changed), identity_residuals(fresh)
+        assert got.max() > 1e3 * identity_residuals(m).max()  # the change shows
+        for g, w in zip(got.as_tuple(), want.as_tuple(), strict=True):
+            np.testing.assert_array_equal(g, w)
+        for decompose, relation in ((median_decompose, median_relation_residual),
+                                    (bisector_decompose, bisector_relation_residual)):
+            np.testing.assert_array_equal(relation(changed, decompose(changed)),
+                                          relation(fresh, decompose(fresh)))

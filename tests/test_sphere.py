@@ -11,6 +11,10 @@ from sphtri.sphere import (
     RngStream,
     TriangleMetrics,
     _columns,
+    _cross,
+    _dot,
+    _excess,
+    _norm,
     arc_length,
     dual_vertices,
     lhuilier_excess,
@@ -295,6 +299,30 @@ class TestMetrics:
         stacked = TriangleMetrics.from_vertices(A, np.stack([B, B]), C).sigma  # shape (2, 3)
         assert np.array_equal(stacked, np.stack([want, want]))
 
+    def test_vertex_form_rows_match_the_array_form(self):
+        # _excess takes its few vertex-form rows on Python floats. The same
+        # sums on arrays give each of them within one ulp (math.atan2 against
+        # np.arctan2), and every other row keeps the angle sum. The tiny
+        # triangles of a dual batch, then two near-lunes of angle 1e-8 and
+        # 3e-8 whose denominators are below 1, so that they keep the sum.
+        pts = sample_uniform_points(RngStream(8, 3), 3 * 10**5).reshape(-1, 3, 3)
+        e = 1e-6
+        lunes = [[[1.0, 0.0, 0.0], [-math.cos(e), math.sin(e), 0.0],
+                  [-math.cos(e), math.sin(e) * math.cos(d), math.sin(e) * math.sin(d)]]
+                 for d in (1e-8, 3e-8)]
+        dual = dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
+        A, B, C = (np.concatenate([V, W]) for V, W in zip(dual, np.transpose(lunes, (1, 0, 2))))
+        _, _, _, al, be, ga = triangle_elements(A, B, C)
+        got, girard = _excess(A, B, C, al, be, ga), al + be + ga - PI
+        rows = girard < 1e-6
+        A, B, C = (_columns(V[rows]) for V in (A, B, C))
+        num = np.abs(_dot(A, _cross([p - q for p, q in zip(B, A)], [p - q for p, q in zip(C, A)])))
+        den = 1.0 + _dot(A, B) + _dot(B, C) + _dot(C, A)
+        want = np.where(den > 1.0, 2.0 * np.arctan2(num, den), girard[rows])
+        assert np.count_nonzero(rows) > 20 and np.count_nonzero(den <= 1.0) == 2
+        assert np.all(np.abs(got[rows] - want) <= np.spacing(want))
+        assert np.array_equal(got[~rows], girard[~rows])
+
     def test_law_of_sines(self):
         # Cleared form: the quotient form amplifies noise when the common
         # ratio is large (thin triangles), the product form is bounded.
@@ -362,3 +390,11 @@ def test_arc_length_properties(x1, y1, z1, x2, y2, z2):
     assert 0.0 <= d <= PI + 1e-15
     assert abs(d - float(arc_length(v, u))) < 1e-15
     assert abs(float(arc_length(u, u))) < 1e-7
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (4, 5, 3)])
+def test_column_cross_and_norm_match_numpy(shape):
+    # The column forms that triangle_elements and coords use, bit for bit.
+    P, Q = np.random.default_rng(5).standard_normal((2, *shape))
+    assert np.array_equal(np.stack(_cross(_columns(P), _columns(Q)), axis=-1), np.cross(P, Q))
+    assert np.array_equal(_norm(_columns(P)), np.linalg.norm(P, axis=-1))
