@@ -48,13 +48,15 @@ class CoordKind(enum.Enum):
 class CoordTriple:
     """Two varying parameters plus the fixed one, all in [0, pi].
 
-    u and v may be arrays that broadcast; kappa is a float.
+    u, v and kappa are each a float or an array that broadcasts against
+    the other two, so one triple can hold several fixed elements, say
+    kappa of shape (k, 1, 1) against (n, n) grids of u and v.
     """
 
     kind: CoordKind
     u: float | np.ndarray
     v: float | np.ndarray
-    kappa: float
+    kappa: float | np.ndarray
 
     def __post_init__(self):
         for name in ("u", "v", "kappa"):
@@ -76,10 +78,10 @@ _DEFINING = {
 }
 
 
-def vertices(kind: CoordKind, u, v, kappa: float):
+def vertices(kind: CoordKind, u, v, kappa):
     """Vertices (A, B, C) of the triangle with coordinates (u, v, kappa).
 
-    u and v are floats or arrays that broadcast. A is the fixed vertex
+    u, v and kappa are floats or arrays that broadcast. A is the fixed vertex
     (1, 0, 0) of shape (3,); B and C have the broadcast shape plus a last
     axis of 3, as views of coordinate-major storage, so that
     sphere.triangle_elements reads their columns without copying. Where
@@ -89,7 +91,7 @@ def vertices(kind: CoordKind, u, v, kappa: float):
     el = dict(zip(_DEFINING[kind], (u, v, kappa)))
     sc, cc = np.sin(el["c"]), np.cos(el["c"])
     sa, ca = np.sin(el["alpha"]), np.cos(el["alpha"])
-    B = np.zeros((3, *np.broadcast(u, v).shape))
+    B = np.zeros((3, *np.broadcast(u, v, kappa).shape))
     B[0], B[1] = cc, sc
     if "b" in el:  # side-angle-side
         sb = np.sin(el["b"])
@@ -104,7 +106,7 @@ def vertices(kind: CoordKind, u, v, kappa: float):
     return np.array([1.0, 0.0, 0.0]), B, C
 
 
-def _embedding_columns(kind: CoordKind, u, v, kappa: float):
+def _embedding_columns(kind: CoordKind, u, v, kappa):
     """The x, y, z columns of embedding_point at (u, v), unchecked for the square."""
     _, B, C = vertices(kind, u, v, kappa)
     if _DEFINING[kind][2] == "c":  # a fixed side: the free vertex
@@ -179,16 +181,27 @@ def _jacobian(u, v, sk, ck, one_plus_ck, one_minus_ck):
     return out
 
 
+def _fixed_element(kappa):
+    """sin(kappa), cos(kappa), 2 cos^2(kappa/2) and 2 sin^2(kappa/2).
+
+    A float goes through math, about 0.5 us a call faster than numpy on a
+    scalar, which the 2-D routes' many float calls keep; an array through numpy.
+    """
+    m = math if np.ndim(kappa) == 0 else np
+    return (m.sin(kappa), m.cos(kappa),
+            2.0 * m.cos(0.5 * kappa) ** 2, 2.0 * m.sin(0.5 * kappa) ** 2)
+
+
 def angle_jacobian(phi, psi, kappa):
-    """Area element of the Angle system, vectorized over phi/psi arrays."""
-    cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
-    return _jacobian(phi, psi, math.sin(kappa), math.cos(kappa), cos2, sin2)
+    """Area element of the Angle system; phi, psi and kappa are floats or arrays that broadcast."""
+    sk, ck, cos2, sin2 = _fixed_element(kappa)
+    return _jacobian(phi, psi, sk, ck, cos2, sin2)
 
 
 def side_jacobian(xi, eta, kappa):
-    """Area element of the Side system, vectorized over xi/eta arrays."""
-    cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
-    return _jacobian(xi, eta, math.sin(kappa), -math.cos(kappa), sin2, cos2)
+    """Area element of the Side system; xi, eta and kappa are floats or arrays that broadcast."""
+    sk, ck, cos2, sin2 = _fixed_element(kappa)
+    return _jacobian(xi, eta, sk, -ck, sin2, cos2)
 
 
 def area_element(coords: CoordTriple):
@@ -201,7 +214,7 @@ def area_element(coords: CoordTriple):
     """
     k, u, v, kappa = coords.kind, coords.u, coords.v, coords.kappa
     if k is CoordKind.PRIMAL or k is CoordKind.DUAL:
-        out = np.abs(np.sin(v)) * np.ones_like(u)
+        out = np.abs(np.sin(v)) * np.ones(np.broadcast(u, kappa).shape)
     elif k is CoordKind.ANGLE:
         out = angle_jacobian(u, v, kappa)
     else:
@@ -222,9 +235,11 @@ def jacobian_fd_check(coords: CoordTriple):
     if not coords.interior:
         raise NoSuchTriangle("coordinates must be strictly interior")
     h = 1e-5
-    u, v = np.broadcast_arrays(coords.u, coords.v)
+    shape = np.broadcast(coords.u, coords.v, coords.kappa).shape
+    u, v = (np.broadcast_to(t, shape) for t in (coords.u, coords.v))
     # The four shifted points (u +- h, v) and (u, v +- h) in one embedding
-    # call, stacked on a new first axis of u and v's broadcast shape.
+    # call, stacked on a new first axis of the broadcast shape of u, v and
+    # kappa; kappa broadcasts against it unstacked.
     us = np.stack([u + h, u - h, u, u])
     vs = np.stack([v, v, v + h, v - h])
     outside = np.any((us < 0.0) | (us > math.pi) | (vs < 0.0) | (vs > math.pi), axis=0)

@@ -418,26 +418,32 @@ def perimeter_cdf_grid(steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
 # The double integrals, by nested quadrature.
 
 
-# Equal rows of [lo, pi] that _nested's outer integral starts from, so that
-# the stragglers of different outer panels refine side by side. The 2-D
-# routes and double integrals at the seed-5 conditional-routes benchmark
-# points took a median 0.072 s with 4 rows, 0.070 s with 2, 0.112 s with 8
-# and 0.092 s with 1 (2-CPU host, six runs each), but with 2 rows their
-# slowest call took 2.8 ms against 1.9 ms with 4 (best of 7, seeds 1 and 5).
-# With G7/K15 panels, integrate's heap as the outer engine took 1.7 times
-# as long as 4 rows.
+# The equal rows of [lo, pi] that _nested's outer integral starts from for
+# the smooth kinds and the 2-D routes, so that the stragglers of different
+# outer panels refine side by side. The 2-D routes and double integrals at
+# the seed-5 conditional-routes benchmark points took a median 0.072 s with
+# 4 rows, 0.070 s with 2, 0.112 s with 8 and 0.092 s with 1 (2-CPU host,
+# six runs each), but with 2 rows their slowest call took 2.8 ms against
+# 1.9 ms with 4 (best of 7, seeds 1 and 5). With G7/K15 panels, integrate's
+# heap as the outer engine took 1.7 times as long as 4 rows. With G10/K21
+# panels, 1 row for the 2-D routes made the seed-1 conditional-routes ops
+# 29% slower in sum, and the smooth kinds from 1 row answered 41.6 tol off,
+# with no error, 4.2e-5 from their hard end at tol 1e-6. The square-root
+# kinds start from 1 row; see density_via_double_integral.
 _OUTER_ROWS = 4
 
 
-def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -> np.ndarray:
+def _nested(f, bounds, lo, spec: QuadratureSpec, outer_rows: int,
+            inner_singular: bool = False) -> np.ndarray:
     """For each k, the integral over u in [lo[k], pi] of the integral of f(k, p, t) dt over bounds(k, u).
 
     lo is a 1-D array, one element k per x of an array call (a float call
     passes one); u, a side or an angle, ends at pi. Both integrals run on
-    _integrate_rows (Shampine, J. Comput. Appl. Math. 211, 2008). The outer rows are
-    (k, quarter): _OUTER_ROWS equal rows of each [lo[k], pi]. The
-    quarters are separate rows, each accepted on its own test, so each is
-    held to spec.tol / _OUTER_ROWS, and together they are held to about spec.tol.
+    _integrate_rows (Shampine, J. Comput. Appl. Math. 211, 2008). The outer
+    integral starts from the rows (k, j): outer_rows equal rows j of each
+    [lo[k], pi], a number each caller sets for its integrand. The rows are
+    accepted each on its own test, so each is held to spec.tol / outer_rows,
+    and together they are held to about spec.tol.
     Each carries spec's singular flags (at a row's interior end a flag
     only adds a u^2 map). Each outer step makes one inner call,
     whose rows are all the (k, u) nodes of that step, held to spec.tol / 10
@@ -449,7 +455,7 @@ def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -
     constants of a row's change of variable stacked on a first axis).
     Bounds of shape (pieces, nodes) cut each node's integral into pieces,
     integrated as separate rows and summed, each held to 1/pieces of the
-    node's tolerance, as the outer quarters are. f(k, p, t) gets, against
+    node's tolerance, as the outer rows are. f(k, p, t) gets, against
     rows of abscissae t, columns of the indices k and of p at those rows.
     Each k is a budget group of both calls: it gets the panels its scalar
     call would, whatever the others spend.
@@ -462,7 +468,7 @@ def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -
     n = lo.size
 
     def outer(i, us):
-        k = np.repeat(i.ravel() // _OUTER_ROWS, us.shape[1])
+        k = np.repeat(i.ravel() // outer_rows, us.shape[1])
         a, b, p = bounds(k, us.ravel())
         shape = np.broadcast(a, b, k).shape  # (nodes,) or (pieces, nodes)
         a, b = np.full(shape, a).ravel(), np.full(shape, b).ravel()
@@ -472,13 +478,13 @@ def _nested(f, bounds, lo, spec: QuadratureSpec, inner_singular: bool = False) -
         values = _integrate_rows(lambda r, t: f(rows[r], p[..., r], t), a, b, inner_spec, rows)[0]
         return values.reshape(pieces, k.size).sum(axis=0).reshape(us.shape)
 
-    # np.linspace(lo, pi, _OUTER_ROWS + 1) of each x, in its arithmetic.
-    edges = np.arange(_OUTER_ROWS + 1) * ((math.pi - lo) / _OUTER_ROWS)[:, None] + lo[:, None]
+    # np.linspace(lo, pi, outer_rows + 1) of each x, in its arithmetic.
+    edges = np.arange(outer_rows + 1) * ((math.pi - lo) / outer_rows)[:, None] + lo[:, None]
     edges[:, -1] = math.pi
-    outer_spec = QuadratureSpec(spec.tol / _OUTER_ROWS, spec.singular_left, spec.singular_right)
+    outer_spec = QuadratureSpec(spec.tol / outer_rows, spec.singular_left, spec.singular_right)
     values = _integrate_rows(outer, edges[:, :-1].ravel(), edges[:, 1:].ravel(), outer_spec,
-                             np.repeat(np.arange(n), _OUTER_ROWS))[0]
-    return values.reshape(n, _OUTER_ROWS).sum(axis=1)
+                             np.repeat(np.arange(n), outer_rows))[0]
+    return values.reshape(n, outer_rows).sum(axis=1)
 
 
 def _radicand(half, sx, kappa, rho):
@@ -600,15 +606,23 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     integral is the conditional density for that fixed element. Slower
     than the closed/1-D forms by construction; exists to cross-check them.
     PERIMETER_PRIMAL and AREA_PRIMAL are AREA_DUAL and PERIMETER_DUAL at
-    _polar(x). An array runs as one _nested call whose outer rows are
-    (x, quarter), and each x gets the panel budget of its own call. Each
+    _polar(x). An array runs as one _nested call whose outer rows start
+    as (x, quarter) for the smooth kinds and one row per x for the
+    square-root kinds, and each x gets the panel budget of its own call.
+    The verify suite's 10 PERIMETER_PRIMAL points at tol 1e-8 evaluate
+    8,820 integrand points in 0.75 ms from one row each, against 35,280 in
+    2.4 ms from four (best of 15 x 4, 2-CPU host), 1.0e-11 from the series
+    against 4.0e-14. At the default tol a square-root kind refines its one
+    row within about 1.4 of its singular end (AREA_DUAL below x = 1.4,
+    PERIMETER_PRIMAL above 2*pi - 1.4): 4,410 points at x = 1.2, where
+    four rows took 3,528. Each
     integral is accepted at tol * max(1, |value|), a bound that is absolute
     below 1, so a tiny density carries no relative guarantee: PERIMETER_PRIMAL
     at x = 1e-8 is 5.9522e-27, 2.4e-5 relative from x^3/168. Raises
     ToleranceNotMet, naming that x, where an integral at any x misses its
     tolerance, and where the square-root kinds' radicand rounds to 0
-    inside a band (at tol 1e-16, tiny x or AREA_DUAL's x = 6.283185307179,
-    5.9e-13 below 2*pi, say). Raises OutOfDomain, naming that x, where
+    inside a band (at tol 1e-16, tiny x or AREA_DUAL's x = 6.283185307179582,
+    4.7e-15 below 2*pi, say). Raises OutOfDomain, naming that x, where
     AREA_PRIMAL's x or PERIMETER_DUAL's 2*pi - x is below SMOOTH_KINDS_EDGE,
     2e-5: nearer that hard end these two returned wrong values with no error.
     Raises ValueError for a kind that is not a DensityKind.
@@ -628,18 +642,21 @@ def density_via_double_integral(kind: DensityKind, x, tol: float = 1e-9):
     # an inverse square root as kappa approaches x/2 (visible in the
     # elliptic evaluation, whose denominator carries sqrt(sin|x/2 - kappa|)),
     # so the outer integral needs the endpoint substitution there too.
+    # After that u^2 map the outer integrand is smooth on [x/2, pi], and one
+    # G10/K21 panel meets tol: the outer integral starts from 1 row per x.
     if kind is DensityKind.PERIMETER_PRIMAL or kind is DensityKind.AREA_DUAL:
         f, bounds = _sqrt_inner(xs)
-        lo, scale, ends = xs / 2, 1.0 / (4.0 * math.pi), (True, False)
+        lo, scale, ends, rows = xs / 2, 1.0 / (4.0 * math.pi), (True, False), 1
     else:
         f, bounds = _smooth_density_inner(xs)
         lo, scale, ends = np.zeros_like(xs), 1.0 / (2.0 * math.pi), (False, False)
+        rows = _OUTER_ROWS
     # Both inner ends are flagged for every kind. The square-root kinds'
     # radicand vanishes at both band ends. The smooth kinds' integrand peaks
     # next to t = 1 as x nears 2*pi, which the unmapped rule missed by 1.5e-6
     # (AREA_PRIMAL at x = 1e-4).
     try:
-        values = scale * _nested(f, bounds, lo, QuadratureSpec(tol, *ends), True)
+        values = scale * _nested(f, bounds, lo, QuadratureSpec(tol, *ends), rows, True)
     except ToleranceNotMet as err:  # each x is a budget group: name the x that missed
         if err.group is None:
             raise
@@ -961,7 +978,7 @@ def _cond_2d(x: float, kappa: float, tol: float) -> float:
         c = np.cosh(z - beta)
         return angle_jacobian(u, start + scale * np.sinh(z) / c, kappa) * (weight / (c * c))
 
-    value = _nested(f, bounds, np.zeros(1), QuadratureSpec(tol))
+    value = _nested(f, bounds, np.zeros(1), QuadratureSpec(tol), _OUTER_ROWS)
     return float(value[0]) / TWO_PI
 
 

@@ -8,11 +8,13 @@ from sphtri import coords
 from sphtri.coords import (
     CoordKind,
     CoordTriple,
+    angle_jacobian,
     area_element,
     defining_parameters,
     embed,
     embedding_point,
     jacobian_fd_check,
+    side_jacobian,
     vertices,
 )
 from sphtri.errors import NoSuchTriangle, OutOfDomain
@@ -185,6 +187,25 @@ class TestJacobianCheck:
                 assert abs(g - want) < 1e-9
 
     @pytest.mark.parametrize("kind", list(CoordKind))
+    def test_array_kappa_equals_float_kappa_calls(self, kind):
+        # The verify suite's grid: kappa of shape (5, 1, 1) against 10 x 10
+        # grids of u and v that lack its axis, then one kappa per point.
+        # Each element is the call at its float kappa, bit for bit.
+        u, v = np.meshgrid(*[np.linspace(0.15, PI - 0.15, 10)] * 2, indexing="ij")
+        ks = np.linspace(0.3, PI - 0.3, 5)
+        got = jacobian_fd_check(CoordTriple(kind, u, v, ks[:, None, None]))
+        assert got.shape == (5, 10, 10)
+        for i, k in enumerate(ks):
+            want = jacobian_fd_check(CoordTriple(kind, u, v, float(k)))
+            np.testing.assert_array_equal(got[i], want)
+        # Against one-element arrays: an all-float call runs numpy's scalar
+        # arithmetic, which can round differently (see test_array_triple_equals_scalar_calls).
+        us, kk = np.linspace(0.4, 2.6, 4), np.linspace(0.5, 2.5, 4)
+        got = jacobian_fd_check(CoordTriple(kind, us, 1.1, kk))
+        for j, k in enumerate(kk):
+            assert got[j] == jacobian_fd_check(CoordTriple(kind, us[j:j + 1], 1.1, float(k)))[0]
+
+    @pytest.mark.parametrize("kind", list(CoordKind))
     def test_one_embedding_call_equals_four(self, kind):
         # The verify suite's 10 x 10 grid at one of its kappas, against the
         # finite difference of four embedding calls, one per shifted point.
@@ -217,6 +238,34 @@ class TestJacobianCheck:
             for u, v, k in INTERIOR_GRID
         )
         assert worst < 1e-6
+
+
+def _math_jacobian(u, v, kappa, sign):
+    """The area element at a float kappa, its sines and cosines from math: the float path's reference."""
+    cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
+    if sign < 0:
+        cos2, sin2 = sin2, cos2
+    return coords._jacobian(u, v, math.sin(kappa), sign * math.cos(kappa), cos2, sin2)
+
+
+@pytest.mark.parametrize("jac, sign", [(angle_jacobian, 1), (side_jacobian, -1)])
+def test_jacobians_take_an_array_kappa(jac, sign):
+    # Each element of an array-kappa call equals the float-kappa call at its
+    # kappa bit for bit, and a float kappa keeps math's sin and cos, so the
+    # 2-D routes' scalar calls are unchanged. The grids reach 1e-7 from the corners.
+    grid = np.concatenate([[1e-7, 3e-6], np.linspace(0.15, PI - 0.15, 6), [PI - 3e-6, PI - 1e-7]])
+    u, v = np.meshgrid(grid, grid, indexing="ij")
+    ks = np.array([0.01, 0.3, PI / 2, 2.8, PI - 0.01])
+    got = jac(u, v, ks[:, None, None])
+    assert got.shape == (5, 10, 10)
+    for i, k in enumerate(ks):
+        want = jac(u, v, float(k))
+        np.testing.assert_array_equal(got[i], want)
+        np.testing.assert_array_equal(want, _math_jacobian(u, v, float(k), sign))
+    kk = np.linspace(0.01, PI - 0.01, 10)[:, None] * np.ones(10)  # one kappa per row of the grid
+    got = jac(u, v, kk)
+    for i in range(10):
+        np.testing.assert_array_equal(got[i], jac(u[i], v[i], float(kk[i, 0])))
 
 
 def test_jacobians_integrate_to_total_measure():

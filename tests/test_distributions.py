@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphtri import distributions, quadrature
+from sphtri import coords, distributions, quadrature
 from sphtri.distributions import (
     ConditionalKind,
     DensityKind,
@@ -139,7 +139,7 @@ def side_coords_cdf(x, kappa, tol):
         return 0.0, np.arccos(np.clip(cos_eta, -1.0, 1.0)), us
 
     value = distributions._nested(lambda _, u, v: side_jacobian(u, v, kappa), bounds,
-                                  np.zeros(1), QuadratureSpec(tol))
+                                  np.zeros(1), QuadratureSpec(tol), distributions._OUTER_ROWS)
     return float(value[0]) / TWO_PI
 
 
@@ -841,9 +841,9 @@ class TestDoubleIntegrals:
     @pytest.mark.parametrize("kind, x, tol, message", [
         (DensityKind.PERIMETER_PRIMAL, 2.0, 1e-16, None),
         (DensityKind.AREA_DUAL, 2.0, 1e-16, None),
-        # 5.9e-13 below 2*pi the radicand rounds to 0 at the default tol too.
-        (DensityKind.AREA_DUAL, 6.283185307179, 1e-9,
-         "the radicand at x = 6.283185307179 rounds to 0 inside the band"),
+        # 4.7e-15 below 2*pi the radicand rounds to 0 at the default tol too.
+        (DensityKind.AREA_DUAL, 6.283185307179582, 1e-9,
+         "the radicand at x = 6.283185307179582 rounds to 0 inside the band"),
     ], ids=["DensityKind.PERIMETER_PRIMAL", "DensityKind.AREA_DUAL", "AREA_DUAL-next-to-2pi"])
     def test_unreachable_tolerance(self, kind, x, tol, message):
         # The inner integrals refine into the band ends until t = end -+ u^2
@@ -919,6 +919,40 @@ class TestDoubleIntegrals:
         got = density_via_double_integral(kind, xs[near], tol)
         assert np.all(np.abs(got - area_density(ds[near])) <= 10 * tol)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("kind", [DensityKind.PERIMETER_PRIMAL, DensityKind.AREA_DUAL])
+    def test_square_root_kinds_answer_within_ten_tol_or_raise(self, kind, tol):
+        # Log grids of distances d from each end: x = 2*pi - d and d for
+        # PERIMETER_PRIMAL, whose density diverges at 2*pi, and the polar
+        # images d and 2*pi - d for AREA_DUAL. Every call answers within
+        # 10 tol max(1, |ref|) or raises, against references that take d
+        # itself: the tau^3 series next to the zero end, and next to the
+        # singular one the perimeter series at the float next to 2*pi - d,
+        # carried to d along the tail. perimeter_density(2*pi - d) alone is
+        # off by 1.6e-7 relative at d = 1e-9, and the tail alone by 2.1e-7
+        # at d = 1e-3, where its d^2 term is missing.
+        ds = np.geomspace(1e-9, 1e-3, 25)
+        primal = kind is DensityKind.PERIMETER_PRIMAL
+        points = [(float(x), singular) for singular in (True, False)
+                  for x in (TWO_PI - ds if primal == singular else ds)]
+        if not primal:  # 5.9e-13 below 2*pi: its radicand rounds to 0 if the outer start is 4 rows
+            points.append((6.283185307179, False))
+        answered = []
+        for x, singular in points:
+            try:
+                v = density_via_double_integral(kind, x, tol)
+            except SphtriError:
+                continue
+            if singular:
+                near, d = (x, _polar(x)) if primal else (_polar(x), x)
+                ref = perimeter_density(near) * sqrt_tail(d) / sqrt_tail(_polar(near))
+            else:
+                tau = x if primal else _polar(x)
+                ref = tau ** 3 * distributions._horner(DENSITY_TAU2, tau * tau)
+            assert abs(v - ref) <= 10 * tol * max(1.0, abs(ref)), (x, v, ref)
+            answered.append(x)
+        assert primal or 6.283185307179 in answered
+
     def test_duality_grid(self):
         for x in np.linspace(0.5, TWO_PI - 0.5, 10):
             a = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, float(x), tol=1e-8)
@@ -932,6 +966,13 @@ class TestDoubleIntegrals:
 # slope read off the perimeter series' derivative (1.99551 at d = 1e-4).
 TAIL_C = 3 * PI ** 2 / (math.sqrt(2) * math.gamma(0.25) ** 4)
 TAIL_SLOPE = 1.99552
+
+
+def sqrt_tail(d):
+    """The square-root pair's tail form at the distance d from 2*pi."""
+    return TAIL_C / math.sqrt(d) * (1.0 + TAIL_SLOPE * d)
+
+
 # The polar pairs, each as its shared body and one call of each kind: the
 # dual kind at (x, kappa) = (2.0, 1.6), the primal one at its polar point.
 POLAR_X, POLAR_KAPPA = 2.0, 1.6
@@ -1054,17 +1095,14 @@ class TestPolarDuality:
 
     @pytest.mark.parametrize("delta", [1e-300, 1e-100, 1e-12, 1e-8])
     def test_square_root_pair_at_its_singular_end(self, delta):
-        def tail(d):
-            return TAIL_C / math.sqrt(d) * (1.0 + TAIL_SLOPE * d)
-
         v = density_via_double_integral(DensityKind.AREA_DUAL, delta)
-        assert abs(v / tail(delta) - 1.0) <= 1e-12
+        assert abs(v / sqrt_tail(delta) - 1.0) <= 1e-12
         # The primal kind at the float nearest 2*pi - delta below TWO_PI,
         # against the tail at that float's exact distance from 2*pi.
         x = min(TWO_PI - delta, distributions._BELOW_TWO_PI)
         exact = float(Fraction(TWO_PI) - Fraction(x) + Fraction(distributions._TWO_PI_SHORTFALL))
         v = density_via_double_integral(DensityKind.PERIMETER_PRIMAL, x)
-        assert abs(v / tail(exact) - 1.0) <= 1e-12
+        assert abs(v / sqrt_tail(exact) - 1.0) <= 1e-12
 
 
 # The reduction grid of verify.reduction_checks: 5 x, 10 fractions of (x/2, pi).
@@ -1613,22 +1651,41 @@ class TestNestedQuadratureStructure:
 
         monkeypatch.setattr(distributions, "integrate", refuse("integrate"))
         monkeypatch.setattr(distributions, "_integrate_rows", counted_rows)
-        # The 2-D routes cut each node's inner integral into two pieces at psi = phi.
-        calls = [(2, lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6)),
-                 (2, lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6))]
-        calls += [(1, lambda kind=kind: density_via_double_integral(kind, 2.0))
+        # The 2-D routes cut each node's inner integral into two pieces at
+        # psi = phi. They and the smooth kinds start from 4 outer rows, the
+        # square-root kinds from 1.
+        calls = [(2, 4, lambda: conditional_cdf(ConditionalKind.PERIMETER_ANGLE_COORDS, 2.0, 0.6)),
+                 (2, 4, lambda: conditional_cdf(ConditionalKind.AREA_SIDE_COORDS, 2.0, 1.6))]
+        calls += [(1, 1 if kind in (DensityKind.PERIMETER_PRIMAL, DensityKind.AREA_DUAL) else 4,
+                   lambda kind=kind: density_via_double_integral(kind, 2.0))
                   for kind in DensityKind]
-        for pieces, call in calls:
+        assert distributions._OUTER_ROWS == 4
+        for pieces, start, call in calls:
             rows.clear()
             outer_steps.clear()
             call()
             outer, inner = rows[0], rows[1:]
-            assert outer == distributions._OUTER_ROWS == 4
+            assert outer == start
             assert len(inner) == len(outer_steps)  # one inner call per outer step
             # An inner call's rows are the pieces at the Kronrod nodes of
             # each outer panel of the step.
             assert inner == [pieces * m * _NODES.size for m, _ in outer_steps]
-            assert inner[0] == pieces * distributions._OUTER_ROWS * _NODES.size
+            assert inner[0] == pieces * start * _NODES.size
+
+    def test_two_d_routes_keep_a_float_kappa(self, monkeypatch):
+        # angle_jacobian takes an array kappa too; the 2-D routes pass a
+        # float, which still goes through math's sin and cos, so their values
+        # are those of the float-only Jacobian bit for bit.
+        points = [(2.0, 0.6), (0.85, 0.424575), (5.0, 2.4975)]
+        kinds = (ConditionalKind.PERIMETER_ANGLE_COORDS, ConditionalKind.AREA_SIDE_COORDS)
+        got = [conditional_cdf(kind, x, k) for kind in kinds for x, k in points]
+
+        def float_only(u, v, kappa):
+            cos2, sin2 = 2.0 * math.cos(0.5 * kappa) ** 2, 2.0 * math.sin(0.5 * kappa) ** 2
+            return coords._jacobian(u, v, math.sin(kappa), math.cos(kappa), cos2, sin2)
+
+        monkeypatch.setattr(distributions, "angle_jacobian", float_only)
+        assert got == [conditional_cdf(kind, x, k) for kind in kinds for x, k in points]
 
     def test_edge_probe_cost(self, monkeypatch):
         # The slowest conditional-routes benchmark probe: 1e-3 (relative)

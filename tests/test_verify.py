@@ -63,6 +63,25 @@ def test_duality_suite_checks_the_double_integral_against_the_series(monkeypatch
     assert all(c.ok for c in checks.values())
 
 
+def test_jacobian_suite_makes_one_call_per_coordinate_system(monkeypatch):
+    # The 5 kappa lie on a leading axis of the 10 x 10 grid: 4 calls where
+    # one per (system, kappa) made 20, with the same worst value.
+    calls = []
+    real = verify.jacobian_fd_check
+
+    def recorded(coords):
+        calls.append((coords.kind, np.shape(coords.kappa)))
+        return real(coords)
+
+    monkeypatch.setattr(verify, "jacobian_fd_check", recorded)
+    (check,) = verify.jacobian_checks()
+    assert calls == [(kind, (5, 1, 1)) for kind in verify.CoordKind]
+    u, v = np.meshgrid(*[np.linspace(0.15, math.pi - 0.15, 10)] * 2, indexing="ij")
+    want = max(float(np.max(real(verify.CoordTriple(kind, u, v, float(k)))))
+               for kind in verify.CoordKind for k in np.linspace(0.3, math.pi - 0.3, 5))
+    assert check.value == want and check.ok
+
+
 def test_mc_suite_checks_the_dual_sampler_against_the_perimeter_law():
     checks = {c.name: c for c in verify.mc_checks(10**4, 5)}
     dual = checks["KS dual area vs mirrored perimeter CDF"]
@@ -137,5 +156,6 @@ def test_integral_suites_make_one_engine_call(monkeypatch, suite):
     monkeypatch.setattr(distributions, "integrate", refused)
     monkeypatch.setattr(distributions, "_integrate_rows", counted)
     assert all(c.ok for c in verify.SUITES[suite](0, 0))
-    # The duality suite's 10 x make 4 outer rows each; the reduction grid's 50 points one row each.
-    assert outermost == [40 if suite == "duality" else 50]
+    # The duality suite's 10 x make one outer row each (the square-root kinds'
+    # start), as do the reduction grid's 50 points.
+    assert outermost == [10 if suite == "duality" else 50]
