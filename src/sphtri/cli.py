@@ -175,10 +175,9 @@ def _cmd_curve(args) -> int:
     if args.command == "conditional":  # conditional_cdf takes one x at a time
         vals = [law(float(x)) for x in xs]
     elif density and args.kind == "perimeter":
-        # The density is defined on (0, 2*pi) only and diverges at 2*pi, where
-        # grids end: the closed ends 0 and 2*pi take its values at 1e-12 and
-        # 2*pi - 1e-6, and every interior point is evaluated at itself.
-        vals = law(np.select([xs <= 0.0, xs >= TWO_PI], [1e-12, TWO_PI - 1e-6], xs))
+        # The density diverges at 2*pi, where grids end: that end takes its
+        # value at 2*pi - 1e-6, and every other point is evaluated at itself.
+        vals = law(np.where(xs >= TWO_PI, TWO_PI - 1e-6, xs))
     else:
         vals = law(xs)
     _write_csv(["x", "value"], zip(xs, vals), args.out)

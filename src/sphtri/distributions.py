@@ -36,7 +36,7 @@ import numpy as np
 
 from .coords import angle_jacobian
 from .identities import SolvedFormKind, bisector_threshold, solved_forms
-from .errors import OutOfDomain, ToleranceNotMet
+from .errors import Divergent, OutOfDomain, ToleranceNotMet
 from .quadrature import (
     QuadratureSpec, _agm_KE, _blocked, _check_tol, _integrate_rows,
     carlson_rf_rd, ellip_E, ellip_K, integrate,
@@ -285,7 +285,7 @@ def _perimeter_density_series(x):
 
 
 def perimeter_density(tau):
-    """Density of the perimeter at tau in (0, 2*pi); tau may be a float or an array.
+    """Density of the perimeter at tau in [0, 2*pi); tau may be a float or an array.
 
     The paper's density is (1/4pi) Integral_0^{tau/2} [E(k) - cos^2((tau-t)/2) K(k)]
     sin t / sqrt(sin(tau/2 - t) sin(tau/2)) dt with k = sin(t/2). It is
@@ -298,9 +298,10 @@ def perimeter_density(tau):
     over the integral on [0.3, 2*pi - 1e-9], 1.1e-14 of the Taylor series
     tau^3 (1/168 - tau^2/5280 + ...) from 1e-100 to 0.3, and 1.6e-15 from
     3 sqrt(2)/32 at pi. It is positive wherever tau^3/168 is (tau above
-    about 7.5e-108), 0.0 below. It diverges like c/sqrt(2*pi - tau),
-    c = 3 pi^2 / (sqrt(2) Gamma(1/4)^4) = 0.12116625978620570, which the
-    series' -R'(-1) _U_PER_S / 2 matches to 1.7e-13. Floats and arrays are
+    about 7.5e-108), 0.0 below and at its limit tau = 0. It diverges like
+    c/sqrt(2*pi - tau), c = 3 pi^2 / (sqrt(2) Gamma(1/4)^4) =
+    0.12116625978620570, which the series' -R'(-1) _U_PER_S / 2 matches to
+    1.7e-13; tau = 2*pi raises Divergent. Floats and arrays are
     as for perimeter_cdf; 10^6 points take about 0.11 s on a 2-CPU host,
     a scalar call about 5 us.
 
@@ -308,7 +309,10 @@ def perimeter_density(tau):
     fixed bound, _DENSITY_SERIES_ERROR = 2e-12 times max(1, |f|), which
     the tests hold it to.
     """
-    return _blocked(_perimeter_density_series, _law_argument(tau, "tau", ends=False))
+    x = _law_argument(tau, "tau")
+    if x == TWO_PI if isinstance(x, float) else (x == TWO_PI).any():
+        raise Divergent("the perimeter density diverges at tau = 2*pi")
+    return _blocked(_perimeter_density_series, x)
 
 
 def perimeter_cdf(tau):

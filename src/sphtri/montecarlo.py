@@ -24,9 +24,9 @@ from .sphere import RngStream
 # Rows per block of sample_batch; a block's temporaries (points, column
 # copies, normals) take a few MB. At 10^6 triangles on a 2-CPU host (three
 # sweeps, best of 7), blocks of 4096 to 16384 rows ran within noise of each
-# other (primal 0.26-0.31 s, dual 0.32-0.35 s); 2048 rows were 10-18%
-# slower and 1024 slower still, from per-call overhead; 32768 or more were
-# slower and larger (a traced peak of 26 MB or more, against 19 MB).
+# other; 1024 rows were the slowest in every sweep, from per-call overhead,
+# and 32768 were no faster and larger (a traced dual peak of 26 MB,
+# against 18.6 MB).
 BLOCK = 8192
 
 
@@ -81,70 +81,74 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw n triangles of the given kind and record (sigma, tau).
 
-    PRIMAL: three independent uniform vertices. DUAL: three independent
-    uniform great-circle poles, vertices by normalized cross products.
-    PRIMAL_GIVEN_SIDE: A = (1,0,0), B at arc kappa on the equator, C
-    uniform. DUAL_GIVEN_ANGLE: fixed angle alpha = kappa, (rho, theta)
-    drawn from the dual area element (rho uniform, cos theta uniform).
-    Every kind takes sigma from sphere._excess: the angle sum, or on tiny
-    triangles, where that sum can cancel below 0, the vertex form.
+    PRIMAL, DUAL and PRIMAL_GIVEN_SIDE share one construction: A =
+    (1, 0, 0), B = (cos c, sin c, 0) at arc c on the equator, and C
+    uniform. sigma and tau do not change under rotation, and the side
+    between two independent uniform points has P(c <= t) = (1 - cos t) / 2,
+    so with cos c = 1 - 2u, u uniform, the triangle has the law of three
+    independent uniform vertices: that is PRIMAL. DUAL takes the same
+    triple as three uniform great-circle poles, vertices by normalized
+    cross products. PRIMAL_GIVEN_SIDE fixes c = kappa. DUAL_GIVEN_ANGLE:
+    fixed angle alpha = kappa, (rho, theta) drawn from the dual area element
+    (rho uniform, cos theta uniform). Every kind takes sigma from
+    sphere._excess: the angle sum, or on tiny triangles, where that sum can
+    cancel below 0, the vertex form.
 
     The batch is computed in blocks of BLOCK rows: each block draws its
     points from the stream and writes its slice of the outputs. numpy's
     Generator gives the same values whether n rows are drawn at once or
     in consecutive pieces, so the samples do not depend on the block
-    size. DUAL_GIVEN_ANGLE reads the stream as all of rho, then all of
-    theta: it draws every rho into coord_u before the first block, and
-    each block then draws its theta and overwrites its slice of coord_u
-    with the side c. Peak memory is the outputs (16 bytes per triangle,
-    32 for the conditional kinds) plus a few MB. DUAL raises
-    DegenerateDual if any block holds a parallel pole pair. A kind that is
-    not a BatchKind raises ValueError.
+    size. PRIMAL and DUAL read the stream as all of the sides, then the
+    points C block by block: every u is drawn into tau before the first
+    block, and each block reads its slice before it writes tau there.
+    DUAL_GIVEN_ANGLE likewise reads all of rho, then all of theta: every
+    rho is drawn into coord_u, and each block then draws its theta and
+    overwrites its slice of coord_u with the side c. Peak memory is the
+    outputs (16 bytes per triangle, 32 for the conditional kinds) plus a
+    few MB. DUAL raises DegenerateDual if any block holds a parallel pole
+    pair. A kind that is not a BatchKind raises ValueError.
     """
     if not isinstance(kind, BatchKind):
         raise ValueError(f"unknown batch kind {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
     conditional = kind in (BatchKind.PRIMAL_GIVEN_SIDE, BatchKind.DUAL_GIVEN_ANGLE)
-    if conditional:
-        if kappa is None or not 0.0 < kappa < math.pi:
-            raise ValueError("conditional kinds need kappa in (0, pi)")
-    else:
+    if not conditional:
         kappa = None
+    elif kappa is None or not 0.0 < kappa < math.pi:
+        raise ValueError("conditional kinds need kappa in (0, pi)")
 
-    if kind is BatchKind.PRIMAL_GIVEN_SIDE:
-        A = np.array([1.0, 0.0, 0.0])
+    A = np.array([1.0, 0.0, 0.0])
+    if kind is BatchKind.PRIMAL_GIVEN_SIDE:  # else each block's B is drawn
         B = np.array([math.cos(kappa), math.sin(kappa), 0.0])
 
     sigma, tau = np.empty(n), np.empty(n)
-    coord_u = np.empty(n) if conditional else None
-    coord_v = np.empty(n) if conditional else None
-    if kind is BatchKind.DUAL_GIVEN_ANGLE:
-        # The stream is read as all of rho, then all of theta: every rho
-        # is drawn here, as random() values that each block scales by pi.
-        rng.generator.random(out=coord_u)
+    coord_u, coord_v = (np.empty(n), np.empty(n)) if conditional else (None, None)
+    if kind is not BatchKind.PRIMAL_GIVEN_SIDE:
+        # The stream is read as all of the first draw, then the blocks'. Every
+        # rho is drawn here into coord_u, as random() values that each block
+        # scales by pi; every side, as u = (1 - cos c) / 2 into tau, which
+        # each block reads before it writes its tau.
+        rng.generator.random(out=coord_u if conditional else tau)
     # Not quadrature._blocked, which maps an input array: each block here
     # draws its own inputs from the stream, in the stream's order.
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         m = hi - lo
-        if kind is BatchKind.PRIMAL:
-            pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
-            V = pts[:, 0], pts[:, 1], pts[:, 2]
-        elif kind is BatchKind.DUAL:
-            pts = sphere.sample_uniform_points(rng, 3 * m).reshape(m, 3, 3)
-            V = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
-        elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
-            V = A, B, sphere.sample_uniform_points(rng, m)
-        else:
+        if kind is BatchKind.DUAL_GIVEN_ANGLE:
             rho = coord_u[lo:hi] * math.pi  # uniform(0, pi) is 0.0 + pi * random()
             theta = np.arccos(1.0 - 2.0 * rng.generator.uniform(0.0, 1.0, m))  # sin-weighted
             V = vertices(CoordKind.DUAL, rho, theta, kappa)
+        else:
+            if not conditional:  # B = (cos c, sin c, 0), its columns contiguous
+                u = tau[lo:hi]
+                B = np.stack([1.0 - 2.0 * u, 2.0 * np.sqrt(u * (1.0 - u)), np.zeros(m)]).T
+            V = A, B, sphere.sample_uniform_points(rng, m)
+            if kind is BatchKind.DUAL:
+                V = sphere.dual_vertices(*V)
         a, b, c, al, be, ga = sphere.triangle_elements(*V)
-        if kind is BatchKind.PRIMAL_GIVEN_SIDE:
-            coord_u[lo:hi], coord_v[lo:hi] = al, b  # (theta, rho) of the fixed-side system
-        elif kind is BatchKind.DUAL_GIVEN_ANGLE:
-            coord_u[lo:hi], coord_v[lo:hi] = c, be  # (rho, theta) of the fixed-angle system
+        if conditional:  # (theta, rho) of the fixed-side system, (rho, theta) of the fixed-angle one
+            coord_u[lo:hi], coord_v[lo:hi] = (al, b) if kind is BatchKind.PRIMAL_GIVEN_SIDE else (c, be)
         sigma[lo:hi] = sphere._excess(*V, al, be, ga)
         tau[lo:hi] = a + b + c
     return SampleBatch(kind, kappa, sigma, tau, coord_u, coord_v)
@@ -153,10 +157,14 @@ def sample_batch(
 def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-norm distance between an empirical CDF and an analytic one."""
     F = np.asarray(analytic(emp.sorted), dtype=float)
-    e = np.arange(0.0, emp.n)  # e_i = F(x_i) - (i - 1) / n, and i / n - F(x_i) = 1 / n - e_i
+    # d+ = max(i/n - F(x_i)) and d- = max(F(x_i) - (i-1)/n), each in one n-long temporary.
+    e = np.arange(1.0, emp.n + 1)
     e /= emp.n
-    np.subtract(F, e, out=e)
-    return float(max(1.0 / emp.n - np.min(e), np.max(e)))
+    d_plus = np.max(np.subtract(e, F, out=e))
+    del e  # free it before the second one
+    e = np.arange(0.0, emp.n)
+    e /= emp.n
+    return float(max(d_plus, np.max(np.subtract(F, e, out=e))))
 
 
 # The batch kind that samples the laws given each element of distributions.CONDITIONAL_LAWS.
@@ -198,8 +206,6 @@ def region_coverage(
         margin = np.minimum(rho - bisector_threshold(limit, kappa),
                             np.minimum(theta - lower, math.pi - lower - theta))
     else:
-        xcoord, ycoord = batch.coord_u, batch.coord_v
-        if not law.curve_takes_u:
-            xcoord, ycoord = ycoord, xcoord
-        margin = curve(xcoord) - ycoord
+        u, v = batch.coord_u, batch.coord_v
+        margin = curve(u) - v if law.curve_takes_u else curve(v) - u
     return int(np.sum(inside & (margin < -_GUARD)) + np.sum(~inside & (margin > _GUARD)))

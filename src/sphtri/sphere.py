@@ -196,10 +196,11 @@ def _excess(A, B, C, alpha, beta, gamma):
 
     The vertices are arrays (..., 3) that broadcast to the angles' shape.
     The excess is Girard's alpha + beta + gamma - pi, except on rows where
-    that sum is below _GIRARD_SMALL. There it cancels: one triangle of a
-    dual batch of 10^5 (seed 8, stream 3) sums to -2.66e-10, where its
-    excess is 2.2626e-15. On those rows Van Oosterom and Strackee's
-    tan(sigma/2) = |A . (B x C)| / (1 + A . B + B . C + C . A)
+    that sum is below _GIRARD_SMALL. There it cancels: on the dual of
+    three independent uniform poles it fell to -2.66e-10 where the excess
+    is 2.2626e-15, and in a dual batch of 10^5 (seed 26270, stream 3) it
+    is 0.0 where the excess is 9.3116e-21. On those rows Van Oosterom and
+    Strackee's tan(sigma/2) = |A . (B x C)| / (1 + A . B + B . C + C . A)
     (IEEE Trans. Biomed. Eng. 30, 1983) gives the excess, with the triple
     product taken as A . ((B - A) x (C - A)) so that a small triangle keeps
     its relative accuracy. It does so only where the denominator exceeds
@@ -261,10 +262,9 @@ def sample_uniform_points(rng: RngStream, n: int) -> np.ndarray:
     Muller's method: standard normal 3-vectors, each divided by its length.
     The length is summed column by column, sqrt((x*x + y*y) + z*z), in the
     order np.linalg.norm(v, axis=1) adds, so the points are bit for bit
-    those of that form, without its reduction over a 3-long axis. The
-    3*10^6 points of a 10^6 primal batch take 0.19-0.22 s, of which the
-    draw is 0.13-0.15 s (0.23-0.26 s with np.linalg.norm; 2-CPU host, best
-    of 10).
+    those of that form, without its reduction over a 3-long axis. 10^6
+    points take 0.084-0.086 s, of which the draw is 0.056-0.061 s
+    (0.11 s with np.linalg.norm; 2-CPU host, best of 10).
     """
     v = rng.generator.standard_normal((n, 3))
     x, y, z = v.T

@@ -26,7 +26,7 @@ from sphtri.distributions import (
     CONDITIONAL_LAWS, SMOOTH_KINDS_EDGE, _perimeter_cdf_integrand, _perimeter_density_integrand,
     _polar, _polar_point, _radicand, _sqrt_inner,
 )
-from sphtri.errors import OutOfDomain, SphtriError, ToleranceNotMet
+from sphtri.errors import Divergent, OutOfDomain, SphtriError, ToleranceNotMet
 from sphtri.identities import SolvedFormKind, bisector_threshold, solved_forms
 from sphtri.montecarlo import sample_batch
 from sphtri.quadrature import _BLOCK, _NODES, _PANEL_BUDGET, QuadratureSpec, ellip_E, ellip_K, integrate
@@ -309,10 +309,16 @@ class TestPerimeterDensity:
         assert perimeter_density(TWO_PI - 1e-6) > perimeter_density(TWO_PI - 1e-2)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            perimeter_density(0.0)
-        with pytest.raises(ValueError):
+        # 0 gives the limit 0.0, as area_density(0) does; 2*pi, where the density diverges, raises.
+        assert perimeter_density(0.0) == 0.0
+        assert np.array_equal(perimeter_density(np.array([0.0, PI])), [0.0, perimeter_density(PI)])
+        with pytest.raises(Divergent):
             perimeter_density(TWO_PI)
+        with pytest.raises(Divergent):
+            perimeter_density(np.array([PI, TWO_PI]))
+        for outside in (-1e-300, math.nextafter(TWO_PI, 7.0)):
+            with pytest.raises(ValueError):
+                perimeter_density(outside)
 
     def test_normalizes(self):
         f = lambda s: np.array(
@@ -592,9 +598,12 @@ class TestPerimeterDensityRule:
         assert perimeter_density(float(xs[-1])) == vals[-1]
 
     def test_array_domain(self):
-        for bad in ([1.0, 0.0], [1.0, TWO_PI], [float("nan")]):
+        for bad in ([1.0, -0.5], [1.0, 7.0], [float("nan")]):
             with pytest.raises(ValueError):
                 perimeter_density(np.array(bad))
+        with pytest.raises(Divergent):
+            perimeter_density(np.array([1.0, TWO_PI]))
+        assert perimeter_density(np.array([1.0, 0.0]))[1] == 0.0
 
     def test_tabulated_table_is_fast(self):
         # One array call: about 0.13 ms on a 2-CPU host, against 0.6-8 ms a

@@ -49,13 +49,14 @@ def reference_sample_batch(kind, kappa, n, rng):
         kappa = None
     gen = rng.generator
     coord_u = coord_v = None
-    if kind is BatchKind.PRIMAL:
-        pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
-        A, B, C = pts[:, 0], pts[:, 1], pts[:, 2]
-        a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
-    elif kind is BatchKind.DUAL:
-        pts = reference_points(rng, 3 * n).reshape(n, 3, 3)
-        A, B, C = sphere.dual_vertices(pts[:, 0], pts[:, 1], pts[:, 2])
+    if kind in (BatchKind.PRIMAL, BatchKind.DUAL):
+        # A fixed, B at a side c with P(c <= t) = (1 - cos t) / 2 on the equator, C uniform.
+        u = gen.random(n)
+        A = np.array([1.0, 0.0, 0.0])
+        B = np.stack([1.0 - 2.0 * u, 2.0 * np.sqrt(u * (1.0 - u)), np.zeros(n)], axis=1)
+        C = reference_points(rng, n)
+        if kind is BatchKind.DUAL:
+            A, B, C = sphere.dual_vertices(A, B, C)
         a, b, c, al, be, ga = sphere.triangle_elements(A, B, C)
     elif kind is BatchKind.PRIMAL_GIVEN_SIDE:
         A = np.array([1.0, 0.0, 0.0])
@@ -109,11 +110,20 @@ class TestSampleBatch:
             assert np.all((b.sigma >= 0) & (b.sigma <= TWO_PI))
             assert np.all((b.tau >= 0) & (b.tau <= TWO_PI))
 
-    def test_tiny_dual_triangle_keeps_its_sign(self):
-        # Girard's angle sum gives this triangle -2.66e-10; 60-digit mpmath
-        # on its rounded vertices gives 2.2626305e-15.
-        b = sample_batch(BatchKind.DUAL, None, 10**5, RngStream(8, 3))
-        assert abs(b.sigma[35610] / 2.2626e-15 - 1.0) < 1e-3
+    def test_tiny_dual_triangle_keeps_its_sign(self, monkeypatch):
+        # Girard's angle sum rounds this triangle's excess to 0.0; 60-digit
+        # mpmath on its rounded vertices gives 9.3115687e-21.
+        sums = []
+        excess = sphere._excess
+
+        def recorded(A, B, C, al, be, ga):
+            sums.append(al + be + ga - PI)
+            return excess(A, B, C, al, be, ga)
+
+        monkeypatch.setattr(sphere, "_excess", recorded)
+        b = sample_batch(BatchKind.DUAL, None, 10**5, RngStream(26270, 3))
+        assert np.concatenate(sums)[7581] <= 0.0
+        assert abs(b.sigma[7581] / 9.3116e-21 - 1.0) < 1e-3
         assert b.sigma.min() >= 0.0
 
     def test_given_side_fixes_side(self):
@@ -167,17 +177,20 @@ class TestBlockedSampler:
         assert got.n == n
         assert_same_samples(got, want)
 
+    @pytest.mark.parametrize("kind,kappa", [(BatchKind.DUAL_GIVEN_ANGLE, 0.8),
+                                            (BatchKind.PRIMAL, None), (BatchKind.DUAL, None)])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
-    def test_dual_given_angle_reads_all_rho_then_all_theta(self, n):
-        # Every rho is drawn before the first block and each block draws its
-        # theta after them; the batch and the stream afterwards must be as if
-        # all rho and then all theta were drawn, including a buffered 32-bit
-        # half-draw.
+    def test_reads_every_first_draw_then_the_blocks(self, kind, kappa, n):
+        # Every rho (DUAL_GIVEN_ANGLE) or side (PRIMAL, DUAL) is drawn before
+        # the first block, and each block draws its theta or points after
+        # them; the batch and the stream afterwards must be as if all of the
+        # first and then all of the second were drawn, including a buffered
+        # 32-bit half-draw.
         got_rng, want_rng = RngStream(31, 4), RngStream(31, 4)
         for rng in (got_rng, want_rng):
             rng.generator.integers(0, 2**32, dtype=np.uint32)
-        got = sample_batch(BatchKind.DUAL_GIVEN_ANGLE, 0.8, n, got_rng)
-        want = reference_sample_batch(BatchKind.DUAL_GIVEN_ANGLE, 0.8, n, want_rng)
+        got = sample_batch(kind, kappa, n, got_rng)
+        want = reference_sample_batch(kind, kappa, n, want_rng)
         assert_same_samples(got, want)
 
         def next_draws(rng):
@@ -240,13 +253,13 @@ class TestBlockedSampler:
             pts = draw(rng, n)
             calls.append(n)
             if len(calls) == 2:
-                pts[1] = pts[0]  # the first triangle of the block: Bp = Ap
+                pts[0] = [1.0, 0.0, 0.0]  # the first triangle of the block: Cp = Ap
             return pts
 
         monkeypatch.setattr(sphere, "sample_uniform_points", draw_with_repeated_pole)
         with pytest.raises(DegenerateDual):
             sample_batch(BatchKind.DUAL, None, 2 * BLOCK + 5, RngStream(3))
-        assert calls == [3 * BLOCK, 3 * BLOCK]
+        assert calls == [BLOCK, BLOCK]
 
 
 class TestEmpiricalCdf:
